@@ -1,14 +1,13 @@
 //! Batched vs sequential scoring — the throughput case for
-//! `ScoreEstimator::scores_batch` and the parallel global fan-out.
+//! `ScoreEstimator::scores_batch`.
 //!
 //! The batched path shares one counting pass per intervened attribute
-//! set instead of re-scanning the 50k-row table once per contrast, and
-//! `Engine::global()` fans per-attribute scoring across threads; both
-//! must beat their sequential counterparts here.
+//! set instead of re-scanning the 50k-row table once per contrast, so
+//! it must beat its sequential counterpart here.
 
 use bench::harness::{prepare, ModelKind};
 use criterion::{criterion_group, criterion_main, Criterion};
-use datasets::{GermanDataset, GermanSynDataset};
+use datasets::GermanSynDataset;
 use lewis_core::Contrast;
 use tabular::{AttrId, Context};
 
@@ -63,39 +62,6 @@ fn bench_sequential_vs_batched(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_global_thread_scaling(c: &mut Criterion) {
-    // The thread fan-out pays off on *wide* tables: German has 20
-    // attributes to score, so per-attribute counting passes dominate
-    // the spawn overhead (german-syn's 5 attributes would not).
-    let p = prepare(
-        GermanDataset::generate(ROWS, 42),
-        ModelKind::RandomForest,
-        None,
-        42,
-    );
-    let lewis = p.engine();
-    let mut group = c.benchmark_group("global_explanation_german_50k_rows");
-    group.sample_size(10);
-    // Clear the engine's counting-pass cache every iteration: this
-    // bench measures how the *passes* scale across threads, which a
-    // warm cache would skip entirely (bench_engine measures the cache).
-    group.bench_function("single_thread", |b| {
-        rayon::set_num_threads_for_test(1);
-        b.iter(|| {
-            lewis.clear_cache();
-            lewis.global().unwrap().attributes.len()
-        });
-        rayon::set_num_threads_for_test(0);
-    });
-    group.bench_function("all_threads", |b| {
-        b.iter(|| {
-            lewis.clear_cache();
-            lewis.global().unwrap().attributes.len()
-        })
-    });
-    group.finish();
-}
-
 fn bench_contextual_batched(c: &mut Criterion) {
     let p = prepare(
         GermanSynDataset::standard().generate(ROWS, 42),
@@ -133,7 +99,6 @@ fn bench_contextual_batched(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sequential_vs_batched, bench_global_thread_scaling,
-              bench_contextual_batched
+    targets = bench_sequential_vs_batched, bench_contextual_batched
 }
 criterion_main!(benches);

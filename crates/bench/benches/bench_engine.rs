@@ -2,18 +2,15 @@
 //!
 //! The workload is the paper's serving scenario (§3.2): one trained
 //! estimator answering a stream of repeated and overlapping contextual
-//! queries. Three ways to serve the same ≥20-query batch:
+//! queries. Two ways to serve the same ≥20-query batch:
 //!
-//! * `cold_lewis`   — the historical API: a fresh borrowed `Lewis` per
-//!   query (table clone + order inference + full counting passes, no
-//!   reuse whatsoever);
 //! * `engine_cold_cache` — one shared `Engine`, but the cache cleared
 //!   before every batch (isolates the cache's contribution from the
 //!   one-off construction savings);
 //! * `engine_warm` — one shared `Engine` with a warm cache: repeated
 //!   `(attribute, context)` keys reuse their counting passes.
 //!
-//! The warm path must beat the cold paths; results are bit-identical
+//! The warm path must beat the cold one; results are bit-identical
 //! (pinned by `tests/engine_api.rs`, sanity-checked here at setup).
 
 use bench::harness::{prepare, ModelKind, Prepared};
@@ -56,31 +53,6 @@ fn request_stream(p: &Prepared) -> Vec<ExplainRequest> {
     requests
 }
 
-/// The pre-`Engine` serving pattern: nothing outlives a query, so every
-/// query pays table clone, order inference and all counting passes.
-#[allow(deprecated)]
-fn serve_with_cold_lewis(p: &Prepared, requests: &[ExplainRequest]) -> usize {
-    let mut served = 0usize;
-    for request in requests {
-        let lewis = lewis_core::Lewis::new(
-            &p.table,
-            Some(p.scm.graph()),
-            p.pred,
-            p.positive,
-            &p.features,
-            1.0,
-        )
-        .expect("explainer builds");
-        let ok = match request {
-            ExplainRequest::Contextual { attr, k } => lewis.contextual(*attr, k).is_ok(),
-            ExplainRequest::ContextualGlobal { k } => lewis.contextual_global(k).is_ok(),
-            _ => unreachable!("stream is contextual-only"),
-        };
-        served += usize::from(ok);
-    }
-    served
-}
-
 fn bench_warm_vs_cold(c: &mut Criterion) {
     let p = prepared();
     let requests = request_stream(&p);
@@ -103,9 +75,6 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
     let name = format!("engine_cache_{}_queries_20k_rows", requests.len());
     let mut group = c.benchmark_group(&name);
     group.sample_size(10);
-    group.bench_function("cold_lewis_per_query", |b| {
-        b.iter(|| serve_with_cold_lewis(&p, &requests))
-    });
     group.bench_function("engine_cold_cache", |b| {
         b.iter(|| {
             engine.clear_cache();

@@ -8,7 +8,8 @@
 //! scaled german_syn table, plus one engine-level cold local query
 //! indexed vs not. Indexed results are bit-identical by construction
 //! (asserted here before timing), so the only thing at stake is
-//! wall-clock; see BENCH_index.json for the 1M-row numbers.
+//! wall-clock; `lewisbench --workload cold_1m` gives the 1M-row numbers
+//! end to end, with `index.pass_us` and `index.probe_us` per layer.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lewis_core::blackbox::label_table;

@@ -6,9 +6,10 @@
 //! scaled german_syn table, and one engine-level cold global query
 //! sharded vs not. Shard results are bit-identical by construction
 //! (asserted here before timing), so the only thing at stake is
-//! wall-clock; on a single-core container the sharded path's merge
-//! overhead makes it a wash — the fan-out pays on multi-core machines
-//! (see BENCH_shard.json).
+//! wall-clock; on a single-core machine the sharded path's merge
+//! overhead makes it a wash — the fan-out pays on multi-core machines.
+//! `lewisbench`'s traced run reports the same scan and sharded passes
+//! next to the indexed one (`tabular.*_pass_us`, `index.pass_us`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lewis_core::blackbox::label_table;
@@ -77,6 +78,8 @@ fn bench_sharded_counting(c: &mut Criterion) {
             .prediction(pred, 1)
             .features(&features)
             .shards(n_shards)
+            // the scan path: an index would answer instead of the shards
+            .index(false)
             .build()
             .unwrap();
         group.bench_function(format!("shards_{n_shards}"), |b| {

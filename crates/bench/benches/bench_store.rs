@@ -6,8 +6,9 @@
 //! path reads one checksummed binary file and is ready to serve — warm
 //! cache included — so restarts stop costing throughput.
 //!
-//! Acceptance (BENCH_store.json): pack-restore to ready-to-serve must
-//! be ≥ 5× faster than CSV-rebuild + rewarm on the same dataset.
+//! Acceptance: pack-restore to ready-to-serve must be ≥ 5× faster than
+//! CSV-rebuild + rewarm on the same dataset. `lewisbench` reports the
+//! restore time of its own packs as `store.pack.restore_ms`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lewis_serve::warm::warm_engine;

@@ -4,8 +4,8 @@
 //! a dictionary-coded [`tabular::Table`] (paper eqs. 19–21): "how many
 //! rows have `x = a` and `k = b` and `o = 1`?". Answering that with a
 //! row scan costs `O(rows)` per probe — the cold local-context back-off
-//! rescans the whole table once per dropped attribute, which is the
-//! ~160 ms tail `BENCH_shard.json` records at a million rows.
+//! rescans the whole table once per dropped attribute — a ~160 ms tail
+//! at a million rows.
 //!
 //! A [`TableIndex`] stores one [`tabular::Bitmap`] per
 //! `(attribute, code)` pair — bit `i` set iff row `i` holds that code —

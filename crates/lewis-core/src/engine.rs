@@ -48,7 +48,6 @@ use crate::snapshot::{
 use crate::surrogates::SurrogateCache;
 use crate::{LewisError, Result};
 use causal::Dag;
-use rayon::prelude::*;
 use std::sync::Arc;
 use tabular::{AttrId, Context, Table, Value};
 
@@ -66,29 +65,6 @@ const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// pack readers can apply the same default to pre-v4 packs, which
 /// predate the surrogate cache.
 pub const DEFAULT_SURROGATE_CAPACITY: usize = 32;
-
-/// The default shard count for new engines: 1 (a single contiguous
-/// counting pass), unless the `LEWIS_TEST_SHARDS` environment variable
-/// overrides it. The override exists so CI can run the *entire* test
-/// suite under a non-trivial shard count — sharded and unsharded
-/// engines are bit-identical by construction, so every test must pass
-/// under any value. [`EngineBuilder::shards`] always wins over the env.
-fn default_shards() -> usize {
-    std::env::var("LEWIS_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
-/// Whether new engines build a bitmap index by default: no, unless the
-/// `LEWIS_TEST_INDEX` environment variable is set to `1`. Like
-/// [`default_shards`], the override exists so CI can run the entire
-/// test suite with indexed counting — indexed and scanned passes are
-/// bit-identical by construction, so every test must pass either way.
-/// [`EngineBuilder::index`] always wins over the env.
-fn default_index() -> bool {
-    std::env::var("LEWIS_TEST_INDEX").is_ok_and(|v| v == "1")
-}
 
 /// One explanation query, ready to be answered by [`Engine::run`].
 ///
@@ -202,8 +178,8 @@ impl EngineBuilder {
             min_support: DEFAULT_MIN_SUPPORT,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             surrogate_capacity: DEFAULT_SURROGATE_CAPACITY,
-            shards: default_shards(),
-            index: default_index(),
+            shards: 1,
+            index: true,
         }
     }
 
@@ -272,27 +248,26 @@ impl EngineBuilder {
         self
     }
 
-    /// Fan every counting pass over `shards` fixed-boundary row shards
-    /// (default 1, or `LEWIS_TEST_SHARDS` when set; clamped to at
-    /// least 1). Results are **bit-identical** for every shard count —
-    /// per-shard counts are integers merged in shard-index order, so
-    /// the merged pass equals a single contiguous scan exactly
-    /// (property-tested in `tests/shard_parity.rs`). Sharding only
-    /// changes wall-clock: on multi-core machines the shards count in
-    /// parallel via the rayon shim.
+    /// Reference override: fan every counting pass over `shards`
+    /// fixed-boundary row shards (default 1; clamped to at least 1).
+    /// Results are **bit-identical** for every shard count — per-shard
+    /// counts are integers merged in shard-index order, so the merged
+    /// pass equals a single contiguous scan exactly (property-tested in
+    /// `tests/shard_parity.rs`). The parity suites use it to hold
+    /// sharded layouts against the default one.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Build a per-(feature, code) bitmap index at construction time
-    /// (default off, or on when `LEWIS_TEST_INDEX=1` is set). With an
-    /// index, counting passes and support probes become word-level
-    /// `AND` + popcount intersections whenever the index's cost model
-    /// says that is cheaper than a row scan. Results are
-    /// **bit-identical** with and without the index (property-tested in
-    /// `tests/index_parity.rs`); only cold-query wall-clock changes.
+    /// Reference override: whether to build the per-(feature, code)
+    /// bitmap index at construction time (default on). With the index,
+    /// counting passes and support probes become word-level `AND` +
+    /// popcount intersections whenever the index's cost model says that
+    /// is cheaper than a row scan. Results are **bit-identical** with
+    /// and without it (property-tested in `tests/index_parity.rs`);
+    /// `index(false)` keeps the row-scan path as the cold reference.
     #[must_use]
     pub fn index(mut self, enabled: bool) -> Self {
         self.index = enabled;
@@ -945,11 +920,8 @@ impl Engine {
     }
 
     /// Global-shaped explanation within a context (used for Figure 4 and
-    /// the sub-population audits).
-    ///
-    /// Per-attribute scoring fans out across threads; results are
-    /// gathered in feature order and sorted with a total tie-break, so
-    /// the explanation is identical for every thread count.
+    /// the sub-population audits). Attributes are scored in feature
+    /// order and sorted with a total tie-break.
     pub fn contextual_global(&self, k: &Context) -> Result<GlobalExplanation> {
         let free: Vec<AttrId> = self
             .features
@@ -957,14 +929,10 @@ impl Engine {
             .copied()
             .filter(|a| !k.constrains(*a))
             .collect();
-        let scored: Vec<Result<AttributeScores>> = free
-            .par_iter()
+        let mut attributes = free
+            .iter()
             .map(|&a| self.attribute_scores(a, k))
-            .collect();
-        let mut attributes = Vec::with_capacity(scored.len());
-        for result in scored {
-            attributes.push(result?);
-        }
+            .collect::<Result<Vec<_>>>()?;
         attributes.sort_by(|x, y| {
             y.scores
                 .nesuf
@@ -1014,18 +982,13 @@ impl Engine {
         }
         let outcome = row[pred.index()];
         let favourable = outcome == self.est.positive();
-        // Per-attribute contributions are independent: fan out across
-        // threads, and within one attribute score every value contrast
-        // off a single shared counting pass.
-        let scored: Vec<Result<LocalContribution>> = self
+        // Within one attribute, every value contrast is scored off a
+        // single shared counting pass.
+        let mut contributions = self
             .features
-            .par_iter()
+            .iter()
             .map(|&a| self.local_contribution(a, row, favourable, min_support))
-            .collect();
-        let mut contributions = Vec::with_capacity(scored.len());
-        for result in scored {
-            contributions.push(result?);
-        }
+            .collect::<Result<Vec<_>>>()?;
         contributions.sort_by(|x, y| {
             let mx = x.positive.max(x.negative);
             let my = y.positive.max(y.negative);
@@ -1254,8 +1217,8 @@ mod tests {
     use rand::SeedableRng;
     use tabular::{Domain, Schema};
 
-    /// Loan world shared with the explain-module tests: status (3
-    /// levels) and savings (2) cause approval; `hair` does not.
+    /// Loan world: status (3 levels) and savings (2) cause approval;
+    /// `hair` does not.
     fn world() -> Scm {
         let mut schema = Schema::new();
         schema.push("status", Domain::categorical(["bad", "ok", "good"]));
@@ -1352,14 +1315,73 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(e.table().n_rows(), t.n_rows());
-        // the estimator holds one handle, plus one inside its cached
-        // shard layout when sharding is on — all shallow Arc clones,
-        // never a copy of the column data
-        let expected = if e.shards() > 1 { 3 } else { 2 };
+        // the (unsharded) estimator holds one shallow Arc clone, never
+        // a copy of the column data
         assert_eq!(
             Arc::strong_count(&t),
-            expected,
+            2,
             "builder must not deep-copy the Arc'd table"
+        );
+    }
+
+    #[test]
+    fn value_orders_are_exposed() {
+        let (t, pred) = setup(5000);
+        let e = Engine::builder(t)
+            .prediction(pred, 1)
+            .features(&[AttrId(0)])
+            .alpha(0.0)
+            .build()
+            .unwrap();
+        // approval rate rises with status level
+        assert_eq!(e.value_order(AttrId(0)).unwrap(), &[0, 1, 2]);
+        assert!(e.value_order(AttrId(1)).is_none());
+    }
+
+    #[test]
+    fn contextual_scores_differ_across_groups() {
+        let e = engine(20_000);
+        // savings' effect inside status groups: with status=good the loan
+        // is often approved regardless, so sufficiency of savings is
+        // higher for ok-status than bad-status individuals
+        let bad = e
+            .contextual(AttrId(1), &Context::of([(AttrId(0), 0)]))
+            .unwrap();
+        let ok = e
+            .contextual(AttrId(1), &Context::of([(AttrId(0), 1)]))
+            .unwrap();
+        assert!(
+            ok.scores.sufficiency > bad.scores.sufficiency + 0.5,
+            "ok {} vs bad {}",
+            ok.scores.sufficiency,
+            bad.scores.sufficiency
+        );
+    }
+
+    #[test]
+    fn contextual_global_skips_constrained_attribute() {
+        let g = engine(5000)
+            .contextual_global(&Context::of([(AttrId(0), 2)]))
+            .unwrap();
+        assert!(g.attributes.iter().all(|a| a.attr != AttrId(0)));
+    }
+
+    #[test]
+    fn local_with_support_steers_the_context_back_off() {
+        let e = engine(3000);
+        let row = e.table().row(0).unwrap();
+        let default_support = e.local(&row).unwrap();
+        assert_eq!(
+            default_support,
+            e.local_with_support(&row, e.min_support()).unwrap()
+        );
+        // an impossible support floor forces every local context to
+        // back off to empty — the outcome and attribute set stay
+        let no_support = e.local_with_support(&row, e.table().n_rows() + 1).unwrap();
+        assert_eq!(default_support.outcome, no_support.outcome);
+        assert_eq!(
+            no_support.contributions.len(),
+            default_support.contributions.len()
         );
     }
 
@@ -1426,7 +1448,6 @@ mod tests {
         };
         let plain = build(false);
         let indexed = build(true);
-        // the builder setting wins over any LEWIS_TEST_INDEX env value
         assert!(!plain.index_enabled());
         assert!(indexed.index_enabled());
         assert_eq!(plain.global().unwrap(), indexed.global().unwrap());

@@ -1,5 +1,4 @@
-//! Global, contextual and local explanation *result* types (paper §3.2),
-//! plus the deprecated borrowed [`Lewis`] facade.
+//! Global, contextual and local explanation *result* types (paper §3.2).
 //!
 //! * **Global** (`K = ∅`): for every attribute, the maximum of each score
 //!   over all ordered value pairs — Figure 3's rankings.
@@ -10,15 +9,9 @@
 //!
 //! The queries themselves are answered by [`crate::Engine`] — the owned,
 //! `Send + Sync` entry point built with [`crate::Engine::builder`].
-//! [`Lewis`] remains for one release as a thin shim over `Engine` for
-//! code still written against the borrowed API.
 
-use crate::engine::Engine;
-use crate::scores::{ScoreEstimator, Scores};
-use crate::Result;
-use causal::Dag;
-use std::marker::PhantomData;
-use tabular::{AttrId, Context, Table, Value};
+use crate::scores::Scores;
+use tabular::{AttrId, Context, Value};
 
 /// Scores for one attribute, maximized over value contrasts.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,249 +88,9 @@ pub struct LocalExplanation {
     pub contributions: Vec<LocalContribution>,
 }
 
-/// Deprecated borrowed facade over [`Engine`].
-///
-/// `Lewis` predates the owned engine: it borrowed its table, could not
-/// cross threads, and was built from six positional arguments. It now
-/// wraps an [`Engine`] (cloning the table and graph on construction —
-/// prefer [`Engine::builder`], which can share them without copying) and
-/// will be removed after one release.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::builder(table).prediction(..).features(..).build()` — \
-            the owned engine is Send + Sync, shares counting passes across \
-            queries, and does not clone the table"
-)]
-pub struct Lewis<'a> {
-    engine: Engine,
-    /// Minimum matching rows for local contexts before back-off.
-    pub min_support: usize,
-    /// The historical API borrowed the table; the shim keeps the
-    /// lifetime so downstream signatures stay valid.
-    _borrow: PhantomData<&'a Table>,
-}
-
-#[allow(deprecated)]
-impl<'a> Lewis<'a> {
-    /// Build an explainer over a labelled `table` (cloned into the
-    /// underlying engine).
-    ///
-    /// * `graph` — causal diagram (or `None` for the §6 fallback);
-    /// * `pred` — the black box's prediction column (binary);
-    /// * `positive` — the favourable outcome code;
-    /// * `features` — the attributes to explain (exclude the prediction
-    ///   column and any raw outcome columns).
-    pub fn new(
-        table: &'a Table,
-        graph: Option<&'a Dag>,
-        pred: AttrId,
-        positive: Value,
-        features: &[AttrId],
-        alpha: f64,
-    ) -> Result<Self> {
-        let mut builder = Engine::builder(table.clone())
-            .prediction(pred, positive)
-            .features(features)
-            .alpha(alpha);
-        if let Some(g) = graph {
-            builder = builder.graph(g);
-        }
-        let engine = builder.build()?;
-        let min_support = engine.min_support();
-        Ok(Lewis {
-            engine,
-            min_support,
-            _borrow: PhantomData,
-        })
-    }
-
-    /// The wrapped engine (migration escape hatch).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The underlying estimator.
-    pub fn estimator(&self) -> &ScoreEstimator {
-        self.engine.estimator()
-    }
-
-    /// The explained features.
-    pub fn features(&self) -> &[AttrId] {
-        self.engine.features()
-    }
-
-    /// The inferred (ascending) value order of a feature.
-    pub fn value_order(&self, attr: AttrId) -> Option<&[Value]> {
-        self.engine.value_order(attr)
-    }
-
-    /// See [`Engine::attribute_scores`].
-    pub fn attribute_scores(&self, attr: AttrId, k: &Context) -> Result<AttributeScores> {
-        self.engine.attribute_scores(attr, k)
-    }
-
-    /// See [`Engine::global`].
-    pub fn global(&self) -> Result<GlobalExplanation> {
-        self.engine.global()
-    }
-
-    /// See [`Engine::contextual_global`].
-    pub fn contextual_global(&self, k: &Context) -> Result<GlobalExplanation> {
-        self.engine.contextual_global(k)
-    }
-
-    /// See [`Engine::contextual`].
-    pub fn contextual(&self, attr: AttrId, k: &Context) -> Result<ContextualExplanation> {
-        self.engine.contextual(attr, k)
-    }
-
-    /// See [`Engine::local`] (honouring the shim's mutable
-    /// `min_support` field).
-    pub fn local(&self, row: &[Value]) -> Result<LocalExplanation> {
-        self.engine.local_with_support(row, self.min_support)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::blackbox::label_table;
-    use crate::engine::Engine;
-    use causal::scm::{Mechanism, ScmBuilder};
-    use causal::Scm;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tabular::{Domain, Schema};
-
-    /// Loan world: status (3 levels) and savings (2) cause approval;
-    /// noise attribute `hair` does not. savings depends on status.
-    fn world() -> Scm {
-        let mut schema = Schema::new();
-        schema.push("status", Domain::categorical(["bad", "ok", "good"]));
-        schema.push("savings", Domain::categorical(["low", "high"]));
-        schema.push("hair", Domain::boolean());
-        let mut b = ScmBuilder::new(schema);
-        b.edge(0, 1).unwrap();
-        b.mechanism(0, Mechanism::root(vec![0.3, 0.4, 0.3]))
-            .unwrap();
-        b.mechanism(
-            1,
-            Mechanism::with_noise(vec![0.7, 0.3], |pa, u| {
-                u32::from(pa[0] == 2) | (u as Value & u32::from(pa[0] == 1))
-            }),
-        )
-        .unwrap();
-        b.mechanism(2, Mechanism::root(vec![0.5, 0.5])).unwrap();
-        b.build().unwrap()
-    }
-
-    fn approve(row: &[Value]) -> Value {
-        u32::from(row[0] + row[1] >= 2)
-    }
-
-    fn setup(n: usize) -> (Table, AttrId) {
-        let scm = world();
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut t = scm.generate(n, &mut rng);
-        let pred = label_table(&mut t, &approve, "pred").unwrap();
-        (t, pred)
-    }
-
-    #[test]
-    fn shim_matches_engine_everywhere() {
-        let (t, pred) = setup(8000);
-        let scm = world();
-        let features = [AttrId(0), AttrId(1), AttrId(2)];
-        let lewis = Lewis::new(&t, Some(scm.graph()), pred, 1, &features, 0.5).unwrap();
-        let engine = Engine::builder(t.clone())
-            .graph(scm.graph())
-            .prediction(pred, 1)
-            .features(&features)
-            .alpha(0.5)
-            .build()
-            .unwrap();
-        assert_eq!(lewis.global().unwrap(), engine.global().unwrap());
-        let k = Context::of([(AttrId(0), 1)]);
-        assert_eq!(
-            lewis.contextual_global(&k).unwrap(),
-            engine.contextual_global(&k).unwrap()
-        );
-        assert_eq!(
-            lewis.contextual(AttrId(1), &k).unwrap(),
-            engine.contextual(AttrId(1), &k).unwrap()
-        );
-        let row = t.row(3).unwrap();
-        assert_eq!(lewis.local(&row).unwrap(), engine.local(&row).unwrap());
-        assert_eq!(lewis.features(), engine.features());
-        assert_eq!(lewis.value_order(AttrId(0)), engine.value_order(AttrId(0)));
-    }
-
-    #[test]
-    fn shim_min_support_field_still_steers_local_contexts() {
-        let (t, pred) = setup(3000);
-        let mut lewis = Lewis::new(&t, None, pred, 1, &[AttrId(0), AttrId(1)], 0.5).unwrap();
-        let row = t.row(0).unwrap();
-        let default_support = lewis.local(&row).unwrap();
-        // an impossible support floor forces every local context to
-        // back off to empty — same scores for all rows sharing a value
-        lewis.min_support = t.n_rows() + 1;
-        let no_support = lewis.local(&row).unwrap();
-        assert_eq!(default_support.outcome, no_support.outcome);
-        assert_eq!(
-            no_support.contributions.len(),
-            default_support.contributions.len()
-        );
-    }
-
-    #[test]
-    fn features_must_exclude_prediction() {
-        let (t, pred) = setup(500);
-        assert!(Lewis::new(&t, None, pred, 1, &[pred], 0.0).is_err());
-    }
-
-    #[test]
-    fn value_orders_are_exposed() {
-        let (t, pred) = setup(5000);
-        let lewis = Lewis::new(&t, None, pred, 1, &[AttrId(0)], 0.0).unwrap();
-        let order = lewis.value_order(AttrId(0)).unwrap();
-        // approval rate rises with status level
-        assert_eq!(order, &[0, 1, 2]);
-        assert!(lewis.value_order(AttrId(1)).is_none());
-    }
-
-    #[test]
-    fn contextual_scores_differ_across_groups() {
-        let (t, pred) = setup(20_000);
-        let scm = world();
-        let lewis =
-            Lewis::new(&t, Some(scm.graph()), pred, 1, &[AttrId(0), AttrId(1)], 0.0).unwrap();
-        // savings' effect inside status groups: with status=good the loan
-        // is often approved regardless, so sufficiency of savings is
-        // higher for ok-status than bad-status individuals
-        let bad = lewis
-            .contextual(AttrId(1), &Context::of([(AttrId(0), 0)]))
-            .unwrap();
-        let ok = lewis
-            .contextual(AttrId(1), &Context::of([(AttrId(0), 1)]))
-            .unwrap();
-        assert!(
-            ok.scores.sufficiency > bad.scores.sufficiency + 0.5,
-            "ok {} vs bad {}",
-            ok.scores.sufficiency,
-            bad.scores.sufficiency
-        );
-    }
-
-    #[test]
-    fn contextual_global_skips_constrained_attribute() {
-        let (t, pred) = setup(5000);
-        let lewis = Lewis::new(&t, None, pred, 1, &[AttrId(0), AttrId(1), AttrId(2)], 0.0).unwrap();
-        let g = lewis
-            .contextual_global(&Context::of([(AttrId(0), 2)]))
-            .unwrap();
-        assert!(g.attributes.iter().all(|a| a.attr != AttrId(0)));
-    }
 
     #[test]
     fn rank_by_survives_nan_components() {

@@ -20,7 +20,7 @@
 //!   [`Engine::builder`], sharing counting passes across queries
 //!   through a bounded in-engine cache;
 //! * [`explain`] — global, contextual and local explanation result
-//!   types (§3.2), plus the deprecated borrowed [`Lewis`] shim;
+//!   types (§3.2);
 //! * [`recourse`] — minimal-cost actionable recourse via the integer
 //!   program of §4.2 with lazy sufficiency verification;
 //! * [`monotonicity`] — the Λ_viol diagnostic of §5.5;
@@ -49,8 +49,6 @@ pub(crate) mod surrogates;
 
 pub use blackbox::{BlackBox, ClassifierBox, RegressorThresholdBox};
 pub use engine::{CacheStats, Engine, EngineBuilder, ExplainRequest, ExplainResponse};
-#[allow(deprecated)]
-pub use explain::Lewis;
 pub use explain::{ContextualExplanation, GlobalExplanation, LocalExplanation};
 pub use ordering::infer_value_order;
 pub use recourse::{surrogate_width, Action, CostModel, Recourse, RecourseOptions, SurrogateFit};

@@ -585,8 +585,7 @@ impl ScoreEstimator {
     ///
     /// Contrasts over the same attribute set (e.g. every ordered value
     /// pair of one attribute) share a **single** counting pass over the
-    /// table instead of re-scanning once per contrast, and independent
-    /// attribute-set groups are scored in parallel. Results are
+    /// table instead of re-scanning once per contrast. Results are
     /// positionally aligned with `contrasts` and each entry is exactly
     /// what the corresponding [`ScoreEstimator::scores_set`] call would
     /// return — bit-for-bit, including per-contrast errors for
@@ -608,8 +607,6 @@ impl ScoreEstimator {
         k: &Context,
         cache: Option<&CountingCache>,
     ) -> Vec<Result<Scores>> {
-        use rayon::prelude::*;
-
         let mut out: Vec<Option<Result<Scores>>> = contrasts.iter().map(|_| None).collect();
         // Group contrasts by intervened attribute set, preserving first-
         // seen order; each group shares one adjustment set and one
@@ -630,7 +627,7 @@ impl ScoreEstimator {
             }
         }
         let scored: Vec<Vec<(usize, Result<Scores>)>> = groups
-            .par_iter()
+            .iter()
             .map(|(xs, members)| {
                 let c_set = self.adjustment_set(xs, k);
                 let arms: Result<Arc<ArmTable>> = match cache {

@@ -30,17 +30,12 @@ COMPILE OPTIONS:
                           singleton actionable sets) so the pack ships
                           with precompiled recourse: a restored engine
                           answers those sets without a fitting pass
-    --shards N            fan counting passes over N row shards (recorded
-                          in the pack; answers are identical for any N)
-    --index               build per-(feature, code) bitmap indexes and ship
-                          them in the pack: cold counting queries become
-                          popcount intersections instead of row scans
-                          (answers are identical either way)
     --seed N              seed for --warm and --builtin generation
                           (default 42)
 
 The pack bundles the dictionary-encoded table, schema and domains, the
-causal graph, the engine configuration, inferred value orders, and the
+causal graph, the engine configuration, inferred value orders, the
+per-(feature, code) bitmap index every engine is built with, and the
 warm cache — checksummed per section. Serve it with:
     lewis-serve --pack NAME=PATH
 
@@ -123,8 +118,6 @@ fn compile(mut args: std::iter::Skip<std::env::Args>) {
     let mut discover = false;
     let mut warm = 256usize;
     let mut warm_recourse = false;
-    let mut shards: Option<usize> = None;
-    let mut index = false;
     let mut seed = 42u64;
 
     while let Some(arg) = args.next() {
@@ -158,14 +151,6 @@ fn compile(mut args: std::iter::Skip<std::env::Args>) {
                     .unwrap_or_else(|_| fail("--warm expects an integer"))
             }
             "--warm-recourse" => warm_recourse = true,
-            "--shards" => {
-                shards = Some(
-                    value("--shards")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--shards expects an integer")),
-                )
-            }
-            "--index" => index = true,
             "--seed" => {
                 seed = value("--seed")
                     .parse()
@@ -180,12 +165,6 @@ fn compile(mut args: std::iter::Skip<std::env::Args>) {
     };
     const NAME: &str = "engine";
     let mut registry = EngineRegistry::new();
-    if let Some(shards) = shards {
-        registry.set_default_shards(shards);
-    }
-    if index {
-        registry.set_default_index(true);
-    }
     match (&csv, &builtin) {
         (Some(_), Some(_)) => fail("--csv and --builtin are mutually exclusive"),
         (None, None) => fail("one of --csv or --builtin is required"),

@@ -33,18 +33,13 @@ OPTIONS:
                            rate:1200,inflight:64,queue:16,deadline_ms:50
                            (rate:0 = uncapped; repeatable)
     --seed N               generation seed for built-ins (default 42)
-    --shards N             fan counting passes over N row shards for
-                           builtin/CSV engines (answers are identical for
-                           any N; pack engines keep their packed layout)
-    --index                build per-(feature, code) bitmap indexes for
-                           builtin/CSV engines: cold counting queries become
-                           popcount intersections instead of row scans
-                           (answers are identical either way; pack engines
-                           keep their packed setting)
     --max-body BYTES       request body limit (default 1048576)
     -h, --help             this text
 
-With no --builtin/--csv, serves german_syn=5000.
+With no --builtin/--csv, serves german_syn=5000. Builtin and CSV engines
+are built with per-(feature, code) bitmap indexes, and each request is
+scored on the worker thread that serves it; pack engines keep the layout
+recorded in their pack.
 
 ROUTES:
     GET  /healthz                         liveness
@@ -69,8 +64,6 @@ fn main() {
         ..ServerConfig::default()
     };
     let mut seed = 42u64;
-    let mut shards: Option<usize> = None;
-    let mut index = false;
     let mut builtins: Vec<(String, usize)> = Vec::new();
     let mut csvs: Vec<(String, String, String, String, bool)> = Vec::new();
     let mut packs: Vec<(String, String)> = Vec::new();
@@ -104,14 +97,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| fail("--seed expects an integer"))
             }
-            "--shards" => {
-                shards = Some(
-                    value("--shards")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--shards expects an integer")),
-                )
-            }
-            "--index" => index = true,
             "--builtin" => {
                 let spec = value("--builtin");
                 let Some((name, rows)) = spec.split_once('=') else {
@@ -166,12 +151,6 @@ fn main() {
     }
 
     let mut registry = EngineRegistry::new();
-    if let Some(shards) = shards {
-        registry.set_default_shards(shards);
-    }
-    if index {
-        registry.set_default_index(true);
-    }
     for (name, rows) in &builtins {
         eprintln!("loading builtin {name} ({rows} rows, seed {seed})...");
         if let Err(e) = registry.load_builtin(name, *rows, seed) {

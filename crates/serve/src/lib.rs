@@ -38,8 +38,8 @@
 //! Three binaries ship with the crate: `lewis-serve` (the server),
 //! `lewis-router` (the replica front) and `loadgen` (a mixed-workload
 //! load generator with ramp/soak profiles printing throughput and tail
-//! latencies — the repo's end-to-end serving benchmarks, see
-//! `BENCH_serve.json` and `BENCH_fleet.json`).
+//! latencies). The repository's service benchmark is `lewisbench`,
+//! which drives these same binaries' code paths over real sockets.
 //!
 //! ## The wire codec in one example
 //!

@@ -309,7 +309,7 @@ impl LoadReport {
         out
     }
 
-    /// Machine-readable report (the `BENCH_serve.json` payload).
+    /// Machine-readable report (what `loadgen --json PATH` writes).
     pub fn to_json(&self, config: &LoadgenConfig) -> Json {
         let by_kind = match &self.by_kind {
             None => Json::Null,

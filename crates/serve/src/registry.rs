@@ -153,13 +153,6 @@ pub struct EngineRegistry {
     /// The last generation number handed out; `fetch_add + 1` stamps
     /// each registered or swapped-in entry.
     generation: AtomicU64,
-    /// Row shards for engines built here (`None` = the engine builder's
-    /// default). Pack-loaded engines keep their donor's layout instead.
-    shards: Option<usize>,
-    /// Whether engines built here get a bitmap index (`None` = the
-    /// engine builder's default). Pack-loaded engines keep their
-    /// donor's setting instead.
-    index: Option<bool>,
 }
 
 /// The built-in dataset names [`EngineRegistry::load_builtin`] accepts,
@@ -178,24 +171,6 @@ impl EngineRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Build every subsequent builtin/CSV engine with `shards` row
-    /// shards (clamped to at least 1). Answers are bit-identical for
-    /// any shard count — sharding only fans the counting passes across
-    /// cores. Engines loaded from packs keep the layout recorded in the
-    /// pack instead.
-    pub fn set_default_shards(&mut self, shards: usize) {
-        self.shards = Some(shards.max(1));
-    }
-
-    /// Build every subsequent builtin/CSV engine with (or without) a
-    /// per-(feature, code) bitmap index. Indexed engines answer cold
-    /// counting queries via popcount intersections instead of row
-    /// scans; answers are bit-identical either way. Engines loaded
-    /// from packs keep the setting recorded in the pack instead.
-    pub fn set_default_index(&mut self, enabled: bool) {
-        self.index = Some(enabled);
     }
 
     /// Register `engine` under `name`. Names are unique.
@@ -272,18 +247,12 @@ impl EngineRegistry {
             scm.graph().n_nodes(),
             scm.graph().n_edges()
         );
-        let mut builder = Engine::builder(t)
+        let engine = Engine::builder(t)
             .graph(scm.graph())
             .prediction(pred, 1)
             .features(&features)
-            .cache_capacity(SERVE_CACHE_CAPACITY);
-        if let Some(shards) = self.shards {
-            builder = builder.shards(shards);
-        }
-        if let Some(index) = self.index {
-            builder = builder.index(index);
-        }
-        let engine = builder.build()?;
+            .cache_capacity(SERVE_CACHE_CAPACITY)
+            .build()?;
         self.insert(
             register_as,
             EngineEntry::from_engine(
@@ -343,12 +312,6 @@ impl EngineRegistry {
             .prediction(pred, positive)
             .features(&features)
             .cache_capacity(SERVE_CACHE_CAPACITY);
-        if let Some(shards) = self.shards {
-            builder = builder.shards(shards);
-        }
-        if let Some(index) = self.index {
-            builder = builder.index(index);
-        }
         if let Some(dag) = dag {
             builder = builder.graph(&dag);
         }
@@ -619,52 +582,22 @@ mod tests {
     }
 
     #[test]
-    fn scaled_builtin_loads_with_default_shards() {
+    fn default_layout_is_unsharded_and_indexed() {
+        // a default registry's builtin engines are indexed
         let mut reg = EngineRegistry::new();
-        reg.set_default_shards(4);
-        reg.load_builtin("german_syn_scaled", 2000, 7).unwrap();
-        let entry = reg.get("german_syn_scaled").unwrap();
-        assert_eq!(entry.engine().shards(), 4);
-        assert_eq!(entry.engine().table().n_rows(), 2000);
-        // same pivot and schema as german_syn: answers a query end to end
-        let g = entry
-            .engine()
-            .run(&ExplainRequest::Global)
-            .unwrap()
-            .into_global()
-            .unwrap();
-        assert!(!g.attributes.is_empty());
-        // a sharded engine's answers equal an unsharded twin's, byte
-        // for byte
-        let mut plain = EngineRegistry::new();
-        plain.load_builtin("german_syn_scaled", 2000, 7).unwrap();
-        let p = plain
-            .get("german_syn_scaled")
-            .unwrap()
-            .engine()
-            .run(&ExplainRequest::Global)
-            .unwrap();
-        assert_eq!(format!("{g:?}"), format!("{:?}", p.into_global().unwrap()));
-    }
-
-    #[test]
-    fn index_default_applies_to_built_engines() {
-        let mut reg = EngineRegistry::new();
-        reg.set_default_index(true);
         reg.load_builtin("german_syn", 500, 7).unwrap();
-        let entry = reg.get("german_syn").unwrap();
-        assert!(entry.engine().index_enabled());
-        assert!(entry.engine().index_memory_bytes() > 0);
-        // an indexed engine's answers equal an unindexed twin's, byte
-        // for byte
-        let mut plain = EngineRegistry::new();
-        plain.set_default_index(false);
-        plain.load_builtin("german_syn", 500, 7).unwrap();
-        let plain_entry = plain.get("german_syn").unwrap();
-        assert!(!plain_entry.engine().index_enabled());
-        let a = entry.engine().run(&ExplainRequest::Global).unwrap();
-        let b = plain_entry.engine().run(&ExplainRequest::Global).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let served = reg.get("german_syn").unwrap().engine();
+        assert_eq!(served.shards(), 1);
+        assert!(served.index_enabled());
+        assert!(served.index_memory_bytes() > 0);
+        // and so is a builder with no layout call
+        let e = Engine::builder(served.table().clone())
+            .prediction(served.estimator().pred_attr(), 1)
+            .features(served.features())
+            .build()
+            .unwrap();
+        assert_eq!(e.shards(), 1);
+        assert!(e.index_enabled());
     }
 
     #[test]

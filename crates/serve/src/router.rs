@@ -293,10 +293,7 @@ impl ReplicaConn {
     }
 
     /// Forward one request and read the full framed response.
-    fn forward(
-        &mut self,
-        request: &HttpRequest,
-    ) -> std::io::Result<RelayedResponse> {
+    fn forward(&mut self, request: &HttpRequest) -> std::io::Result<RelayedResponse> {
         let head = format!(
             "{} {} HTTP/1.1\r\nhost: lewis-router\r\ncontent-length: {}\r\n\r\n",
             request.method,

@@ -52,7 +52,8 @@
 //! See [`pack`] for the byte layout. The format is deliberately dumb:
 //! no compression, no seeking, one linear pass to read — restore cost
 //! is dominated by `memcpy`-shaped column decodes, which is what makes
-//! pack-boot dramatically faster than CSV-rebuild (`BENCH_store.json`).
+//! pack-boot dramatically faster than CSV-rebuild (`lewisbench` reports
+//! `store.pack.restore_ms`; `benches/bench_store.rs` compares the two).
 
 pub mod pack;
 

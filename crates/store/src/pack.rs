@@ -22,7 +22,7 @@
 //! Table columns are width-packed: a column whose domain has ≤ 256
 //! values spends one byte per cell (≤ 65 536 → two), which is what
 //! makes packs markedly smaller than the label-expanded CSV they were
-//! compiled from (see `BENCH_store.json`).
+//! compiled from (`lewisbench` reports `store.pack.bytes`).
 
 use crate::bytes::{crc32, Cursor, CursorError, WriteBytes};
 use crate::{Result, StoreError};
@@ -1179,8 +1179,8 @@ mod tests {
             .prediction(AttrId(1), 1)
             .features(&[AttrId(0)])
             .shards(3)
-            // pinned off regardless of LEWIS_TEST_INDEX: these tests
-            // exercise the unindexed pack shape specifically
+            // pinned off (the default is on): these tests exercise the
+            // unindexed pack shape specifically
             .index(false)
             .build()
             .unwrap()

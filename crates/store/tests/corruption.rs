@@ -33,8 +33,8 @@ fn donor() -> Engine {
         .graph(&g)
         .prediction(AttrId(3), 1)
         .features(&[AttrId(0), AttrId(1), AttrId(2)])
-        // pinned off regardless of LEWIS_TEST_INDEX: these tests reason
-        // about the unindexed pack layout; indexed_donor covers the rest
+        // pinned off (the default is on): these tests reason about the
+        // unindexed pack layout; indexed_donor covers the rest
         .index(false)
         .build()
         .unwrap();

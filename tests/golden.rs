@@ -19,7 +19,7 @@
 //!
 //! and review the diff like any other code change.
 
-use lewis_core::{ExplainRequest, ExplainResponse, LewisError, RecourseOptions};
+use lewis_core::{Engine, ExplainRequest, ExplainResponse, LewisError, RecourseOptions};
 use lewis_serve::wire;
 use lewis_serve::EngineRegistry;
 use std::path::PathBuf;
@@ -259,25 +259,28 @@ fn goldens_survive_hot_lifecycle_churn() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The goldens must be shard-count-invariant: CI's shard matrix runs
-/// this same suite under `LEWIS_TEST_SHARDS=4`, and a sharded engine
-/// answering differently from the golden would mean the determinism
-/// contract broke. This test makes the invariance explicit locally.
+/// The goldens must be layout-invariant: registry engines serve them
+/// indexed and unsharded, and a 3-shard scan twin (the same engine
+/// restored from its snapshot with the index dropped) must answer every
+/// golden query byte for byte the same — otherwise the determinism
+/// contract broke.
 #[test]
 fn goldens_are_shard_invariant() {
     for name in ["german_syn", "compas"] {
-        let mut plain = EngineRegistry::new();
-        plain.load_builtin(name, ROWS, SEED).unwrap();
-        let mut sharded = EngineRegistry::new();
-        sharded.set_default_shards(3);
-        sharded.load_builtin(name, ROWS, SEED).unwrap();
-        let e_plain = plain.get(name).unwrap().engine();
-        let e_sharded = sharded.get(name).unwrap().engine();
-        for (label, request) in golden_queries(&e_plain) {
+        let mut registry = EngineRegistry::new();
+        registry.load_builtin(name, ROWS, SEED).unwrap();
+        let served = registry.get(name).unwrap().engine();
+        assert!(served.index_enabled());
+        let mut snapshot = served.snapshot();
+        snapshot.shards = 3;
+        snapshot.index = None;
+        let scan_twin = Engine::restore(snapshot).unwrap();
+        assert!(!scan_twin.index_enabled());
+        for (label, request) in golden_queries(&served) {
             assert_eq!(
-                render(&e_plain.run(&request)),
-                render(&e_sharded.run(&request)),
-                "{name}/{label} diverged between 1 and 3 shards"
+                render(&served.run(&request)),
+                render(&scan_twin.run(&request)),
+                "{name}/{label} diverged between the indexed engine and a 3-shard scan"
             );
         }
     }

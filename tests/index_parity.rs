@@ -211,14 +211,3 @@ proptest! {
         }
     }
 }
-
-/// The env hook CI's index leg uses: `LEWIS_TEST_INDEX=1` sets the
-/// default, an explicit `.index()` always wins — in both directions.
-#[test]
-fn explicit_index_overrides_the_env_default() {
-    let (table, graph, pred) = random_world(5);
-    let on = build_engine(&table, graph.as_ref(), pred, 1, true);
-    assert!(on.index_enabled());
-    let off = build_engine(&table, graph.as_ref(), pred, 1, false);
-    assert!(!off.index_enabled());
-}

@@ -269,13 +269,3 @@ proptest! {
         prop_assert_eq!(&want, &sweep(&resumed.engine(), &requests));
     }
 }
-
-/// The CI matrix hooks: `LEWIS_TEST_SHARDS` / `LEWIS_TEST_INDEX` set
-/// builder defaults, so the parity suite above (which sets both
-/// explicitly) pins the same answers whatever the matrix leg.
-#[test]
-fn explicit_layout_beats_the_env_matrix_defaults() {
-    let (full, graph, pred, features) = builtin_world("german_syn", 150, 9);
-    let engine = build(full, &graph, pred, &features, 3, true);
-    assert_eq!(engine.shards(), 3);
-}
