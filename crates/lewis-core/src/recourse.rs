@@ -27,7 +27,8 @@ use crate::{LewisError, Result};
 use causal::Dag;
 use ml::linalg::dot;
 use ml::linear::{
-    logit, sigmoid, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign, OrdinalFeature,
+    logit, sigmoid, DesignSegment, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign,
+    OrdinalFeature,
 };
 use optim::{Group, IpError, Item, MckpSolver};
 use std::sync::Arc;
@@ -266,90 +267,74 @@ fn validate_parts(
 /// actionable set: a sparse one-hot + ordinal design borrowed straight
 /// from the table's columns (no dense matrix), labels taken from the
 /// prediction attribute's bitmap when an index is installed (a word
-/// walk instead of a column compare), and a Newton/IRLS fit whose
-/// gradient/Hessian sums fan over the engine's shard count — the
-/// coefficients are bit-identical for any shard count.
+/// walk instead of a column compare), and the grouped Newton/IRLS fit
+/// of [`LogisticRegression::fit_onehot_newton`]: one pass groups the
+/// rows into their distinct patterns, the iterations run over those.
 ///
 /// On a **live** estimator (a delta shard of appended rows overlaid on
-/// the frozen base), the design covers base rows first and delta rows
-/// after — exactly the concatenated table's row order — so the fit is
-/// bit-identical to a cold fit over the concatenated table: same 0/1
-/// labels, same column values, same row chunking (a pure function of
-/// the total row count and shard count).
+/// the frozen base), the base and delta columns are two borrowed
+/// segments of the same design. The fit depends only on the multiset of
+/// rows, so it is bit-identical to a cold fit over the concatenated
+/// table — and to a fit over any shard layout or row order.
 pub(crate) fn fit_surrogate(est: &ScoreEstimator, actionable: &[AttrId]) -> Result<SurrogateFit> {
     RecourseEngine::validate(est, actionable)?;
     let table = est.table();
     let pred = est.pred_attr();
     let plan = surrogate_plan(table, est.graph(), pred, actionable)?;
-    let delta = est.delta_table().filter(|d| d.n_rows() > 0);
-    let mut ys: Vec<u32> = match est.index().and_then(|ix| ix.labels(pred, est.positive())) {
-        Some(labels) => labels,
-        None => table
-            .column(pred)?
+    let labels = |t: &Table| -> Result<Vec<u32>> {
+        Ok(t.column(pred)?
             .iter()
             .map(|&v| u32::from(v == est.positive()))
-            .collect(),
+            .collect())
     };
-    let n_rows = table.n_rows() + delta.map_or(0, |d| d.n_rows());
-    // The design borrows column slices; with a delta overlaid, the
-    // needed attributes ([actionable…, context…]) are materialized as
-    // owned base+delta concatenations instead.
+    let base_labels = match est.index().and_then(|ix| ix.labels(pred, est.positive())) {
+        Some(labels) => labels,
+        None => labels(table)?,
+    };
+    let delta = est.delta_table().filter(|d| d.n_rows() > 0);
+    let delta_labels = match delta {
+        Some(d) => labels(d)?,
+        None => Vec::new(),
+    };
+    // design column order: one-hot blocks [actionable…], then the
+    // ordinal context attributes
     let needed: Vec<AttrId> = actionable
         .iter()
         .chain(plan.context_attrs.iter())
         .copied()
         .collect();
-    let owned: Option<Vec<Vec<Value>>> = match delta {
-        Some(d) => {
-            ys.extend(
-                d.column(pred)?
-                    .iter()
-                    .map(|&v| u32::from(v == est.positive())),
-            );
-            let mut cols = Vec::with_capacity(needed.len());
-            for &a in &needed {
-                let mut col = Vec::with_capacity(n_rows);
-                col.extend_from_slice(table.column(a)?);
-                col.extend_from_slice(d.column(a)?);
-                cols.push(col);
-            }
-            Some(cols)
+    fn segment<'a>(t: &'a Table, attrs: &[AttrId], labels: &'a [u32]) -> Result<DesignSegment<'a>> {
+        let mut columns = Vec::with_capacity(attrs.len());
+        for &a in attrs {
+            columns.push(t.column(a)?);
         }
-        None => None,
-    };
-    let col_of = |slot: usize, a: AttrId| -> Result<&[Value]> {
-        match &owned {
-            Some(cols) => Ok(cols[slot].as_slice()),
-            None => Ok(table.column(a)?),
-        }
-    };
+        Ok(DesignSegment { columns, labels })
+    }
+    let mut segments = vec![segment(table, &needed, &base_labels)?];
+    if let Some(d) = delta {
+        segments.push(segment(d, &needed, &delta_labels)?);
+    }
     let mut blocks = Vec::with_capacity(actionable.len());
     for (i, &a) in actionable.iter().enumerate() {
         blocks.push(OneHotBlock {
             offset: plan.offsets[i],
             cardinality: table.schema().cardinality(a)?,
-            codes: col_of(i, a)?,
         });
     }
     let mut ordinals = Vec::with_capacity(plan.context_attrs.len());
     for (j, &a) in plan.context_attrs.iter().enumerate() {
         ordinals.push(OrdinalFeature {
             slot: plan.ctx_base + j,
-            values: col_of(actionable.len() + j, a)?,
+            cardinality: table.schema().cardinality(a)?,
         });
     }
     let design = OneHotDesign {
         width: plan.width,
-        n_rows,
         blocks,
         ordinals,
+        segments,
     };
-    let model = LogisticRegression::fit_onehot_newton(
-        &design,
-        &ys,
-        &NewtonOptions::default(),
-        est.shards(),
-    )?;
+    let model = LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default())?;
     let mut orders = Vec::with_capacity(actionable.len());
     for &a in actionable {
         // Through the counting chokepoint: index-accelerated and
@@ -377,7 +362,7 @@ pub struct RecourseEngine<'a> {
 impl<'a> RecourseEngine<'a> {
     /// Build an engine for a fixed set of actionable attributes,
     /// fitting the surrogate fresh (see the private `fit_surrogate`'s
-    /// docs for the sharded-fit determinism guarantee). Engines with a
+    /// docs for the grouped fit's determinism guarantee). Engines with a
     /// surrogate cache go through [`RecourseEngine::with_fit`] instead.
     pub fn new(est: &'a ScoreEstimator, actionable: &[AttrId]) -> Result<Self> {
         let fit = Arc::new(fit_surrogate(est, actionable)?);

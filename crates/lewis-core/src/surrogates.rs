@@ -2,7 +2,8 @@
 //!
 //! Every recourse query over the same actionable set needs the same
 //! logit-linear surrogate (eq. 28) — the one genuinely expensive part
-//! of answering recourse, a full-table Newton fit. Real traffic repeats
+//! of answering recourse: a pass over every row to group the table into
+//! its distinct patterns, then a Newton fit over those. Real traffic repeats
 //! actionable sets constantly (a product exposes a handful of "what can
 //! the user change" configurations), so the [`crate::Engine`] keeps the
 //! fitted coefficients here and rebuilds the per-row generator from
@@ -10,17 +11,19 @@
 //!
 //! Properties mirror [`crate::cache`]'s counting cache:
 //! * **bit-identical results** — a hit returns the very
-//!   [`SurrogateFit`] a cold fit would have produced (the sharded
-//!   Newton fit is deterministic for any shard count), so cached
-//!   recourse equals uncached recourse bit for bit;
+//!   [`SurrogateFit`] a cold fit would have produced (the grouped
+//!   Newton fit depends only on the multiset of rows, not on shard
+//!   count or row order), so cached recourse equals uncached recourse
+//!   bit for bit;
 //! * **bounded** — at most `capacity` entries, evicting the least
 //!   recently used;
 //! * **thread-safe** — a single mutex guards the map; the fit itself
 //!   runs outside the lock, so concurrent misses fit in parallel (a
 //!   rare duplicate fit inserts an equivalent surrogate — harmless);
 //! * **exportable** — entries round-trip through engine snapshots and
-//!   `.lewis` pack format v4, so a restored server answers recourse
-//!   from warm coefficients without refitting.
+//!   `.lewis` packs (format v6; fits from older packs are dropped and
+//!   refit lazily), so a restored server answers recourse from warm
+//!   coefficients without refitting.
 
 use crate::cache::CacheStats;
 use crate::recourse::SurrogateFit;

@@ -37,7 +37,8 @@ pub use forest::{RandomForestClassifier, RandomForestRegressor};
 pub use gbdt::GradientBoostedTrees;
 pub use linalg::Matrix;
 pub use linear::{
-    LinearRegression, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign, OrdinalFeature,
+    DesignSegment, LinearRegression, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign,
+    OrdinalFeature,
 };
 pub use nn::NeuralNetwork;
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor};

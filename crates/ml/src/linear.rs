@@ -8,49 +8,14 @@
 
 use crate::linalg::{dot, Matrix};
 use crate::{Classifier, MlError, Regressor, Result};
-use tabular::shard::shard_boundaries;
+use tabular::FxHashMap;
 
-/// Canonical accumulation chunk for sharded fits: gradient/Hessian
-/// sums are always computed as per-chunk partials (left-to-right within
-/// a chunk) merged sequentially in chunk-index order. The shard count
-/// only decides which thread *computes* which chunks, never the
-/// summation order, so a fit is bit-identical for any shard count —
-/// the same discipline the counting engine uses for u64 merges, carried
-/// over to non-associative f64 sums by fixing the reduction tree.
-pub const FIT_CHUNK: usize = 4096;
-
-/// `[start, end)` row ranges of the canonical fit chunks.
-fn fit_chunks(n_rows: usize) -> Vec<(usize, usize)> {
-    (0..n_rows.div_ceil(FIT_CHUNK))
-        .map(|c| (c * FIT_CHUNK, ((c + 1) * FIT_CHUNK).min(n_rows)))
-        .collect()
-}
-
-/// Fan the canonical chunks over `n_shards` shard-aligned groups (via
-/// the rayon shim), computing one partial per chunk with `per_chunk`,
-/// and return the partials **in chunk-index order** regardless of the
-/// fan-out. The caller folds them sequentially.
-fn map_chunks_sharded<T: Send>(
-    chunks: &[(usize, usize)],
-    n_shards: usize,
-    per_chunk: impl Fn(usize, usize) -> T + Sync,
-) -> Vec<T> {
-    use rayon::prelude::*;
-    let bounds = shard_boundaries(chunks.len(), n_shards.max(1));
-    let shard_ids: Vec<usize> = (0..bounds.len() - 1).collect();
-    let per_shard: Vec<Vec<T>> = shard_ids
-        .par_iter()
-        .map(|&s| {
-            chunks[bounds[s]..bounds[s + 1]]
-                .iter()
-                .map(|&(lo, hi)| per_chunk(lo, hi))
-                .collect()
-        })
-        .collect();
-    // shards are contiguous chunk ranges in shard-index order, so
-    // flattening restores exact chunk order
-    per_shard.into_iter().flatten().collect()
-}
+/// Canonical accumulation chunk for the gradient-descent fit: each
+/// epoch's gradient is summed as per-chunk partials (left-to-right
+/// within a chunk) merged sequentially in chunk-index order. The
+/// reduction tree depends only on the row count, so the fit's bits are
+/// a pure function of its inputs.
+const FIT_CHUNK: usize = 4096;
 
 /// Ordinary / ridge / weighted least squares `y ≈ β₀ + βᵀx`.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,24 +142,11 @@ pub fn logit(p: f64) -> f64 {
 }
 
 impl LogisticRegression {
-    /// Fit on labels in `{0, 1}`. Equivalent to
-    /// [`LogisticRegression::fit_sharded`] with one shard; for inputs
-    /// up to [`FIT_CHUNK`] rows the accumulation is a single
-    /// left-to-right pass, exactly as before chunking existed.
+    /// Gradient-descent fit on labels in `{0, 1}`. Each epoch's
+    /// gradient is accumulated as canonical per-chunk partials merged in
+    /// chunk-index order (see `FIT_CHUNK`); for inputs up to one chunk
+    /// that is a single left-to-right pass.
     pub fn fit(xs: &[Vec<f64>], ys: &[u32], opts: &LogisticOptions) -> Result<Self> {
-        Self::fit_sharded(xs, ys, opts, 1)
-    }
-
-    /// Gradient-descent fit with each epoch's gradient accumulated as
-    /// canonical per-chunk partials fanned over `n_shards` shard groups
-    /// and merged in chunk-index order — bit-identical coefficients for
-    /// any shard count (see [`FIT_CHUNK`]).
-    pub fn fit_sharded(
-        xs: &[Vec<f64>],
-        ys: &[u32],
-        opts: &LogisticOptions,
-        n_shards: usize,
-    ) -> Result<Self> {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(MlError::InvalidTrainingData(format!(
                 "xs={}, ys={}",
@@ -207,28 +159,24 @@ impl LogisticRegression {
         }
         let d = xs[0].len();
         let n = xs.len() as f64;
-        let chunks = fit_chunks(xs.len());
         let mut w = vec![0.0f64; d];
         let mut b = 0.0f64;
         for _ in 0..opts.epochs {
-            let partials = map_chunks_sharded(&chunks, n_shards, |lo, hi| {
-                let mut grad_w = vec![0.0f64; d];
-                let mut grad_b = 0.0f64;
-                for (x, &y) in xs[lo..hi].iter().zip(&ys[lo..hi]) {
+            let mut grad_w = vec![0.0f64; d];
+            let mut grad_b = 0.0f64;
+            for (xc, yc) in xs.chunks(FIT_CHUNK).zip(ys.chunks(FIT_CHUNK)) {
+                let mut part_w = vec![0.0f64; d];
+                let mut part_b = 0.0f64;
+                for (x, &y) in xc.iter().zip(yc) {
                     let p = sigmoid(b + dot(&w, x));
                     let err = p - f64::from(y);
-                    grad_b += err;
-                    for (g, &xi) in grad_w.iter_mut().zip(x) {
+                    part_b += err;
+                    for (g, &xi) in part_w.iter_mut().zip(x) {
                         *g += err * xi;
                     }
                 }
-                (grad_w, grad_b)
-            });
-            let mut grad_w = vec![0.0f64; d];
-            let mut grad_b = 0.0f64;
-            for (gw, gb) in partials {
-                grad_b += gb;
-                for (g, p) in grad_w.iter_mut().zip(gw) {
+                grad_b += part_b;
+                for (g, p) in grad_w.iter_mut().zip(part_w) {
                     *g += p;
                 }
             }
@@ -244,81 +192,77 @@ impl LogisticRegression {
     }
 
     /// Newton/IRLS fit over a sparse [`OneHotDesign`] — the recourse
-    /// surrogate's fast path. Each iteration accumulates per-chunk
-    /// gradient *and* Hessian partials (only the few active slots per
-    /// row touch either), fanned over `n_shards` shard groups and
-    /// merged in chunk-index order, then takes one damped Newton step
-    /// via the deterministic SPD solver. Coefficients are bit-identical
-    /// for any shard count; the convergence check runs on the merged
-    /// (hence shard-invariant) step, so the iteration count is too.
-    pub fn fit_onehot_newton(
-        design: &OneHotDesign<'_>,
-        ys: &[u32],
-        opts: &NewtonOptions,
-        n_shards: usize,
-    ) -> Result<Self> {
+    /// surrogate's fit. One pass over the rows groups them into their
+    /// distinct patterns (one-hot codes and ordinal values), each with
+    /// its row count `n_k` and positive count `m_k`, in lexicographic
+    /// pattern order. Every iteration then accumulates the gradient
+    /// `Σ_k (n_k·p_k − m_k)·x_k` and Hessian `Σ_k n_k·p_k(1−p_k)·x_k x_kᵀ`
+    /// over those K patterns (only the few active slots of each touch
+    /// either) and takes one damped Newton step via the deterministic
+    /// SPD solver.
+    ///
+    /// The sums run over integer counts in a canonical order, so the
+    /// coefficients — and the iteration count — depend only on the
+    /// multiset of rows: they are bit-identical under any row order and
+    /// any split of the rows into [`DesignSegment`]s. A dictionary-coded
+    /// table has few patterns (hundreds against hundreds of thousands of
+    /// rows), so each iteration costs O(K), not O(rows).
+    pub fn fit_onehot_newton(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> Result<Self> {
+        Self::newton_iterations(design, opts).map(|(model, _)| model)
+    }
+
+    /// [`LogisticRegression::fit_onehot_newton`] plus the number of
+    /// Newton steps it took.
+    fn newton_iterations(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> Result<(Self, usize)> {
         design.validate()?;
-        if design.n_rows == 0 || ys.len() != design.n_rows {
-            return Err(MlError::InvalidTrainingData(format!(
-                "design rows={}, ys={}",
-                design.n_rows,
-                ys.len()
-            )));
-        }
-        if ys.iter().any(|&y| y > 1) {
-            return Err(MlError::InvalidTrainingData("labels must be 0/1".into()));
+        let patterns = design.patterns()?;
+        let n_rows: u64 = patterns.rows.iter().sum();
+        if n_rows == 0 {
+            return Err(MlError::InvalidTrainingData("design has no rows".into()));
         }
         let width = design.width;
         let p1 = width + 1; // slot `width` is the intercept
         let tri = p1 * (p1 + 1) / 2;
-        let n = design.n_rows as f64;
-        let chunks = fit_chunks(design.n_rows);
+        let n = n_rows as f64;
+        // each pattern's active `(slot, value)` pairs, `stride` per pattern
+        let stride = patterns.arity + 1;
+        let mut slots: Vec<(usize, f64)> = Vec::with_capacity(patterns.len() * stride);
+        for k in 0..patterns.len() {
+            let key = patterns.key(k);
+            for (blk, &code) in design.blocks.iter().zip(key) {
+                slots.push((blk.offset + code as usize, 1.0));
+            }
+            for (ord, &v) in design.ordinals.iter().zip(&key[design.blocks.len()..]) {
+                slots.push((ord.slot, f64::from(v)));
+            }
+            slots.push((width, 1.0));
+        }
         // beta = [coefficients.., intercept]
         let mut beta = vec![0.0f64; p1];
+        let mut iterations = 0;
         for _ in 0..opts.max_iters.max(1) {
-            let partials = map_chunks_sharded(&chunks, n_shards, |lo, hi| {
-                let mut g = vec![0.0f64; p1];
-                let mut h = vec![0.0f64; tri];
-                let mut slots: Vec<(usize, f64)> =
-                    Vec::with_capacity(design.blocks.len() + design.ordinals.len() + 1);
-                // `r` indexes three parallel column slices (block codes,
-                // ordinal values, labels); enumerating any single one of
-                // them would obscure that symmetry
-                #[allow(clippy::needless_range_loop)]
-                for r in lo..hi {
-                    slots.clear();
-                    for blk in &design.blocks {
-                        slots.push((blk.offset + blk.codes[r] as usize, 1.0));
-                    }
-                    for ord in &design.ordinals {
-                        slots.push((ord.slot, f64::from(ord.values[r])));
-                    }
-                    slots.push((width, 1.0));
-                    let mut z = 0.0f64;
-                    for &(s, v) in &slots {
-                        z += beta[s] * v;
-                    }
-                    let p = sigmoid(z);
-                    let err = p - f64::from(ys[r]);
-                    let wgt = p * (1.0 - p);
-                    for (a, &(i, vi)) in slots.iter().enumerate() {
-                        g[i] += err * vi;
-                        for &(j, vj) in &slots[..=a] {
-                            let (hi_s, lo_s) = if i >= j { (i, j) } else { (j, i) };
-                            h[hi_s * (hi_s + 1) / 2 + lo_s] += wgt * vi * vj;
-                        }
-                    }
-                }
-                (g, h)
-            });
+            iterations += 1;
             let mut g = vec![0.0f64; p1];
             let mut h = vec![0.0f64; tri];
-            for (pg, ph) in partials {
-                for (a, b) in g.iter_mut().zip(pg) {
-                    *a += b;
+            for ((xs, &rows), &positives) in slots
+                .chunks_exact(stride)
+                .zip(&patterns.rows)
+                .zip(&patterns.positives)
+            {
+                let mut z = 0.0f64;
+                for &(s, v) in xs {
+                    z += beta[s] * v;
                 }
-                for (a, b) in h.iter_mut().zip(ph) {
-                    *a += b;
+                let p = sigmoid(z);
+                let n_k = rows as f64;
+                let err = n_k * p - positives as f64;
+                let wgt = n_k * p * (1.0 - p);
+                for (a, &(i, vi)) in xs.iter().enumerate() {
+                    g[i] += err * vi;
+                    for &(j, vj) in &xs[..=a] {
+                        let (hi_s, lo_s) = if i >= j { (i, j) } else { (j, i) };
+                        h[hi_s * (hi_s + 1) / 2 + lo_s] += wgt * vi * vj;
+                    }
                 }
             }
             // mean-scale and L2-regularize (never the intercept)
@@ -362,10 +306,11 @@ impl LogisticRegression {
         }
         let intercept = beta[width];
         beta.truncate(width);
-        Ok(LogisticRegression {
+        let model = LogisticRegression {
             intercept,
             coefficients: beta,
-        })
+        };
+        Ok((model, iterations))
     }
 
     /// `Pr(y = 1 | x)`.
@@ -374,60 +319,69 @@ impl LogisticRegression {
     }
 }
 
-/// One one-hot block of a [`OneHotDesign`]: row `r` puts a `1.0` at
-/// feature slot `offset + codes[r]`.
+/// One one-hot block of a [`OneHotDesign`]: a row whose code in the
+/// block's column is `c` puts a `1.0` at feature slot `offset + c`.
 #[derive(Debug, Clone)]
-pub struct OneHotBlock<'a> {
+pub struct OneHotBlock {
     /// First feature slot of the block.
     pub offset: usize,
-    /// Number of slots (the attribute's cardinality).
+    /// Number of slots (the attribute's cardinality); every code in the
+    /// block's column must be below it.
     pub cardinality: usize,
-    /// Per-row active code, `codes[r] < cardinality`.
-    pub codes: &'a [u32],
 }
 
-/// One ordinal feature of a [`OneHotDesign`]: row `r` puts
-/// `f64::from(values[r])` at feature slot `slot`.
+/// One ordinal feature of a [`OneHotDesign`]: a row whose value in the
+/// feature's column is `v` puts `f64::from(v)` at feature slot `slot`.
 #[derive(Debug, Clone)]
-pub struct OrdinalFeature<'a> {
+pub struct OrdinalFeature {
     /// The feature slot.
     pub slot: usize,
-    /// Per-row ordinal value.
-    pub values: &'a [u32],
+    /// Number of values the attribute can take; every value in the
+    /// feature's column must be below it.
+    pub cardinality: usize,
+}
+
+/// A contiguous run of design rows, borrowed straight from column
+/// storage.
+#[derive(Debug, Clone)]
+pub struct DesignSegment<'a> {
+    /// One column per one-hot block, then one per ordinal feature, in
+    /// design order; each as long as `labels`.
+    pub columns: Vec<&'a [u32]>,
+    /// Per-row label in `{0, 1}`.
+    pub labels: &'a [u32],
 }
 
 /// A sparse design matrix over dictionary-coded columns: a few one-hot
 /// blocks plus a few ordinal columns, borrowed straight from table
-/// storage — no dense row materialization. Each row activates exactly
+/// storage as one or more row segments — no dense row materialization
+/// and no concatenation. Each row activates exactly
 /// `blocks.len() + ordinals.len()` of the `width` feature slots, which
 /// is what makes Hessian accumulation affordable.
-///
-/// For one-hot/ordinal inputs this sparse accumulation is *bitwise*
-/// equal to the dense one: the skipped slots contribute `err * 0.0`,
-/// which never changes a finite accumulator under round-to-nearest.
 #[derive(Debug, Clone)]
 pub struct OneHotDesign<'a> {
     /// Total feature width (one-hot slots + ordinal slots).
     pub width: usize,
-    /// Number of rows; every column slice must have this length.
-    pub n_rows: usize,
     /// One-hot blocks, in ascending slot order.
-    pub blocks: Vec<OneHotBlock<'a>>,
+    pub blocks: Vec<OneHotBlock>,
     /// Ordinal features, in ascending slot order after the blocks.
-    pub ordinals: Vec<OrdinalFeature<'a>>,
+    pub ordinals: Vec<OrdinalFeature>,
+    /// The rows, segment after segment (for example a frozen base table
+    /// and the rows appended to it).
+    pub segments: Vec<DesignSegment<'a>>,
 }
 
 impl OneHotDesign<'_> {
-    /// Structural checks: column lengths, slot bounds, in-range codes.
+    /// Total rows over all segments.
+    pub fn n_rows(&self) -> usize {
+        self.segments.iter().map(|s| s.labels.len()).sum()
+    }
+
+    /// Structural checks: slot bounds, cardinalities, column counts and
+    /// lengths. Codes, values and labels are range-checked by the fit's
+    /// single pass over the rows.
     pub fn validate(&self) -> Result<()> {
         for blk in &self.blocks {
-            if blk.codes.len() != self.n_rows {
-                return Err(MlError::InvalidTrainingData(format!(
-                    "one-hot column has {} rows, design has {}",
-                    blk.codes.len(),
-                    self.n_rows
-                )));
-            }
             let end = blk.offset.checked_add(blk.cardinality);
             if blk.cardinality == 0 || end.is_none_or(|e| e > self.width) {
                 return Err(MlError::InvalidTrainingData(format!(
@@ -435,41 +389,145 @@ impl OneHotDesign<'_> {
                     blk.offset, blk.cardinality, self.width
                 )));
             }
-            if blk.codes.iter().any(|&c| c as usize >= blk.cardinality) {
-                return Err(MlError::InvalidTrainingData(
-                    "one-hot code outside its block's cardinality".into(),
-                ));
-            }
         }
         for ord in &self.ordinals {
-            if ord.values.len() != self.n_rows {
+            if ord.slot >= self.width || ord.cardinality == 0 {
                 return Err(MlError::InvalidTrainingData(format!(
-                    "ordinal column has {} rows, design has {}",
-                    ord.values.len(),
-                    self.n_rows
+                    "ordinal slot {} (cardinality {}) outside width {}",
+                    ord.slot, ord.cardinality, self.width
                 )));
             }
-            if ord.slot >= self.width {
+        }
+        let arity = self.blocks.len() + self.ordinals.len();
+        for seg in &self.segments {
+            if seg.columns.len() != arity {
                 return Err(MlError::InvalidTrainingData(format!(
-                    "ordinal slot {} exceeds width {}",
-                    ord.slot, self.width
+                    "segment has {} columns, design has {arity}",
+                    seg.columns.len()
+                )));
+            }
+            if let Some(col) = seg.columns.iter().find(|c| c.len() != seg.labels.len()) {
+                return Err(MlError::InvalidTrainingData(format!(
+                    "design column has {} rows, its segment has {} labels",
+                    col.len(),
+                    seg.labels.len()
                 )));
             }
         }
         Ok(())
     }
 
-    /// Dense feature vector of row `r` (test/debug helper; the fit
-    /// itself never materializes rows).
-    pub fn dense_row(&self, r: usize) -> Vec<f64> {
+    /// Dense feature vector of row `r`, counting across segments
+    /// (test/debug helper; the fit itself never materializes rows).
+    pub fn dense_row(&self, mut r: usize) -> Vec<f64> {
+        let mut segments = self.segments.iter();
+        let seg = loop {
+            let seg = segments.next().expect("row within the design");
+            if r < seg.labels.len() {
+                break seg;
+            }
+            r -= seg.labels.len();
+        };
         let mut x = vec![0.0f64; self.width];
-        for blk in &self.blocks {
-            x[blk.offset + blk.codes[r] as usize] = 1.0;
+        for (blk, col) in self.blocks.iter().zip(&seg.columns) {
+            x[blk.offset + col[r] as usize] = 1.0;
         }
-        for ord in &self.ordinals {
-            x[ord.slot] = f64::from(ord.values[r]);
+        for (ord, col) in self.ordinals.iter().zip(&seg.columns[self.blocks.len()..]) {
+            x[ord.slot] = f64::from(col[r]);
         }
         x
+    }
+
+    /// The design's distinct patterns, grouped column by column over
+    /// all segments in row order: each row carries the id of its pattern
+    /// prefix over the columns seen so far, and a small map from
+    /// `(prefix id, value)` to the next id refines it. Every pass reads
+    /// the columns sequentially, and the ids never pack the key into an
+    /// integer, so any cardinality product works. A last pass counts
+    /// rows and positives per pattern, which are then put in
+    /// lexicographic key order — so the result depends only on the
+    /// multiset of rows, not on their order or segment split.
+    fn patterns(&self) -> Result<Patterns> {
+        let cards: Vec<usize> = self
+            .blocks
+            .iter()
+            .map(|b| b.cardinality)
+            .chain(self.ordinals.iter().map(|o| o.cardinality))
+            .collect();
+        let mut prefix = vec![0usize; self.n_rows()];
+        // `(segment, row)` of the first row of each prefix group; with
+        // no columns at all the one group's (empty) key is never read
+        let mut first: Vec<(usize, usize)> = if prefix.is_empty() {
+            Vec::new()
+        } else {
+            vec![(0, 0)]
+        };
+        let mut ids: FxHashMap<(usize, u32), usize> = FxHashMap::default();
+        for (j, &card) in cards.iter().enumerate() {
+            ids.clear();
+            let mut next_first = Vec::with_capacity(first.len());
+            let mut start = 0;
+            for (s, seg) in self.segments.iter().enumerate() {
+                let col = seg.columns[j];
+                if let Some(&v) = col.iter().find(|&&v| v as usize >= card) {
+                    return Err(MlError::InvalidTrainingData(format!(
+                        "design column {j} holds {v}, at or above its cardinality {card}"
+                    )));
+                }
+                let here = &mut prefix[start..start + col.len()];
+                start += col.len();
+                for (r, (id, &v)) in here.iter_mut().zip(col).enumerate() {
+                    *id = *ids.entry((*id, v)).or_insert_with(|| {
+                        next_first.push((s, r));
+                        next_first.len() - 1
+                    });
+                }
+            }
+            first = next_first;
+        }
+        let mut rows = vec![0u64; first.len()];
+        let mut positives = vec![0u64; first.len()];
+        let labels = self.segments.iter().flat_map(|seg| seg.labels);
+        for (&id, &y) in prefix.iter().zip(labels) {
+            if y > 1 {
+                return Err(MlError::InvalidTrainingData("labels must be 0/1".into()));
+            }
+            rows[id] += 1;
+            positives[id] += u64::from(y);
+        }
+        let key = |id: usize| {
+            let (s, r) = first[id];
+            self.segments[s].columns.iter().map(move |c| c[r])
+        };
+        let mut by_key: Vec<usize> = (0..first.len()).collect();
+        by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        Ok(Patterns {
+            arity: cards.len(),
+            keys: by_key.iter().flat_map(|&id| key(id)).collect(),
+            rows: by_key.iter().map(|&id| rows[id]).collect(),
+            positives: by_key.iter().map(|&id| positives[id]).collect(),
+        })
+    }
+}
+
+/// Distinct rows of a design — keys of `arity` values (one-hot codes,
+/// then ordinal values) — in strictly ascending lexicographic key order,
+/// each with its row count and positive-label count.
+struct Patterns {
+    arity: usize,
+    /// `len() × arity` values, key after key.
+    keys: Vec<u32>,
+    rows: Vec<u64>,
+    positives: Vec<u64>,
+}
+
+impl Patterns {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn key(&self, k: usize) -> &[u32] {
+        &self.keys[k * self.arity..(k + 1) * self.arity]
     }
 }
 
@@ -624,9 +682,9 @@ mod tests {
         assert!(LogisticRegression::fit(&[vec![1.0]], &[2], &LogisticOptions::default()).is_err());
     }
 
-    /// A little synthetic one-hot + ordinal world shared by the sharded
-    /// and Newton fit tests: one 3-code block, one 2-code block, one
-    /// ordinal column, labels from a noisy linear rule.
+    /// A little synthetic one-hot + ordinal world shared by the fit
+    /// tests: one 3-code block, one 2-code block, one ordinal column of
+    /// cardinality 5, labels from a noisy linear rule.
     fn onehot_world(n: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
         let mut rng = StdRng::seed_from_u64(17);
         let mut cols: Vec<Vec<u32>> = (0..3).map(|_| Vec::with_capacity(n)).collect();
@@ -644,51 +702,184 @@ mod tests {
         (cols, ys)
     }
 
-    fn world_design(cols: &[Vec<u32>]) -> OneHotDesign<'_> {
+    fn world_design<'a>(cols: &'a [Vec<u32>], ys: &'a [u32]) -> OneHotDesign<'a> {
         OneHotDesign {
             width: 6,
-            n_rows: cols[0].len(),
             blocks: vec![
                 OneHotBlock {
                     offset: 0,
                     cardinality: 3,
-                    codes: &cols[0],
                 },
                 OneHotBlock {
                     offset: 3,
                     cardinality: 2,
-                    codes: &cols[1],
                 },
             ],
             ordinals: vec![OrdinalFeature {
                 slot: 5,
-                values: &cols[2],
+                cardinality: 5,
+            }],
+            segments: vec![DesignSegment {
+                columns: cols.iter().map(Vec::as_slice).collect(),
+                labels: ys,
             }],
         }
     }
 
-    #[test]
-    fn sharded_gd_fit_is_bit_identical_across_shard_counts() {
-        // > 2 × FIT_CHUNK rows so several chunks exist
-        let (cols, ys) = onehot_world(9_000);
-        let design = world_design(&cols);
-        let xs: Vec<Vec<f64>> = (0..design.n_rows).map(|r| design.dense_row(r)).collect();
-        let opts = LogisticOptions {
-            epochs: 12,
-            ..LogisticOptions::default()
-        };
-        let base = LogisticRegression::fit(&xs, &ys, &opts).unwrap();
-        for shards in [1usize, 2, 4, 7, 64] {
-            let sharded = LogisticRegression::fit_sharded(&xs, &ys, &opts, shards).unwrap();
-            assert_eq!(
-                base.intercept.to_bits(),
-                sharded.intercept.to_bits(),
-                "{shards} shards"
-            );
-            for (a, b) in base.coefficients.iter().zip(&sharded.coefficients) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{shards} shards");
+    /// A random design: 1–3 one-hot blocks and 0–2 ordinal features of
+    /// random cardinality, rows labelled by a random logit-linear rule.
+    struct RandomDesign {
+        blocks: Vec<OneHotBlock>,
+        ordinals: Vec<OrdinalFeature>,
+        width: usize,
+        cols: Vec<Vec<u32>>,
+        ys: Vec<u32>,
+    }
+
+    impl RandomDesign {
+        fn new(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut blocks = Vec::new();
+            let mut width = 0;
+            for _ in 0..rng.gen_range(1..4usize) {
+                let cardinality = rng.gen_range(2..5usize);
+                blocks.push(OneHotBlock {
+                    offset: width,
+                    cardinality,
+                });
+                width += cardinality;
+            }
+            let mut ordinals = Vec::new();
+            for _ in 0..rng.gen_range(0..3usize) {
+                ordinals.push(OrdinalFeature {
+                    slot: width,
+                    cardinality: rng.gen_range(2..6usize),
+                });
+                width += 1;
+            }
+            let cards: Vec<usize> = blocks
+                .iter()
+                .map(|b| b.cardinality)
+                .chain(ordinals.iter().map(|o| o.cardinality))
+                .collect();
+            let weights: Vec<f64> = cards.iter().map(|_| rng.gen_range(-0.6..0.6)).collect();
+            let n = rng.gen_range(200..2_000usize);
+            let mut cols: Vec<Vec<u32>> = cards.iter().map(|_| Vec::with_capacity(n)).collect();
+            let mut ys = Vec::with_capacity(n);
+            for _ in 0..n {
+                let mut z = -0.3;
+                for ((col, &card), w) in cols.iter_mut().zip(&cards).zip(&weights) {
+                    let v = rng.gen_range(0..card as u32);
+                    col.push(v);
+                    z += w * f64::from(v);
+                }
+                ys.push(u32::from(sigmoid(z) > rng.gen_range(0.0..1.0)));
+            }
+            RandomDesign {
+                blocks,
+                ordinals,
+                width,
+                cols,
+                ys,
             }
         }
+
+        /// The design over rows `order` (a permutation of the row ids),
+        /// cut into two segments at `split`.
+        fn design<'a>(
+            &self,
+            store: &'a mut Vec<Vec<u32>>,
+            order: &[usize],
+            split: usize,
+        ) -> OneHotDesign<'a> {
+            store.clear();
+            for col in self.cols.iter().chain([&self.ys]) {
+                store.push(order.iter().map(|&r| col[r]).collect());
+            }
+            let (labels, columns) = store.split_last().expect("label column");
+            let segment = |lo: usize, hi: usize| DesignSegment {
+                columns: columns.iter().map(|c| &c[lo..hi]).collect(),
+                labels: &labels[lo..hi],
+            };
+            OneHotDesign {
+                width: self.width,
+                blocks: self.blocks.clone(),
+                ordinals: self.ordinals.clone(),
+                segments: vec![segment(0, split), segment(split, order.len())],
+            }
+        }
+    }
+
+    /// Row-wise dense IRLS with the same scaling, L2, ridge fallback and
+    /// stopping rule as the grouped fit: `([coefficients.., intercept],
+    /// iterations)`.
+    fn dense_irls(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> (Vec<f64>, usize) {
+        let width = design.width;
+        let p1 = width + 1;
+        let labels: Vec<u32> = design
+            .segments
+            .iter()
+            .flat_map(|s| s.labels.iter().copied())
+            .collect();
+        let xs: Vec<Vec<f64>> = (0..labels.len())
+            .map(|r| {
+                let mut x = design.dense_row(r);
+                x.push(1.0);
+                x
+            })
+            .collect();
+        let n = xs.len() as f64;
+        let mut beta = vec![0.0f64; p1];
+        for iteration in 1..=opts.max_iters {
+            let mut g = vec![0.0f64; p1];
+            let mut hess = Matrix::zeros(p1, p1);
+            for (x, &y) in xs.iter().zip(&labels) {
+                let p = sigmoid(dot(&beta, x));
+                for i in 0..p1 {
+                    g[i] += (p - f64::from(y)) * x[i];
+                    for j in 0..p1 {
+                        hess[(i, j)] += p * (1.0 - p) * x[i] * x[j];
+                    }
+                }
+            }
+            for i in 0..p1 {
+                g[i] /= n;
+                for j in 0..p1 {
+                    hess[(i, j)] /= n;
+                }
+                if i < width {
+                    g[i] += opts.l2 * beta[i];
+                    hess[(i, i)] += opts.l2;
+                }
+            }
+            let delta = hess
+                .solve_spd(&g)
+                .or_else(|_| {
+                    let mut h2 = hess.clone();
+                    for i in 0..p1 {
+                        h2[(i, i)] += 1e-8 + opts.l2.max(1e-6);
+                    }
+                    h2.solve_spd(&g)
+                })
+                .unwrap();
+            let mut max_step = 0.0f64;
+            for (b, d) in beta.iter_mut().zip(&delta) {
+                *b -= d;
+                max_step = max_step.max(d.abs());
+            }
+            if max_step <= opts.tol {
+                return (beta, iteration);
+            }
+        }
+        (beta, opts.max_iters)
+    }
+
+    fn bits(m: &LogisticRegression) -> Vec<u64> {
+        m.coefficients
+            .iter()
+            .chain([&m.intercept])
+            .map(|c| c.to_bits())
+            .collect()
     }
 
     #[test]
@@ -697,8 +888,8 @@ mod tests {
         // left-to-right pass — pin the exact historical coefficients
         // by re-running the pre-chunking loop inline
         let (cols, ys) = onehot_world(500);
-        let design = world_design(&cols);
-        let xs: Vec<Vec<f64>> = (0..design.n_rows).map(|r| design.dense_row(r)).collect();
+        let design = world_design(&cols, &ys);
+        let xs: Vec<Vec<f64>> = (0..design.n_rows()).map(|r| design.dense_row(r)).collect();
         let opts = LogisticOptions::default();
         let m = LogisticRegression::fit(&xs, &ys, &opts).unwrap();
         let (mut w, mut b) = (vec![0.0f64; 6], 0.0f64);
@@ -725,53 +916,130 @@ mod tests {
     }
 
     #[test]
-    fn newton_fit_is_bit_identical_across_shard_counts() {
-        let (cols, ys) = onehot_world(9_000);
-        let design = world_design(&cols);
+    fn grouped_newton_matches_a_dense_rowwise_irls() {
         let opts = NewtonOptions::default();
-        let base = LogisticRegression::fit_onehot_newton(&design, &ys, &opts, 1).unwrap();
-        for shards in [2usize, 4, 7, 64] {
-            let m = LogisticRegression::fit_onehot_newton(&design, &ys, &opts, shards).unwrap();
-            assert_eq!(base.intercept.to_bits(), m.intercept.to_bits());
-            for (a, b) in base.coefficients.iter().zip(&m.coefficients) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{shards} shards");
+        for seed in 0..12 {
+            let world = RandomDesign::new(seed);
+            let order: Vec<usize> = (0..world.ys.len()).collect();
+            let mut store = Vec::new();
+            let design = world.design(&mut store, &order, order.len() / 3);
+            let (model, iterations) =
+                LogisticRegression::newton_iterations(&design, &opts).unwrap();
+            let (want, want_iterations) = dense_irls(&design, &opts);
+            assert_eq!(iterations, want_iterations, "seed {seed}");
+            let got: Vec<f64> = model
+                .coefficients
+                .iter()
+                .chain([&model.intercept])
+                .copied()
+                .collect();
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    (g - w).abs() <= 1e-9,
+                    "seed {seed}: grouped {g} vs dense {w}"
+                );
             }
         }
     }
 
     #[test]
+    fn grouped_newton_is_bitwise_invariant_under_row_order_and_segment_splits() {
+        let opts = NewtonOptions::default();
+        for seed in 0..8 {
+            let world = RandomDesign::new(100 + seed);
+            let n = world.ys.len();
+            let identity: Vec<usize> = (0..n).collect();
+            let mut store = Vec::new();
+            let want = bits(
+                &LogisticRegression::fit_onehot_newton(
+                    &world.design(&mut store, &identity, n),
+                    &opts,
+                )
+                .unwrap(),
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut shuffled = identity.clone();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            for (order, split) in [
+                (&identity, 0),
+                (&identity, 1),
+                (&identity, n / 2),
+                (&identity, n - 1),
+                (&shuffled, n),
+                (&shuffled, n / 3),
+            ] {
+                let design = world.design(&mut store, order, split);
+                let got = bits(&LogisticRegression::fit_onehot_newton(&design, &opts).unwrap());
+                assert_eq!(want, got, "seed {seed}, split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn grouping_never_packs_a_key_that_could_overflow() {
+        // 70 binary blocks: the cardinality product 2^70 exceeds u64::MAX
+        let (n_blocks, n) = (70usize, 400usize);
+        let mut rng = StdRng::seed_from_u64(5);
+        let cols: Vec<Vec<u32>> = (0..n_blocks)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..2u32)).collect())
+            .collect();
+        let ys: Vec<u32> = cols[0]
+            .iter()
+            .map(|&v| u32::from(rng.gen_range(0.0..1.0) < 0.3 + 0.4 * f64::from(v)))
+            .collect();
+        let design = OneHotDesign {
+            width: 2 * n_blocks,
+            blocks: (0..n_blocks)
+                .map(|b| OneHotBlock {
+                    offset: 2 * b,
+                    cardinality: 2,
+                })
+                .collect(),
+            ordinals: Vec::new(),
+            segments: vec![DesignSegment {
+                columns: cols.iter().map(Vec::as_slice).collect(),
+                labels: &ys,
+            }],
+        };
+        let m = LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default()).unwrap();
+        assert!(m.intercept.is_finite());
+        assert!(m.coefficients.iter().all(|c| c.is_finite()));
+        // block 0 drives the label
+        assert!(m.coefficients[1] > m.coefficients[0]);
+    }
+
+    #[test]
     fn newton_fit_matches_the_model_and_beats_gd_at_equal_budget() {
         let (cols, ys) = onehot_world(4_000);
-        let design = world_design(&cols);
-        let m = LogisticRegression::fit_onehot_newton(&design, &ys, &NewtonOptions::default(), 1)
-            .unwrap();
+        let design = world_design(&cols, &ys);
+        let m = LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default()).unwrap();
         // the learned coefficients order the first block correctly
         // (gain rises with the code) and point the right way elsewhere
         assert!(m.coefficients[2] > m.coefficients[1]);
         assert!(m.coefficients[1] > m.coefficients[0]);
         assert!(m.coefficients[4] < m.coefficients[3]);
         assert!(m.coefficients[5] > 0.0);
-        let acc = (0..design.n_rows)
+        let acc = (0..design.n_rows())
             .filter(|&r| {
                 let p = m.predict_proba_one(&design.dense_row(r));
                 u32::from(p > 0.5) == ys[r]
             })
             .count() as f64
-            / design.n_rows as f64;
+            / design.n_rows() as f64;
         assert!(acc > 0.7, "newton surrogate accuracy {acc}");
     }
 
     #[test]
     fn newton_sparse_equals_dense_gd_geometry_on_onehot_data() {
-        // the sparse accumulator must agree with a dense Newton step;
-        // cheapest check: predictions from the sparse fit match a
-        // well-converged dense GD fit closely on every row
+        // predictions from the sparse fit match a well-converged dense
+        // GD fit closely on every row
         let (cols, ys) = onehot_world(2_000);
-        let design = world_design(&cols);
-        let xs: Vec<Vec<f64>> = (0..design.n_rows).map(|r| design.dense_row(r)).collect();
+        let design = world_design(&cols, &ys);
+        let xs: Vec<Vec<f64>> = (0..design.n_rows()).map(|r| design.dense_row(r)).collect();
         let newton =
-            LogisticRegression::fit_onehot_newton(&design, &ys, &NewtonOptions::default(), 1)
-                .unwrap();
+            LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default()).unwrap();
         let gd = LogisticRegression::fit(
             &xs,
             &ys,
@@ -793,18 +1061,20 @@ mod tests {
     fn onehot_design_validation() {
         let codes = vec![0u32, 1, 2];
         let short = vec![0u32];
-        let bad_code = vec![0u32, 5, 1];
+        let ys = [0u32, 1, 0];
         let ok = OneHotDesign {
             width: 4,
-            n_rows: 3,
             blocks: vec![OneHotBlock {
                 offset: 0,
                 cardinality: 3,
-                codes: &codes,
             }],
             ordinals: vec![OrdinalFeature {
                 slot: 3,
-                values: &codes,
+                cardinality: 3,
+            }],
+            segments: vec![DesignSegment {
+                columns: vec![&codes, &codes],
+                labels: &ys,
             }],
         };
         assert!(ok.validate().is_ok());
@@ -812,24 +1082,70 @@ mod tests {
         wide.blocks[0].cardinality = 5;
         assert!(wide.validate().is_err(), "block past width");
         let mut ragged = ok.clone();
-        ragged.blocks[0].codes = &short;
+        ragged.segments[0].columns[0] = &short;
         assert!(ragged.validate().is_err(), "short column");
-        let mut out = ok.clone();
-        out.blocks[0].codes = &bad_code;
-        assert!(out.validate().is_err(), "code outside cardinality");
+        let mut missing = ok.clone();
+        missing.segments[0].columns.pop();
+        assert!(missing.validate().is_err(), "column count");
         let mut slot = ok.clone();
         slot.ordinals[0].slot = 9;
         assert!(slot.validate().is_err(), "ordinal slot past width");
-        let ys = [0u32, 1, 0];
+        let opts = NewtonOptions::default();
+        assert!(LogisticRegression::fit_onehot_newton(&ok, &opts).is_ok());
+        let mut short_labels = ok.clone();
+        short_labels.segments[0].labels = &ys[..2];
         assert!(
-            LogisticRegression::fit_onehot_newton(&ok, &ys[..2], &NewtonOptions::default(), 1)
-                .is_err(),
+            LogisticRegression::fit_onehot_newton(&short_labels, &opts).is_err(),
             "label length mismatch"
         );
+        let mut empty = ok.clone();
+        empty.segments.clear();
         assert!(
-            LogisticRegression::fit_onehot_newton(&ok, &[0, 2, 0], &NewtonOptions::default(), 1)
-                .is_err(),
-            "labels must be 0/1"
+            LogisticRegression::fit_onehot_newton(&empty, &opts).is_err(),
+            "no rows"
         );
+    }
+
+    #[test]
+    fn out_of_range_codes_values_and_labels_are_typed_errors() {
+        fn design<'a>(columns: Vec<&'a [u32]>, labels: &'a [u32]) -> OneHotDesign<'a> {
+            OneHotDesign {
+                width: 4,
+                blocks: vec![OneHotBlock {
+                    offset: 0,
+                    cardinality: 3,
+                }],
+                ordinals: vec![OrdinalFeature {
+                    slot: 3,
+                    cardinality: 3,
+                }],
+                segments: vec![DesignSegment { columns, labels }],
+            }
+        }
+        let ok = [0u32, 1, 2];
+        let ys = [0u32, 1, 0];
+        let (bad_code, bad_value, bad_labels) = ([0u32, 3, 1], [0u32, 1, 3], [0u32, 2, 0]);
+        let opts = NewtonOptions::default();
+        let cases = [
+            (
+                "one-hot code at its cardinality",
+                design(vec![&bad_code, &ok], &ys),
+            ),
+            (
+                "ordinal value at its cardinality",
+                design(vec![&ok, &bad_value], &ys),
+            ),
+            ("label above 1", design(vec![&ok, &ok], &bad_labels)),
+        ];
+        assert!(LogisticRegression::fit_onehot_newton(&design(vec![&ok, &ok], &ys), &opts).is_ok());
+        for (what, d) in &cases {
+            assert!(
+                matches!(
+                    LogisticRegression::fit_onehot_newton(d, &opts),
+                    Err(MlError::InvalidTrainingData(_))
+                ),
+                "{what}"
+            );
+        }
     }
 }

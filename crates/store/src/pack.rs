@@ -74,7 +74,13 @@ pub const MAGIC: [u8; 8] = *b"LEWISPAK";
 ///   row count is a [`StoreError::Mismatch`]; a delta section in a
 ///   pre-v5 pack is one too. v1–v4 packs restore frozen, with the
 ///   watermark assumed at the base row count.
-pub const FORMAT_VERSION: u32 = 5;
+/// * **v6** — same layout as v5. Recourse surrogates are now fitted over
+///   the table's distinct row patterns rather than summed row by row,
+///   which can move a coefficient in its last bits, so a `surrogates`
+///   section in a pre-v6 pack never answers: it restores like the flag
+///   without a section — an empty cache that refits lazily — keeping
+///   the donor's hit/miss counters.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Section tags, in the order the writer emits them.
 const TAG_META: u8 = 1;
@@ -298,7 +304,11 @@ impl Pack {
                         "surrogates section present but the config carries no surrogates".into(),
                     ));
                 }
-                let surrogates = decode_surrogates(payload)?;
+                let mut surrogates = decode_surrogates(payload)?;
+                if version < 6 {
+                    // fitted by the old row-order sums (see v6 above)
+                    surrogates.fits.clear();
+                }
                 // The section is internally consistent; each fit must
                 // also belong to *this* engine — its coefficient count
                 // must equal the surrogate feature width the table,
@@ -1401,6 +1411,43 @@ mod tests {
             opts: Default::default(),
         });
         assert_eq!(restored.surrogate_stats().entries, 1);
+    }
+
+    #[test]
+    fn pre_v6_surrogates_never_answer_and_refit_lazily() {
+        let engine = tiny_engine();
+        engine.prepare_surrogate(&[AttrId(0)]).unwrap();
+        let donor = engine.surrogate_stats();
+        let bytes = Pack::from_engine(&engine, PackMeta::default()).to_bytes();
+        // v5 had the same layout: re-stamping the header is a v5 pack
+        // whose surrogates were fitted by the old row-order sums
+        let v5 = rewrite_config(&bytes, 5, |payload| payload);
+        let (restored, _) = Pack::from_bytes(&v5).unwrap().restore_engine().unwrap();
+        let s = restored.surrogate_stats();
+        assert_eq!(s.entries, 0, "pre-v6 fits must not arrive resident");
+        assert_eq!(
+            (s.hits, s.misses),
+            (donor.hits, donor.misses),
+            "counters continue"
+        );
+        let request = ExplainRequest::Recourse {
+            row: vec![0, 0],
+            actionable: vec![AttrId(0)],
+            opts: lewis_core::RecourseOptions {
+                alpha: 0.3,
+                min_support: 1,
+                ..Default::default()
+            },
+        };
+        let got = restored.run(&request);
+        assert!(got.is_ok(), "{got:?}");
+        assert_eq!(
+            restored.surrogate_stats().misses,
+            donor.misses + 1,
+            "refit lazily"
+        );
+        let want = tiny_engine().run(&request);
+        assert_eq!(format!("{want:?}"), format!("{got:?}"));
     }
 
     #[test]

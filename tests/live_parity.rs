@@ -222,8 +222,9 @@ proptest! {
         );
     }
 
-    /// A v5 pack written mid-stream restores to an engine that picks the
-    /// stream back up: the watermark survives the round-trip, the
+    /// A pack written mid-stream (v5 layout, stamped with the current
+    /// version) restores to an engine that picks the stream back up:
+    /// the watermark survives the round-trip, the
     /// resumed table accepts the remaining appends, and the final
     /// answers are byte-identical to the cold build.
     #[test]
@@ -245,7 +246,7 @@ proptest! {
         replay(&live, &prefix(&full, pause_at), base_rows, &mut rng);
         let bytes = Pack::from_engine(&live.engine(), PackMeta::default()).to_bytes();
         let (version, watermark) = lewis_store::version_info(&bytes).unwrap();
-        prop_assert_eq!(version, 5);
+        prop_assert_eq!(version, lewis_store::FORMAT_VERSION);
         prop_assert_eq!(watermark, Some(pause_at as u64), "watermark survives");
 
         // restore and resume the second half on the revived table

@@ -1,9 +1,10 @@
-//! Acceptance: the recourse surrogate fit is **bit-identical** for any
-//! shard count. The chunk-canonical optimizer accumulates gradients in
-//! fixed-size chunks whose boundaries depend only on the row count —
-//! never on the shard layout — so an engine built with 7 shards fits
-//! literally the same coefficients as the unsharded seed engine. These
-//! tests pin that property through the public engine path
+//! Acceptance: the recourse surrogate fit is **multiset-determined**.
+//! The fit groups the rows into their distinct patterns and sums over
+//! those in lexicographic order with integer counts, so its bits depend
+//! only on which rows the table holds — never on the shard layout or
+//! the row order. An engine built with 7 shards, or over a shuffled
+//! table, fits literally the same coefficients as the unsharded one.
+//! These tests pin that property through the public engine path
 //! (`prepare_surrogate` → snapshot), not just the ml-crate internals.
 
 use lewis_core::Engine;
@@ -117,5 +118,32 @@ proptest! {
                 n_shards, seed
             );
         }
+    }
+
+    /// The same table with its rows shuffled fits the same surrogates
+    /// down to the bits: the fit sees the multiset of rows, not their
+    /// order.
+    #[test]
+    fn surrogate_fits_are_bitwise_row_order_invariant(seed in 0u64..10_000) {
+        let (table, pred) = random_world(seed);
+        let baseline = build_engine(&table, pred, 1);
+        let features = baseline.features().to_vec();
+        let mut probes: Vec<Vec<AttrId>> =
+            features.iter().map(|&f| vec![f]).collect();
+        probes.push(vec![features[0], features[1 % features.len()]]);
+        let want = fitted_bits(&baseline, &probes);
+        let mut rows: Vec<Vec<Value>> = (0..table.n_rows())
+            .map(|r| table.row(r).unwrap())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        let mut shuffled = Table::new(table.schema().clone());
+        for row in &rows {
+            shuffled.push_row(row).unwrap();
+        }
+        let got = fitted_bits(&build_engine(&shuffled, pred, 1), &probes);
+        prop_assert_eq!(&want, &got, "row order changed the fit (seed {})", seed);
     }
 }
