@@ -14,15 +14,28 @@
 //!   a cold build would have produced (same deterministic construction,
 //!   same iteration order), so cached scores equal uncached scores
 //!   bit for bit (pinned by `tests/engine_api.rs`);
+//! * **topped up, never invalidated** — every entry carries a row
+//!   watermark: the logical row count (base + delta) it was counted
+//!   over. A live engine that has grown past an entry's watermark
+//!   counts just the rows appended since and merges them in (integer
+//!   addition into sorted vectors), so an append costs each warm pass
+//!   a pass over the new rows instead of the whole table, and the
+//!   merged pass equals a cold one exactly (pinned by
+//!   `tests/live_parity.rs`);
 //! * **bounded** — at most `capacity` entries, evicting the least
 //!   recently used; an un-bounded cache over per-individual local
 //!   contexts would grow with the table;
 //! * **thread-safe** — a single mutex guards the map; the scan itself
 //!   runs outside the lock, so concurrent misses build in parallel
 //!   (a rare duplicate build inserts an equivalent table — harmless).
+//!
+//! The map itself, [`Lru`], also holds the engine's fitted recourse
+//! surrogates (see [`crate::surrogates`]).
 
 use crate::scores::ArmTable;
 use crate::Result;
+use std::borrow::Borrow;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tabular::{AttrId, Context, FxHashMap};
@@ -44,11 +57,16 @@ pub(crate) struct PassKey {
 /// Hit/miss counters plus occupancy — exposed via
 /// [`crate::Engine::cache_stats`] so callers (and the warm-vs-cold
 /// bench) can verify reuse actually happens.
+///
+/// For counting passes, a lookup that tops a resident pass up with
+/// appended rows is a **hit**; a miss means a full pass over every row
+/// ran. For recourse surrogates, any refit — even one that groups only
+/// the appended rows — is a **miss**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to run a counting pass.
+    /// Lookups that had to run a full counting pass (or a fit).
     pub misses: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -83,70 +101,83 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// The bounded LRU map itself. Interior-mutable so the engine can stay
-/// `&self` everywhere.
-pub(crate) struct CountingCache {
-    inner: Mutex<CacheInner>,
+/// The bounded LRU map both engine caches are built on — counting
+/// passes here, fitted surrogates in [`crate::surrogates`]. Every entry
+/// carries a recency stamp and a row watermark: the logical row count
+/// (base + delta) its value was counted over. Interior-mutable so the
+/// engine can stay `&self` everywhere.
+pub(crate) struct Lru<K, V> {
+    inner: Mutex<LruInner<K, V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-#[derive(Default)]
-struct CacheInner {
-    /// Value: `(last-touched stamp, shared pass)`.
-    map: FxHashMap<PassKey, (u64, Arc<ArmTable>)>,
+struct LruInner<K, V> {
+    map: FxHashMap<K, Slot<V>>,
     /// Monotone counter driving LRU recency.
     stamp: u64,
 }
 
-impl CountingCache {
-    /// An empty cache holding at most `capacity` passes (`capacity` is
+#[derive(Clone)]
+struct Slot<V> {
+    /// Last-touched stamp (monotone, drives LRU eviction).
+    touched: u64,
+    /// The value covers logical rows `0..watermark`.
+    watermark: usize,
+    value: V,
+}
+
+/// The counting-pass cache: shared passes by key.
+pub(crate) type CountingCache = Lru<PassKey, Arc<ArmTable>>;
+
+impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
+    /// An empty cache holding at most `capacity` entries (`capacity` is
     /// clamped to at least 1 — a zero-size cache would still be correct
     /// but would turn every lookup into a miss plus bookkeeping).
     pub(crate) fn new(capacity: usize) -> Self {
-        CountingCache {
-            inner: Mutex::new(CacheInner::default()),
+        Lru {
+            inner: Mutex::new(LruInner {
+                map: FxHashMap::default(),
+                stamp: 0,
+            }),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Return the cached pass for `(xs, k, c_set)` or run `build` and
-    /// cache its result. Errors are returned without being cached, so a
-    /// transiently-unsupported context does not poison later lookups.
-    pub(crate) fn get_or_build(
-        &self,
-        xs: &[AttrId],
-        k: &Context,
-        c_set: &[AttrId],
-        build: impl FnOnce() -> Result<ArmTable>,
-    ) -> Result<Arc<ArmTable>> {
-        let key = PassKey {
-            xs: xs.to_vec(),
-            k: k.clone(),
-            c_set: c_set.to_vec(),
-        };
-        {
-            let mut inner = self.inner.lock().expect("cache lock");
-            inner.stamp += 1;
-            let stamp = inner.stamp;
-            if let Some((touched, arms)) = inner.map.get_mut(&key) {
-                *touched = stamp;
-                let arms = Arc::clone(arms);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(arms);
-            }
-        }
-        // Miss: scan outside the lock so other queries keep flowing.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let arms = Arc::new(build()?);
+    /// The resident value for `key` and its watermark, marked most
+    /// recently used — unless it is absent or counted over more than
+    /// `rows` rows (no engine generation serves fewer rows than an
+    /// entry it inherited, so that only guards a broken invariant).
+    pub(crate) fn touch<Q>(&self, key: &Q, rows: usize) -> Option<(V, usize)>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.stamp += 1;
         let stamp = inner.stamp;
-        inner.map.entry(key).or_insert((stamp, Arc::clone(&arms)));
+        let slot = inner.map.get_mut(key).filter(|s| s.watermark <= rows)?;
+        slot.touched = stamp;
+        Some((slot.value.clone(), slot.watermark))
+    }
+
+    /// Make `value`, counted over `rows` rows, the entry for `key` —
+    /// unless a racing insert already left one over at least as many
+    /// rows — then evict the least recently used down to capacity.
+    pub(crate) fn insert(&self, key: K, value: V, rows: usize) {
+        let mut inner = self.inner.lock().expect("cache lock");
+        inner.stamp += 1;
+        let slot = Slot {
+            touched: inner.stamp,
+            watermark: rows,
+            value,
+        };
+        if inner.map.get(&key).is_none_or(|r| r.watermark < rows) {
+            inner.map.insert(key, slot);
+        }
         while inner.map.len() > self.capacity {
             let oldest = inner
                 .map
@@ -154,12 +185,21 @@ impl CountingCache {
                 // (a monotone counter), so min_by_key has a single answer
                 // regardless of visit order.
                 .iter()
-                .min_by_key(|(_, (touched, _))| *touched)
+                .min_by_key(|(_, slot)| slot.touched)
                 .map(|(k, _)| k.clone())
                 .expect("non-empty over capacity");
             inner.map.remove(&oldest);
         }
-        Ok(arms)
+    }
+
+    /// Count one lookup answered from the cache.
+    pub(crate) fn hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one lookup that had to build its value.
+    pub(crate) fn miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current counters and occupancy.
@@ -172,57 +212,144 @@ impl CountingCache {
         }
     }
 
-    /// Drop every cached pass (counters are kept — they describe the
+    /// Drop every entry (counters are kept — they describe the
     /// engine's lifetime, not the current residency).
     pub(crate) fn clear(&self) {
         self.inner.lock().expect("cache lock").map.clear();
     }
 
-    /// Export the resident passes in **recency order** (least recently
-    /// touched first) together with the lifetime counters — the payload
-    /// of an engine snapshot. The `Arc`s are shared, not copied.
-    pub(crate) fn export(&self) -> (u64, u64, Vec<(PassKey, Arc<ArmTable>)>) {
+    /// The resident slots in **recency order** (least recently touched
+    /// first).
+    fn slots(&self) -> Vec<(K, Slot<V>)> {
         let inner = self.inner.lock().expect("cache lock");
-        let mut entries: Vec<(u64, PassKey, Arc<ArmTable>)> = inner
+        let mut slots: Vec<(K, Slot<V>)> = inner
             .map
             // lint:allow(ordered-iteration): the collected entries are
             // sorted by their unique recency stamp two lines down, which
             // erases the hash visit order.
             .iter()
-            .map(|(k, (touched, arms))| (*touched, k.clone(), Arc::clone(arms)))
+            .map(|(k, slot)| (k.clone(), slot.clone()))
             .collect();
-        entries.sort_by_key(|(touched, _, _)| *touched);
+        slots.sort_by_key(|(_, slot)| slot.touched);
+        slots
+    }
+
+    /// Export the entries counted over all `rows` logical rows in
+    /// recency order, together with the lifetime counters — the payload
+    /// of an engine snapshot. Entries over fewer rows are omitted (a
+    /// restored engine would take them as complete, so it rebuilds them
+    /// lazily instead). Values are cloned handles, not copies.
+    pub(crate) fn export(&self, rows: usize) -> (u64, u64, Vec<(K, V)>) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-            entries.into_iter().map(|(_, k, a)| (k, a)).collect(),
+            self.slots()
+                .into_iter()
+                .filter(|(_, slot)| slot.watermark == rows)
+                .map(|(key, slot)| (key, slot.value))
+                .collect(),
         )
     }
 
-    /// Rebuild a cache from exported state. `entries` must be in
-    /// recency order (as produced by [`CountingCache::export`]): they
-    /// are re-stamped in sequence, so LRU eviction behaves exactly as
-    /// in the donor. Entries beyond `capacity` evict from the front,
-    /// mirroring what the donor's own bound would have kept.
+    /// This cache, carried to the next generation of a live engine:
+    /// every entry with its watermark and recency, and the counters. The
+    /// next generation serves a superset of this one's logical rows in
+    /// the same order, so each entry stays a valid prefix to top up.
+    pub(crate) fn carried(&self) -> Self {
+        let cache = Lru::new(self.capacity);
+        cache.install(self.slots());
+        cache
+            .hits
+            .store(self.hits.load(Ordering::Relaxed), Ordering::Relaxed);
+        cache
+            .misses
+            .store(self.misses.load(Ordering::Relaxed), Ordering::Relaxed);
+        cache
+    }
+
+    /// Rebuild a cache from exported state over `rows` logical rows.
+    /// `entries` must be in recency order (as produced by
+    /// [`Lru::export`]): they are re-stamped in sequence, so LRU
+    /// eviction behaves exactly as in the donor. Entries beyond
+    /// `capacity` evict from the front, mirroring what the donor's own
+    /// bound would have kept.
     pub(crate) fn restore(
         capacity: usize,
         hits: u64,
         misses: u64,
-        entries: Vec<(PassKey, Arc<ArmTable>)>,
+        entries: Vec<(K, V)>,
+        rows: usize,
     ) -> Self {
-        let cache = CountingCache::new(capacity);
-        {
-            let mut inner = cache.inner.lock().expect("cache lock");
-            let keep = entries.len().saturating_sub(cache.capacity);
-            for (key, arms) in entries.into_iter().skip(keep) {
-                inner.stamp += 1;
-                let stamp = inner.stamp;
-                inner.map.insert(key, (stamp, arms));
-            }
-        }
+        let cache = Lru::new(capacity);
+        cache.install(
+            entries
+                .into_iter()
+                .map(|(key, value)| {
+                    let slot = Slot {
+                        touched: 0,
+                        watermark: rows,
+                        value,
+                    };
+                    (key, slot)
+                })
+                .collect(),
+        );
         cache.hits.store(hits, Ordering::Relaxed);
         cache.misses.store(misses, Ordering::Relaxed);
         cache
+    }
+
+    /// Insert `slots` (recency order) into this empty cache, re-stamped
+    /// in sequence and keeping the newest `capacity`.
+    fn install(&self, slots: Vec<(K, Slot<V>)>) {
+        let mut inner = self.inner.lock().expect("cache lock");
+        let keep = slots.len().saturating_sub(self.capacity);
+        for (key, mut slot) in slots.into_iter().skip(keep) {
+            inner.stamp += 1;
+            slot.touched = inner.stamp;
+            inner.map.insert(key, slot);
+        }
+    }
+}
+
+impl CountingCache {
+    /// The pass for `(xs, k, c_set)` over the first `rows` logical
+    /// rows. A resident pass counted over exactly `rows` rows is
+    /// returned as is. One counted over fewer rows `w` is handed to
+    /// `count` as `Some((pass, w))` to be topped up with rows `w..rows`;
+    /// both are hits. Otherwise `count(None)` runs a full pass, a miss.
+    /// The count runs outside the lock, so other queries keep flowing;
+    /// of two racing counts the one over more rows stays resident.
+    /// Errors are returned without being cached, so a
+    /// transiently-unsupported context does not poison later lookups.
+    pub(crate) fn get_or_count(
+        &self,
+        xs: &[AttrId],
+        k: &Context,
+        c_set: &[AttrId],
+        rows: usize,
+        count: impl FnOnce(Option<(&ArmTable, usize)>) -> Result<ArmTable>,
+    ) -> Result<Arc<ArmTable>> {
+        let key = PassKey {
+            xs: xs.to_vec(),
+            k: k.clone(),
+            c_set: c_set.to_vec(),
+        };
+        let arms = match self.touch(&key, rows) {
+            Some((arms, watermark)) => {
+                self.hit();
+                if watermark == rows {
+                    return Ok(arms);
+                }
+                Arc::new(count(Some((&arms, watermark)))?)
+            }
+            None => {
+                self.miss();
+                Arc::new(count(None)?)
+            }
+        };
+        self.insert(key, Arc::clone(&arms), rows);
+        Ok(arms)
     }
 }
 
@@ -294,12 +421,14 @@ mod tests {
     fn hit_returns_same_table_and_counts() {
         let est = estimator();
         let cache = CountingCache::new(8);
-        let build = || est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None);
+        let build = |_: Option<(&ArmTable, usize)>| {
+            est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None)
+        };
         let a = cache
-            .get_or_build(&[AttrId(0)], &Context::empty(), &[], build)
+            .get_or_count(&[AttrId(0)], &Context::empty(), &[], 5, build)
             .unwrap();
         let b = cache
-            .get_or_build(&[AttrId(0)], &Context::empty(), &[], || {
+            .get_or_count(&[AttrId(0)], &Context::empty(), &[], 5, |_| {
                 panic!("must not rebuild on a hit")
             })
             .unwrap();
@@ -316,7 +445,7 @@ mod tests {
             let (xs, _) = key_of(v);
             // distinct keys via distinct adjustment sets
             let c_set = vec![AttrId(10 + v)];
-            let _ = cache.get_or_build(&xs, &Context::empty(), &c_set, || {
+            let _ = cache.get_or_count(&xs, &Context::empty(), &c_set, 5, |_| {
                 est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None)
             });
         }
@@ -333,7 +462,7 @@ mod tests {
         // a context matching no rows is unsupported, not cached
         let k = Context::of([(AttrId(0), 0), (AttrId(1), 7)]);
         for _ in 0..2 {
-            let r = cache.get_or_build(&[AttrId(0)], &k, &[], || {
+            let r = cache.get_or_count(&[AttrId(0)], &k, &[], 5, |_| {
                 Err(crate::LewisError::Unsupported("no rows".into()))
             });
             assert!(r.is_err());
@@ -341,5 +470,42 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 0);
         assert_eq!(s.misses, 2, "both lookups must have tried to build");
+    }
+
+    #[test]
+    fn grown_lookups_top_up_the_resident_pass_as_hits() {
+        let est = estimator();
+        let cache = CountingCache::new(8);
+        let key = |cache: &CountingCache, rows, want: Option<usize>| {
+            cache
+                .get_or_count(&[AttrId(0)], &Context::empty(), &[], rows, |resident| {
+                    assert_eq!(resident.map(|(_, w)| w), want, "lookup at {rows} rows");
+                    est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None)
+                })
+                .unwrap()
+        };
+        let counted = key(&cache, 3, None);
+        // grown past the watermark: the resident pass is offered for a
+        // top-up from row 3, and the lookup is a hit
+        let topped = key(&cache, 5, Some(3));
+        assert!(!Arc::ptr_eq(&counted, &topped));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        // the topped-up pass replaced the resident one
+        let again = cache
+            .get_or_count(&[AttrId(0)], &Context::empty(), &[], 5, |_| {
+                panic!("a pass over every row must not recount")
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&topped, &again));
+        // snapshots carry only passes counted over every row
+        assert_eq!(cache.export(5).2.len(), 1);
+        assert_eq!(cache.export(6).2.len(), 0);
+        // a carried cache keeps the watermark and tops up in turn
+        let next = cache.carried();
+        assert_eq!(next.stats(), cache.stats());
+        key(&next, 7, Some(5));
+        assert_eq!(next.stats().hits, 3);
+        assert_eq!(cache.stats().hits, 2, "the donor is untouched");
     }
 }

@@ -297,11 +297,11 @@ impl EngineBuilder {
                 .with_shards(self.shards)
                 .with_index(self.index)?;
         let mut orders = vec![None; est.table().schema().len()];
-        let mut base_stats = Vec::with_capacity(features.len());
+        let mut order_stats = Vec::with_capacity(features.len());
         for &a in &features {
-            let stats = est.base_order_stats(a)?;
+            let stats = est.order_stats_since(a, 0)?;
             orders[a.index()] = Some(infer_value_order_from_stats(&stats));
-            base_stats.push(stats);
+            order_stats.push(stats);
         }
         Ok(Engine {
             est,
@@ -310,7 +310,7 @@ impl EngineBuilder {
             min_support: self.min_support,
             cache: CountingCache::new(self.cache_capacity),
             surrogates: SurrogateCache::new(self.surrogate_capacity),
-            base_order_stats: Some(base_stats),
+            order_stats: Some(order_stats),
         })
     }
 }
@@ -325,13 +325,12 @@ pub struct Engine {
     min_support: usize,
     cache: CountingCache,
     surrogates: SurrogateCache,
-    /// Per-feature `(rows, positives)`-per-value stats over the **base**
-    /// table (`base_order_stats[i]` aligned with `features[i]`). Base
-    /// stats are append-invariant, so [`Engine::with_delta`] merges each
-    /// delta's cheap scan on top of them instead of re-counting the base
-    /// per batch. `None` until the first append needs them — restored
-    /// and freshly compacted engines start lazy.
-    base_order_stats: Option<Vec<Vec<(u64, u64)>>>,
+    /// Per-feature `(rows, positives)`-per-value stats over every
+    /// logical row (`order_stats[i]` aligned with `features[i]`) — the
+    /// running totals [`Engine::with_delta`] adds each batch's stats to
+    /// instead of re-counting the table. `None` until the first append
+    /// needs them: restored engines start lazy.
+    order_stats: Option<Vec<Vec<(u64, u64)>>>,
 }
 
 impl Engine {
@@ -424,7 +423,9 @@ impl Engine {
     /// The cached (or freshly fitted) surrogate for one actionable set.
     fn surrogate_for(&self, actionable: &[AttrId]) -> Result<Arc<SurrogateFit>> {
         self.surrogates
-            .get_or_build(actionable, || fit_surrogate(&self.est, actionable))
+            .get_or_fit(actionable, self.est.n_total_rows(), |kept| {
+                fit_surrogate(&self.est, actionable, kept)
+            })
     }
 
     /// Drop all cached counting passes (results are unaffected — the
@@ -439,17 +440,18 @@ impl Engine {
     /// copied. See [`crate::snapshot`] for the fidelity guarantees and
     /// [`Engine::restore`] for the inverse.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let (s_hits, s_misses, s_entries) = self.surrogates.export();
+        let rows = self.est.n_total_rows();
+        let (s_hits, s_misses, s_entries) = self.surrogates.export(rows);
         let fits = s_entries
             .into_iter()
-            .map(|(actionable, fit)| SurrogateSnapshot {
+            .map(|(actionable, (fit, _))| SurrogateSnapshot {
                 actionable,
                 intercept: fit.intercept,
                 coefficients: fit.coefficients.clone(),
                 orders: fit.orders.clone(),
             })
             .collect();
-        let (hits, misses, entries) = self.cache.export();
+        let (hits, misses, entries) = self.cache.export(rows);
         let passes = entries
             .into_iter()
             .map(|(key, arms)| PassSnapshot {
@@ -636,22 +638,25 @@ impl Engine {
                 });
                 RecourseEngine::with_fit(&est, &s.actionable, Arc::clone(&fit))
                     .map_err(|e| LewisError::Invalid(format!("snapshot surrogate: {e}")))?;
-                Ok((s.actionable, fit))
+                Ok((s.actionable, (fit, None)))
             })
             .collect::<Result<Vec<_>>>()?;
+        // Every pass and fit a snapshot carries covers all its rows.
+        let rows = est.n_total_rows();
         Ok(Engine {
             est,
             features,
             orders,
             min_support,
-            cache: CountingCache::restore(cache_capacity, cache.hits, cache.misses, entries),
+            cache: CountingCache::restore(cache_capacity, cache.hits, cache.misses, entries, rows),
             surrogates: SurrogateCache::restore(
                 surrogate_capacity,
                 surrogates.hits,
                 surrogates.misses,
                 fits,
+                rows,
             ),
-            base_order_stats: None,
+            order_stats: None,
         })
     }
 
@@ -659,80 +664,63 @@ impl Engine {
     /// as the write-side shard — the live-table append path.
     ///
     /// `delta` carries **all** rows appended since the base table froze
-    /// (a live table keeps one growing shard); `appended` is just the
-    /// batch appended by *this* call, used for precise cache
-    /// invalidation. Everything the returned engine answers is
-    /// bit-identical to a cold build over the concatenated table:
+    /// (a live table keeps one growing shard), so it extends this
+    /// engine's own delta: the rows past [`Engine::delta_rows`] are the
+    /// new batch. Each step costs work in proportion to the batch, not
+    /// the delta. Everything the returned engine answers is bit-identical
+    /// to a cold build over the concatenated table:
     ///
     /// * counting passes and support probes merge the delta's partial
     ///   counts after the base shards (integer addition, shard-index
-    ///   order — see [`crate::scores`]);
-    /// * value orders re-rank from merged per-value integer stats; the
-    ///   base half is append-invariant and computed at most once per
-    ///   engine lineage, so a batch costs one scan of the delta only;
-    /// * the counting-pass cache keeps exactly the entries whose context
-    ///   matches **no** appended row — such passes never read the new
-    ///   rows, so their arms already equal the concatenated table's;
-    ///   every other entry is dropped, and lifetime hit/miss counters
-    ///   carry on;
-    /// * resident surrogate fits are marked stale per actionable set
-    ///   (every fit reads every row) instead of being flushed: the keys
-    ///   stay resident and refit lazily, over base + delta, on their
-    ///   next lookup.
-    pub fn with_delta(&self, delta: Arc<Table>, appended: &[Vec<Value>]) -> Result<Engine> {
+    ///   order — see [`crate::scores`]); the delta bitmaps are this
+    ///   engine's, copied, plus the new rows;
+    /// * value orders re-rank from per-value integer totals over every
+    ///   row: this engine's totals plus one count of the new rows;
+    /// * cached counting passes and surrogate fits carry over with their
+    ///   row watermarks: a lookup on the new engine tops a pass up with
+    ///   just the rows past its watermark, and a refit groups just those
+    ///   rows into the fit's kept patterns.
+    ///   Lifetime hit/miss counters carry on.
+    pub fn with_delta(&self, delta: Arc<Table>) -> Result<Engine> {
+        let from = self.est.n_total_rows();
         let est = self.est.with_delta_overlay(delta)?;
-        let base_stats = match &self.base_order_stats {
+        let mut order_stats = match &self.order_stats {
             Some(stats) => stats.clone(),
             None => self
                 .features
                 .iter()
-                .map(|&a| self.est.base_order_stats(a))
+                .map(|&a| self.est.order_stats_since(a, 0))
                 .collect::<Result<Vec<_>>>()?,
         };
         let mut orders = vec![None; est.table().schema().len()];
-        for (stats, &a) in base_stats.iter().zip(&self.features) {
-            let merged: Vec<(u64, u64)> = stats
-                .iter()
-                .zip(est.delta_order_stats(a)?)
-                .map(|(&(n, pos), (dn, dpos))| (n + dn, pos + dpos))
-                .collect();
-            orders[a.index()] = Some(infer_value_order_from_stats(&merged));
+        for (stats, &a) in order_stats.iter_mut().zip(&self.features) {
+            for (total, (n, pos)) in stats.iter_mut().zip(est.order_stats_since(a, from)?) {
+                total.0 += n;
+                total.1 += pos;
+            }
+            orders[a.index()] = Some(infer_value_order_from_stats(stats));
         }
-        let (hits, misses, entries) = self.cache.export();
-        let retained: Vec<_> = entries
-            .into_iter()
-            .filter(|(key, _)| !appended.iter().any(|row| key.k.matches_row(row)))
-            .collect();
-        let (s_hits, s_misses, fits) = self.surrogates.export_full();
-        let fits = if appended.is_empty() {
-            fits
-        } else {
-            fits.into_iter().map(|(k, _, fit)| (k, true, fit)).collect()
-        };
         Ok(Engine {
             est,
             features: self.features.clone(),
             orders,
             min_support: self.min_support,
-            cache: CountingCache::restore(self.cache.stats().capacity, hits, misses, retained),
-            surrogates: SurrogateCache::restore_full(
-                self.surrogates.stats().capacity,
-                s_hits,
-                s_misses,
-                fits,
-            ),
-            base_order_stats: Some(base_stats),
+            cache: self.cache.carried(),
+            surrogates: self.surrogates.carried(),
+            order_stats: Some(order_stats),
         })
     }
 
     /// Fold the delta shard into the base: a new engine over the
     /// concatenated table with the shard layout and bitmap index
-    /// rebuilt, and everything else — value orders, warm counting
-    /// passes, surrogate fits *and their staleness*, lifetime counters —
-    /// carried verbatim. The concatenated table holds exactly the rows
-    /// this engine was already answering over, so every carried artifact
-    /// stays exact; only the physical layout changes. Compaction
-    /// therefore never changes an answer (property-tested in
+    /// rebuilt, and everything else — value orders and their totals,
+    /// cached counting passes and surrogate fits with their row
+    /// watermarks, lifetime counters — carried verbatim. The
+    /// concatenated table holds exactly the rows this engine was already
+    /// answering over, in the same logical order, so every carried
+    /// artifact stays exact and every watermark still marks the same
+    /// rows; only the physical layout changes. Compaction therefore
+    /// never changes an answer (property-tested in
     /// `tests/live_parity.rs`). Without a delta this just re-materializes
     /// the engine over its existing base.
     pub fn compacted(&self) -> Result<Engine> {
@@ -762,21 +750,14 @@ impl Engine {
         if self.est.index().is_some() {
             est = est.with_index(true)?;
         }
-        let (hits, misses, entries) = self.cache.export();
-        let (s_hits, s_misses, fits) = self.surrogates.export_full();
         Ok(Engine {
             est,
             features: self.features.clone(),
             orders: self.orders.clone(),
             min_support: self.min_support,
-            cache: CountingCache::restore(self.cache.stats().capacity, hits, misses, entries),
-            surrogates: SurrogateCache::restore_full(
-                self.surrogates.stats().capacity,
-                s_hits,
-                s_misses,
-                fits,
-            ),
-            base_order_stats: None,
+            cache: self.cache.carried(),
+            surrogates: self.surrogates.carried(),
+            order_stats: self.order_stats.clone(),
         })
     }
 
@@ -1783,27 +1764,25 @@ mod tests {
     }
 
     /// Split a labelled table into a frozen base and a delta of appended
-    /// rows (same schema), returning the appended rows as batch input.
-    fn split(full: &Table, n_base: usize) -> (Table, Table, Vec<Vec<Value>>) {
+    /// rows (same schema).
+    fn split(full: &Table, n_base: usize) -> (Table, Table) {
         let mut base = Table::new(full.schema().clone());
         let mut delta = Table::new(full.schema().clone());
-        let mut appended = Vec::new();
         for r in 0..full.n_rows() {
             let row = full.row(r).unwrap();
             if r < n_base {
                 base.push_row(&row).unwrap();
             } else {
                 delta.push_row(&row).unwrap();
-                appended.push(row);
             }
         }
-        (base, delta, appended)
+        (base, delta)
     }
 
     #[test]
     fn with_delta_answers_like_a_cold_build_over_the_concatenated_table() {
         let (full, pred) = setup(3000);
-        let (base, delta, appended) = split(&full, 2500);
+        let (base, delta) = split(&full, 2500);
         let scm = world();
         for (shards, index) in [(1, false), (4, true)] {
             let build = |t: Table| {
@@ -1819,10 +1798,10 @@ mod tests {
             };
             let cold = build(full.clone());
             let live = build(base.clone())
-                .with_delta(Arc::new(delta.clone()), &appended)
+                .with_delta(Arc::new(delta.clone()))
                 .unwrap();
             assert_eq!(live.total_rows(), cold.table().n_rows());
-            assert_eq!(live.delta_rows(), appended.len());
+            assert_eq!(live.delta_rows(), delta.n_rows());
             for &a in cold.features() {
                 assert_eq!(live.value_order(a), cold.value_order(a), "order of {a}");
             }
@@ -1848,73 +1827,60 @@ mod tests {
     }
 
     #[test]
-    fn with_delta_invalidates_cache_precisely_and_keeps_surrogates_resident() {
-        let e = engine(1000);
-        // Appended rows all hold status = 0, so passes under status = 2
-        // never read them and must stay resident; passes under status = 0
-        // (and the context-free global pass) must be dropped.
-        let k_miss = Context::of([(AttrId(0), 2)]);
-        let k_hit = Context::of([(AttrId(0), 0)]);
-        let _ = e.global().unwrap();
-        let _ = e.contextual_global(&k_miss).unwrap();
-        let _ = e.contextual_global(&k_hit).unwrap();
-        e.prepare_surrogate(&[AttrId(0)]).unwrap();
-        let warm = e.cache_stats();
-        let s_warm = e.surrogate_stats();
-
-        let mut delta = Table::new(e.table().schema().clone());
-        let mut appended = Vec::new();
-        for row in [[0, 0, 1, 0], [0, 1, 0, 0]] {
-            delta.push_row(&row).unwrap();
-            appended.push(row.to_vec());
+    fn with_delta_tops_up_cached_passes_and_refits_surrogates_from_the_new_rows() {
+        let (full, pred) = setup(1600);
+        let scm = world();
+        let build = |t: Table| {
+            Engine::builder(t)
+                .graph(scm.graph())
+                .prediction(pred, 1)
+                .features(&[AttrId(0), AttrId(1), AttrId(2)])
+                .alpha(0.0)
+                .build()
+                .unwrap()
+        };
+        let k0 = Context::of([(AttrId(0), 0)]);
+        let k2 = Context::of([(AttrId(0), 2)]);
+        let row = full.row(7).unwrap();
+        let opts = RecourseOptions::default();
+        let answers = |e: &Engine| {
+            (
+                e.global().unwrap(),
+                e.contextual_global(&k0).unwrap(),
+                e.contextual_global(&k2).unwrap(),
+                e.recourse(&row, &[AttrId(0), AttrId(1)], &opts).unwrap(),
+            )
+        };
+        let mut live = build(split(&full, 1000).0);
+        let _ = answers(&live);
+        // the delta grows in two steps; each generation extends the last
+        for total in [1300, 1600] {
+            let (served, _) = split(&full, total);
+            let (_, delta) = split(&served, 1000);
+            let donor = live;
+            live = donor.with_delta(Arc::new(delta)).unwrap();
+            // nothing is dropped, and the lifetime counters carry on
+            assert_eq!(live.cache_stats(), donor.cache_stats());
+            assert_eq!(live.surrogate_stats(), donor.surrogate_stats());
+            let (before, s_before) = (live.cache_stats(), live.surrogate_stats());
+            assert_eq!(answers(&live), answers(&build(served)), "{total} rows");
+            // every pass was topped up with the new rows: all hits
+            let after = live.cache_stats();
+            assert_eq!(after.misses, before.misses, "no full pass at {total} rows");
+            assert!(after.hits > before.hits);
+            assert_eq!(after.entries, before.entries);
+            // the surrogate refit once, from its kept patterns
+            assert_eq!(live.surrogate_stats().misses, s_before.misses + 1);
+            let _ = answers(&live);
+            assert_eq!(live.surrogate_stats().misses, s_before.misses + 1);
+            assert_eq!(live.cache_stats().misses, before.misses);
         }
-        let live = e.with_delta(Arc::new(delta), &appended).unwrap();
-
-        // lifetime counters carry; only the unaffected entry survives
-        let stats = live.cache_stats();
-        assert_eq!(stats.hits, warm.hits);
-        assert_eq!(stats.misses, warm.misses);
-        assert!(stats.entries < warm.entries, "matching passes must drop");
-        let before = live.cache_stats();
-        let _ = live.contextual_global(&k_miss).unwrap();
-        assert!(
-            live.cache_stats().hits > before.hits,
-            "passes no appended row matches must still answer warm"
-        );
-        assert_eq!(
-            live.cache_stats().misses,
-            before.misses,
-            "passes no appended row matches must not re-count"
-        );
-        let before = live.cache_stats();
-        let _ = live.contextual_global(&k_hit).unwrap();
-        assert!(
-            live.cache_stats().misses > before.misses,
-            "passes an appended row matches must re-count"
-        );
-
-        // the surrogate key stayed resident but stale: next lookup refits
-        assert_eq!(live.surrogate_stats().entries, s_warm.entries);
-        let before = live.surrogate_stats();
-        live.prepare_surrogate(&[AttrId(0)]).unwrap();
-        assert_eq!(
-            live.surrogate_stats().misses,
-            before.misses + 1,
-            "stale surrogate must refit over base + delta"
-        );
-        let after = live.surrogate_stats();
-        live.prepare_surrogate(&[AttrId(0)]).unwrap();
-        assert_eq!(
-            live.surrogate_stats().hits,
-            after.hits + 1,
-            "refitted surrogate is fresh again"
-        );
     }
 
     #[test]
     fn compaction_folds_the_delta_without_changing_answers() {
         let (full, pred) = setup(1500);
-        let (base, delta, appended) = split(&full, 1200);
+        let (base, delta) = split(&full, 1200);
         let scm = world();
         let live = Engine::builder(base)
             .graph(scm.graph())
@@ -1924,7 +1890,7 @@ mod tests {
             .index(true)
             .build()
             .unwrap()
-            .with_delta(Arc::new(delta), &appended)
+            .with_delta(Arc::new(delta))
             .unwrap();
         let k = Context::of([(AttrId(0), 1)]);
         let g = live.global().unwrap();
@@ -1956,7 +1922,7 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_a_live_engine_mid_stream() {
         let (full, pred) = setup(1500);
-        let (base, delta, appended) = split(&full, 1200);
+        let (base, delta) = split(&full, 1200);
         let scm = world();
         let live = Engine::builder(base)
             .graph(scm.graph())
@@ -1966,7 +1932,7 @@ mod tests {
             .index(true)
             .build()
             .unwrap()
-            .with_delta(Arc::new(delta), &appended)
+            .with_delta(Arc::new(delta))
             .unwrap();
         let k = Context::of([(AttrId(0), 1)]);
         let _ = live.global().unwrap();

@@ -28,9 +28,10 @@ use causal::Dag;
 use ml::linalg::dot;
 use ml::linear::{
     logit, sigmoid, DesignSegment, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign,
-    OrdinalFeature,
+    OrdinalFeature, Patterns,
 };
 use optim::{Group, IpError, Item, MckpSolver};
+use std::ops::Range;
 use std::sync::Arc;
 use tabular::{AttrId, Context, Table, Value};
 
@@ -276,24 +277,44 @@ fn validate_parts(
 /// segments of the same design. The fit depends only on the multiset of
 /// rows, so it is bit-identical to a cold fit over the concatenated
 /// table — and to a fit over any shard layout or row order.
-pub(crate) fn fit_surrogate(est: &ScoreEstimator, actionable: &[AttrId]) -> Result<SurrogateFit> {
+///
+/// `kept` carries the grouped patterns of an earlier fit over the first
+/// `w` logical rows: the design then holds only rows `w..` (the base
+/// and delta segments sliced at `w`), and their patterns are merged into
+/// the kept ones before Newton runs — the same patterns, and so the same
+/// coefficients, as grouping every row. Returns the fit and the patterns
+/// of every row, to keep for the next refit.
+pub(crate) fn fit_surrogate(
+    est: &ScoreEstimator,
+    actionable: &[AttrId],
+    kept: Option<(&Patterns, usize)>,
+) -> Result<(SurrogateFit, Patterns)> {
     RecourseEngine::validate(est, actionable)?;
     let table = est.table();
     let pred = est.pred_attr();
     let plan = surrogate_plan(table, est.graph(), pred, actionable)?;
-    let labels = |t: &Table| -> Result<Vec<u32>> {
-        Ok(t.column(pred)?
+    let labels = |t: &Table, rows: &Range<usize>| -> Result<Vec<u32>> {
+        Ok(t.column(pred)?[rows.clone()]
             .iter()
             .map(|&v| u32::from(v == est.positive()))
             .collect())
     };
-    let base_labels = match est.index().and_then(|ix| ix.labels(pred, est.positive())) {
+    let from = kept.map_or(0, |(_, w)| w);
+    let base_rows = from.min(table.n_rows())..table.n_rows();
+    // a full fit reads the base labels off the prediction bitmap
+    let index_labels = (from == 0)
+        .then(|| est.index().and_then(|ix| ix.labels(pred, est.positive())))
+        .flatten();
+    let base_labels = match index_labels {
         Some(labels) => labels,
-        None => labels(table)?,
+        None => labels(table, &base_rows)?,
     };
-    let delta = est.delta_table().filter(|d| d.n_rows() > 0);
-    let delta_labels = match delta {
-        Some(d) => labels(d)?,
+    let delta = est.delta_table().map(|d| {
+        let rows = from.saturating_sub(table.n_rows()).min(d.n_rows())..d.n_rows();
+        (d, rows)
+    });
+    let delta_labels = match &delta {
+        Some((d, rows)) => labels(d, rows)?,
         None => Vec::new(),
     };
     // design column order: one-hot blocks [actionable…], then the
@@ -303,16 +324,21 @@ pub(crate) fn fit_surrogate(est: &ScoreEstimator, actionable: &[AttrId]) -> Resu
         .chain(plan.context_attrs.iter())
         .copied()
         .collect();
-    fn segment<'a>(t: &'a Table, attrs: &[AttrId], labels: &'a [u32]) -> Result<DesignSegment<'a>> {
+    fn segment<'a>(
+        t: &'a Table,
+        attrs: &[AttrId],
+        rows: &Range<usize>,
+        labels: &'a [u32],
+    ) -> Result<DesignSegment<'a>> {
         let mut columns = Vec::with_capacity(attrs.len());
         for &a in attrs {
-            columns.push(t.column(a)?);
+            columns.push(&t.column(a)?[rows.clone()]);
         }
         Ok(DesignSegment { columns, labels })
     }
-    let mut segments = vec![segment(table, &needed, &base_labels)?];
-    if let Some(d) = delta {
-        segments.push(segment(d, &needed, &delta_labels)?);
+    let mut segments = vec![segment(table, &needed, &base_rows, &base_labels)?];
+    if let Some((d, rows)) = &delta {
+        segments.push(segment(d, &needed, rows, &delta_labels)?);
     }
     let mut blocks = Vec::with_capacity(actionable.len());
     for (i, &a) in actionable.iter().enumerate() {
@@ -334,18 +360,23 @@ pub(crate) fn fit_surrogate(est: &ScoreEstimator, actionable: &[AttrId]) -> Resu
         ordinals,
         segments,
     };
-    let model = LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default())?;
+    let patterns = match kept {
+        Some((kept, _)) => kept.merge(&design.patterns()?)?,
+        None => design.patterns()?,
+    };
+    let model = LogisticRegression::fit_patterns(&design, &patterns, &NewtonOptions::default())?;
     let mut orders = Vec::with_capacity(actionable.len());
     for &a in actionable {
         // Through the counting chokepoint: index-accelerated and
         // delta-aware, bit-identical to the table-scan inference.
         orders.push(est.infer_order(a)?);
     }
-    Ok(SurrogateFit {
+    let fit = SurrogateFit {
         intercept: model.intercept,
         coefficients: model.coefficients,
         orders,
-    })
+    };
+    Ok((fit, patterns))
 }
 
 /// The recourse generator.
@@ -365,7 +396,8 @@ impl<'a> RecourseEngine<'a> {
     /// docs for the grouped fit's determinism guarantee). Engines with a
     /// surrogate cache go through [`RecourseEngine::with_fit`] instead.
     pub fn new(est: &'a ScoreEstimator, actionable: &[AttrId]) -> Result<Self> {
-        let fit = Arc::new(fit_surrogate(est, actionable)?);
+        let (fit, _) = fit_surrogate(est, actionable, None)?;
+        let fit = Arc::new(fit);
         Self::with_fit(est, actionable, fit)
     }
 

@@ -159,6 +159,53 @@ pub(crate) struct ArmTable {
     pub(crate) total: u64,
 }
 
+impl ArmTable {
+    /// This pass plus `more`, a pass under the same key over other
+    /// rows: cells and arms are unioned by key and their counts added.
+    /// Both sides are sorted, so this is a sorted merge, and the result
+    /// is the very table one pass over both sets of rows would build.
+    pub(crate) fn merged(&self, more: &ArmTable) -> ArmTable {
+        ArmTable {
+            cells: merge_sorted(&self.cells, &more.cells, |a, b| CellArms {
+                n: a.n + b.n,
+                arms: merge_sorted(&a.arms, &b.arms, |x, y| (x.0 + y.0, x.1 + y.1)),
+            }),
+            total: self.total + more.total,
+        }
+    }
+}
+
+/// Merge two key-sorted vectors, combining the values of equal keys
+/// with `add`.
+fn merge_sorted<K: Ord + Clone, V: Clone>(
+    a: &[(K, V)],
+    b: &[(K, V)],
+    add: impl Fn(&V, &V) -> V,
+) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i].clone());
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j].clone());
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push((a[i].0.clone(), add(&a[i].1, &b[j].1)));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Estimates explanation scores from a labelled table.
 ///
 /// The table must contain the black box's predictions as a **binary**
@@ -322,10 +369,13 @@ impl ScoreEstimator {
 
     /// Overlay a delta shard of appended rows on this estimator. The
     /// delta must be coded against the base schema (same attributes,
-    /// same domains). When the base carries a bitmap index, append-only
-    /// delta bitmaps are built alongside so support probes stay on the
-    /// popcount path; the base index keeps serving the base rows
-    /// untouched (it still `matches` the base table).
+    /// same domains) and must extend this estimator's own delta, if it
+    /// has one: its first rows are the ones already overlaid. When the
+    /// base carries a bitmap index, append-only delta bitmaps are kept
+    /// alongside so support probes stay on the popcount path: the
+    /// previous overlay's bitmaps are copied and only the new rows are
+    /// indexed. The base index keeps serving the base rows untouched (it
+    /// still `matches` the base table).
     ///
     /// Every count the returned estimator produces equals a cold count
     /// over the concatenated table: base shards merge first, the delta's
@@ -336,10 +386,28 @@ impl ScoreEstimator {
                 "delta shard schema differs from the base table's".into(),
             ));
         }
+        if delta.n_rows() < self.delta_rows() {
+            return Err(LewisError::Invalid(format!(
+                "a delta shard of {} rows cannot replace one of {}",
+                delta.n_rows(),
+                self.delta_rows()
+            )));
+        }
         let bitmaps = match &self.index {
-            Some(_) => Some(Arc::new(
-                DeltaBitmaps::from_table(&delta).map_err(LewisError::from)?,
-            )),
+            Some(_) => {
+                let previous = self.delta.as_ref().and_then(|d| d.bitmaps.as_deref());
+                let bitmaps = match previous {
+                    Some(previous) => {
+                        let mut bitmaps = previous.clone();
+                        for r in bitmaps.n_rows()..delta.n_rows() {
+                            bitmaps.append_row(&delta.row(r)?)?;
+                        }
+                        bitmaps
+                    }
+                    None => DeltaBitmaps::from_table(&delta)?,
+                };
+                Some(Arc::new(bitmaps))
+            }
             None => None,
         };
         let mut est = self.clone();
@@ -394,13 +462,33 @@ impl ScoreEstimator {
     /// the base shards (shard-index order, integer addition), so the
     /// result equals a cold pass over the concatenated table exactly.
     pub(crate) fn counting_pass(&self, attrs: &[AttrId], k: &Context) -> Result<Counter> {
-        let mut counter = self.base_counting_pass(attrs, k)?;
+        self.counting_pass_since(attrs, k, 0)
+    }
+
+    /// [`ScoreEstimator::counting_pass`] over the logical rows `from..`
+    /// only (base rows, then delta rows) — the pass that tops up a
+    /// cached aggregate counted over the first `from` rows. From row 0
+    /// it is the full pass, index first; a later start scans just its
+    /// range of base rows.
+    pub(crate) fn counting_pass_since(
+        &self,
+        attrs: &[AttrId],
+        k: &Context,
+        from: usize,
+    ) -> Result<Counter> {
+        let base = self.table.n_rows();
+        let mut counter = if from == 0 {
+            self.base_counting_pass(attrs, k)?
+        } else {
+            Counter::build_range(&self.table, attrs, k, from.min(base)..base)?
+        };
         if let Some(delta) = &self.delta {
-            if delta.table.n_rows() > 0 {
+            let rows = from.saturating_sub(base).min(delta.table.n_rows())..delta.table.n_rows();
+            if !rows.is_empty() {
                 // Same attrs over the same domains: grid, strides and
                 // storage kind all match the base counter by
                 // construction, so the merge cannot fail on shape.
-                counter.merge_from(&Counter::build(&delta.table, attrs, k)?)?;
+                counter.merge_from(&Counter::build_range(&delta.table, attrs, k, rows)?)?;
             }
         }
         Ok(counter)
@@ -432,60 +520,29 @@ impl ScoreEstimator {
     /// bit-identical to the table-scan inference over the (concatenated)
     /// table in both cases, because the pass emits the same integers.
     pub(crate) fn infer_order(&self, attr: AttrId) -> Result<Vec<Value>> {
-        let card = self
-            .table
-            .schema()
-            .cardinality(attr)
-            .map_err(LewisError::from)?;
-        let counter = self.counting_pass(&[attr, self.pred], &Context::empty())?;
-        let stats = Self::order_stats_from(&counter, card, self.positive);
+        let stats = self.order_stats_since(attr, 0)?;
         Ok(crate::ordering::infer_value_order_from_stats(&stats))
     }
 
-    /// Per-value `(rows, positives)` of `attr` over the **base** table
-    /// only (index-accelerated when an index is installed). Base stats
-    /// are append-invariant, so a live engine computes them once and
-    /// merges each batch's [`ScoreEstimator::delta_order_stats`] on top
-    /// — integer addition, identical to re-counting the concatenated
-    /// table from scratch.
-    pub(crate) fn base_order_stats(&self, attr: AttrId) -> Result<Vec<(u64, u64)>> {
+    /// Per-value `(rows, positives)` of `attr` over the logical rows
+    /// `from..` — the integers value orders rank by. A live engine keeps
+    /// running totals and adds just the appended rows' stats per batch:
+    /// integer addition, identical to re-counting every row.
+    pub(crate) fn order_stats_since(&self, attr: AttrId, from: usize) -> Result<Vec<(u64, u64)>> {
         let card = self
             .table
             .schema()
             .cardinality(attr)
             .map_err(LewisError::from)?;
-        let counter = self.base_counting_pass(&[attr, self.pred], &Context::empty())?;
-        Ok(Self::order_stats_from(&counter, card, self.positive))
-    }
-
-    /// Per-value `(rows, positives)` of `attr` over the delta shard only
-    /// (all zeros without one) — one scan of just the appended rows.
-    pub(crate) fn delta_order_stats(&self, attr: AttrId) -> Result<Vec<(u64, u64)>> {
-        let card = self
-            .table
-            .schema()
-            .cardinality(attr)
-            .map_err(LewisError::from)?;
-        match self.delta.as_ref().filter(|d| d.table.n_rows() > 0) {
-            None => Ok(vec![(0, 0); card]),
-            Some(delta) => {
-                let counter = Counter::build(&delta.table, &[attr, self.pred], &Context::empty())?;
-                Ok(Self::order_stats_from(&counter, card, self.positive))
-            }
-        }
-    }
-
-    /// Collect `(rows, positives)` per value of the first grouped
-    /// attribute from an `(attr, pred)` counter.
-    fn order_stats_from(counter: &Counter, card: usize, positive: Value) -> Vec<(u64, u64)> {
-        (0..card as Value)
+        let counter = self.counting_pass_since(&[attr, self.pred], &Context::empty(), from)?;
+        Ok((0..card as Value)
             .map(|v| {
                 (
                     counter.marginal_count(&[Some(v), None]),
-                    counter.count(&[v, positive]),
+                    counter.count(&[v, self.positive]),
                 )
             })
-            .collect()
+            .collect())
     }
 
     /// The labelled table.
@@ -631,8 +688,16 @@ impl ScoreEstimator {
             .map(|(xs, members)| {
                 let c_set = self.adjustment_set(xs, k);
                 let arms: Result<Arc<ArmTable>> = match cache {
-                    Some(cache) => cache
-                        .get_or_build(xs, k, &c_set, || self.build_arm_table(&c_set, xs, k, None)),
+                    Some(cache) => {
+                        cache.get_or_count(xs, k, &c_set, self.n_total_rows(), |resident| {
+                            match resident {
+                                None => self.build_arm_table(&c_set, xs, k, None),
+                                Some((arms, from)) => {
+                                    self.top_up_arm_table(arms, from, &c_set, xs, k)
+                                }
+                            }
+                        })
+                    }
                     None => self.build_arm_table(&c_set, xs, k, None).map(Arc::new),
                 };
                 match arms {
@@ -698,17 +763,49 @@ impl ScoreEstimator {
         k: &Context,
         keep: Option<(&[Value], &[Value])>,
     ) -> Result<ArmTable> {
-        let mut attrs: Vec<AttrId> = c_set.to_vec();
-        attrs.extend(xs);
-        attrs.push(self.pred);
-        let counter = self.counting_pass(&attrs, k)?;
+        let counter = self.counting_pass(&self.pass_attrs(c_set, xs), k)?;
         if counter.total() == 0 {
             return Err(LewisError::Unsupported(
                 "no rows match the context; relax the context or add data".into(),
             ));
         }
-        let nc = c_set.len();
-        let nx = xs.len();
+        Ok(self.arms_from_counter(&counter, c_set.len(), xs.len(), keep))
+    }
+
+    /// `arms`, a pass over the first `from` logical rows, topped up with
+    /// the rows after them: one pass over just those rows, merged in.
+    /// The result equals [`ScoreEstimator::build_arm_table`] over every
+    /// row exactly. A top-up that matches no new row returns `arms`
+    /// unchanged rather than an error.
+    pub(crate) fn top_up_arm_table(
+        &self,
+        arms: &ArmTable,
+        from: usize,
+        c_set: &[AttrId],
+        xs: &[AttrId],
+        k: &Context,
+    ) -> Result<ArmTable> {
+        let counter = self.counting_pass_since(&self.pass_attrs(c_set, xs), k, from)?;
+        Ok(arms.merged(&self.arms_from_counter(&counter, c_set.len(), xs.len(), None)))
+    }
+
+    /// The attributes an arm-table pass groups by: `(C…, X…, pred)`.
+    fn pass_attrs(&self, c_set: &[AttrId], xs: &[AttrId]) -> Vec<AttrId> {
+        let mut attrs: Vec<AttrId> = c_set.to_vec();
+        attrs.extend(xs);
+        attrs.push(self.pred);
+        attrs
+    }
+
+    /// Aggregate a `(C…, X…, pred)` counter per adjustment cell and per
+    /// `x`-arm, frozen into sorted vectors.
+    fn arms_from_counter(
+        &self,
+        counter: &Counter,
+        nc: usize,
+        nx: usize,
+        keep: Option<(&[Value], &[Value])>,
+    ) -> ArmTable {
         let o = self.positive;
         #[derive(Default)]
         struct CellAcc {
@@ -747,10 +844,10 @@ impl ScoreEstimator {
             })
             .collect();
         cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(ArmTable {
+        ArmTable {
             cells,
             total: counter.total(),
-        })
+        }
     }
 
     /// The eq. 19–21 estimates for one `hi` vs `lo` contrast, read off a

@@ -9,232 +9,78 @@
 //! fitted coefficients here and rebuilds the per-row generator from
 //! warm coefficients in microseconds.
 //!
-//! Properties mirror [`crate::cache`]'s counting cache:
+//! The cache is the same bounded LRU as [`crate::cache`]'s counting
+//! cache, with the same properties:
 //! * **bit-identical results** — a hit returns the very
 //!   [`SurrogateFit`] a cold fit would have produced (the grouped
 //!   Newton fit depends only on the multiset of rows, not on shard
 //!   count or row order), so cached recourse equals uncached recourse
 //!   bit for bit;
+//! * **refit from a row watermark** — each entry keeps the grouped
+//!   [`Patterns`] its fit came from and the logical row count (base +
+//!   delta) they cover. Once a live engine has grown past it, the next
+//!   lookup is a miss that groups only the appended rows, merges them
+//!   into the kept patterns and reruns Newton over the merge — the same
+//!   coefficients a cold fit over every row gives;
 //! * **bounded** — at most `capacity` entries, evicting the least
 //!   recently used;
 //! * **thread-safe** — a single mutex guards the map; the fit itself
 //!   runs outside the lock, so concurrent misses fit in parallel (a
 //!   rare duplicate fit inserts an equivalent surrogate — harmless);
-//! * **exportable** — entries round-trip through engine snapshots and
+//! * **exportable** — fits round-trip through engine snapshots and
 //!   `.lewis` packs (format v6; fits from older packs are dropped and
 //!   refit lazily), so a restored server answers recourse from warm
-//!   coefficients without refitting.
+//!   coefficients without refitting. Patterns are not persisted: a
+//!   restored fit's first refit regroups every row once.
 
-use crate::cache::CacheStats;
+use crate::cache::Lru;
 use crate::recourse::SurrogateFit;
 use crate::Result;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tabular::{AttrId, FxHashMap};
+use ml::Patterns;
+use std::sync::Arc;
+use tabular::AttrId;
 
-/// The bounded LRU map itself. Keyed by the exact *ordered* actionable
-/// set — the order fixes the surrogate's coefficient layout, so two
-/// orderings of the same attributes are distinct (and both valid)
-/// entries. Interior-mutable so the engine can stay `&self` everywhere.
-pub(crate) struct SurrogateCache {
-    inner: Mutex<SurrogateInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// A resident fit and the grouped rows it came from; the patterns are
+/// `None` for a fit restored from a snapshot, whose next refit regroups
+/// from row 0.
+pub(crate) type Fitted = (Arc<SurrogateFit>, Option<Arc<Patterns>>);
 
-/// `export`'s payload: lifetime hits, lifetime misses, and the resident
-/// **fresh** fits least-recently-touched first.
-pub(crate) type SurrogateExport = (u64, u64, Vec<(Vec<AttrId>, Arc<SurrogateFit>)>);
-
-/// [`SurrogateCache::export_full`]'s payload: like [`SurrogateExport`]
-/// but carrying every entry with its staleness flag — the live-table
-/// hand-off between engine generations.
-pub(crate) type SurrogateFullExport = (u64, u64, Vec<(Vec<AttrId>, bool, Arc<SurrogateFit>)>);
-
-/// One resident fit with its recency stamp and staleness.
-struct SurrogateSlot {
-    /// Last-touched stamp (monotone, drives LRU eviction).
-    touched: u64,
-    /// A stale fit was trained before rows were appended: the key stays
-    /// resident (the actionable set is known traffic) but the next
-    /// lookup refits over the live rows instead of answering from it.
-    stale: bool,
-    fit: Arc<SurrogateFit>,
-}
-
-#[derive(Default)]
-struct SurrogateInner {
-    map: FxHashMap<Vec<AttrId>, SurrogateSlot>,
-    /// Monotone counter driving LRU recency.
-    stamp: u64,
-}
+/// The surrogate cache, keyed by the exact *ordered* actionable set —
+/// the order fixes the surrogate's coefficient layout, so two orderings
+/// of the same attributes are distinct (and both valid) entries.
+pub(crate) type SurrogateCache = Lru<Vec<AttrId>, Fitted>;
 
 impl SurrogateCache {
-    /// An empty cache holding at most `capacity` fits (`capacity` is
-    /// clamped to at least 1 — a zero-size cache would still be correct
-    /// but would turn every lookup into a miss plus bookkeeping).
-    pub(crate) fn new(capacity: usize) -> Self {
-        SurrogateCache {
-            inner: Mutex::new(SurrogateInner::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Return the cached fit for `actionable` or run `build` and cache
-    /// its result. A **stale** resident entry is treated as a miss: the
-    /// refit runs outside the lock and replaces the entry fresh (the
-    /// fit is a pure function of the live rows, so a concurrent refit
-    /// inserts the identical coefficients — harmless). Errors are
-    /// returned without being cached, so an invalid actionable set does
-    /// not poison later lookups.
-    pub(crate) fn get_or_build(
+    /// The fit for `actionable` over the first `rows` logical rows. A
+    /// resident fit over exactly `rows` rows is a hit. Otherwise it is a
+    /// miss and `fit` runs outside the lock: with `Some((patterns, w))`
+    /// when the resident entry kept the patterns of its first `w < rows`
+    /// rows (group rows `w..rows` and merge), with `None` for a full
+    /// fit. The result replaces the entry (the fit is a pure function
+    /// of the live rows, so a concurrent refit inserts the identical
+    /// coefficients — harmless). Errors are returned without being
+    /// cached, so an invalid actionable set does not poison later
+    /// lookups.
+    pub(crate) fn get_or_fit(
         &self,
         actionable: &[AttrId],
-        build: impl FnOnce() -> Result<SurrogateFit>,
+        rows: usize,
+        fit: impl FnOnce(Option<(&Patterns, usize)>) -> Result<(SurrogateFit, Patterns)>,
     ) -> Result<Arc<SurrogateFit>> {
-        {
-            let mut inner = self.inner.lock().expect("surrogate cache lock");
-            inner.stamp += 1;
-            let stamp = inner.stamp;
-            if let Some(slot) = inner.map.get_mut(actionable) {
-                if !slot.stale {
-                    slot.touched = stamp;
-                    let fit = Arc::clone(&slot.fit);
-                    drop(inner);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(fit);
-                }
+        let kept = match self.touch(actionable, rows) {
+            Some(((fit, _), watermark)) if watermark == rows => {
+                self.hit();
+                return Ok(fit);
             }
-        }
-        // Miss (or stale): fit outside the lock so queries keep flowing.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fit = Arc::new(build()?);
-        let mut inner = self.inner.lock().expect("surrogate cache lock");
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        inner.map.insert(
-            actionable.to_vec(),
-            SurrogateSlot {
-                touched: stamp,
-                stale: false,
-                fit: Arc::clone(&fit),
-            },
-        );
-        while inner.map.len() > self.capacity {
-            let oldest = inner
-                .map
-                // lint:allow(ordered-iteration): recency stamps are a unique monotone counter, so min_by_key has one answer in any visit order
-                .iter()
-                .min_by_key(|(_, slot)| slot.touched)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over capacity");
-            inner.map.remove(&oldest);
-        }
-        Ok(fit)
-    }
-
-    /// Current counters and occupancy (same shape as the counting
-    /// cache's stats, so `/metrics` reports both uniformly).
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("surrogate cache lock").map.len(),
-            capacity: self.capacity,
-        }
-    }
-
-    /// Export the resident **fresh** fits in recency order (least
-    /// recently touched first) together with the lifetime counters —
-    /// the payload of an engine snapshot. Stale fits are omitted: they
-    /// describe rows that no longer exist alone, and a restored engine
-    /// refits them lazily (deterministically, to the same coefficients
-    /// a resident refit would produce). The `Arc`s are shared, not
-    /// copied.
-    pub(crate) fn export(&self) -> SurrogateExport {
-        let (hits, misses, entries) = self.export_full();
-        (
-            hits,
-            misses,
-            entries
-                .into_iter()
-                .filter(|(_, stale, _)| !stale)
-                .map(|(k, _, f)| (k, f))
-                .collect(),
-        )
-    }
-
-    /// Export every resident fit — fresh and stale — in recency order,
-    /// the hand-off between live-engine generations ([`crate::Engine`]'s
-    /// delta overlay and compaction paths carry staleness across).
-    pub(crate) fn export_full(&self) -> SurrogateFullExport {
-        let inner = self.inner.lock().expect("surrogate cache lock");
-        let mut entries: Vec<(u64, Vec<AttrId>, bool, Arc<SurrogateFit>)> = inner
-            .map
-            // lint:allow(ordered-iteration): the collected entries are sorted by their unique recency stamp below, erasing the hash visit order
-            .iter()
-            .map(|(k, slot)| (slot.touched, k.clone(), slot.stale, Arc::clone(&slot.fit)))
-            .collect();
-        entries.sort_by_key(|(touched, _, _, _)| *touched);
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            entries.into_iter().map(|(_, k, s, f)| (k, s, f)).collect(),
-        )
-    }
-
-    /// Rebuild a cache from exported state, everything fresh. `entries`
-    /// must be in recency order (as produced by
-    /// [`SurrogateCache::export`]): they are re-stamped in sequence, so
-    /// LRU eviction behaves exactly as in the donor. Entries beyond
-    /// `capacity` evict from the front, mirroring what the donor's own
-    /// bound would have kept.
-    pub(crate) fn restore(
-        capacity: usize,
-        hits: u64,
-        misses: u64,
-        entries: Vec<(Vec<AttrId>, Arc<SurrogateFit>)>,
-    ) -> Self {
-        Self::restore_full(
-            capacity,
-            hits,
-            misses,
-            entries.into_iter().map(|(k, f)| (k, false, f)).collect(),
-        )
-    }
-
-    /// [`SurrogateCache::restore`] with per-entry staleness — the
-    /// live-table hand-off. A stale entry keeps its key resident (and
-    /// its LRU position) but answers the next lookup by refitting.
-    pub(crate) fn restore_full(
-        capacity: usize,
-        hits: u64,
-        misses: u64,
-        entries: Vec<(Vec<AttrId>, bool, Arc<SurrogateFit>)>,
-    ) -> Self {
-        let cache = SurrogateCache::new(capacity);
-        {
-            let mut inner = cache.inner.lock().expect("surrogate cache lock");
-            let keep = entries.len().saturating_sub(cache.capacity);
-            for (key, stale, fit) in entries.into_iter().skip(keep) {
-                inner.stamp += 1;
-                let stamp = inner.stamp;
-                inner.map.insert(
-                    key,
-                    SurrogateSlot {
-                        touched: stamp,
-                        stale,
-                        fit,
-                    },
-                );
-            }
-        }
-        cache.hits.store(hits, Ordering::Relaxed);
-        cache.misses.store(misses, Ordering::Relaxed);
-        cache
+            Some(((_, patterns), watermark)) => patterns.map(|p| (p, watermark)),
+            None => None,
+        };
+        self.miss();
+        let (fitted, patterns) = fit(kept.as_ref().map(|(p, w)| (&**p, *w)))?;
+        let fitted = Arc::new(fitted);
+        let value = (Arc::clone(&fitted), Some(Arc::new(patterns)));
+        self.insert(actionable.to_vec(), value, rows);
+        Ok(fitted)
     }
 }
 
@@ -243,21 +89,33 @@ mod tests {
     use super::*;
     use crate::LewisError;
 
-    fn fit_of(v: f64) -> SurrogateFit {
-        SurrogateFit {
+    /// A fit with every coefficient `v`, and the (empty) patterns it
+    /// claims to come from.
+    fn fit_of(v: f64) -> Result<(SurrogateFit, Patterns)> {
+        let design = ml::OneHotDesign {
+            width: 3,
+            blocks: vec![ml::OneHotBlock {
+                offset: 0,
+                cardinality: 3,
+            }],
+            ordinals: Vec::new(),
+            segments: Vec::new(),
+        };
+        let fit = SurrogateFit {
             intercept: v,
             coefficients: vec![v; 3],
             orders: vec![vec![0, 1, 2]],
-        }
+        };
+        Ok((fit, design.patterns().expect("a valid layout")))
     }
 
     #[test]
     fn hit_returns_same_fit_and_counts() {
         let cache = SurrogateCache::new(8);
         let key = vec![AttrId(1), AttrId(2)];
-        let a = cache.get_or_build(&key, || Ok(fit_of(1.0))).unwrap();
+        let a = cache.get_or_fit(&key, 10, |_| fit_of(1.0)).unwrap();
         let b = cache
-            .get_or_build(&key, || panic!("must not refit on a hit"))
+            .get_or_fit(&key, 10, |_| panic!("must not refit on a hit"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hit must return the cached fit");
         let s = cache.stats();
@@ -270,10 +128,10 @@ mod tests {
         // must be resident, neither may answer for the other.
         let cache = SurrogateCache::new(8);
         cache
-            .get_or_build(&[AttrId(1), AttrId(2)], || Ok(fit_of(1.0)))
+            .get_or_fit(&[AttrId(1), AttrId(2)], 10, |_| fit_of(1.0))
             .unwrap();
         let b = cache
-            .get_or_build(&[AttrId(2), AttrId(1)], || Ok(fit_of(2.0)))
+            .get_or_fit(&[AttrId(2), AttrId(1)], 10, |_| fit_of(2.0))
             .unwrap();
         assert_eq!(b.intercept, 2.0, "reversed set must fit fresh");
         assert_eq!(cache.stats().entries, 2);
@@ -284,7 +142,7 @@ mod tests {
         let cache = SurrogateCache::new(2);
         for v in 0..4u32 {
             cache
-                .get_or_build(&[AttrId(v)], || Ok(fit_of(f64::from(v))))
+                .get_or_fit(&[AttrId(v)], 10, |_| fit_of(f64::from(v)))
                 .unwrap();
         }
         let s = cache.stats();
@@ -292,10 +150,10 @@ mod tests {
         assert_eq!(s.misses, 4);
         // the two newest keys survive
         cache
-            .get_or_build(&[AttrId(3)], || panic!("3 must be resident"))
+            .get_or_fit(&[AttrId(3)], 10, |_| panic!("3 must be resident"))
             .unwrap();
         cache
-            .get_or_build(&[AttrId(2)], || panic!("2 must be resident"))
+            .get_or_fit(&[AttrId(2)], 10, |_| panic!("2 must be resident"))
             .unwrap();
     }
 
@@ -303,7 +161,9 @@ mod tests {
     fn errors_are_not_cached() {
         let cache = SurrogateCache::new(2);
         for _ in 0..2 {
-            let r = cache.get_or_build(&[AttrId(0)], || Err(LewisError::Invalid("bad set".into())));
+            let r = cache.get_or_fit(&[AttrId(0)], 10, |_| {
+                Err(LewisError::Invalid("bad set".into()))
+            });
             assert!(r.is_err());
         }
         let s = cache.stats();
@@ -316,14 +176,14 @@ mod tests {
         let cache = SurrogateCache::new(4);
         for v in 0..3u32 {
             cache
-                .get_or_build(&[AttrId(v)], || Ok(fit_of(f64::from(v))))
+                .get_or_fit(&[AttrId(v)], 10, |_| fit_of(f64::from(v)))
                 .unwrap();
         }
         // touch 0 so it becomes most recent
         cache
-            .get_or_build(&[AttrId(0)], || panic!("resident"))
+            .get_or_fit(&[AttrId(0)], 10, |_| panic!("resident"))
             .unwrap();
-        let (hits, misses, entries) = cache.export();
+        let (hits, misses, entries) = cache.export(10);
         assert_eq!((hits, misses), (1, 3));
         let keys: Vec<_> = entries.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(
@@ -332,47 +192,60 @@ mod tests {
             "least recently touched first"
         );
         // restoring into a smaller cache keeps the most recent entries
-        let small = SurrogateCache::restore(2, hits, misses, entries);
+        let small = SurrogateCache::restore(2, hits, misses, entries, 10);
         assert_eq!(small.stats().entries, 2);
         small
-            .get_or_build(&[AttrId(0)], || panic!("most recent must survive"))
+            .get_or_fit(&[AttrId(0)], 10, |_| panic!("most recent must survive"))
             .unwrap();
         small
-            .get_or_build(&[AttrId(2)], || panic!("second most recent must survive"))
+            .get_or_fit(&[AttrId(2)], 10, |_| {
+                panic!("second most recent must survive")
+            })
             .unwrap();
     }
 
     #[test]
-    fn stale_entries_refit_in_place_and_stay_resident() {
+    fn grown_lookups_refit_from_the_kept_patterns_and_stay_resident() {
         let cache = SurrogateCache::new(4);
         for v in 0..2u32 {
             cache
-                .get_or_build(&[AttrId(v)], || Ok(fit_of(f64::from(v))))
+                .get_or_fit(&[AttrId(v)], 10, |_| fit_of(f64::from(v)))
                 .unwrap();
         }
-        // mark everything stale, as an append does
-        let (hits, misses, entries) = cache.export_full();
-        let stale = SurrogateCache::restore_full(
-            4,
-            hits,
-            misses,
-            entries.into_iter().map(|(k, _, f)| (k, true, f)).collect(),
-        );
-        assert_eq!(stale.stats().entries, 2, "keys stay resident");
-        // a stale lookup refits (a miss) and replaces the entry fresh
-        let refit = stale
-            .get_or_build(&[AttrId(0)], || Ok(fit_of(10.0)))
+        // the next generation of a live engine carries every entry
+        let next = cache.carried();
+        assert_eq!(next.stats(), cache.stats(), "keys and counters carry");
+        // a lookup over more rows is a miss that is handed the kept
+        // patterns and their watermark, then replaces the entry
+        let refit = next
+            .get_or_fit(&[AttrId(0)], 14, |kept| {
+                assert_eq!(kept.map(|(_, w)| w), Some(10), "refit from row 10");
+                fit_of(10.0)
+            })
             .unwrap();
-        assert_eq!(refit.intercept, 10.0, "stale entry must refit");
-        stale
-            .get_or_build(&[AttrId(0)], || panic!("refit entry is fresh"))
+        assert_eq!(refit.intercept, 10.0);
+        next.get_or_fit(&[AttrId(0)], 14, |_| panic!("refit entry covers 14 rows"))
             .unwrap();
-        // snapshots carry only fresh fits; full exports carry both
-        let (_, _, fresh) = stale.export();
-        assert_eq!(fresh.len(), 1, "stale fit of AttrId(1) is omitted");
-        assert_eq!(fresh[0].0, vec![AttrId(0)]);
-        let (_, _, full) = stale.export_full();
-        assert_eq!(full.len(), 2);
-        assert!(full.iter().any(|(k, s, _)| k == &[AttrId(1)] && *s));
+        assert_eq!((next.stats().hits, next.stats().misses), (1, 3));
+        assert_eq!(next.stats().entries, 2, "keys stay resident");
+        // snapshots carry only fits over every row
+        let (_, _, current) = next.export(14);
+        assert_eq!(current.len(), 1, "the fit of AttrId(1) covers 10 rows");
+        assert_eq!(current[0].0, vec![AttrId(0)]);
+        // a fit restored from a snapshot has no patterns: its first
+        // refit starts at row 0
+        let (hits, misses, entries) = next.export(14);
+        let entries = entries.into_iter().map(|(k, (f, _))| (k, (f, None)));
+        let restored = SurrogateCache::restore(4, hits, misses, entries.collect(), 14);
+        restored
+            .get_or_fit(&[AttrId(0)], 20, |kept| {
+                assert!(kept.is_none(), "no patterns survive a snapshot");
+                fit_of(20.0)
+            })
+            .unwrap();
+        // the donor generation is untouched
+        cache
+            .get_or_fit(&[AttrId(0)], 10, |_| panic!("donor still covers 10 rows"))
+            .unwrap();
     }
 }

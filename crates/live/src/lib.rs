@@ -15,10 +15,12 @@
 //!   against the live view answers byte-for-byte what a cold build over
 //!   the concatenated table would answer (property-tested in
 //!   `tests/live_parity.rs` at the workspace root);
-//! - the counting-pass cache is invalidated *precisely* — only passes
-//!   whose context matches an appended row go cold — and fitted
-//!   recourse surrogates are marked stale rather than flushed, so their
-//!   keys refit lazily instead of vanishing;
+//! - nothing cached is invalidated: every cached counting pass and
+//!   fitted recourse surrogate carries a **row watermark**, the logical
+//!   row count it covers, and the next lookup past it tops the pass up
+//!   with just the rows appended since (or regroups just those rows into
+//!   the fit's kept patterns) — exact integer merges, so the answer
+//!   equals a cold build's;
 //! - once the delta grows past a row threshold, a **background
 //!   compactor** folds it into the sharded base behind an atomic
 //!   [`Arc<Engine>`] swap. Readers never block on compaction and never
@@ -74,13 +76,14 @@
 //!
 //! ## Concurrency model
 //!
-//! One mutex guards the writer state (the engine handle, the growing
-//! delta table, the compacting flag). Appends serialise on it; readers
-//! touch it only long enough to clone an [`Arc<Engine>`], then query
-//! entirely lock-free on an immutable engine generation. The expensive
-//! part of compaction — [`Engine::compacted`], which rebuilds the
-//! folded table, shards and index — runs *outside* the lock; only the
-//! final pointer swap re-takes it.
+//! One mutex guards the writer state (the engine handle, whose delta
+//! overlay is the growing delta table, and the compacting flag).
+//! Appends serialise on it; readers touch it only long enough to clone
+//! an [`Arc<Engine>`], then query entirely lock-free on an immutable
+//! engine generation. The expensive part of compaction —
+//! [`Engine::compacted`], which rebuilds the folded table, shards and
+//! index — runs *outside* the lock; only the final pointer swap
+//! re-takes it.
 
 use lewis_core::{Engine, Result};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -88,18 +91,18 @@ use tabular::{Table, Value};
 
 /// Delta rows that trigger [`LiveEngine::maybe_spawn_compaction`].
 ///
-/// Appends are O(delta) thanks to incremental order statistics, so the
-/// threshold bounds both per-append latency and the overlay's memory;
-/// it is deliberately small next to the bases it shields.
+/// An append still copies the delta table once (the previous engine
+/// generation keeps reading the old copy); everything else it does is
+/// in proportion to the batch. The threshold bounds that copy, the
+/// overlay's memory and the row range a cache top-up scans; it is
+/// deliberately small next to the bases it shields.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 8192;
 
 /// Writer-side state, guarded by the one mutex in [`LiveEngine`].
 struct State {
-    /// The current engine generation; readers clone this handle.
+    /// The current engine generation; readers clone this handle. Its
+    /// delta overlay holds every row appended since its base froze.
     engine: Arc<Engine>,
-    /// Every row appended since `engine`'s base froze. Mirrors the
-    /// engine's delta overlay row-for-row; re-seeded at compaction.
-    delta: Table,
     /// A compaction fold is running outside the lock.
     compacting: bool,
 }
@@ -169,14 +172,9 @@ impl LiveEngine {
     /// from a mid-stream v5 pack): appending resumes from its watermark
     /// as if the process had never restarted.
     pub fn new(engine: Arc<Engine>) -> LiveEngine {
-        let delta = match engine.delta_table() {
-            Some(delta) => (**delta).clone(),
-            None => Table::new(engine.table().schema().clone()),
-        };
         LiveEngine {
             state: Mutex::new(State {
                 engine,
-                delta,
                 compacting: false,
             }),
             threshold: DEFAULT_COMPACTION_THRESHOLD,
@@ -223,10 +221,9 @@ impl LiveEngine {
     /// The batch is validated in full — arity and domain of every row —
     /// before any row lands; on error the table is untouched. On
     /// success the swapped-in engine generation answers every query
-    /// kind exactly as a cold build over the concatenated table would,
-    /// with only the counting passes an appended row actually matches
-    /// invalidated and every fitted surrogate kept resident (stale,
-    /// refit on next use).
+    /// kind exactly as a cold build over the concatenated table would.
+    /// Cached counting passes and surrogate fits stay resident; each is
+    /// topped up with the new rows on its next use.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<AppendReceipt> {
         let mut st = recover(self.state.lock());
         if rows.is_empty() {
@@ -240,13 +237,14 @@ impl LiveEngine {
         }
         // Grow a copy first: push_row validates arity and domain, and
         // an error leaves the published state untouched (atomicity).
-        let mut grown = st.delta.clone();
+        let mut grown = match st.engine.delta_table() {
+            Some(delta) => (**delta).clone(),
+            None => Table::new(st.engine.table().schema().clone()),
+        };
         for row in rows {
             grown.push_row(row)?;
         }
-        let next = st.engine.with_delta(Arc::new(grown.clone()), rows)?;
-        st.delta = grown;
-        st.engine = Arc::new(next);
+        st.engine = Arc::new(st.engine.with_delta(Arc::new(grown))?);
         let total = st.engine.total_rows();
         Ok(AppendReceipt {
             appended: rows.len(),
@@ -261,9 +259,9 @@ impl LiveEngine {
     /// The fold itself runs without the writer lock, so appends and
     /// reads proceed while it works; the result is published with one
     /// atomic handle swap. Rows appended mid-fold become the next
-    /// delta, with exactly the cache invalidation and surrogate
-    /// staleness their append already implied. Answers never change
-    /// across a fold — same logical rows, same integers.
+    /// delta. Answers never change across a fold — same logical rows in
+    /// the same order, same integers — so cached passes and fits carry
+    /// over with their row watermarks.
     ///
     /// If another fold is already in flight the call is a no-op and the
     /// receipt says `skipped`.
@@ -290,24 +288,18 @@ impl LiveEngine {
         let folded = folded?;
 
         // Rows appended while the fold ran are the tail of the delta
-        // beyond what we folded; they seed the next delta. Passing them
-        // as `appended` re-applies their cache invalidation and
-        // surrogate staleness on top of the folded engine's carried
-        // state (the folded engine only knows about the first
-        // `folded_rows` delta rows).
-        let mut remaining = Table::new(st.delta.schema().clone());
-        let mut appended_meanwhile = Vec::new();
-        for r in folded_rows..st.delta.n_rows() {
-            let row = st.delta.row(r)?;
-            remaining.push_row(&row)?;
-            appended_meanwhile.push(row);
-        }
-        let next = if appended_meanwhile.is_empty() {
-            folded
-        } else {
-            folded.with_delta(Arc::new(remaining.clone()), &appended_meanwhile)?
+        // beyond what we folded; they seed the next delta.
+        let delta = st.engine.delta_table().filter(|d| d.n_rows() > folded_rows);
+        let next = match delta {
+            None => folded,
+            Some(delta) => {
+                let mut remaining = Table::new(delta.schema().clone());
+                for r in folded_rows..delta.n_rows() {
+                    remaining.push_row(&delta.row(r)?)?;
+                }
+                folded.with_delta(Arc::new(remaining))?
+            }
         };
-        st.delta = remaining;
         st.engine = Arc::new(next);
         Ok(CompactReceipt {
             folded_rows,

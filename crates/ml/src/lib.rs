@@ -38,7 +38,7 @@ pub use gbdt::GradientBoostedTrees;
 pub use linalg::Matrix;
 pub use linear::{
     DesignSegment, LinearRegression, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign,
-    OrdinalFeature,
+    OrdinalFeature, Patterns,
 };
 pub use nn::NeuralNetwork;
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor};

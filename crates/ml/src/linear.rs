@@ -208,14 +208,53 @@ impl LogisticRegression {
     /// table has few patterns (hundreds against hundreds of thousands of
     /// rows), so each iteration costs O(K), not O(rows).
     pub fn fit_onehot_newton(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> Result<Self> {
-        Self::newton_iterations(design, opts).map(|(model, _)| model)
+        Self::fit_patterns(design, &design.patterns()?, opts)
     }
 
-    /// [`LogisticRegression::fit_onehot_newton`] plus the number of
-    /// Newton steps it took.
-    fn newton_iterations(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> Result<(Self, usize)> {
+    /// The Newton/IRLS iterations of
+    /// [`LogisticRegression::fit_onehot_newton`] over rows that are
+    /// already grouped — for example the patterns of earlier rows
+    /// merged with those of the rows appended since
+    /// ([`Patterns::merge`]). `design` supplies only the layout (width,
+    /// blocks, ordinals); its segments are not read. Grouped patterns
+    /// depend only on the multiset of rows, so this fit is bit-identical
+    /// to grouping every row at once.
+    pub fn fit_patterns(
+        design: &OneHotDesign<'_>,
+        patterns: &Patterns,
+        opts: &NewtonOptions,
+    ) -> Result<Self> {
+        Self::newton_iterations(design, patterns, opts).map(|(model, _)| model)
+    }
+
+    /// [`LogisticRegression::fit_patterns`] plus the number of Newton
+    /// steps it took.
+    fn newton_iterations(
+        design: &OneHotDesign<'_>,
+        patterns: &Patterns,
+        opts: &NewtonOptions,
+    ) -> Result<(Self, usize)> {
         design.validate()?;
-        let patterns = design.patterns()?;
+        let cards = design.cardinalities();
+        if patterns.arity != cards.len() {
+            return Err(MlError::InvalidTrainingData(format!(
+                "patterns have {} columns, design has {}",
+                patterns.arity,
+                cards.len()
+            )));
+        }
+        if let Some(k) = (0..patterns.len()).find(|&k| {
+            patterns
+                .key(k)
+                .iter()
+                .zip(&cards)
+                .any(|(&v, &c)| v as usize >= c)
+        }) {
+            return Err(MlError::InvalidTrainingData(format!(
+                "pattern {:?} lies outside the design's cardinalities {cards:?}",
+                patterns.key(k)
+            )));
+        }
         let n_rows: u64 = patterns.rows.iter().sum();
         if n_rows == 0 {
             return Err(MlError::InvalidTrainingData("design has no rows".into()));
@@ -417,6 +456,16 @@ impl OneHotDesign<'_> {
         Ok(())
     }
 
+    /// Per-column cardinalities in design order: one-hot blocks, then
+    /// ordinal features.
+    fn cardinalities(&self) -> Vec<usize> {
+        self.blocks
+            .iter()
+            .map(|b| b.cardinality)
+            .chain(self.ordinals.iter().map(|o| o.cardinality))
+            .collect()
+    }
+
     /// Dense feature vector of row `r`, counting across segments
     /// (test/debug helper; the fit itself never materializes rows).
     pub fn dense_row(&self, mut r: usize) -> Vec<f64> {
@@ -447,13 +496,9 @@ impl OneHotDesign<'_> {
     /// rows and positives per pattern, which are then put in
     /// lexicographic key order — so the result depends only on the
     /// multiset of rows, not on their order or segment split.
-    fn patterns(&self) -> Result<Patterns> {
-        let cards: Vec<usize> = self
-            .blocks
-            .iter()
-            .map(|b| b.cardinality)
-            .chain(self.ordinals.iter().map(|o| o.cardinality))
-            .collect();
+    pub fn patterns(&self) -> Result<Patterns> {
+        self.validate()?;
+        let cards = self.cardinalities();
         let mut prefix = vec![0usize; self.n_rows()];
         // `(segment, row)` of the first row of each prefix group; with
         // no columns at all the one group's (empty) key is never read
@@ -512,8 +557,11 @@ impl OneHotDesign<'_> {
 
 /// Distinct rows of a design — keys of `arity` values (one-hot codes,
 /// then ordinal values) — in strictly ascending lexicographic key order,
-/// each with its row count and positive-label count.
-struct Patterns {
+/// each with its row count and positive-label count: the sufficient
+/// statistics of [`LogisticRegression::fit_patterns`]. Built by
+/// [`OneHotDesign::patterns`] and combined by [`Patterns::merge`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Patterns {
     arity: usize,
     /// `len() × arity` values, key after key.
     keys: Vec<u32>,
@@ -528,6 +576,61 @@ impl Patterns {
 
     fn key(&self, k: usize) -> &[u32] {
         &self.keys[k * self.arity..(k + 1) * self.arity]
+    }
+
+    fn push(&mut self, key: &[u32], rows: u64, positives: u64) {
+        self.keys.extend_from_slice(key);
+        self.rows.push(rows);
+        self.positives.push(positives);
+    }
+
+    /// The patterns of two sets of rows together: a sorted merge that
+    /// adds the counts of equal keys. Integer addition in key order, so
+    /// the result equals grouping the concatenated rows exactly.
+    pub fn merge(&self, other: &Patterns) -> Result<Patterns> {
+        if self.arity != other.arity {
+            return Err(MlError::InvalidTrainingData(format!(
+                "cannot merge patterns of {} and {} columns",
+                self.arity, other.arity
+            )));
+        }
+        let capacity = self.len() + other.len();
+        let mut out = Patterns {
+            arity: self.arity,
+            keys: Vec::with_capacity(capacity * self.arity),
+            rows: Vec::with_capacity(capacity),
+            positives: Vec::with_capacity(capacity),
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < self.len() || j < other.len() {
+            let order = if i == self.len() {
+                std::cmp::Ordering::Greater
+            } else if j == other.len() {
+                std::cmp::Ordering::Less
+            } else {
+                self.key(i).cmp(other.key(j))
+            };
+            match order {
+                std::cmp::Ordering::Less => {
+                    out.push(self.key(i), self.rows[i], self.positives[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(other.key(j), other.rows[j], other.positives[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    out.push(
+                        self.key(i),
+                        self.rows[i] + other.rows[j],
+                        self.positives[i] + other.positives[j],
+                    );
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -924,7 +1027,8 @@ mod tests {
             let mut store = Vec::new();
             let design = world.design(&mut store, &order, order.len() / 3);
             let (model, iterations) =
-                LogisticRegression::newton_iterations(&design, &opts).unwrap();
+                LogisticRegression::newton_iterations(&design, &design.patterns().unwrap(), &opts)
+                    .unwrap();
             let (want, want_iterations) = dense_irls(&design, &opts);
             assert_eq!(iterations, want_iterations, "seed {seed}");
             let got: Vec<f64> = model
@@ -975,6 +1079,72 @@ mod tests {
                 assert_eq!(want, got, "seed {seed}, split at {split}");
             }
         }
+    }
+
+    #[test]
+    fn merged_patterns_of_any_two_way_split_equal_grouping_the_concatenation() {
+        let opts = NewtonOptions::default();
+        for seed in 0..8 {
+            let world = RandomDesign::new(200 + seed);
+            let n = world.ys.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut store = Vec::new();
+            let whole = world.design(&mut store, &order, n);
+            let want = whole.patterns().unwrap();
+            let cold = bits(&LogisticRegression::fit_onehot_newton(&whole, &opts).unwrap());
+            for split in [0, 1, rng.gen_range(0..n), n / 2, n - 1, n] {
+                let (mut head_store, mut tail_store) = (Vec::new(), Vec::new());
+                let head = world.design(&mut head_store, &order[..split], split);
+                let tail = world.design(&mut tail_store, &order[split..], 0);
+                let merged = head
+                    .patterns()
+                    .unwrap()
+                    .merge(&tail.patterns().unwrap())
+                    .unwrap();
+                assert_eq!(merged, want, "seed {seed}, split at {split}");
+                // merging is symmetric: the tail's patterns first, too
+                let swapped = tail
+                    .patterns()
+                    .unwrap()
+                    .merge(&head.patterns().unwrap())
+                    .unwrap();
+                assert_eq!(swapped, want, "seed {seed}, split at {split}");
+                let fit = LogisticRegression::fit_patterns(&head, &merged, &opts).unwrap();
+                assert_eq!(bits(&fit), cold, "seed {seed}, split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_patterns_are_typed_errors() {
+        let (cols, ys) = onehot_world(50);
+        let design = world_design(&cols, &ys);
+        let patterns = design.patterns().unwrap();
+        // a design with one column fewer cannot take these patterns
+        let mut narrow = design.clone();
+        narrow.ordinals.clear();
+        for seg in &mut narrow.segments {
+            seg.columns.pop();
+        }
+        let opts = NewtonOptions::default();
+        assert!(LogisticRegression::fit_patterns(&narrow, &patterns, &opts).is_err());
+        assert!(narrow.patterns().unwrap().merge(&patterns).is_err());
+        // nor a design whose cardinalities its keys exceed
+        let mut small = design.clone();
+        small.ordinals[0].cardinality = 2;
+        assert!(LogisticRegression::fit_patterns(&small, &patterns, &opts).is_err());
+        // an empty set of patterns has no rows to fit
+        let mut empty = design.clone();
+        empty.segments[0].labels = &ys[..0];
+        for col in &mut empty.segments[0].columns {
+            *col = &col[..0];
+        }
+        let no_rows = empty.patterns().unwrap();
+        assert!(LogisticRegression::fit_patterns(&design, &no_rows, &opts).is_err());
     }
 
     #[test]

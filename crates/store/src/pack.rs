@@ -1568,12 +1568,10 @@ mod tests {
     fn live_engine() -> Engine {
         let engine = tiny_engine();
         let mut delta = Table::new(engine.table().schema().clone());
-        let mut appended = Vec::new();
         for row in [[1, 1], [0, 0], [1, 0]] {
             delta.push_row(&row).unwrap();
-            appended.push(row.to_vec());
         }
-        engine.with_delta(Arc::new(delta), &appended).unwrap()
+        engine.with_delta(Arc::new(delta)).unwrap()
     }
 
     #[test]

@@ -3,17 +3,22 @@
 //! over the concatenated table — for all six built-in datasets, shard
 //! counts {1, 4}, bitmap index on and off, every query kind (global,
 //! contextual global, contextual, local, recourse, batch), with the
-//! counting-pass cache cold *and* warm, before and after compaction —
+//! counting-pass cache cold *and* warm, before and after compaction,
+//! with cached passes and surrogate fits topped up batch after batch —
 //! and a v5 pack saved mid-stream restores to an engine that resumes
 //! the same stream and still converges to the cold answer.
 //!
 //! Why this is exact (not approximate): appends maintain counts as
-//! integer base+delta sums merged in a fixed order, so the overlaid
-//! engine materializes literally the same `ArmTable` a contiguous scan
-//! of the concatenated table would, and compaction only re-derives that
-//! table. These tests are the fence around that argument.
+//! integer base+delta sums merged in a fixed order, and a cached pass
+//! (or a surrogate's grouped patterns) counted over the first `w` rows
+//! is topped up with rows `w..` by integer addition into sorted vectors,
+//! so the live engine materializes literally the same `ArmTable` a
+//! contiguous scan of the concatenated table would, and compaction only
+//! re-derives that table. These tests are the fence around that
+//! argument.
 
 use lewis_core::blackbox::label_table;
+use lewis_core::snapshot::PassSnapshot;
 use lewis_core::{Engine, ExplainRequest, ExplainResponse, LewisError, RecourseOptions};
 use lewis_live::LiveEngine;
 use lewis_serve::{wire, BUILTINS};
@@ -220,6 +225,76 @@ proptest! {
             "{} diverged after compaction (seed {})",
             name, seed
         );
+    }
+
+    /// The top-up property: with **every probe query warmed between
+    /// batches**, each append finds the probes' passes and surrogate fits
+    /// resident and tops them up with just the new rows — and a
+    /// compaction mid-stream, right after an unwarmed batch, leaves
+    /// passes to top up from inside the folded base. After every batch
+    /// the answers equal a cold build over the rows appended so far, and
+    /// at the end the live engine's current passes equal the cold
+    /// engine's, key for key.
+    #[test]
+    fn warm_passes_topped_up_across_appends_and_a_compaction_match_cold_builds(
+        seed in 0u64..10_000
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x70B5);
+        let (name, _) = BUILTINS[(seed as usize + 1) % BUILTINS.len()];
+        let shards = if seed % 2 == 0 { 1 } else { 4 };
+        let index = (seed / 2) % 2 == 0;
+        let total = rng.gen_range(120..200usize);
+        let appended = rng.gen_range(10..40usize);
+        let (full, graph, pred, features) = builtin_world(name, total, seed);
+        let total = full.n_rows();
+        let base_rows = total - appended;
+        let compact_at = base_rows + appended / 2;
+
+        let cold = build(full.clone(), &graph, pred, &features, shards, index);
+        let requests = probe_requests(&cold, seed);
+        let base = build(prefix(&full, base_rows), &graph, pred, &features, shards, index);
+        let live = LiveEngine::new(Arc::new(base));
+        let _ = sweep(&live.engine(), &requests);
+        let mut i = base_rows;
+        let mut compacted = false;
+        while i < total {
+            let batch = rng.gen_range(1..8usize).min(total - i);
+            let rows: Vec<Vec<Value>> = (i..i + batch).map(|r| full.row(r).unwrap()).collect();
+            live.append_rows(&rows).unwrap();
+            i += batch;
+            if !compacted && i >= compact_at {
+                prop_assert!(!live.compact().unwrap().skipped);
+                compacted = true;
+            }
+            // the global passes are resident: they are topped up, which
+            // counts as hits, never as full passes (other probes may
+            // miss: a local probe's backed-off context moves with the
+            // rows, and an unsupported context is never cached)
+            let engine = live.engine();
+            let before = engine.cache_stats();
+            let _ = engine.run(&ExplainRequest::Global);
+            prop_assert_eq!(engine.cache_stats().misses, before.misses);
+            prop_assert!(engine.cache_stats().hits > before.hits);
+            let got = sweep(&engine, &requests);
+            let want = sweep(
+                &build(prefix(&full, i), &graph, pred, &features, shards, index),
+                &requests,
+            );
+            prop_assert_eq!(
+                &want, &got,
+                "{} diverged at {} rows, {} shards, index {} (seed {})",
+                name, i, shards, index, seed
+            );
+        }
+        let _ = sweep(&cold, &requests);
+        let key = |p: &PassSnapshot| (p.xs.clone(), p.context.clone(), p.c_set.clone());
+        let cold_passes = cold.snapshot().cache.passes;
+        let live_passes = live.engine().snapshot().cache.passes;
+        prop_assert!(!live_passes.is_empty(), "the warm probes leave passes resident");
+        for pass in &live_passes {
+            let twin = cold_passes.iter().find(|c| key(c) == key(pass));
+            prop_assert_eq!(Some(pass), twin, "{} pass diverged (seed {})", name, seed);
+        }
     }
 
     /// A pack written mid-stream (v5 layout, stamped with the current
