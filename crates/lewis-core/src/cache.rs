@@ -33,10 +33,11 @@
 //! surrogates (see [`crate::surrogates`]).
 
 use crate::scores::ArmTable;
+use crate::surrogates::SurrogateCache;
 use crate::Result;
 use std::borrow::Borrow;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tabular::{AttrId, Context, FxHashMap};
 
@@ -61,13 +62,15 @@ pub(crate) struct PassKey {
 /// For counting passes, a lookup that tops a resident pass up with
 /// appended rows is a **hit**; a miss means a full pass over every row
 /// ran. For recourse surrogates, any refit — even one that groups only
-/// the appended rows — is a **miss**.
+/// the appended rows — is a **miss**; full fits are `misses - topped_up`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to run a full counting pass (or a fit).
     pub misses: u64,
+    /// Lookups that merged appended rows into a resident entry.
+    pub topped_up: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Maximum resident entries.
@@ -111,6 +114,7 @@ pub(crate) struct Lru<K, V> {
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    topped_up: AtomicU64,
 }
 
 struct LruInner<K, V> {
@@ -119,7 +123,6 @@ struct LruInner<K, V> {
     stamp: u64,
 }
 
-#[derive(Clone)]
 struct Slot<V> {
     /// Last-touched stamp (monotone, drives LRU eviction).
     touched: u64,
@@ -131,26 +134,54 @@ struct Slot<V> {
 /// The counting-pass cache: shared passes by key.
 pub(crate) type CountingCache = Lru<PassKey, Arc<ArmTable>>;
 
+/// The caches every generation of one live table shares, and the row
+/// count of its **head**, the one generation they may grow with. Every
+/// sharing generation thus serves a prefix of one row history, so an
+/// entry over rows `0..w` is exact for any of them with `w` rows or more.
+pub(crate) struct Caches {
+    pub(crate) passes: CountingCache,
+    pub(crate) surrogates: SurrogateCache,
+    head: AtomicUsize,
+}
+
+impl Caches {
+    /// The caches of a new table whose head has `rows` logical rows.
+    pub(crate) fn new(passes: CountingCache, surrogates: SurrogateCache, rows: usize) -> Arc<Self> {
+        let head = AtomicUsize::new(rows);
+        Arc::new(Caches {
+            passes,
+            surrogates,
+            head,
+        })
+    }
+
+    /// The caches for a child, over `child` rows, of a generation over
+    /// `parent` rows: these when the parent is the head (the child
+    /// becomes it), else empty ones — a fork may differ past `parent`.
+    pub(crate) fn extended(self: &Arc<Self>, parent: usize, child: usize) -> Arc<Self> {
+        let claimed = self
+            .head
+            .compare_exchange(parent, child, Ordering::SeqCst, Ordering::SeqCst);
+        if claimed.is_ok() {
+            return Arc::clone(self);
+        }
+        let (passes, surrogates) = (self.passes.capacity, self.surrogates.capacity);
+        Caches::new(Lru::new(passes), Lru::new(surrogates), child)
+    }
+}
+
 impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
     /// An empty cache holding at most `capacity` entries (`capacity` is
     /// clamped to at least 1 — a zero-size cache would still be correct
     /// but would turn every lookup into a miss plus bookkeeping).
     pub(crate) fn new(capacity: usize) -> Self {
-        Lru {
-            inner: Mutex::new(LruInner {
-                map: FxHashMap::default(),
-                stamp: 0,
-            }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Lru::restore(capacity, 0, 0, Vec::new(), 0)
     }
 
     /// The resident value for `key` and its watermark, marked most
     /// recently used — unless it is absent or counted over more than
-    /// `rows` rows (no engine generation serves fewer rows than an
-    /// entry it inherited, so that only guards a broken invariant).
+    /// `rows` rows, by a newer generation sharing the cache (the asking
+    /// generation counts its own; [`Lru::insert`] keeps the newer one).
     pub(crate) fn touch<Q>(&self, key: &Q, rows: usize) -> Option<(V, usize)>
     where
         K: Borrow<Q>,
@@ -192,14 +223,12 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         }
     }
 
-    /// Count one lookup answered from the cache.
-    pub(crate) fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one lookup that had to build its value.
-    pub(crate) fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    /// Count one lookup (a hit or a miss) and whether it topped up.
+    pub(crate) fn tally(&self, hit: bool, topped_up: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.topped_up
+            .fetch_add(u64::from(topped_up), Ordering::Relaxed);
     }
 
     /// Current counters and occupancy.
@@ -207,6 +236,7 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            topped_up: self.topped_up.load(Ordering::Relaxed),
             entries: self.inner.lock().expect("cache lock").map.len(),
             capacity: self.capacity,
         }
@@ -218,53 +248,32 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         self.inner.lock().expect("cache lock").map.clear();
     }
 
-    /// The resident slots in **recency order** (least recently touched
-    /// first).
-    fn slots(&self) -> Vec<(K, Slot<V>)> {
+    /// Export the entries counted over all `rows` logical rows in
+    /// recency order (least recently touched first), together with the
+    /// lifetime counters — the payload of an engine snapshot. Entries
+    /// over other row counts are omitted (a restored engine would take
+    /// them as complete, so it rebuilds them lazily instead). Values
+    /// are cloned handles, not copies.
+    pub(crate) fn export(&self, rows: usize) -> (u64, u64, Vec<(K, V)>) {
         let inner = self.inner.lock().expect("cache lock");
-        let mut slots: Vec<(K, Slot<V>)> = inner
+        let mut slots: Vec<(&K, &Slot<V>)> = inner
             .map
             // lint:allow(ordered-iteration): the collected entries are
             // sorted by their unique recency stamp two lines down, which
             // erases the hash visit order.
             .iter()
-            .map(|(k, slot)| (k.clone(), slot.clone()))
+            .filter(|(_, slot)| slot.watermark == rows)
             .collect();
         slots.sort_by_key(|(_, slot)| slot.touched);
-        slots
-    }
-
-    /// Export the entries counted over all `rows` logical rows in
-    /// recency order, together with the lifetime counters — the payload
-    /// of an engine snapshot. Entries over fewer rows are omitted (a
-    /// restored engine would take them as complete, so it rebuilds them
-    /// lazily instead). Values are cloned handles, not copies.
-    pub(crate) fn export(&self, rows: usize) -> (u64, u64, Vec<(K, V)>) {
+        let entries = slots
+            .into_iter()
+            .map(|(key, slot)| (key.clone(), slot.value.clone()))
+            .collect();
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-            self.slots()
-                .into_iter()
-                .filter(|(_, slot)| slot.watermark == rows)
-                .map(|(key, slot)| (key, slot.value))
-                .collect(),
+            entries,
         )
-    }
-
-    /// This cache, carried to the next generation of a live engine:
-    /// every entry with its watermark and recency, and the counters. The
-    /// next generation serves a superset of this one's logical rows in
-    /// the same order, so each entry stays a valid prefix to top up.
-    pub(crate) fn carried(&self) -> Self {
-        let cache = Lru::new(self.capacity);
-        cache.install(self.slots());
-        cache
-            .hits
-            .store(self.hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        cache
-            .misses
-            .store(self.misses.load(Ordering::Relaxed), Ordering::Relaxed);
-        cache
     }
 
     /// Rebuild a cache from exported state over `rows` logical rows.
@@ -280,34 +289,27 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         entries: Vec<(K, V)>,
         rows: usize,
     ) -> Self {
-        let cache = Lru::new(capacity);
-        cache.install(
-            entries
-                .into_iter()
-                .map(|(key, value)| {
-                    let slot = Slot {
-                        touched: 0,
-                        watermark: rows,
-                        value,
-                    };
-                    (key, slot)
-                })
-                .collect(),
-        );
-        cache.hits.store(hits, Ordering::Relaxed);
-        cache.misses.store(misses, Ordering::Relaxed);
-        cache
-    }
-
-    /// Insert `slots` (recency order) into this empty cache, re-stamped
-    /// in sequence and keeping the newest `capacity`.
-    fn install(&self, slots: Vec<(K, Slot<V>)>) {
-        let mut inner = self.inner.lock().expect("cache lock");
-        let keep = slots.len().saturating_sub(self.capacity);
-        for (key, mut slot) in slots.into_iter().skip(keep) {
+        let capacity = capacity.max(1);
+        let mut inner = LruInner {
+            map: FxHashMap::default(),
+            stamp: 0,
+        };
+        let keep = entries.len().saturating_sub(capacity);
+        for (key, value) in entries.into_iter().skip(keep) {
             inner.stamp += 1;
-            slot.touched = inner.stamp;
+            let slot = Slot {
+                touched: inner.stamp,
+                watermark: rows,
+                value,
+            };
             inner.map.insert(key, slot);
+        }
+        Lru {
+            inner: Mutex::new(inner),
+            capacity,
+            hits: AtomicU64::new(hits),
+            misses: AtomicU64::new(misses),
+            topped_up: AtomicU64::new(0),
         }
     }
 }
@@ -337,14 +339,14 @@ impl CountingCache {
         };
         let arms = match self.touch(&key, rows) {
             Some((arms, watermark)) => {
-                self.hit();
+                self.tally(true, watermark < rows);
                 if watermark == rows {
                     return Ok(arms);
                 }
                 Arc::new(count(Some((&arms, watermark)))?)
             }
             None => {
-                self.miss();
+                self.tally(false, false);
                 Arc::new(count(None)?)
             }
         };
@@ -408,6 +410,7 @@ mod tests {
             misses: 1,
             entries: 2,
             capacity: 8,
+            ..CacheStats::default()
         };
         let text = s.to_string();
         assert!(text.contains("3 hits"), "{text}");
@@ -490,7 +493,7 @@ mod tests {
         let topped = key(&cache, 5, Some(3));
         assert!(!Arc::ptr_eq(&counted, &topped));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!((s.hits, s.misses, s.topped_up, s.entries), (1, 1, 1, 1));
         // the topped-up pass replaced the resident one
         let again = cache
             .get_or_count(&[AttrId(0)], &Context::empty(), &[], 5, |_| {
@@ -501,11 +504,24 @@ mod tests {
         // snapshots carry only passes counted over every row
         assert_eq!(cache.export(5).2.len(), 1);
         assert_eq!(cache.export(6).2.len(), 0);
-        // a carried cache keeps the watermark and tops up in turn
-        let next = cache.carried();
-        assert_eq!(next.stats(), cache.stats());
-        key(&next, 7, Some(5));
-        assert_eq!(next.stats().hits, 3);
-        assert_eq!(cache.stats().hits, 2, "the donor is untouched");
+        // an older generation over fewer rows counts its own, and the
+        // entry over more rows stays resident for the newer ones
+        key(&cache, 4, None);
+        key(&cache, 7, Some(5));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.topped_up), (3, 2, 2));
+    }
+
+    #[test]
+    fn only_the_head_shares_its_caches_with_a_child() {
+        let caches = Caches::new(CountingCache::new(4), SurrogateCache::new(2), 10);
+        assert!(Arc::ptr_eq(&caches, &caches.extended(10, 12)));
+        // 10 rows is no longer the head: a second child forks
+        let fork = caches.extended(10, 12);
+        assert!(!Arc::ptr_eq(&caches, &fork));
+        assert_eq!(fork.passes.stats().capacity, 4);
+        assert_eq!(fork.surrogates.stats().capacity, 2);
+        assert!(Arc::ptr_eq(&fork, &fork.extended(12, 13)));
+        assert!(Arc::ptr_eq(&caches, &caches.extended(12, 16)));
     }
 }

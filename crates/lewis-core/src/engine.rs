@@ -34,7 +34,7 @@
 //!   batched queries — results are bit-identical to cold evaluation
 //!   (property-tested), just without the redundant table scans.
 
-use crate::cache::{CountingCache, PassKey};
+use crate::cache::{Caches, CountingCache, PassKey};
 use crate::explain::{
     AttributeScores, ContextualExplanation, GlobalExplanation, LocalContribution, LocalExplanation,
 };
@@ -303,13 +303,17 @@ impl EngineBuilder {
             orders[a.index()] = Some(infer_value_order_from_stats(&stats));
             order_stats.push(stats);
         }
+        let caches = Caches::new(
+            CountingCache::new(self.cache_capacity),
+            SurrogateCache::new(self.surrogate_capacity),
+            est.n_total_rows(),
+        );
         Ok(Engine {
             est,
             features,
             orders,
             min_support: self.min_support,
-            cache: CountingCache::new(self.cache_capacity),
-            surrogates: SurrogateCache::new(self.surrogate_capacity),
+            caches,
             order_stats: Some(order_stats),
         })
     }
@@ -323,8 +327,8 @@ pub struct Engine {
     features: Vec<AttrId>,
     orders: Vec<Option<Vec<Value>>>,
     min_support: usize,
-    cache: CountingCache,
-    surrogates: SurrogateCache,
+    /// Shared by every generation of a live table.
+    caches: Arc<Caches>,
     /// Per-feature `(rows, positives)`-per-value stats over every
     /// logical row (`order_stats[i]` aligned with `features[i]`) — the
     /// running totals [`Engine::with_delta`] adds each batch's stats to
@@ -404,12 +408,12 @@ impl Engine {
 
     /// Counting-pass cache counters (hits / misses / residency).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.caches.passes.stats()
     }
 
     /// Recourse-surrogate cache counters (hits / misses / residency).
     pub fn surrogate_stats(&self) -> CacheStats {
-        self.surrogates.stats()
+        self.caches.surrogates.stats()
     }
 
     /// Fit (or reuse) the recourse surrogate for `actionable` so later
@@ -422,16 +426,18 @@ impl Engine {
 
     /// The cached (or freshly fitted) surrogate for one actionable set.
     fn surrogate_for(&self, actionable: &[AttrId]) -> Result<Arc<SurrogateFit>> {
-        self.surrogates
+        self.caches
+            .surrogates
             .get_or_fit(actionable, self.est.n_total_rows(), |kept| {
                 fit_surrogate(&self.est, actionable, kept)
             })
     }
 
-    /// Drop all cached counting passes (results are unaffected — the
-    /// next queries just pay their scans again).
+    /// Drop all cached counting passes — for every generation of this
+    /// engine's live table, which share one cache (results are
+    /// unaffected — the next queries just pay their scans again).
     pub fn clear_cache(&self) {
-        self.cache.clear()
+        self.caches.passes.clear()
     }
 
     /// Capture everything needed to rebuild this engine exactly —
@@ -441,7 +447,7 @@ impl Engine {
     /// [`Engine::restore`] for the inverse.
     pub fn snapshot(&self) -> EngineSnapshot {
         let rows = self.est.n_total_rows();
-        let (s_hits, s_misses, s_entries) = self.surrogates.export(rows);
+        let (s_hits, s_misses, s_entries) = self.caches.surrogates.export(rows);
         let fits = s_entries
             .into_iter()
             .map(|(actionable, (fit, _))| SurrogateSnapshot {
@@ -451,7 +457,7 @@ impl Engine {
                 orders: fit.orders.clone(),
             })
             .collect();
-        let (hits, misses, entries) = self.cache.export(rows);
+        let (hits, misses, entries) = self.caches.passes.export(rows);
         let passes = entries
             .into_iter()
             .map(|(key, arms)| PassSnapshot {
@@ -485,7 +491,7 @@ impl Engine {
             positive: self.est.positive(),
             alpha: self.est.alpha(),
             min_support: self.min_support,
-            cache_capacity: self.cache.stats().capacity,
+            cache_capacity: self.caches.passes.stats().capacity,
             shards: self.est.shards(),
             features: self.features.clone(),
             orders: self.orders.clone(),
@@ -494,7 +500,7 @@ impl Engine {
                 misses,
                 passes,
             },
-            surrogate_capacity: self.surrogates.stats().capacity,
+            surrogate_capacity: self.caches.surrogates.stats().capacity,
             surrogates: SurrogateCacheSnapshot {
                 hits: s_hits,
                 misses: s_misses,
@@ -643,19 +649,18 @@ impl Engine {
             .collect::<Result<Vec<_>>>()?;
         // Every pass and fit a snapshot carries covers all its rows.
         let rows = est.n_total_rows();
+        let (s_hits, s_misses) = (surrogates.hits, surrogates.misses);
+        let caches = Caches::new(
+            CountingCache::restore(cache_capacity, cache.hits, cache.misses, entries, rows),
+            SurrogateCache::restore(surrogate_capacity, s_hits, s_misses, fits, rows),
+            rows,
+        );
         Ok(Engine {
             est,
             features,
             orders,
             min_support,
-            cache: CountingCache::restore(cache_capacity, cache.hits, cache.misses, entries, rows),
-            surrogates: SurrogateCache::restore(
-                surrogate_capacity,
-                surrogates.hits,
-                surrogates.misses,
-                fits,
-                rows,
-            ),
+            caches,
             order_stats: None,
         })
     }
@@ -676,11 +681,10 @@ impl Engine {
     ///   engine's, copied, plus the new rows;
     /// * value orders re-rank from per-value integer totals over every
     ///   row: this engine's totals plus one count of the new rows;
-    /// * cached counting passes and surrogate fits carry over with their
-    ///   row watermarks: a lookup on the new engine tops a pass up with
-    ///   just the rows past its watermark, and a refit groups just those
-    ///   rows into the fit's kept patterns.
-    ///   Lifetime hit/miss counters carry on.
+    /// * the new engine shares this one's caches if this one is its
+    ///   table's newest generation, else (a fork) starts with empty
+    ///   ones: a lookup tops a pass up with the rows past its watermark,
+    ///   and a refit groups just those rows into the fit's patterns.
     pub fn with_delta(&self, delta: Arc<Table>) -> Result<Engine> {
         let from = self.est.n_total_rows();
         let est = self.est.with_delta_overlay(delta)?;
@@ -700,65 +704,81 @@ impl Engine {
             }
             orders[a.index()] = Some(infer_value_order_from_stats(stats));
         }
+        let caches = self.caches.extended(from, est.n_total_rows());
         Ok(Engine {
-            est,
-            features: self.features.clone(),
             orders,
-            min_support: self.min_support,
-            cache: self.cache.carried(),
-            surrogates: self.surrogates.carried(),
+            caches,
             order_stats: Some(order_stats),
+            ..self.over(est)
         })
     }
 
+    /// This engine's configuration, value orders and caches over `est`,
+    /// which serves the same logical rows.
+    fn over(&self, est: ScoreEstimator) -> Engine {
+        Engine {
+            est,
+            features: self.features.clone(),
+            orders: self.orders.clone(),
+            min_support: self.min_support,
+            caches: Arc::clone(&self.caches),
+            order_stats: self.order_stats.clone(),
+        }
+    }
+
     /// Fold the delta shard into the base: a new engine over the
-    /// concatenated table with the shard layout and bitmap index
-    /// rebuilt, and everything else — value orders and their totals,
-    /// cached counting passes and surrogate fits with their row
-    /// watermarks, lifetime counters — carried verbatim. The
+    /// concatenated table with the bitmap index rebuilt, the same value
+    /// orders and their totals, and the same shared caches. The
     /// concatenated table holds exactly the rows this engine was already
-    /// answering over, in the same logical order, so every carried
-    /// artifact stays exact and every watermark still marks the same
-    /// rows; only the physical layout changes. Compaction therefore
-    /// never changes an answer (property-tested in
-    /// `tests/live_parity.rs`). Without a delta this just re-materializes
-    /// the engine over its existing base.
+    /// answering over, in the same logical order, so every cached entry
+    /// stays exact and every watermark still marks the same rows; only
+    /// the physical layout changes. Compaction therefore never changes
+    /// an answer (property-tested in `tests/live_parity.rs`). Without a
+    /// delta this just re-materializes the engine over its existing
+    /// base.
     pub fn compacted(&self) -> Result<Engine> {
         let folded = match self.est.delta_table().filter(|d| d.n_rows() > 0) {
             None => self.est.shared_table(),
             Some(delta) => {
                 let base = self.est.table();
-                let schema = base.schema();
-                let mut cols = Vec::with_capacity(schema.len());
-                for i in 0..schema.len() {
-                    let a = AttrId(i as u32);
-                    let mut col = base.column(a)?.to_vec();
-                    col.extend_from_slice(delta.column(a)?);
-                    cols.push(col);
-                }
-                Arc::new(Table::from_columns(schema.clone(), cols)?)
+                let cols = base.columns().iter().zip(delta.columns());
+                let cols = cols.map(|(b, d)| [b.as_slice(), d].concat()).collect();
+                Arc::new(Table::from_columns(base.schema().clone(), cols)?)
             }
         };
-        let mut est = ScoreEstimator::from_shared(
+        let est = ScoreEstimator::from_shared(
             folded,
             self.est.shared_graph(),
             self.est.pred_attr(),
             self.est.positive(),
             self.est.alpha(),
         )?
-        .with_shards(self.est.shards());
-        if self.est.index().is_some() {
-            est = est.with_index(true)?;
-        }
-        Ok(Engine {
-            est,
-            features: self.features.clone(),
-            orders: self.orders.clone(),
-            min_support: self.min_support,
-            cache: self.cache.carried(),
-            surrogates: self.surrogates.carried(),
-            order_stats: self.order_stats.clone(),
-        })
+        .with_shards(self.est.shards())
+        .with_index(self.est.index().is_some())?;
+        Ok(self.over(est))
+    }
+
+    /// This engine over `folded`, [`Engine::compacted`] of an earlier
+    /// generation of its table: the rows past the fold stay the delta,
+    /// and orders and caches are this engine's, so nothing appended or
+    /// cached while a live table's fold ran is lost.
+    pub fn rebased_onto(&self, folded: &Engine) -> Result<Engine> {
+        let lineage = Arc::ptr_eq(&self.caches, &folded.caches) && folded.delta_rows() == 0;
+        let skip = folded.total_rows().checked_sub(self.table().n_rows());
+        let Some(skip) = skip.filter(|&skip| lineage && skip <= self.delta_rows()) else {
+            return Err(LewisError::Invalid(
+                "rebased_onto: not a fold of this table".into(),
+            ));
+        };
+        let est = match self.est.delta_table().filter(|d| d.n_rows() > skip) {
+            None => folded.est.clone(),
+            Some(delta) => {
+                let tail = delta.columns().iter().map(|col| col[skip..].to_vec());
+                let tail = Table::from_columns(delta.schema().clone(), tail.collect())?;
+                folded.est.with_delta_overlay(Arc::new(tail))?
+            }
+        };
+        Ok(self.over(est))
     }
 
     /// Answer one request.
@@ -869,11 +889,11 @@ impl Engine {
             .collect();
         let mut best = Scores::default();
         let mut best_pair: Option<(Value, Value)> = None;
-        for (&(hi, lo), result) in
-            pairs
-                .iter()
-                .zip(self.est.scores_batch_impl(&contrasts, k, Some(&self.cache)))
-        {
+        for (&(hi, lo), result) in pairs.iter().zip(self.est.scores_batch_impl(
+            &contrasts,
+            k,
+            Some(&self.caches.passes),
+        )) {
             match result {
                 Ok(s) => {
                     if best_pair.is_none() || s.nesuf > best.nesuf {
@@ -1036,7 +1056,7 @@ impl Engine {
         for (is_positive, result) in directions.iter().zip(self.est.scores_batch_impl(
             &contrasts,
             &k,
-            Some(&self.cache),
+            Some(&self.caches.passes),
         )) {
             match result {
                 Ok(s) => {
@@ -1859,18 +1879,19 @@ mod tests {
             let (_, delta) = split(&served, 1000);
             let donor = live;
             live = donor.with_delta(Arc::new(delta)).unwrap();
-            // nothing is dropped, and the lifetime counters carry on
-            assert_eq!(live.cache_stats(), donor.cache_stats());
-            assert_eq!(live.surrogate_stats(), donor.surrogate_stats());
+            // the head's child shares its caches: nothing is dropped
+            assert!(Arc::ptr_eq(&live.caches, &donor.caches));
             let (before, s_before) = (live.cache_stats(), live.surrogate_stats());
             assert_eq!(answers(&live), answers(&build(served)), "{total} rows");
             // every pass was topped up with the new rows: all hits
             let after = live.cache_stats();
             assert_eq!(after.misses, before.misses, "no full pass at {total} rows");
             assert!(after.hits > before.hits);
+            assert_eq!(after.topped_up - before.topped_up, before.entries as u64);
             assert_eq!(after.entries, before.entries);
             // the surrogate refit once, from its kept patterns
             assert_eq!(live.surrogate_stats().misses, s_before.misses + 1);
+            assert_eq!(live.surrogate_stats().topped_up, s_before.topped_up + 1);
             let _ = answers(&live);
             assert_eq!(live.surrogate_stats().misses, s_before.misses + 1);
             assert_eq!(live.cache_stats().misses, before.misses);
@@ -1902,9 +1923,8 @@ mod tests {
         assert_eq!(folded.total_rows(), live.total_rows());
         assert_eq!(folded.table().n_rows(), full.n_rows());
         assert!(folded.index_enabled(), "compaction rebuilds the index");
-        // warm artifacts carried verbatim, and they still answer warm
-        assert_eq!(folded.cache_stats().entries, warm.entries);
-        assert_eq!(folded.cache_stats().hits, warm.hits);
+        // the fold shares the warm caches, and they still answer warm
+        assert_eq!(folded.cache_stats(), warm);
         let before = folded.cache_stats();
         assert_eq!(folded.global().unwrap(), g);
         assert_eq!(folded.contextual_global(&k).unwrap(), c);
@@ -1917,6 +1937,118 @@ mod tests {
             before.misses,
             "warm passes must not re-count after compaction"
         );
+    }
+
+    /// An indexed engine over `t` with the test world's graph.
+    fn build_over(t: Table, pred: AttrId) -> Engine {
+        Engine::builder(t)
+            .graph(world().graph())
+            .prediction(pred, 1)
+            .features(&[AttrId(0), AttrId(1), AttrId(2)])
+            .alpha(0.0)
+            .build()
+            .unwrap()
+    }
+
+    /// Every query kind's answer for `e`, as bytes to compare.
+    fn answers(e: &Engine, row: &[Value]) -> String {
+        let k = Context::of([(AttrId(0), 1)]);
+        let opts = RecourseOptions::default();
+        format!(
+            "{:?}",
+            (
+                e.global().unwrap(),
+                e.contextual_global(&k).unwrap(),
+                e.local(row).unwrap(),
+                e.recourse(row, &[AttrId(0), AttrId(1)], &opts).unwrap(),
+            )
+        )
+    }
+
+    #[test]
+    fn a_fit_finishing_on_a_replaced_generation_seeds_the_next_refit() {
+        let (full, pred) = setup(1600);
+        let (base, rest) = split(&full, 1000);
+        let g = build_over(base, pred);
+        // an append publishes g1 before the work already running on g
+        // inserts its fit and its pass
+        let g1 = g.with_delta(Arc::new(split(&rest, 300).0)).unwrap();
+        let actionable = [AttrId(0), AttrId(1)];
+        g.prepare_surrogate(&actionable).unwrap();
+        let _ = g.global().unwrap();
+        let (passes, fits) = (g1.cache_stats(), g1.surrogate_stats());
+        assert_eq!((fits.misses, fits.topped_up), (1, 0), "g's full fit");
+        // g1 refits from g's watermark: it groups only its 300 new rows,
+        // and its passes top up from g's
+        g1.prepare_surrogate(&actionable).unwrap();
+        let _ = g1.global().unwrap();
+        let s = g1.surrogate_stats();
+        assert_eq!((s.misses, s.topped_up), (2, 1), "one full fit in all");
+        let s = g1.cache_stats();
+        assert_eq!(s.misses, passes.misses, "no full pass on g1");
+        assert!(s.topped_up > passes.topped_up);
+        let row = full.row(7).unwrap();
+        assert_eq!(
+            answers(&g1, &row),
+            answers(&build_over(split(&full, 1300).0, pred), &row)
+        );
+    }
+
+    #[test]
+    fn work_on_a_generation_published_mid_fold_survives_the_fold() {
+        let (full, pred) = setup(1600);
+        let (base, rest) = split(&full, 1000);
+        let g0 = build_over(base, pred)
+            .with_delta(Arc::new(split(&rest, 300).0))
+            .unwrap();
+        // the fold starts from g0 while an append publishes g1
+        let folded = g0.compacted().unwrap();
+        let g1 = g0.with_delta(Arc::new(rest)).unwrap();
+        let row = full.row(7).unwrap();
+        let warm = answers(&g1, &row);
+        // publishing the fold re-expresses g1 over the folded base
+        let head = g1.rebased_onto(&folded).unwrap();
+        assert_eq!((head.table().n_rows(), head.delta_rows()), (1300, 300));
+        let (passes, fits) = (head.cache_stats(), head.surrogate_stats());
+        assert_eq!(answers(&head, &row), warm);
+        let s = head.cache_stats();
+        assert_eq!(s.misses, passes.misses, "g1's passes are resident");
+        assert_eq!(s.topped_up, passes.topped_up);
+        let s = head.surrogate_stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (fits.hits + 1, fits.misses),
+            "g1's fit too"
+        );
+        assert_eq!(warm, answers(&build_over(full.clone(), pred), &row));
+        // a fold past this generation's rows, or of another table, is
+        // refused
+        assert!(g0.rebased_onto(&g1.compacted().unwrap()).is_err());
+        let other = build_over(full, pred).compacted().unwrap();
+        assert!(head.rebased_onto(&other).is_err());
+    }
+
+    #[test]
+    fn two_deltas_on_one_parent_each_answer_like_their_own_cold_build() {
+        let (full, pred) = setup(1600);
+        let (base, rest) = split(&full, 1000);
+        // equal-size deltas: their caches' watermarks would collide
+        let (a, b) = split(&rest, 300);
+        let parent = build_over(base.clone(), pred);
+        let row = full.row(7).unwrap();
+        let _ = answers(&parent, &row);
+        let fork_a = parent.with_delta(Arc::new(a.clone())).unwrap();
+        let fork_b = parent.with_delta(Arc::new(b.clone())).unwrap();
+        assert_eq!(fork_b.cache_stats().hits + fork_b.cache_stats().misses, 0);
+        for (fork, delta) in [(fork_a, a), (fork_b, b)] {
+            let mut table = base.clone();
+            for r in 0..delta.n_rows() {
+                table.push_row(&delta.row(r).unwrap()).unwrap();
+            }
+            let cold = answers(&build_over(table, pred), &row);
+            assert_eq!(answers(&fork, &row), cold);
+            assert_eq!(answers(&fork, &row), cold, "warm");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! fitted coefficients here and rebuilds the per-row generator from
 //! warm coefficients in microseconds.
 //!
-//! The cache is the same bounded LRU as [`crate::cache`]'s counting
-//! cache, with the same properties:
+//! The cache is the same bounded, thread-safe LRU as [`crate::cache`]'s
+//! counting cache (a fit runs outside its lock), shared the same way by
+//! every generation of a live table, with the same properties:
 //! * **bit-identical results** — a hit returns the very
 //!   [`SurrogateFit`] a cold fit would have produced (the grouped
 //!   Newton fit depends only on the multiset of rows, not on shard
@@ -22,11 +23,6 @@
 //!   lookup is a miss that groups only the appended rows, merges them
 //!   into the kept patterns and reruns Newton over the merge — the same
 //!   coefficients a cold fit over every row gives;
-//! * **bounded** — at most `capacity` entries, evicting the least
-//!   recently used;
-//! * **thread-safe** — a single mutex guards the map; the fit itself
-//!   runs outside the lock, so concurrent misses fit in parallel (a
-//!   rare duplicate fit inserts an equivalent surrogate — harmless);
 //! * **exportable** — fits round-trip through engine snapshots and
 //!   `.lewis` packs (format v6; fits from older packs are dropped and
 //!   refit lazily), so a restored server answers recourse from warm
@@ -55,11 +51,11 @@ impl SurrogateCache {
     /// resident fit over exactly `rows` rows is a hit. Otherwise it is a
     /// miss and `fit` runs outside the lock: with `Some((patterns, w))`
     /// when the resident entry kept the patterns of its first `w < rows`
-    /// rows (group rows `w..rows` and merge), with `None` for a full
-    /// fit. The result replaces the entry (the fit is a pure function
-    /// of the live rows, so a concurrent refit inserts the identical
-    /// coefficients — harmless). Errors are returned without being
-    /// cached, so an invalid actionable set does not poison later
+    /// rows (group rows `w..rows` and merge: a top-up), with `None`
+    /// for a full fit. The result replaces the entry (the fit is a pure
+    /// function of the live rows, so a concurrent refit inserts the
+    /// identical coefficients — harmless). Errors are returned without
+    /// being cached, so an invalid actionable set does not poison later
     /// lookups.
     pub(crate) fn get_or_fit(
         &self,
@@ -69,13 +65,13 @@ impl SurrogateCache {
     ) -> Result<Arc<SurrogateFit>> {
         let kept = match self.touch(actionable, rows) {
             Some(((fit, _), watermark)) if watermark == rows => {
-                self.hit();
+                self.tally(true, false);
                 return Ok(fit);
             }
             Some(((_, patterns), watermark)) => patterns.map(|p| (p, watermark)),
             None => None,
         };
-        self.miss();
+        self.tally(false, kept.is_some());
         let (fitted, patterns) = fit(kept.as_ref().map(|(p, w)| (&**p, *w)))?;
         let fitted = Arc::new(fitted);
         let value = (Arc::clone(&fitted), Some(Arc::new(patterns)));
@@ -212,29 +208,28 @@ mod tests {
                 .get_or_fit(&[AttrId(v)], 10, |_| fit_of(f64::from(v)))
                 .unwrap();
         }
-        // the next generation of a live engine carries every entry
-        let next = cache.carried();
-        assert_eq!(next.stats(), cache.stats(), "keys and counters carry");
         // a lookup over more rows is a miss that is handed the kept
         // patterns and their watermark, then replaces the entry
-        let refit = next
+        let refit = cache
             .get_or_fit(&[AttrId(0)], 14, |kept| {
                 assert_eq!(kept.map(|(_, w)| w), Some(10), "refit from row 10");
                 fit_of(10.0)
             })
             .unwrap();
         assert_eq!(refit.intercept, 10.0);
-        next.get_or_fit(&[AttrId(0)], 14, |_| panic!("refit entry covers 14 rows"))
+        cache
+            .get_or_fit(&[AttrId(0)], 14, |_| panic!("refit entry covers 14 rows"))
             .unwrap();
-        assert_eq!((next.stats().hits, next.stats().misses), (1, 3));
-        assert_eq!(next.stats().entries, 2, "keys stay resident");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.topped_up), (1, 3, 1));
+        assert_eq!(s.entries, 2, "keys stay resident");
         // snapshots carry only fits over every row
-        let (_, _, current) = next.export(14);
+        let (_, _, current) = cache.export(14);
         assert_eq!(current.len(), 1, "the fit of AttrId(1) covers 10 rows");
         assert_eq!(current[0].0, vec![AttrId(0)]);
         // a fit restored from a snapshot has no patterns: its first
         // refit starts at row 0
-        let (hits, misses, entries) = next.export(14);
+        let (hits, misses, entries) = cache.export(14);
         let entries = entries.into_iter().map(|(k, (f, _))| (k, (f, None)));
         let restored = SurrogateCache::restore(4, hits, misses, entries.collect(), 14);
         restored
@@ -243,9 +238,11 @@ mod tests {
                 fit_of(20.0)
             })
             .unwrap();
-        // the donor generation is untouched
+        // an older generation over 10 rows fits its own and leaves the
+        // entry over 14 rows resident
+        cache.get_or_fit(&[AttrId(0)], 10, |_| fit_of(1.0)).unwrap();
         cache
-            .get_or_fit(&[AttrId(0)], 10, |_| panic!("donor still covers 10 rows"))
+            .get_or_fit(&[AttrId(0)], 14, |_| panic!("still covers 14 rows"))
             .unwrap();
     }
 }

@@ -15,17 +15,16 @@
 //!   against the live view answers byte-for-byte what a cold build over
 //!   the concatenated table would answer (property-tested in
 //!   `tests/live_parity.rs` at the workspace root);
-//! - nothing cached is invalidated: every cached counting pass and
-//!   fitted recourse surrogate carries a **row watermark**, the logical
-//!   row count it covers, and the next lookup past it tops the pass up
-//!   with just the rows appended since (or regroups just those rows into
-//!   the fit's kept patterns) — exact integer merges, so the answer
-//!   equals a cold build's;
+//! - nothing cached is invalidated: every generation of a live table
+//!   shares **one** pass cache and one surrogate cache, whose entries
+//!   carry a **row watermark**, the logical row count they cover; the
+//!   next lookup past it tops the entry up with just the rows appended
+//!   since — exact integer merges, so the answer equals a cold build's;
 //! - once the delta grows past a row threshold, a **background
-//!   compactor** folds it into the sharded base behind an atomic
+//!   compactor** folds it into the base behind an atomic
 //!   [`Arc<Engine>`] swap. Readers never block on compaction and never
 //!   observe a half-folded table; rows appended *during* the fold
-//!   simply re-seed the next delta.
+//!   simply stay in the delta of the published generation.
 //!
 //! Compaction triggers on delta *size*, never on wall-clock time: the
 //! crate does no time reads at all, keeping replay deterministic.
@@ -81,9 +80,9 @@
 //! Appends serialise on it; readers touch it only long enough to clone
 //! an [`Arc<Engine>`], then query entirely lock-free on an immutable
 //! engine generation. The expensive part of compaction —
-//! [`Engine::compacted`], which rebuilds the folded table, shards and
-//! index — runs *outside* the lock; only the final pointer swap
-//! re-takes it.
+//! [`Engine::compacted`], which rebuilds the folded table and its
+//! index — runs *outside* the lock; only publishing the current
+//! generation [rebased onto](Engine::rebased_onto) the fold re-takes it.
 
 use lewis_core::{Engine, Result};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -135,7 +134,7 @@ pub struct CompactReceipt {
 /// A point-in-time view of a live table, for metrics and listings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveStatus {
-    /// Rows in the frozen base shards.
+    /// Rows in the frozen base table.
     pub base_rows: usize,
     /// Delta rows awaiting compaction.
     pub pending_delta_rows: usize,
@@ -226,25 +225,18 @@ impl LiveEngine {
     /// topped up with the new rows on its next use.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<AppendReceipt> {
         let mut st = recover(self.state.lock());
-        if rows.is_empty() {
-            let total = st.engine.total_rows();
-            return Ok(AppendReceipt {
-                appended: 0,
-                total_rows: total,
-                version: total as u64,
-                pending_delta_rows: st.engine.delta_rows(),
-            });
+        if !rows.is_empty() {
+            // Grow a copy first: push_row validates arity and domain, and
+            // an error leaves the published state untouched (atomicity).
+            let mut grown = match st.engine.delta_table() {
+                Some(delta) => (**delta).clone(),
+                None => Table::new(st.engine.table().schema().clone()),
+            };
+            for row in rows {
+                grown.push_row(row)?;
+            }
+            st.engine = Arc::new(st.engine.with_delta(Arc::new(grown))?);
         }
-        // Grow a copy first: push_row validates arity and domain, and
-        // an error leaves the published state untouched (atomicity).
-        let mut grown = match st.engine.delta_table() {
-            Some(delta) => (**delta).clone(),
-            None => Table::new(st.engine.table().schema().clone()),
-        };
-        for row in rows {
-            grown.push_row(row)?;
-        }
-        st.engine = Arc::new(st.engine.with_delta(Arc::new(grown))?);
         let total = st.engine.total_rows();
         Ok(AppendReceipt {
             appended: rows.len(),
@@ -254,14 +246,14 @@ impl LiveEngine {
         })
     }
 
-    /// Fold the delta into the sharded base, synchronously.
+    /// Fold the delta into the base, synchronously.
     ///
     /// The fold itself runs without the writer lock, so appends and
     /// reads proceed while it works; the result is published with one
-    /// atomic handle swap. Rows appended mid-fold become the next
-    /// delta. Answers never change across a fold — same logical rows in
-    /// the same order, same integers — so cached passes and fits carry
-    /// over with their row watermarks.
+    /// atomic handle swap of the current generation over the folded
+    /// base. Rows appended mid-fold stay in its delta. Answers never
+    /// change across a fold — same logical rows in the same order, same
+    /// integers — so the shared caches keep their row watermarks.
     ///
     /// If another fold is already in flight the call is a no-op and the
     /// receipt says `skipped`.
@@ -279,28 +271,13 @@ impl LiveEngine {
             (Arc::clone(&st.engine), st.engine.delta_rows())
         };
 
-        // The expensive part — concatenating columns, re-sharding,
-        // rebuilding the index — happens outside the lock.
+        // The expensive part — concatenating columns, rebuilding the
+        // index — happens outside the lock.
         let folded = engine.compacted();
 
         let mut st = recover(self.state.lock());
         st.compacting = false;
-        let folded = folded?;
-
-        // Rows appended while the fold ran are the tail of the delta
-        // beyond what we folded; they seed the next delta.
-        let delta = st.engine.delta_table().filter(|d| d.n_rows() > folded_rows);
-        let next = match delta {
-            None => folded,
-            Some(delta) => {
-                let mut remaining = Table::new(delta.schema().clone());
-                for r in folded_rows..delta.n_rows() {
-                    remaining.push_row(&delta.row(r)?)?;
-                }
-                folded.with_delta(Arc::new(remaining))?
-            }
-        };
-        st.engine = Arc::new(next);
+        st.engine = Arc::new(st.engine.rebased_onto(&folded?)?);
         Ok(CompactReceipt {
             folded_rows,
             pending_delta_rows: st.engine.delta_rows(),

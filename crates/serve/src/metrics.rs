@@ -267,6 +267,7 @@ impl Metrics {
                             Json::obj([
                                 ("hits", Json::num(stats.hits as f64)),
                                 ("misses", Json::num(stats.misses as f64)),
+                                ("topped_up", Json::num(stats.topped_up as f64)),
                                 ("hit_rate", Json::Num(stats.hit_rate())),
                                 ("entries", Json::num(stats.entries as f64)),
                                 ("capacity", Json::num(stats.capacity as f64)),
@@ -277,6 +278,7 @@ impl Metrics {
                             Json::obj([
                                 ("hits", Json::num(surrogates.hits as f64)),
                                 ("misses", Json::num(surrogates.misses as f64)),
+                                ("topped_up", Json::num(surrogates.topped_up as f64)),
                                 ("hit_rate", Json::Num(surrogates.hit_rate())),
                                 ("entries", Json::num(surrogates.entries as f64)),
                                 ("capacity", Json::num(surrogates.capacity as f64)),

@@ -850,6 +850,41 @@ mod tests {
     }
 
     #[test]
+    fn a_swap_serves_the_packs_caches_not_the_old_tables() {
+        let dir =
+            std::env::temp_dir().join(format!("lewis-serve-swap-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pack = dir.join("warm.lewis");
+        let pack = pack.to_str().unwrap();
+        let mut donor = EngineRegistry::new();
+        donor.load_builtin("german_syn", 400, 1).unwrap();
+        let warm = donor.get("german_syn").unwrap().engine();
+        warm.run(&ExplainRequest::Global).unwrap();
+        donor.save_pack("german_syn", pack).unwrap();
+        let packed = lewis_store::load_engine(pack).unwrap().0.cache_stats();
+
+        // the old table has warmed its own caches and topped them up
+        let mut reg = EngineRegistry::new();
+        reg.load_builtin("german_syn", 500, 2).unwrap();
+        let entry = reg.get("german_syn").unwrap();
+        entry.engine().run(&ExplainRequest::Global).unwrap();
+        entry.live.append_rows(&[vec![0; 7]]).unwrap();
+        let old = entry.engine();
+        old.run(&ExplainRequest::Global).unwrap();
+        assert_ne!(old.cache_stats(), packed);
+
+        reg.swap_pack("german_syn", pack).unwrap();
+        let served = reg.get("german_syn").unwrap().engine();
+        assert_eq!(served.cache_stats(), packed);
+        // a query still running on the pre-swap handle fills the old
+        // table's caches, never the pack's
+        let k = tabular::Context::of([(tabular::AttrId(0), 1)]);
+        old.run(&ExplainRequest::ContextualGlobal { k }).unwrap();
+        assert_eq!(served.cache_stats(), packed);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn swap_rejects_foreign_schema_and_keeps_serving() {
         let dir = std::env::temp_dir().join(format!("lewis-serve-schema-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

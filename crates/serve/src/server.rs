@@ -57,7 +57,9 @@
 //! next explain: the registry entry swaps in a new engine generation
 //! whose merged counts equal a cold build over the concatenated table.
 //! Once the delta outgrows its threshold a background compactor folds
-//! it into the sharded base; readers never block on the fold.
+//! it into the base; readers never block on the fold. Every generation
+//! of a live table shares one counting-pass cache and one surrogate
+//! cache, so appends never cool them.
 //!
 //! The async lane exists for work that should not pin an HTTP worker —
 //! a cold recourse fit over a million rows takes seconds, and holding
@@ -805,7 +807,7 @@ fn append_rows(name: &str, body: &[u8], state: &ServerState) -> HttpResponse {
 }
 
 /// `POST /v1/engines/{name}/compact`: fold the live table's delta into
-/// the sharded base synchronously. Answers what the fold did; when a
+/// the base synchronously. Answers what the fold did; when a
 /// background fold is already running, reports `skipped`.
 fn compact(name: &str, state: &ServerState) -> HttpResponse {
     let Some(entry) = state.registry.get(name) else {
@@ -1003,25 +1005,35 @@ mod tests {
             .unwrap()
             .is_empty());
 
-        // one explain so the metrics have something to show
+        // an explain, an append, and the same explain again, whose
+        // passes top up with the appended row
+        let global = r#"{"kind":"global"}"#;
         let (status, _) = client
-            .post("/v1/engines/german_syn/explain", r#"{"kind":"global"}"#)
+            .post("/v1/engines/german_syn/explain", global)
+            .unwrap();
+        assert_eq!(status, 200);
+        let row = r#"{"rows":[[0,0,0,0,0,0,0]]}"#;
+        let (status, _) = client.post("/v1/engines/german_syn/rows", row).unwrap();
+        assert_eq!(status, 200);
+        let (status, _) = client
+            .post("/v1/engines/german_syn/explain", global)
             .unwrap();
         assert_eq!(status, 200);
 
         let (status, metrics) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         let explain = metrics.get("routes").unwrap().get("explain").unwrap();
-        assert_eq!(explain.get("requests").unwrap().as_f64(), Some(1.0));
-        let cache = metrics
-            .get("engines")
-            .unwrap()
-            .get("german_syn")
-            .unwrap()
-            .get("counting_cache")
-            .unwrap();
-        assert!(cache.get("misses").unwrap().as_f64().unwrap() >= 1.0);
+        assert_eq!(explain.get("requests").unwrap().as_f64(), Some(2.0));
+        let engine = metrics.get("engines").unwrap().get("german_syn").unwrap();
+        let cache = engine.get("counting_cache").unwrap();
+        let misses = cache.get("misses").unwrap().as_f64().unwrap();
+        assert!(misses >= 1.0);
         assert!(cache.get("hit_rate").unwrap().as_f64().is_some());
+        // the second global re-counted no pass: every one was a top-up
+        assert_eq!(cache.get("hits").unwrap().as_f64(), Some(misses));
+        assert_eq!(cache.get("topped_up").unwrap().as_f64(), Some(misses));
+        let surrogates = engine.get("surrogate_cache").unwrap();
+        assert_eq!(surrogates.get("topped_up").unwrap().as_f64(), Some(0.0));
 
         // graceful stop over the wire: the server joins by itself
         let (status, _) = client.post("/admin/shutdown", "").unwrap();
