@@ -66,11 +66,27 @@
 //! it; [`TableIndex::counting_pass`] prices each request with a
 //! deterministic cost model and returns `None` (caller scans) when the
 //! grid is too large for intersections to beat one sequential pass.
+//!
+//! ## Range walks: live-table top-ups
+//!
+//! A live table tops a cached pass up with just the rows appended past
+//! its watermark. [`TableIndex::counting_pass_range`] counts such a row
+//! range of the base index and of a [`DeltaBitmaps`] with the same
+//! walk: the root mask covers only the words the range spans, with the
+//! bits outside the range cleared, and every code's words are read
+//! through that window. A top-up of a few thousand rows thus touches a
+//! few dozen words per code instead of scanning its rows one by one.
+//! Compaction folds the delta into the base index the same way, by
+//! appending the delta's words at the base's bit offset
+//! ([`TableIndex::appended`]).
 
 mod codec;
 
 pub use codec::IndexError;
 
+use std::borrow::Cow;
+use std::ops::Range;
+use tabular::bitmap::{and_assign, and_count, and_count_multi, and_into, count_ones};
 use tabular::shard::shard_boundaries;
 use tabular::{column_bitmaps, words_for, AttrId, Bitmap, Context, Counter, Table, Value};
 
@@ -93,7 +109,7 @@ const PARALLEL_SHARD_LIMIT: usize = 64;
 
 /// One shard's bitmaps: `attrs[a][c]` covers the shard's local rows
 /// holding code `c` in attribute `a`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ShardIndex {
     attrs: Vec<Vec<Bitmap>>,
 }
@@ -101,7 +117,7 @@ struct ShardIndex {
 /// Per-(attribute, code) bitmap index over a table, one bitmap set per
 /// canonical row shard. See the [crate docs](crate) for the layout and
 /// the determinism argument.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableIndex {
     n_rows: usize,
     cardinalities: Vec<u32>,
@@ -145,6 +161,51 @@ impl TableIndex {
             cardinalities,
             boundaries,
             shards,
+        })
+    }
+
+    /// This index with `delta`'s rows appended after its own: each
+    /// code's words are the base words followed by the delta's, shifted
+    /// to bit offset [`TableIndex::n_rows`]. The result equals
+    /// [`TableIndex::build`]`(concatenated, 1)` word for word, without
+    /// reading a column — how a live table's compaction folds its index.
+    ///
+    /// `None` when the index has more than one shard (shard boundaries
+    /// move with the row count, so the caller rebuilds) or `delta` was
+    /// built over other cardinalities.
+    pub fn appended(&self, delta: &DeltaBitmaps) -> Option<TableIndex> {
+        let [shard] = self.shards.as_slice() else {
+            return None;
+        };
+        if delta.cardinalities != self.cardinalities {
+            return None;
+        }
+        let n_rows = self.n_rows + delta.n_rows;
+        let (offset, shift) = (self.n_rows / 64, self.n_rows % 64);
+        let mut attrs = Vec::with_capacity(shard.attrs.len());
+        for (maps, tails) in shard.attrs.iter().zip(&delta.attrs) {
+            let mut codes = Vec::with_capacity(maps.len());
+            for (map, tail) in maps.iter().zip(tails) {
+                let mut words = Vec::with_capacity(words_for(n_rows));
+                words.extend_from_slice(map.words());
+                words.resize(words_for(n_rows), 0);
+                // A set delta bit is a row below `n_rows`, so both
+                // halves of a shifted word land inside `words`.
+                for (i, &w) in tail.iter().enumerate() {
+                    words[offset + i] |= w << shift;
+                    if shift > 0 && w >> (64 - shift) != 0 {
+                        words[offset + i + 1] |= w >> (64 - shift);
+                    }
+                }
+                codes.push(Bitmap::from_words(words, n_rows).ok()?);
+            }
+            attrs.push(codes);
+        }
+        Some(TableIndex {
+            n_rows,
+            cardinalities: self.cardinalities.clone(),
+            boundaries: shard_boundaries(n_rows, 1),
+            shards: vec![ShardIndex { attrs }],
         })
     }
 
@@ -243,34 +304,17 @@ impl TableIndex {
         Some(labels)
     }
 
-    /// One shard's contribution to [`TableIndex::count`].
+    /// One shard's contribution to [`TableIndex::count`]. A code
+    /// outside its attribute's domain matches no row.
     fn shard_count(shard: &ShardIndex, pairs: &[(usize, usize)]) -> u64 {
-        let ((a0, c0), rest) = match pairs.split_first() {
-            Some((&first, rest)) => (first, rest),
-            None => return 0,
-        };
-        let Some(first) = shard.attrs[a0].get(c0) else {
-            return 0; // code outside the domain: no row can hold it
-        };
-        match rest {
-            [] => first.count_ones(),
-            [(a1, c1)] => match shard.attrs[*a1].get(*c1) {
-                Some(second) => first.and_count(second),
-                None => 0,
-            },
-            _ => {
-                let mut mask = first.clone();
-                for &(a, c) in rest {
-                    let Some(b) = shard.attrs[a].get(c) else {
-                        return 0;
-                    };
-                    mask.and_assign(b);
-                    if mask.is_zero() {
-                        return 0;
-                    }
-                }
-                mask.count_ones()
-            }
+        let code = |&(a, c): &(usize, usize)| shard.attrs[a].get(c).map(Bitmap::words);
+        match pairs {
+            [] => 0,
+            [p] => code(p).map_or(0, count_ones),
+            [p, q] => code(p).zip(code(q)).map_or(0, |(a, b)| and_count(a, b)),
+            [p, rest @ ..] => code(p)
+                .and_then(|first| fold(first.to_vec(), rest.iter().map(code)))
+                .map_or(0, |mask| count_ones(&mask)),
         }
     }
 
@@ -297,44 +341,24 @@ impl TableIndex {
         if !self.matches(table) {
             return Ok(None);
         }
-        let mut attr_idx = Vec::with_capacity(attrs.len());
-        for &a in attrs {
-            if a.index() >= self.cardinalities.len() {
-                return Ok(None);
-            }
-            attr_idx.push(a.index());
-        }
-        let mut ctx_pairs: Vec<(usize, usize)> = Vec::new();
-        for (a, v) in ctx.iter() {
-            if a.index() >= self.cardinalities.len() {
-                return Ok(None);
-            }
-            ctx_pairs.push((a.index(), v as usize));
-        }
-
-        // Mixed-radix strides, row-major, exactly as Counter::build.
-        let radices: Vec<u64> = attr_idx
-            .iter()
-            .map(|&a| u64::from(self.cardinalities[a]))
-            .collect();
-        let mut strides = vec![1u64; radices.len()];
-        let mut grid: u64 = 1;
-        for i in (0..radices.len()).rev() {
-            strides[i] = grid;
-            grid = match grid.checked_mul(radices[i]) {
-                Some(g) => g,
-                None => return Ok(None), // a scan reports the overflow
-            };
-        }
-        if grid > MAX_INDEX_GRID || !self.walk_is_cheaper(&radices) {
+        let Some(plan) = Plan::new(&self.cardinalities, attrs, ctx) else {
+            return Ok(None);
+        };
+        if !plan.walk_is_cheaper(self.n_rows, words_for(self.n_rows)) {
             return Ok(None);
         }
-
+        let grid = plan.grid as usize;
+        // Every row of a shard is in the pass: the walk starts from the
+        // shard's whole code bitmaps, with no root mask to build.
+        let shard_pass = |si: usize, counts: &mut [u64]| {
+            let rows = self.boundaries[si + 1] - self.boundaries[si];
+            plan.walk(&self.shards[si].attrs, Root::All(rows as u64), counts);
+        };
         let counts = if self.shards.len() <= 1 || self.shards.len() > PARALLEL_SHARD_LIMIT {
             // Sequential accumulation in shard-index order.
-            let mut counts = vec![0u64; grid as usize];
+            let mut counts = vec![0u64; grid];
             for si in 0..self.shards.len() {
-                self.shard_pass(si, &attr_idx, &strides, &ctx_pairs, &mut counts);
+                shard_pass(si, &mut counts);
             }
             counts
         } else {
@@ -345,12 +369,12 @@ impl TableIndex {
             let partials: Vec<Vec<u64>> = indices
                 .par_iter()
                 .map(|&si| {
-                    let mut counts = vec![0u64; grid as usize];
-                    self.shard_pass(si, &attr_idx, &strides, &ctx_pairs, &mut counts);
+                    let mut counts = vec![0u64; grid];
+                    shard_pass(si, &mut counts);
                     counts
                 })
                 .collect();
-            let mut counts = vec![0u64; grid as usize];
+            let mut counts = vec![0u64; grid];
             for partial in partials {
                 for (acc, n) in counts.iter_mut().zip(partial) {
                     *acc += n;
@@ -361,156 +385,315 @@ impl TableIndex {
         Counter::from_dense(table, attrs, counts).map(Some)
     }
 
+    /// [`TableIndex::counting_pass`] over the rows `rows` of the
+    /// indexed table followed by the rows `delta.1` of `delta.0`, when
+    /// given — the top-up of a live table's cached pass with the rows
+    /// past its watermark. The result is bit-identical to
+    /// [`Counter::build_range`] over the same rows of both tables,
+    /// merged.
+    ///
+    /// Both halves run one range-restricted popcount walk: a root mask
+    /// over the words the range spans, edge bits cleared, ANDed with
+    /// the context's code words, then intersected down the grid exactly
+    /// like a full pass. Delta words past a code's lazily grown vector
+    /// read as zero.
+    ///
+    /// Returns `Ok(None)` (the caller scans) on everything
+    /// [`TableIndex::counting_pass`] declines, when the index has more
+    /// than one shard, or when a range or the delta's cardinalities do
+    /// not fit. The cost gate prices the ranges' rows and words only, so
+    /// the routing is a pure function of the request.
+    pub fn counting_pass_range(
+        &self,
+        table: &Table,
+        rows: Range<usize>,
+        delta: Option<(&DeltaBitmaps, Range<usize>)>,
+        attrs: &[AttrId],
+        ctx: &Context,
+    ) -> tabular::Result<Option<Counter>> {
+        let [shard] = self.shards.as_slice() else {
+            return Ok(None);
+        };
+        if !self.matches(table) || rows.start > rows.end || rows.end > self.n_rows {
+            return Ok(None);
+        }
+        let delta_rows = match &delta {
+            None => 0..0,
+            Some((d, r)) if d.cardinalities == self.cardinalities && r.start <= r.end => {
+                if r.end > d.n_rows {
+                    return Ok(None);
+                }
+                r.clone()
+            }
+            Some(_) => return Ok(None),
+        };
+        let Some(plan) = Plan::new(&self.cardinalities, attrs, ctx) else {
+            return Ok(None);
+        };
+        let n_rows = rows.len() + delta_rows.len();
+        let n_words = word_span(&rows).len() + word_span(&delta_rows).len();
+        if !plan.walk_is_cheaper(n_rows, n_words) {
+            return Ok(None);
+        }
+        let mut counts = vec![0u64; plan.grid as usize];
+        plan.walk_range(&shard.attrs, rows, &mut counts);
+        if let Some((delta, rows)) = delta {
+            plan.walk_range(&delta.attrs, rows, &mut counts);
+        }
+        Counter::from_dense(table, attrs, counts).map(Some)
+    }
+}
+
+/// The words `rows` touches: `rows.start / 64 .. ceil(rows.end / 64)`.
+fn word_span(rows: &Range<usize>) -> Range<usize> {
+    if rows.is_empty() {
+        return 0..0;
+    }
+    rows.start / 64..words_for(rows.end)
+}
+
+/// Words `span` of `words`, reading words past its end as zero.
+fn pad(words: &[u64], span: &Range<usize>) -> Vec<u64> {
+    let mut padded = vec![0u64; span.len()];
+    if let Some(stored) = words.get(span.start..) {
+        let n = stored.len().min(span.len());
+        padded[..n].copy_from_slice(&stored[..n]);
+    }
+    padded
+}
+
+/// `mask` ANDed with every code in turn, or `None` once it is empty or
+/// a code is missing (outside its attribute's domain: no row holds it).
+fn fold<'a>(
+    mut mask: Vec<u64>,
+    codes: impl Iterator<Item = Option<&'a [u64]>>,
+) -> Option<Vec<u64>> {
+    for code in codes {
+        and_assign(&mut mask, code?);
+        if mask.iter().all(|&w| w == 0) {
+            return None;
+        }
+    }
+    Some(mask)
+}
+
+/// Where a walk starts.
+enum Root {
+    /// Every row the code words cover — this many. Each row holds
+    /// exactly one code per attribute.
+    All(u64),
+    /// The rows set in this mask, a subset of the covered rows.
+    Mask(Vec<u64>),
+}
+
+/// A grouped counting request resolved against an indexed schema: the
+/// grouped attributes' positions and mixed-radix strides (row-major,
+/// exactly as [`Counter::build`]) and the context's `(attribute, code)`
+/// pairs.
+struct Plan {
+    attrs: Vec<usize>,
+    radices: Vec<u64>,
+    strides: Vec<u64>,
+    ctx: Vec<(usize, usize)>,
+    grid: u64,
+}
+
+impl Plan {
+    /// `None` when an attribute is outside the indexed schema, or the
+    /// grid overflows or exceeds [`MAX_INDEX_GRID`]: the scan serves
+    /// (or reports) those.
+    fn new(cardinalities: &[u32], attrs: &[AttrId], ctx: &Context) -> Option<Plan> {
+        let radix = |a: AttrId| cardinalities.get(a.index()).map(|&c| u64::from(c));
+        let radices = attrs
+            .iter()
+            .map(|&a| radix(a))
+            .collect::<Option<Vec<_>>>()?;
+        let mut strides = vec![1u64; radices.len()];
+        let mut grid: u64 = 1;
+        for i in (0..radices.len()).rev() {
+            strides[i] = grid;
+            grid = grid.checked_mul(radices[i])?;
+        }
+        if grid > MAX_INDEX_GRID {
+            return None;
+        }
+        let mut pairs = Vec::new();
+        for (a, v) in ctx.iter() {
+            radix(a)?;
+            pairs.push((a.index(), v as usize));
+        }
+        Some(Plan {
+            attrs: attrs.iter().map(|a| a.index()).collect(),
+            radices,
+            strides,
+            ctx: pairs,
+            grid,
+        })
+    }
+
     /// Deterministic cost gate: estimated word operations of the
     /// pruned intersection walk (`Σ_d min(∏radices[..d], rows) ×
-    /// radices[d]` grid visits, each touching `rows / 64` words) versus
+    /// radices[d]` grid visits, each touching `words` words) versus
     /// the scan's `rows × attrs` cell reads, biased by [`COST_BIAS`].
-    fn walk_is_cheaper(&self, radices: &[u64]) -> bool {
-        let rows = self.n_rows as u64;
-        let words = words_for(self.n_rows) as u64;
+    fn walk_is_cheaper(&self, rows: usize, words: usize) -> bool {
+        let rows = rows as u64;
         let mut visits: u64 = 0;
         let mut prefix: u64 = 1;
-        for &r in radices {
+        for &r in &self.radices {
             visits = visits.saturating_add(prefix.min(rows).saturating_mul(r));
             prefix = prefix.saturating_mul(r);
         }
-        let index_cost = visits.saturating_mul(words);
-        let scan_cost = rows.saturating_mul(radices.len().max(1) as u64);
+        let index_cost = visits.saturating_mul(words as u64);
+        let scan_cost = rows.saturating_mul(self.radices.len().max(1) as u64);
         index_cost <= scan_cost.saturating_mul(COST_BIAS)
     }
 
-    /// Walk one shard's grid, accumulating leaf popcounts into the
-    /// shared dense count vector.
-    fn shard_pass(
+    /// Count `rows` of one run of code words (`attrs[a][c]`: the words
+    /// of code `c` of attribute `a`) into `counts`. The walk reads each
+    /// code through the window of words `rows` spans; a code whose
+    /// words end before the window does (a delta's lazily grown vector)
+    /// is read from a copy padded with zeros.
+    fn walk_range<W: AsRef<[u64]>>(
         &self,
-        si: usize,
-        attr_idx: &[usize],
-        strides: &[u64],
-        ctx_pairs: &[(usize, usize)],
+        attrs: &[Vec<W>],
+        rows: Range<usize>,
         counts: &mut [u64],
     ) {
-        let shard = &self.shards[si];
-        let rows = self.boundaries[si + 1] - self.boundaries[si];
-        if rows == 0 {
+        if rows.is_empty() {
             return;
         }
-        // One scratch bitmap per inner depth, allocated once per shard:
-        // inner nodes intersect via the fused single-pass `and_into`
-        // instead of clone + and_assign + is_zero (three word passes).
-        // The last two levels run through the fused `and_count_multi`
-        // kernel and never materialize a mask, so only depths up to
-        // `len - 3` need scratch.
-        let inner_depths = attr_idx.len().saturating_sub(2);
-        let mut scratch: Vec<Bitmap> = (0..inner_depths).map(|_| Bitmap::zeros(rows)).collect();
+        let span = word_span(&rows);
+        let reads = |a: usize| self.attrs.contains(&a) || self.ctx.iter().any(|&(c, _)| c == a);
+        let padded: Vec<Vec<Option<Vec<u64>>>> = (attrs.iter().enumerate())
+            .map(|(a, codes)| match reads(a) {
+                false => Vec::new(),
+                true => (codes.iter().map(|w| w.as_ref()))
+                    .map(|w| (w.len() < span.end).then(|| pad(w, &span)))
+                    .collect(),
+            })
+            .collect();
+        let cols: Vec<Vec<&[u64]>> = (attrs.iter().zip(&padded))
+            .map(|(codes, pads)| {
+                (codes.iter().zip(pads))
+                    .map(|(w, pad)| match pad {
+                        Some(pad) => pad.as_slice(),
+                        None => &w.as_ref()[span.clone()],
+                    })
+                    .collect()
+            })
+            .collect();
+        // The root: every row of the range, edge bits cleared.
+        let mut mask = vec![u64::MAX; span.len()];
+        mask[0] &= u64::MAX << (rows.start % 64);
+        mask[span.len() - 1] &= u64::MAX >> ((64 - rows.end % 64) % 64);
+        self.walk(&cols, Root::Mask(mask), counts);
+    }
 
-        if ctx_pairs.is_empty() {
-            if attr_idx.is_empty() {
-                counts[0] += rows as u64;
-                return;
-            }
-            // Unconstrained pass: the first grouped attribute's code
-            // bitmaps partition the shard's rows, so each serves
-            // directly as a root mask — no all-ones base and no
-            // depth-0 AND pass at all. The last code's popcount is
-            // whatever the others leave of the shard.
-            let maps = &shard.attrs[attr_idx[0]];
-            let mut remaining = rows as u64;
-            for (code, b) in maps.iter().enumerate() {
-                let last = code + 1 == maps.len();
-                let n = if last { remaining } else { b.count_ones() };
-                if n == 0 {
-                    continue;
-                }
-                if !last {
-                    remaining -= n;
-                }
-                Self::walk(
-                    shard,
-                    b,
-                    n,
-                    attr_idx,
-                    strides,
-                    1,
-                    code as u64 * strides[0],
-                    counts,
-                    &mut scratch,
-                );
-            }
-            return;
-        }
-
-        // Fold the context into a base mask: a one-attribute context
-        // borrows its code bitmap outright, larger ones fold into an
-        // owned clone (a missing code means zero matching rows).
-        let (&(a0, c0), rest_ctx) = ctx_pairs.split_first().expect("checked non-empty");
-        let Some(first) = shard.attrs[a0].get(c0) else {
+    /// Count the rows of `root` matching the context into `counts`.
+    fn walk<W: AsRef<[u64]>>(&self, cols: &[Vec<W>], root: Root, counts: &mut [u64]) {
+        let code = |&(a, c): &(usize, usize)| cols[a].get(c).map(W::as_ref);
+        // Fold the context into a root mask: a one-attribute context
+        // over every row borrows its code words outright, otherwise an
+        // owned mask ANDs each code in.
+        let mask = match (root, self.ctx.split_first()) {
+            (Root::All(rows), None) => return self.walk_all(cols, rows, counts),
+            (Root::All(_), Some((first, []))) => code(first).map(Cow::Borrowed),
+            (Root::All(_), Some((first, rest))) => code(first)
+                .and_then(|w| fold(w.to_vec(), rest.iter().map(code)))
+                .map(Cow::Owned),
+            (Root::Mask(mask), _) => fold(mask, self.ctx.iter().map(code)).map(Cow::Owned),
+        };
+        let Some(mask) = mask else {
             return;
         };
-        let owned;
-        let (base, base_count) = match rest_ctx {
-            [] => (first, first.count_ones()),
-            _ => {
-                let mut m = first.clone();
-                for &(a, c) in rest_ctx {
-                    let Some(b) = shard.attrs[a].get(c) else {
-                        return;
-                    };
-                    m.and_assign(b);
-                }
-                owned = m;
-                (&owned, owned.count_ones())
-            }
-        };
-        if base_count == 0 {
+        let n = count_ones(&mask);
+        if n == 0 {
             return;
         }
-        Self::walk(
-            shard,
-            base,
-            base_count,
-            attr_idx,
-            strides,
-            0,
-            0,
-            counts,
-            &mut scratch,
-        );
+        let walk = Walk { plan: self, cols };
+        let mut scratch = walk.scratch(mask.len());
+        walk.descend(&mask, n, 0, 0, counts, &mut scratch);
+    }
+
+    /// An unconstrained walk over every row: the first grouped
+    /// attribute's code words partition the rows, so each serves
+    /// directly as a root mask — no all-ones base and no depth-0 AND
+    /// pass at all. The last code's popcount is whatever the others
+    /// leave.
+    fn walk_all<W: AsRef<[u64]>>(&self, cols: &[Vec<W>], rows: u64, counts: &mut [u64]) {
+        let Some(&first) = self.attrs.first() else {
+            counts[0] += rows;
+            return;
+        };
+        let maps = &cols[first];
+        let walk = Walk { plan: self, cols };
+        let mut scratch = walk.scratch(maps.first().map_or(0, |w| w.as_ref().len()));
+        let mut remaining = rows;
+        for (code, b) in maps.iter().enumerate() {
+            let last = code + 1 == maps.len();
+            let b = b.as_ref();
+            let n = if last { remaining } else { count_ones(b) };
+            if n == 0 {
+                continue;
+            }
+            if !last {
+                remaining -= n;
+            }
+            let key = code as u64 * self.strides[0];
+            walk.descend(b, n, 1, key, counts, &mut scratch);
+        }
+    }
+}
+
+/// One grid walk over one run of code words.
+struct Walk<'p, W> {
+    plan: &'p Plan,
+    cols: &'p [Vec<W>],
+}
+
+impl<W: AsRef<[u64]>> Walk<'_, W> {
+    /// One scratch mask of `n_words` per inner depth: inner nodes
+    /// intersect via the fused single-pass [`and_into`], while the last
+    /// two levels run through [`and_count_multi`] and [`and_count`]
+    /// without materializing a mask, so only depths up to `len - 3`
+    /// need scratch.
+    fn scratch(&self, n_words: usize) -> Vec<Vec<u64>> {
+        let inner_depths = self.plan.attrs.len().saturating_sub(2);
+        (0..inner_depths).map(|_| vec![0u64; n_words]).collect()
     }
 
     /// Recursive prefix intersection: at each depth, intersect the
-    /// running mask with each code bitmap of the next grouped
-    /// attribute, pruning empty subtrees; leaves popcount straight into
-    /// their mixed-radix cell. `mask_count` is `mask`'s popcount, which
-    /// every caller already knows — the leaf level spends it on the
-    /// partition identity below instead of recounting.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        shard: &ShardIndex,
-        mask: &Bitmap,
+    /// running mask with each code of the next grouped attribute,
+    /// pruning empty subtrees; leaves popcount straight into their
+    /// mixed-radix cell. `mask_count` is `mask`'s popcount, which every
+    /// caller already knows — the leaf level spends it on the partition
+    /// identity below instead of recounting.
+    fn descend(
+        &self,
+        mask: &[u64],
         mask_count: u64,
-        attr_idx: &[usize],
-        strides: &[u64],
         depth: usize,
         key_base: u64,
         counts: &mut [u64],
-        scratch: &mut [Bitmap],
+        scratch: &mut [Vec<u64>],
     ) {
-        if depth == attr_idx.len() {
+        let (attrs, strides) = (&self.plan.attrs, &self.plan.strides);
+        if depth == attrs.len() {
             counts[key_base as usize] += mask_count;
             return;
         }
-        let maps = &shard.attrs[attr_idx[depth]];
-        if depth + 1 == attr_idx.len() {
-            // Last level: the attribute's code bitmaps partition the
-            // rows, so the final code's popcount is the mask total
-            // minus the others — one fewer AND pass per leaf group,
-            // and no intersections are ever materialized.
+        let maps = &self.cols[attrs[depth]];
+        if depth + 1 == attrs.len() {
+            // Last level: the attribute's codes partition the rows, so
+            // the final code's popcount is the mask total minus the
+            // others — one fewer AND pass per leaf group, and no
+            // intersections are ever materialized.
             let Some((_, head)) = maps.split_last() else {
                 return;
             };
             let mut remaining = mask_count;
             for (code, b) in head.iter().enumerate() {
-                let n = mask.and_count(b);
+                let n = and_count(mask, b.as_ref());
                 if n > 0 {
                     remaining -= n;
                     counts[(key_base + code as u64 * strides[depth]) as usize] += n;
@@ -522,19 +705,19 @@ impl TableIndex {
             }
             return;
         }
-        if depth + 2 == attr_idx.len() {
+        if depth + 2 == attrs.len() {
             // Second-to-last level: one fused pass per code computes the
-            // node's popcount *and* every leaf cell under it
-            // ([`Bitmap::and_count_multi`]) — nothing is materialized,
-            // and the leaf partition identity fills the final cell.
-            let leaf_maps = &shard.attrs[attr_idx[depth + 1]];
+            // node's popcount *and* every leaf cell under it — nothing
+            // is materialized, and the leaf partition identity fills the
+            // final cell.
+            let leaf_maps = &self.cols[attrs[depth + 1]];
             let Some((_, leaf_head)) = leaf_maps.split_last() else {
                 return;
             };
             let last_leaf = (leaf_maps.len() - 1) as u64;
             let mut leaf_counts = vec![0u64; leaf_head.len()];
             for (code, b) in maps.iter().enumerate() {
-                let n = mask.and_count_multi(b, leaf_head, &mut leaf_counts);
+                let n = and_count_multi(mask, b.as_ref(), leaf_head, &mut leaf_counts);
                 if n == 0 {
                     continue;
                 }
@@ -554,23 +737,14 @@ impl TableIndex {
         }
         let (sub, rest) = scratch
             .split_first_mut()
-            .expect("shard_pass allocates one scratch bitmap per inner depth");
+            .expect("Walk::scratch allocates one mask per inner depth");
         for (code, b) in maps.iter().enumerate() {
-            let n = mask.and_into(b, sub);
+            let n = and_into(mask, b.as_ref(), sub);
             if n == 0 {
                 continue;
             }
-            Self::walk(
-                shard,
-                sub,
-                n,
-                attr_idx,
-                strides,
-                depth + 1,
-                key_base + code as u64 * strides[depth],
-                counts,
-                rest,
-            );
+            let key = key_base + code as u64 * strides[depth];
+            self.descend(sub, n, depth + 1, key, counts, rest);
         }
     }
 }
@@ -586,6 +760,10 @@ impl TableIndex {
 /// `base_index.count(ctx) + delta.count(ctx)` — two word-level
 /// AND+popcount walks summed base-then-delta, exactly the integer one
 /// scan over the concatenated table would count.
+///
+/// Cache top-ups walk a range of these rows through
+/// [`TableIndex::counting_pass_range`], and compaction appends them to
+/// the base index with [`TableIndex::appended`].
 ///
 /// Word vectors grow lazily: a code's vector only extends when one of
 /// its rows lands in a new word, and rows past a vector's end read as
@@ -727,6 +905,9 @@ impl DeltaBitmaps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tabular::{Domain, Schema, Value};
 
     fn table(n: usize) -> Table {
@@ -968,5 +1149,239 @@ mod tests {
         // empty deltas count zero everywhere and hold no words
         assert_eq!(d.count(&Context::empty()), Some(0));
         assert_eq!(d.memory_bytes(), 0);
+    }
+
+    /// Rows `rows` of `base` then rows `delta_rows` of `delta`, scanned.
+    fn scan_ranges(
+        base: &Table,
+        rows: Range<usize>,
+        delta: &Table,
+        delta_rows: Range<usize>,
+        attrs: &[AttrId],
+        ctx: &Context,
+    ) -> Counter {
+        let mut counter = Counter::build_range(base, attrs, ctx, rows).unwrap();
+        let tail = Counter::build_range(delta, attrs, ctx, delta_rows).unwrap();
+        counter.merge_from(&tail).unwrap();
+        counter
+    }
+
+    /// A table over `a` (3 codes), `b` (2) and `wide` (`wide` codes),
+    /// whose rows hold codes from `0..max` of each attribute only, so
+    /// the codes above stay absent (their delta vectors never grow).
+    fn random_table(rng: &mut StdRng, n: usize, wide: u32, max: [u32; 3]) -> Table {
+        let mut s = Schema::new();
+        s.push("a", Domain::categorical(["0", "1", "2"]));
+        s.push("b", Domain::categorical(["0", "1"]));
+        s.push(
+            "wide",
+            Domain::categorical((0..wide).map(|i| i.to_string())),
+        );
+        let mut t = Table::new(s);
+        for _ in 0..n {
+            let row = max.map(|m| rng.gen_range(0..m));
+            t.push_row(&row).unwrap();
+        }
+        t
+    }
+
+    /// `Counter` equality the way the engine sees it.
+    fn assert_same(got: &Counter, want: &Counter, what: &str) {
+        assert_eq!(got.total(), want.total(), "{what}");
+        assert_eq!(got.nonzero_groups(), want.nonzero_groups(), "{what}");
+    }
+
+    #[test]
+    fn range_walks_cover_the_edges_of_words_and_delta_vectors() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let base = random_table(&mut rng, 200, 5, [3, 2, 5]);
+        // the delta holds a = 0 and wide ∈ {0, 1} only in its first
+        // rows, then never again: those vectors stop growing early, and
+        // wide ≥ 2 never grows at all
+        let mut delta = random_table(&mut rng, 10, 5, [3, 2, 2]);
+        for row in random_table(&mut rng, 190, 5, [3, 2, 5]).rows() {
+            delta
+                .push_row(&[row[0].max(1), row[1], row[2].max(2)])
+                .unwrap();
+        }
+        let index = TableIndex::build(&base, 1).unwrap();
+        let bitmaps = DeltaBitmaps::from_table(&delta).unwrap();
+        let ranges = [
+            0..0,
+            5..5,
+            0..1,
+            63..64,
+            64..65,
+            63..65,
+            1..200,
+            0..200,
+            130..131,
+            199..200,
+        ];
+        let groupings: &[&[AttrId]] = &[
+            &[],
+            &[AttrId(0)],
+            &[AttrId(2), AttrId(1)],
+            &[AttrId(1), AttrId(2), AttrId(0)],
+        ];
+        let contexts = [
+            Context::empty(),
+            Context::of([(AttrId(0), 0)]),
+            Context::of([(AttrId(1), 1), (AttrId(2), 1)]),
+            Context::of([(AttrId(2), 9)]), // out of domain: nothing
+            Context::of([(AttrId(0), 1), (AttrId(1), 7)]),
+        ];
+        for rows in &ranges {
+            for delta_rows in &ranges {
+                for attrs in groupings {
+                    for ctx in &contexts {
+                        let what = format!("{rows:?} + {delta_rows:?}, {attrs:?}, {ctx:?}");
+                        let walked = index
+                            .counting_pass_range(
+                                &base,
+                                rows.clone(),
+                                Some((&bitmaps, delta_rows.clone())),
+                                attrs,
+                                ctx,
+                            )
+                            .unwrap()
+                            .expect("small grids walk");
+                        let want = scan_ranges(
+                            &base,
+                            rows.clone(),
+                            &delta,
+                            delta_rows.clone(),
+                            attrs,
+                            ctx,
+                        );
+                        assert_same(&walked, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_walks_decline_past_the_gate_and_for_sharded_or_foreign_inputs() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let base = random_table(&mut rng, 300, 60, [3, 2, 60]);
+        let index = TableIndex::build(&base, 1).unwrap();
+        let wide = [AttrId(2), AttrId(0), AttrId(1)];
+        let ctx = Context::empty();
+        // 360 cells over a single row: the scan is cheaper
+        let one = index.counting_pass_range(&base, 100..101, None, &wide, &ctx);
+        assert!(one.unwrap().is_none());
+        // the same grid over every row walks
+        let all = index
+            .counting_pass_range(&base, 0..300, None, &wide, &ctx)
+            .unwrap();
+        assert_same(
+            &all.expect("walks"),
+            &Counter::build(&base, &wide, &ctx).unwrap(),
+            "all",
+        );
+        // a sharded index, an out-of-range window and a foreign delta decline
+        let sharded = TableIndex::build(&base, 2).unwrap();
+        let pass = sharded.counting_pass_range(&base, 0..10, None, &[AttrId(0)], &ctx);
+        assert!(pass.unwrap().is_none());
+        let pass = index.counting_pass_range(&base, 0..301, None, &[AttrId(0)], &ctx);
+        assert!(pass.unwrap().is_none());
+        let foreign = DeltaBitmaps::new(vec![3, 2]);
+        let pass =
+            index.counting_pass_range(&base, 0..10, Some((&foreign, 0..0)), &[AttrId(0)], &ctx);
+        assert!(pass.unwrap().is_none());
+        let pass = index.counting_pass_range(&base, 0..10, None, &[AttrId(7)], &ctx);
+        assert!(
+            pass.unwrap().is_none(),
+            "an unknown attribute is the scan's error to report"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The range walk over a base index and a delta equals
+        /// `Counter::build_range` over the same rows, merged — or
+        /// declines, exactly when its cost gate says the scan is cheaper.
+        #[test]
+        fn range_walks_equal_range_scans(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let wide = rng.gen_range(2..40u32);
+            let n_base = rng.gen_range(0..260usize);
+            let n_delta = rng.gen_range(0..260usize);
+            let base = random_table(&mut rng, n_base, wide, [3, 2, wide]);
+            let max = [rng.gen_range(1..=3), 2, rng.gen_range(1..=wide)];
+            let delta = random_table(&mut rng, n_delta, wide, max);
+            let index = TableIndex::build(&base, 1).unwrap();
+            let bitmaps = if seed % 2 == 0 {
+                DeltaBitmaps::from_table(&delta).unwrap()
+            } else {
+                let mut grown = DeltaBitmaps::new(index.cardinalities().to_vec());
+                delta.rows().for_each(|row| grown.append_row(&row).unwrap());
+                grown
+            };
+            let from = rng.gen_range(0..=n_base);
+            let delta_from = rng.gen_range(0..=n_delta);
+            let delta_to = if seed % 3 == 0 { rng.gen_range(delta_from..=n_delta) } else { n_delta };
+            let mut attrs: Vec<AttrId> = (0..3).map(AttrId).filter(|_| rng.gen_bool(0.6)).collect();
+            if rng.gen_bool(0.5) {
+                attrs.reverse();
+            }
+            let cards = [3u32, 2, wide];
+            let mut pairs = Vec::new();
+            for a in 0..3u32 {
+                if rng.gen_bool(0.3) {
+                    // now and then a code outside the domain
+                    pairs.push((AttrId(a), rng.gen_range(0..cards[a as usize] + 1)));
+                }
+            }
+            let ctx = Context::of(pairs);
+            let walked = index
+                .counting_pass_range(&base, from..n_base, Some((&bitmaps, delta_from..delta_to)), &attrs, &ctx)
+                .unwrap();
+            let plan = Plan::new(index.cardinalities(), &attrs, &ctx).unwrap();
+            let rows = (n_base - from) + (delta_to - delta_from);
+            let words = word_span(&(from..n_base)).len() + word_span(&(delta_from..delta_to)).len();
+            prop_assert_eq!(walked.is_some(), plan.walk_is_cheaper(rows, words));
+            if let Some(walked) = walked {
+                let want = scan_ranges(&base, from..n_base, &delta, delta_from..delta_to, &attrs, &ctx);
+                prop_assert_eq!(walked.total(), want.total());
+                prop_assert_eq!(walked.nonzero_groups(), want.nonzero_groups());
+            }
+        }
+    }
+
+    #[test]
+    fn appended_indexes_equal_rebuilds_over_the_concatenated_table() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for (n_base, n_delta) in [
+            (0, 0),
+            (0, 70),
+            (1, 63),
+            (63, 1),
+            (64, 64),
+            (65, 300),
+            (130, 0),
+        ] {
+            let base = random_table(&mut rng, n_base, 5, [3, 2, 5]);
+            let delta = random_table(&mut rng, n_delta, 5, [3, 1, 4]);
+            let mut full = base.clone();
+            delta.rows().for_each(|row| full.push_row(&row).unwrap());
+            let index = TableIndex::build(&base, 1).unwrap();
+            let folded = index.appended(&DeltaBitmaps::from_table(&delta).unwrap());
+            assert_eq!(
+                folded,
+                Some(TableIndex::build(&full, 1).unwrap()),
+                "{n_base} + {n_delta}"
+            );
+            // a sharded index moves its boundaries: the caller rebuilds
+            let sharded = TableIndex::build(&base, 2).unwrap();
+            assert_eq!(
+                sharded.appended(&DeltaBitmaps::from_table(&delta).unwrap()),
+                None
+            );
+        }
+        let index = TableIndex::build(&table(10), 1).unwrap();
+        assert_eq!(index.appended(&DeltaBitmaps::new(vec![3, 2])), None);
     }
 }

@@ -19,9 +19,10 @@
 //!   over. A live engine that has grown past an entry's watermark
 //!   counts just the rows appended since and merges them in (integer
 //!   addition into sorted vectors), so an append costs each warm pass
-//!   a pass over the new rows instead of the whole table, and the
-//!   merged pass equals a cold one exactly (pinned by
-//!   `tests/live_parity.rs`);
+//!   a popcount walk over the new rows' bitmap words (or, where the
+//!   index declines, a scan of those rows) instead of a pass over the
+//!   whole table, and the merged pass equals a cold one exactly
+//!   (pinned by `tests/live_parity.rs`);
 //! * **bounded** — at most `capacity` entries, evicting the least
 //!   recently used; an un-bounded cache over per-individual local
 //!   contexts would grow with the table;
@@ -71,6 +72,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Lookups that merged appended rows into a resident entry.
     pub topped_up: u64,
+    /// Rows the counting-pass top-ups scanned one by one, because the
+    /// bitmap index declined to walk them (a multi-shard or unindexed
+    /// engine, or a grid past the index's cost gate). Always 0 for
+    /// surrogates.
+    pub topup_rows_scanned: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Maximum resident entries.
@@ -115,6 +121,7 @@ pub(crate) struct Lru<K, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     topped_up: AtomicU64,
+    topup_rows_scanned: AtomicU64,
 }
 
 struct LruInner<K, V> {
@@ -231,12 +238,19 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
             .fetch_add(u64::from(topped_up), Ordering::Relaxed);
     }
 
+    /// Count `rows` rows a top-up scanned one by one.
+    pub(crate) fn scanned(&self, rows: usize) {
+        self.topup_rows_scanned
+            .fetch_add(rows as u64, Ordering::Relaxed);
+    }
+
     /// Current counters and occupancy.
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             topped_up: self.topped_up.load(Ordering::Relaxed),
+            topup_rows_scanned: self.topup_rows_scanned.load(Ordering::Relaxed),
             entries: self.inner.lock().expect("cache lock").map.len(),
             capacity: self.capacity,
         }
@@ -310,6 +324,7 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
             hits: AtomicU64::new(hits),
             misses: AtomicU64::new(misses),
             topped_up: AtomicU64::new(0),
+            topup_rows_scanned: AtomicU64::new(0),
         }
     }
 }

@@ -727,15 +727,17 @@ impl Engine {
     }
 
     /// Fold the delta shard into the base: a new engine over the
-    /// concatenated table with the bitmap index rebuilt, the same value
-    /// orders and their totals, and the same shared caches. The
-    /// concatenated table holds exactly the rows this engine was already
-    /// answering over, in the same logical order, so every cached entry
-    /// stays exact and every watermark still marks the same rows; only
-    /// the physical layout changes. Compaction therefore never changes
-    /// an answer (property-tested in `tests/live_parity.rs`). Without a
+    /// concatenated table, the same value orders and their totals, and
+    /// the same shared caches. Its bitmap index is the base index with
+    /// the delta bitmaps appended, which equals a rebuild word for word;
+    /// an index of more than one shard is rebuilt. The concatenated
+    /// table holds exactly the rows this engine was already answering
+    /// over, in the same logical order, so every cached entry stays
+    /// exact and every watermark still marks the same rows; only the
+    /// physical layout changes. Compaction therefore never changes an
+    /// answer (property-tested in `tests/live_parity.rs`). Without a
     /// delta this just re-materializes the engine over its existing
-    /// base.
+    /// base and index.
     pub fn compacted(&self) -> Result<Engine> {
         let folded = match self.est.delta_table().filter(|d| d.n_rows() > 0) {
             None => self.est.shared_table(),
@@ -746,15 +748,18 @@ impl Engine {
                 Arc::new(Table::from_columns(base.schema().clone(), cols)?)
             }
         };
-        let est = ScoreEstimator::from_shared(
+        let mut est = ScoreEstimator::from_shared(
             folded,
             self.est.shared_graph(),
             self.est.pred_attr(),
             self.est.positive(),
             self.est.alpha(),
         )?
-        .with_shards(self.est.shards())
-        .with_index(self.est.index().is_some())?;
+        .with_shards(self.est.shards());
+        match self.est.folded_index() {
+            Some(index) => est.install_index(index),
+            None => est = est.with_index(self.est.index().is_some())?,
+        }
         Ok(self.over(est))
     }
 
@@ -1214,6 +1219,7 @@ mod tests {
     use crate::blackbox::label_table;
     use causal::scm::{Mechanism, ScmBuilder};
     use causal::Scm;
+    use lewis_index::TableIndex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tabular::{Domain, Schema};
@@ -1899,6 +1905,45 @@ mod tests {
     }
 
     #[test]
+    fn top_ups_walk_the_index_and_scan_rows_only_where_it_declines() {
+        let (full, pred) = setup(1600);
+        let (base, delta) = split(&full, 1300);
+        let scm = world();
+        let build = |t: Table, shards: usize| {
+            Engine::builder(t)
+                .graph(scm.graph())
+                .prediction(pred, 1)
+                .features(&[AttrId(0), AttrId(1), AttrId(2)])
+                .alpha(0.0)
+                .shards(shards)
+                .build()
+                .unwrap()
+        };
+        let mut answers = Vec::new();
+        for shards in [1, 2] {
+            let engine = build(base.clone(), shards);
+            let _ = engine.global().unwrap();
+            let live = engine.with_delta(Arc::new(delta.clone())).unwrap();
+            let before = live.cache_stats();
+            answers.push(format!("{:?}", live.global().unwrap()));
+            let after = live.cache_stats();
+            let topped = after.topped_up - before.topped_up;
+            assert!(topped > 0, "the warm passes are topped up");
+            assert_eq!(after.misses, before.misses);
+            let scanned = after.topup_rows_scanned - before.topup_rows_scanned;
+            // every pass grid is under the gate: a single-shard index
+            // walks the 300 new rows, a two-shard one scans them
+            let want = if shards == 1 { 0 } else { 300 * topped };
+            assert_eq!(scanned, want, "{shards} shards");
+        }
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(
+            answers[0],
+            format!("{:?}", build(full, 1).global().unwrap())
+        );
+    }
+
+    #[test]
     fn compaction_folds_the_delta_without_changing_answers() {
         let (full, pred) = setup(1500);
         let (base, delta) = split(&full, 1200);
@@ -1922,7 +1967,9 @@ mod tests {
         assert_eq!(folded.delta_rows(), 0);
         assert_eq!(folded.total_rows(), live.total_rows());
         assert_eq!(folded.table().n_rows(), full.n_rows());
-        assert!(folded.index_enabled(), "compaction rebuilds the index");
+        assert!(folded.index_enabled(), "compaction folds the index");
+        let rebuilt = TableIndex::build(folded.table(), 1).unwrap();
+        assert_eq!(folded.estimator().index().map(|i| &**i), Some(&rebuilt));
         // the fold shares the warm caches, and they still answer warm
         assert_eq!(folded.cache_stats(), warm);
         let before = folded.cache_stats();

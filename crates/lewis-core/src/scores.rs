@@ -41,7 +41,8 @@ pub(crate) struct DeltaOverlay {
     table: Arc<Table>,
     /// Append-only per-(attribute, code) bitmaps over the delta rows,
     /// present iff the base estimator carries a [`TableIndex`] — support
-    /// probes then stay on the popcount path end to end.
+    /// probes and top-up passes then stay on the popcount path end to
+    /// end.
     bitmaps: Option<Arc<DeltaBitmaps>>,
 }
 
@@ -418,6 +419,22 @@ impl ScoreEstimator {
         Ok(est)
     }
 
+    /// The index of the table base rows then delta rows form, when it
+    /// can be had without reading a column: this index itself if no
+    /// delta row is overlaid, else this index with the delta bitmaps
+    /// appended ([`TableIndex::appended`], one shard only). `None` when
+    /// there is no index or it has more than one shard.
+    pub(crate) fn folded_index(&self) -> Option<Arc<TableIndex>> {
+        let index = self.index.as_ref()?;
+        match &self.delta {
+            Some(delta) if delta.table.n_rows() > 0 => {
+                let bitmaps = delta.bitmaps.as_deref()?;
+                index.appended(bitmaps).map(Arc::new)
+            }
+            _ => Some(Arc::clone(index)),
+        }
+    }
+
     /// The overlaid delta shard, when this estimator serves a live table.
     pub(crate) fn delta_table(&self) -> Option<&Arc<Table>> {
         self.delta.as_ref().map(|d| &d.table)
@@ -462,36 +479,78 @@ impl ScoreEstimator {
     /// the base shards (shard-index order, integer addition), so the
     /// result equals a cold pass over the concatenated table exactly.
     pub(crate) fn counting_pass(&self, attrs: &[AttrId], k: &Context) -> Result<Counter> {
-        self.counting_pass_since(attrs, k, 0)
+        let mut counter = self.base_counting_pass(attrs, k)?;
+        self.merge_delta_scan(&mut counter, attrs, k, 0)?;
+        Ok(counter)
     }
 
     /// [`ScoreEstimator::counting_pass`] over the logical rows `from..`
     /// only (base rows, then delta rows) — the pass that tops up a
-    /// cached aggregate counted over the first `from` rows. From row 0
-    /// it is the full pass, index first; a later start scans just its
-    /// range of base rows.
+    /// cached aggregate counted over the first `from` rows. Returns the
+    /// counter and how many rows it scanned one by one.
+    ///
+    /// The bitmap index walks the range by popcount when the estimator
+    /// has one, over a single shard, and its cost gate admits the
+    /// request ([`TableIndex::counting_pass_range`]); then no row is
+    /// scanned. Otherwise the base and delta rows of the range are
+    /// scanned. Both give the same integers.
     pub(crate) fn counting_pass_since(
         &self,
         attrs: &[AttrId],
         k: &Context,
         from: usize,
-    ) -> Result<Counter> {
-        let base = self.table.n_rows();
-        let mut counter = if from == 0 {
-            self.base_counting_pass(attrs, k)?
-        } else {
-            Counter::build_range(&self.table, attrs, k, from.min(base)..base)?
-        };
-        if let Some(delta) = &self.delta {
-            let rows = from.saturating_sub(base).min(delta.table.n_rows())..delta.table.n_rows();
-            if !rows.is_empty() {
-                // Same attrs over the same domains: grid, strides and
-                // storage kind all match the base counter by
-                // construction, so the merge cannot fail on shape.
-                counter.merge_from(&Counter::build_range(&delta.table, attrs, k, rows)?)?;
-            }
+    ) -> Result<(Counter, usize)> {
+        if let Some(counter) = self.walk_since(attrs, k, from)? {
+            return Ok((counter, 0));
         }
-        Ok(counter)
+        let base = self.table.n_rows();
+        let mut counter = Counter::build_range(&self.table, attrs, k, from.min(base)..base)?;
+        let scanned =
+            base.saturating_sub(from) + self.merge_delta_scan(&mut counter, attrs, k, from)?;
+        Ok((counter, scanned))
+    }
+
+    /// The popcount walk behind [`ScoreEstimator::counting_pass_since`]:
+    /// `None` where the index declines the range, or there is no index,
+    /// or a delta overlay has no bitmaps to walk.
+    fn walk_since(&self, attrs: &[AttrId], k: &Context, from: usize) -> Result<Option<Counter>> {
+        let Some(index) = &self.index else {
+            return Ok(None);
+        };
+        let base = self.table.n_rows();
+        let delta = match &self.delta {
+            None => None,
+            Some(DeltaOverlay {
+                bitmaps: Some(bitmaps),
+                ..
+            }) => Some((&**bitmaps, from.saturating_sub(base)..bitmaps.n_rows())),
+            Some(_) => return Ok(None),
+        };
+        let rows = from.min(base)..base;
+        Ok(index.counting_pass_range(&self.table, rows, delta, attrs, k)?)
+    }
+
+    /// Scan the delta rows at logical rows `from..` and merge their
+    /// counts into `counter`; returns how many rows that scanned.
+    fn merge_delta_scan(
+        &self,
+        counter: &mut Counter,
+        attrs: &[AttrId],
+        k: &Context,
+        from: usize,
+    ) -> Result<usize> {
+        let Some(delta) = &self.delta else {
+            return Ok(0);
+        };
+        let n = delta.table.n_rows();
+        let rows = from.saturating_sub(self.table.n_rows()).min(n)..n;
+        if !rows.is_empty() {
+            // Same attrs over the same domains: grid, strides and
+            // storage kind all match the base counter by construction,
+            // so the merge cannot fail on shape.
+            counter.merge_from(&Counter::build_range(&delta.table, attrs, k, rows.clone())?)?;
+        }
+        Ok(rows.len())
     }
 
     /// The base-table half of [`ScoreEstimator::counting_pass`].
@@ -534,7 +593,11 @@ impl ScoreEstimator {
             .schema()
             .cardinality(attr)
             .map_err(LewisError::from)?;
-        let counter = self.counting_pass_since(&[attr, self.pred], &Context::empty(), from)?;
+        let attrs = [attr, self.pred];
+        let counter = match from {
+            0 => self.counting_pass(&attrs, &Context::empty())?,
+            _ => self.counting_pass_since(&attrs, &Context::empty(), from)?.0,
+        };
         Ok((0..card as Value)
             .map(|v| {
                 (
@@ -693,7 +756,10 @@ impl ScoreEstimator {
                             match resident {
                                 None => self.build_arm_table(&c_set, xs, k, None),
                                 Some((arms, from)) => {
-                                    self.top_up_arm_table(arms, from, &c_set, xs, k)
+                                    let (arms, scanned) =
+                                        self.top_up_arm_table(arms, from, &c_set, xs, k)?;
+                                    cache.scanned(scanned);
+                                    Ok(arms)
                                 }
                             }
                         })
@@ -776,7 +842,9 @@ impl ScoreEstimator {
     /// the rows after them: one pass over just those rows, merged in.
     /// The result equals [`ScoreEstimator::build_arm_table`] over every
     /// row exactly. A top-up that matches no new row returns `arms`
-    /// unchanged rather than an error.
+    /// unchanged rather than an error. Also returns how many rows the
+    /// top-up scanned one by one (see
+    /// [`ScoreEstimator::counting_pass_since`]).
     pub(crate) fn top_up_arm_table(
         &self,
         arms: &ArmTable,
@@ -784,9 +852,10 @@ impl ScoreEstimator {
         c_set: &[AttrId],
         xs: &[AttrId],
         k: &Context,
-    ) -> Result<ArmTable> {
-        let counter = self.counting_pass_since(&self.pass_attrs(c_set, xs), k, from)?;
-        Ok(arms.merged(&self.arms_from_counter(&counter, c_set.len(), xs.len(), None)))
+    ) -> Result<(ArmTable, usize)> {
+        let (counter, scanned) = self.counting_pass_since(&self.pass_attrs(c_set, xs), k, from)?;
+        let more = self.arms_from_counter(&counter, c_set.len(), xs.len(), None);
+        Ok((arms.merged(&more), scanned))
     }
 
     /// The attributes an arm-table pass groups by: `(C…, X…, pred)`.

@@ -80,9 +80,10 @@
 //! Appends serialise on it; readers touch it only long enough to clone
 //! an [`Arc<Engine>`], then query entirely lock-free on an immutable
 //! engine generation. The expensive part of compaction —
-//! [`Engine::compacted`], which rebuilds the folded table and its
-//! index — runs *outside* the lock; only publishing the current
-//! generation [rebased onto](Engine::rebased_onto) the fold re-takes it.
+//! [`Engine::compacted`], which concatenates the folded table's columns
+//! and extends the base index with the delta bitmaps — runs *outside*
+//! the lock; only publishing the current generation
+//! [rebased onto](Engine::rebased_onto) the fold re-takes it.
 
 use lewis_core::{Engine, Result};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -93,7 +94,7 @@ use tabular::{Table, Value};
 /// An append still copies the delta table once (the previous engine
 /// generation keeps reading the old copy); everything else it does is
 /// in proportion to the batch. The threshold bounds that copy, the
-/// overlay's memory and the row range a cache top-up scans; it is
+/// overlay's memory and the delta words a cache top-up walks; it is
 /// deliberately small next to the bases it shields.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 8192;
 
@@ -285,9 +286,14 @@ impl LiveEngine {
         })
     }
 
-    /// Spawn a background [`LiveEngine::compact`] if the delta has
-    /// reached the threshold and no fold is already running. Returns
-    /// whether a fold was spawned. Call after appends; never blocks.
+    /// Spawn a background [`LiveEngine::compact`] on a thread named
+    /// `lewis-compact` if the delta has reached the threshold and no
+    /// fold is already running. Returns whether a fold was spawned. Call
+    /// after appends; never blocks.
+    ///
+    /// If the OS refuses the thread, this returns `false` and nothing
+    /// changes: the delta keeps serving, and the next append's call
+    /// tries the fold again.
     pub fn maybe_spawn_compaction(self: &Arc<Self>) -> bool {
         {
             let st = recover(self.state.lock());
@@ -296,12 +302,14 @@ impl LiveEngine {
             }
         }
         let live = Arc::clone(self);
-        std::thread::spawn(move || {
-            // compact() clears the compacting flag on every path; a
-            // racing fold that got there first just reports `skipped`.
-            let _ = live.compact();
-        });
-        true
+        let spawned = std::thread::Builder::new()
+            .name("lewis-compact".into())
+            .spawn(move || {
+                // compact() sets and clears the compacting flag itself;
+                // a racing fold that got there first reports `skipped`.
+                let _ = live.compact();
+            });
+        spawned.is_ok()
     }
 }
 

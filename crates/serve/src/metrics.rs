@@ -268,6 +268,10 @@ impl Metrics {
                                 ("hits", Json::num(stats.hits as f64)),
                                 ("misses", Json::num(stats.misses as f64)),
                                 ("topped_up", Json::num(stats.topped_up as f64)),
+                                (
+                                    "topup_rows_scanned",
+                                    Json::num(stats.topup_rows_scanned as f64),
+                                ),
                                 ("hit_rate", Json::Num(stats.hit_rate())),
                                 ("entries", Json::num(stats.entries as f64)),
                                 ("capacity", Json::num(stats.capacity as f64)),

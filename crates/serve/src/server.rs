@@ -1032,6 +1032,9 @@ mod tests {
         // the second global re-counted no pass: every one was a top-up
         assert_eq!(cache.get("hits").unwrap().as_f64(), Some(misses));
         assert_eq!(cache.get("topped_up").unwrap().as_f64(), Some(misses));
+        // ...by walking the appended row's bitmap words, not scanning it
+        let scanned = cache.get("topup_rows_scanned").unwrap().as_f64();
+        assert_eq!(scanned, Some(0.0));
         let surrogates = engine.get("surrogate_cache").unwrap();
         assert_eq!(surrogates.get("topped_up").unwrap().as_f64(), Some(0.0));
 

@@ -11,6 +11,10 @@
 //! `i` of the covered range. Trailing bits past `len` are always zero —
 //! an invariant [`Bitmap::from_words`] enforces on untrusted input so
 //! popcounts can never over-report.
+//!
+//! The counting kernels ([`count_ones`], [`and_count`], [`and_into`],
+//! [`and_assign`], [`and_count_multi`]) take plain word slices of equal
+//! length, so they serve a whole bitmap and a window of one alike.
 
 use crate::domain::Value;
 use crate::error::TabularError;
@@ -104,110 +108,7 @@ impl Bitmap {
 
     /// Number of set bits.
     pub fn count_ones(&self) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if hw_popcnt() {
-            // SAFETY: `hw_popcnt` verified the `popcnt` CPU feature the
-            // callee is compiled for.
-            return unsafe { kernels::count_ones(&self.words) };
-        }
-        count_ones_body(&self.words)
-    }
-
-    /// `self &= other`. Both bitmaps must cover the same row range.
-    pub fn and_assign(&mut self, other: &Bitmap) {
-        debug_assert_eq!(self.len, other.len, "AND over mismatched row ranges");
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
-    /// Write `self & other` into `out` (reusing its allocation) and
-    /// return the intersection's popcount — one pass over the words
-    /// where `clone` + `and_assign` + `count_ones` would take three.
-    /// This is the inner-node primitive of the index's grid walk.
-    ///
-    /// All three bitmaps must cover the same row range; `out`'s previous
-    /// contents are overwritten.
-    pub fn and_into(&self, other: &Bitmap, out: &mut Bitmap) -> u64 {
-        debug_assert_eq!(self.len, other.len, "AND over mismatched row ranges");
-        debug_assert_eq!(self.len, out.len, "AND into a mismatched row range");
-        #[cfg(target_arch = "x86_64")]
-        if hw_popcnt() {
-            // SAFETY: `hw_popcnt` verified the `popcnt` CPU feature the
-            // callee is compiled for.
-            return unsafe { kernels::and_into(&self.words, &other.words, &mut out.words) };
-        }
-        and_into_body(&self.words, &other.words, &mut out.words)
-    }
-
-    /// Fused two-level intersection counts: returns
-    /// `popcount(self & other)` and writes
-    /// `popcount(self & other & thirds[j])` into `out[j]`, all in one
-    /// pass over the words with no intermediate bitmap. This is the
-    /// second-to-last-level kernel of the index's grid walk, where
-    /// `thirds` are the leaf attribute's code bitmaps: visiting the
-    /// `(self & other)` word once and AND-ing each leaf word against it
-    /// in registers replaces a materialized intersection plus one full
-    /// re-read per leaf code.
-    ///
-    /// All bitmaps must cover the same row range; `out` must have
-    /// `thirds.len()` slots and is overwritten.
-    pub fn and_count_multi(&self, other: &Bitmap, thirds: &[Bitmap], out: &mut [u64]) -> u64 {
-        debug_assert_eq!(self.len, other.len, "AND over mismatched row ranges");
-        debug_assert_eq!(thirds.len(), out.len(), "one count slot per third bitmap");
-        for t in thirds {
-            debug_assert_eq!(self.len, t.len(), "AND over mismatched row ranges");
-        }
-        match (thirds, out) {
-            // no leaf codes to split out: a plain fused AND-popcount
-            ([], _) => self.and_count(other),
-            // one third (binary leaf attributes — the prediction column
-            // — land here): branch-free zip the optimizer can unroll
-            ([t], [o]) => {
-                #[cfg(target_arch = "x86_64")]
-                if hw_popcnt() {
-                    // SAFETY: `hw_popcnt` verified the `popcnt` CPU
-                    // feature the callee is compiled for.
-                    let (total, n) =
-                        unsafe { kernels::and_count_pair(&self.words, &other.words, &t.words) };
-                    *o = n;
-                    return total;
-                }
-                let (total, n) = and_count_pair_body(&self.words, &other.words, &t.words);
-                *o = n;
-                total
-            }
-            // wider leaves: word-major with zero-word skipping, which
-            // pays off once several popcounts hang off each word
-            (thirds, out) => {
-                #[cfg(target_arch = "x86_64")]
-                if hw_popcnt() {
-                    // SAFETY: `hw_popcnt` verified the `popcnt` CPU
-                    // feature the callee is compiled for.
-                    return unsafe {
-                        kernels::and_count_fan(&self.words, &other.words, thirds, out)
-                    };
-                }
-                and_count_fan_body(&self.words, &other.words, thirds, out)
-            }
-        }
-    }
-
-    /// `popcount(self & other)` without materializing the intersection.
-    pub fn and_count(&self, other: &Bitmap) -> u64 {
-        debug_assert_eq!(self.len, other.len, "AND over mismatched row ranges");
-        #[cfg(target_arch = "x86_64")]
-        if hw_popcnt() {
-            // SAFETY: `hw_popcnt` verified the `popcnt` CPU feature the
-            // callee is compiled for.
-            return unsafe { kernels::and_count(&self.words, &other.words) };
-        }
-        and_count_body(&self.words, &other.words)
-    }
-
-    /// Whether no bit is set.
-    pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        count_ones(&self.words)
     }
 
     /// Visit the row position of every set bit, in ascending order.
@@ -234,6 +135,105 @@ impl Bitmap {
             if used < 64 {
                 *last &= (1u64 << used) - 1;
             }
+        }
+    }
+}
+
+impl AsRef<[u64]> for Bitmap {
+    fn as_ref(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// Popcount of `words`.
+pub fn count_ones(words: &[u64]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if hw_popcnt() {
+        // SAFETY: `hw_popcnt` verified the `popcnt` CPU feature the
+        // callee is compiled for.
+        return unsafe { kernels::count_ones(words) };
+    }
+    count_ones_body(words)
+}
+
+/// `popcount(a & b)` without materializing the intersection.
+pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len(), "AND over mismatched word ranges");
+    #[cfg(target_arch = "x86_64")]
+    if hw_popcnt() {
+        // SAFETY: as in `count_ones`.
+        return unsafe { kernels::and_count(a, b) };
+    }
+    and_count_body(a, b)
+}
+
+/// Write `a & b` into `out` and return its popcount, in one pass over
+/// the words. This is the inner-node step of the index's grid walk.
+pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len(), "AND over mismatched word ranges");
+    debug_assert_eq!(a.len(), out.len(), "AND into a mismatched word range");
+    #[cfg(target_arch = "x86_64")]
+    if hw_popcnt() {
+        // SAFETY: as in `count_ones`.
+        return unsafe { kernels::and_into(a, b, out) };
+    }
+    and_into_body(a, b, out)
+}
+
+/// `mask &= b`, word by word. No popcount, so the loop vectorizes: a
+/// context folds into a root mask this way and is counted once.
+pub fn and_assign(mask: &mut [u64], b: &[u64]) {
+    debug_assert_eq!(mask.len(), b.len(), "AND over mismatched word ranges");
+    for (w, &y) in mask.iter_mut().zip(b) {
+        *w &= y;
+    }
+}
+
+/// Fused two-level intersection counts: returns `popcount(a & b)` and
+/// writes `popcount(a & b & thirds[j])` into `out[j]`, all in one pass
+/// with no intermediate words. This is the second-to-last-level kernel
+/// of the index's grid walk, where `thirds` are the leaf attribute's
+/// code words: the `a & b` word is visited once and AND-ed against each
+/// leaf word in registers.
+///
+/// All slices must have the same length; `out` must have `thirds.len()`
+/// slots and is overwritten.
+pub fn and_count_multi<T: AsRef<[u64]>>(
+    a: &[u64],
+    b: &[u64],
+    thirds: &[T],
+    out: &mut [u64],
+) -> u64 {
+    debug_assert_eq!(a.len(), b.len(), "AND over mismatched word ranges");
+    debug_assert_eq!(thirds.len(), out.len(), "one count slot per third");
+    match (thirds, out) {
+        // no leaf codes to split out: a plain fused AND-popcount
+        ([], _) => and_count(a, b),
+        // one third (binary leaf attributes — the prediction column
+        // — land here): branch-free zip the optimizer can unroll
+        ([t], [o]) => {
+            let t = t.as_ref();
+            debug_assert_eq!(a.len(), t.len(), "AND over mismatched word ranges");
+            #[cfg(target_arch = "x86_64")]
+            if hw_popcnt() {
+                // SAFETY: as in `count_ones`.
+                let (total, n) = unsafe { kernels::and_count_pair(a, b, t) };
+                *o = n;
+                return total;
+            }
+            let (total, n) = and_count_pair_body(a, b, t);
+            *o = n;
+            total
+        }
+        // wider leaves: word-major with zero-word skipping, which
+        // pays off once several popcounts hang off each word
+        (thirds, out) => {
+            #[cfg(target_arch = "x86_64")]
+            if hw_popcnt() {
+                // SAFETY: as in `count_ones`.
+                return unsafe { kernels::and_count_fan(a, b, thirds, out) };
+            }
+            and_count_fan_body(a, b, thirds, out)
         }
     }
 }
@@ -288,7 +288,7 @@ fn and_count_pair_body(a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
 }
 
 #[inline(always)]
-fn and_count_fan_body(a: &[u64], b: &[u64], thirds: &[Bitmap], out: &mut [u64]) -> u64 {
+fn and_count_fan_body<T: AsRef<[u64]>>(a: &[u64], b: &[u64], thirds: &[T], out: &mut [u64]) -> u64 {
     out.fill(0);
     let mut total = 0u64;
     for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
@@ -298,7 +298,7 @@ fn and_count_fan_body(a: &[u64], b: &[u64], thirds: &[Bitmap], out: &mut [u64]) 
         }
         total += u64::from(v.count_ones());
         for (t, o) in thirds.iter().zip(out.iter_mut()) {
-            *o += u64::from((v & t.words[i]).count_ones());
+            *o += u64::from((v & t.as_ref()[i]).count_ones());
         }
     }
     total
@@ -310,8 +310,6 @@ fn and_count_fan_body(a: &[u64], b: &[u64], thirds: &[Bitmap], out: &mut [u64]) 
 /// sites sit behind [`hw_popcnt`].
 #[cfg(target_arch = "x86_64")]
 mod kernels {
-    use super::Bitmap;
-
     #[target_feature(enable = "popcnt")]
     pub fn count_ones(words: &[u64]) -> u64 {
         super::count_ones_body(words)
@@ -333,7 +331,12 @@ mod kernels {
     }
 
     #[target_feature(enable = "popcnt")]
-    pub fn and_count_fan(a: &[u64], b: &[u64], thirds: &[Bitmap], out: &mut [u64]) -> u64 {
+    pub fn and_count_fan<T: AsRef<[u64]>>(
+        a: &[u64],
+        b: &[u64],
+        thirds: &[T],
+        out: &mut [u64],
+    ) -> u64 {
         super::and_count_fan_body(a, b, thirds, out)
     }
 }
@@ -389,54 +392,39 @@ mod tests {
     }
 
     #[test]
-    fn and_matches_set_intersection() {
-        let mut a = Bitmap::zeros(100);
-        let mut b = Bitmap::zeros(100);
-        for i in 0..100 {
-            if i % 2 == 0 {
-                a.set(i);
-            }
-            if i % 3 == 0 {
-                b.set(i);
-            }
-        }
-        assert_eq!(a.and_count(&b), 17); // multiples of 6 in 0..100
-        let mut c = a.clone();
-        c.and_assign(&b);
-        assert_eq!(c.count_ones(), 17);
-        // the fused single-pass variant agrees and overwrites out
-        let mut out = Bitmap::ones(100);
-        assert_eq!(a.and_into(&b, &mut out), 17);
-        assert_eq!(out, c);
+    fn and_kernels_match_set_intersection() {
+        let multiples = |k: usize| {
+            let mut b = Bitmap::zeros(100);
+            (0..100).filter(|i| i % k == 0).for_each(|i| b.set(i));
+            b
+        };
+        let (a, b) = (multiples(2), multiples(3));
+        let (a, b) = (a.words(), b.words());
+        assert_eq!(and_count(a, b), 17); // multiples of 6 in 0..100
+                                         // the fused single-pass variant agrees and overwrites out
+        let mut out = Bitmap::ones(100).words().to_vec();
+        assert_eq!(and_into(a, b, &mut out), 17);
+        assert_eq!(out, multiples(6).words());
+        // in place, too
+        let mut mask = a.to_vec();
+        and_assign(&mut mask, b);
+        assert_eq!(mask, out);
         // the two-level kernel agrees with chained and_counts
-        let mut d = Bitmap::zeros(100);
-        let mut e = Bitmap::zeros(100);
-        for i in 0..100 {
-            if i % 5 == 0 {
-                d.set(i);
-            }
-            if i % 4 == 0 {
-                e.set(i);
-            }
-        }
+        let (d, e) = (multiples(5), multiples(4));
         let mut counts = [7u64, 7u64];
-        let total = a.and_count_multi(&b, &[d.clone(), e.clone()], &mut counts);
+        let total = and_count_multi(a, b, &[d.words(), e.words()], &mut counts);
         assert_eq!(total, 17);
-        assert_eq!(counts[0], c.and_count(&d)); // multiples of 30
-        assert_eq!(counts[1], c.and_count(&e)); // multiples of 12
+        assert_eq!(counts[0], and_count(&out, d.words())); // multiples of 30
+        assert_eq!(counts[1], and_count(&out, e.words())); // multiples of 12
         assert_eq!(counts, [4, 9]);
         // every specialized arity agrees
         let mut one = [0u64];
-        assert_eq!(
-            a.and_count_multi(&b, std::slice::from_ref(&d), &mut one),
-            17
-        );
+        assert_eq!(and_count_multi(a, b, &[d.words()], &mut one), 17);
         assert_eq!(one, [4]);
-        assert_eq!(a.and_count_multi(&b, &[], &mut []), 17);
-        assert!(c.get(6) && !c.get(2) && !c.get(3));
-        assert!(!c.is_zero());
+        assert_eq!(and_count_multi::<&[u64]>(a, b, &[], &mut []), 17);
+        assert_eq!(count_ones(&out), 17);
         let mut collected = Vec::new();
-        c.for_each_set(|i| collected.push(i));
+        multiples(6).for_each_set(|i| collected.push(i));
         assert_eq!(
             collected,
             (0..100).filter(|i| i % 6 == 0).collect::<Vec<_>>()
@@ -468,10 +456,11 @@ mod tests {
         // every row in exactly one bitmap
         let total: u64 = maps.iter().map(Bitmap::count_ones).sum();
         assert_eq!(total, 6);
-        assert_eq!(maps[0].and_count(&maps[2]), 0);
+        assert_eq!(and_count(maps[0].words(), maps[2].words()), 0);
         // out-of-domain code is a typed error, not a silent drop
         assert!(column_bitmaps(&col, 2).is_err());
         // empty slice works
-        assert!(column_bitmaps(&[], 4).unwrap().iter().all(Bitmap::is_zero));
+        let empty = column_bitmaps(&[], 4).unwrap();
+        assert!(empty.iter().all(|b| b.count_ones() == 0));
     }
 }

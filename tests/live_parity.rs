@@ -20,6 +20,7 @@
 use lewis_core::blackbox::label_table;
 use lewis_core::snapshot::PassSnapshot;
 use lewis_core::{Engine, ExplainRequest, ExplainResponse, LewisError, RecourseOptions};
+use lewis_index::TableIndex;
 use lewis_live::LiveEngine;
 use lewis_serve::{wire, BUILTINS};
 use lewis_store::{Pack, PackMeta};
@@ -294,6 +295,50 @@ proptest! {
         for pass in &live_passes {
             let twin = cold_passes.iter().find(|c| key(c) == key(pass));
             prop_assert_eq!(Some(pass), twin, "{} pass diverged (seed {})", name, seed);
+        }
+    }
+
+    /// Batches that end mid-word (1, 63, 65, 300 rows) across two
+    /// compactions, each fold landing right after an unwarmed batch: the
+    /// warm probes top up through the popcount range walk on both sides
+    /// of every fold, from watermarks inside a word of the delta and,
+    /// after a fold, inside a word of the folded base. Every answer
+    /// equals a cold build, and every folded index equals a rebuild over
+    /// the folded table word for word.
+    #[test]
+    fn odd_sized_batches_top_up_and_fold_the_index_exactly(seed in 0u64..10_000) {
+        let (name, _) = BUILTINS[(seed as usize + 2) % BUILTINS.len()];
+        let batches = [1usize, 63, 65, 300, 1, 63];
+        let fold_after = [1usize, 3];
+        let base_rows = 150 + (seed as usize % 50);
+        let (full, graph, pred, features) =
+            builtin_world(name, base_rows + batches.iter().sum::<usize>(), seed);
+        let base_rows = full.n_rows() - batches.iter().sum::<usize>();
+        let requests = probe_requests(&build(full.clone(), &graph, pred, &features, 1, true), seed);
+        let base = build(prefix(&full, base_rows), &graph, pred, &features, 1, true);
+        let live = LiveEngine::new(Arc::new(base));
+        let _ = sweep(&live.engine(), &requests);
+        let mut i = base_rows;
+        for (b, &batch) in batches.iter().enumerate() {
+            let rows: Vec<Vec<Value>> = (i..i + batch).map(|r| full.row(r).unwrap()).collect();
+            live.append_rows(&rows).unwrap();
+            i += batch;
+            if fold_after.contains(&b) {
+                prop_assert!(!live.compact().unwrap().skipped);
+                let folded = live.engine();
+                let rebuilt = TableIndex::build(folded.table(), 1).unwrap();
+                let index = folded.estimator().index().map(|index| &**index);
+                prop_assert!(index == Some(&rebuilt), "{} index after batch #{}", name, b);
+            }
+            let engine = live.engine();
+            let before = engine.cache_stats();
+            let got = sweep(&engine, &requests);
+            prop_assert!(engine.cache_stats().topped_up > before.topped_up);
+            let cold = build(prefix(&full, i), &graph, pred, &features, 1, true);
+            prop_assert_eq!(
+                &sweep(&cold, &requests), &got,
+                "{} diverged at {} rows (seed {})", name, i, seed
+            );
         }
     }
 
