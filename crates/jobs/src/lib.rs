@@ -31,7 +31,8 @@
 //!     capacity: 8,
 //!     workers: 2,
 //!     ttl: Duration::from_secs(60),
-//! });
+//! })
+//! .expect("job workers spawn");
 //! let id = jobs.submit(|| 6 * 7).expect("queue has room");
 //! let answer = loop {
 //!     match jobs.status(id).expect("within the TTL").state {
@@ -226,7 +227,9 @@ pub struct JobManager<T> {
 
 impl<T: Send + 'static> JobManager<T> {
     /// Start a manager with `config.workers` (at least one) threads.
-    pub fn new(config: JobConfig) -> Self {
+    /// Fails when a worker thread cannot be spawned; the workers already
+    /// started are shut down and joined first.
+    pub fn new(config: JobConfig) -> std::io::Result<Self> {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -239,21 +242,21 @@ impl<T: Send + 'static> JobManager<T> {
             capacity: config.capacity,
             ttl: config.ttl,
         });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
+        // built before the spawns, so a failed spawn drops (and joins)
+        // the workers already running
+        let mut manager = JobManager {
+            shared,
+            workers: Vec::new(),
+        };
+        for i in 0..config.workers.max(1) {
+            let shared = Arc::clone(&manager.shared);
+            manager.workers.push(
                 std::thread::Builder::new()
                     .name(format!("lewis-job-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .unwrap_or_else(|e| {
-                        // lint:allow(no-panic-on-input): spawn fails only
-                        // on resource exhaustion at process start, never
-                        // from request bytes.
-                        panic!("spawning job worker: {e}")
-                    })
-            })
-            .collect();
-        JobManager { shared, workers }
+                    .spawn(move || worker_loop(&shared))?,
+            );
+        }
+        Ok(manager)
     }
 
     /// Queue `job` and return its ticket, or [`QueueFull`] when
@@ -400,6 +403,7 @@ mod tests {
             workers: 2,
             ttl,
         })
+        .unwrap()
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The `lewis-router` binary: one endpoint over N `lewis-serve`
-//! replicas — round-robin forwarding, health-check eviction, typed 503
-//! when the whole fleet is down.
+//! replicas — round-robin forwarding, health-check eviction, writes
+//! sent once, typed 503 when the whole fleet is down.
 
 use lewis_serve::{route_serve, RouterConfig};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -26,7 +26,12 @@ ROUTES:
     GET  /healthz          router liveness + healthy replica count
     GET  /router/metrics   per-replica forwarded/error counters
     POST /admin/shutdown   graceful stop
-    anything else          forwarded to the next healthy replica
+    anything else          forwarded to the next healthy replica. GETs and
+                           synchronous explains are retried on the next
+                           replica after a transport error; every other
+                           request (appends, compactions, async jobs,
+                           admin lifecycle) is sent once, and a failure
+                           after sending answers 502 forward_failed
 ";
 
 fn fail(msg: &str) -> ! {

@@ -18,22 +18,25 @@
 //! * [`registry`] — named engines: built-in SCM datasets and user CSVs
 //!   loaded through [`tabular::read_csv_file`], so one process serves
 //!   many models/scenarios;
-//! * [`http`] — bounded HTTP/1.1 request parsing and response writing;
+//! * [`http`] — bounded HTTP/1.1 request and response parsing,
+//!   response writing, and the one listener, bounded worker pool and
+//!   keep-alive connection loop the server and the router both run on;
 //! * [`metrics`] — lock-free request/error counters, per-route latency
 //!   histograms (p50/p95/p99) and engine cache stats for
 //!   `GET /metrics`;
 //! * [`admission`] — per-engine QoS: token-bucket rate caps, bounded
 //!   in-flight/queue gates and typed `429` load shedding, so one hot
 //!   engine never starves the pool;
-//! * [`server`] — the `TcpListener` + bounded worker pool with
-//!   keep-alive, request-size limits, graceful shutdown and the
-//!   `/admin/engines/{name}` hot lifecycle (load/swap/unload of
-//!   `.lewis` packs with a monotonic engine generation);
+//! * [`server`] — the route table and its handlers, graceful
+//!   shutdown and the `/admin/engines/{name}` hot lifecycle
+//!   (load/swap/unload of `.lewis` packs with a monotonic engine
+//!   generation);
+//! * [`client`] — the minimal blocking client the router forwards and
+//!   probes with, and the tests and the `loadgen` binary drive the
+//!   server with;
 //! * [`router`] — a std-only fleet front: round-robin over N replica
-//!   processes with health-check eviction and per-replica forward
-//!   counters;
-//! * [`client`] — the minimal blocking client the tests and the
-//!   `loadgen` binary drive the server with.
+//!   processes through [`Client`], with health-check eviction, writes
+//!   sent once, and per-replica forward counters.
 //!
 //! Three binaries ship with the crate: `lewis-serve` (the server),
 //! `lewis-router` (the replica front) and `loadgen` (a mixed-workload

@@ -4,20 +4,26 @@
 //! The replicas share nothing at runtime — each is a full process with
 //! its own engines (typically restored from the same shared pack
 //! directory, see `lewis-serve --pack-dir`). The router makes them one
-//! endpoint:
+//! endpoint. It runs on the same listener, worker pool and connection
+//! loop as the server ([`crate::http`]) and talks to its replicas with
+//! [`Client`], relaying each answer's body bytes verbatim:
 //!
 //! * **round-robin** — each incoming request is forwarded to the next
-//!   healthy replica; per-worker keep-alive connections to every
-//!   replica amortize the hop;
+//!   healthy replica;
 //! * **health eviction** — a background prober hits every replica's
 //!   `GET /healthz` on an interval; failing replicas stop receiving
-//!   traffic until they answer again. A forward error also retries on
-//!   the next healthy replica (the query lanes are reads — explain
-//!   traffic is safe to replay; route writes at a single replica
-//!   directly);
+//!   traffic until they answer again;
+//! * **replay policy** — only [`replayable`] requests (every `GET` and
+//!   the synchronous explain) ride per-worker keep-alive connections
+//!   and, after a transport error, are retried on the next healthy
+//!   replica. Every other request (appends, compactions, async
+//!   submissions, admin lifecycle) goes to one replica, once, on a
+//!   fresh connection: it moves on only when that connection cannot be
+//!   opened, and a failure after it was sent answers a typed `502`
+//!   `forward_failed`, because the replica may have applied it;
 //! * **draining** — a replica going through graceful shutdown finishes
 //!   its in-flight requests; the router's retry + eviction absorb the
-//!   handoff, so a rolling restart sheds nothing;
+//!   handoff, so a rolling restart sheds no reads;
 //! * **own routes** — `GET /healthz` (router liveness + healthy replica
 //!   count), `GET /router/metrics` (per-replica forward/error counters,
 //!   the CI fleet-smoke gate that *both* replicas received traffic) and
@@ -32,17 +38,18 @@
 //! connection *per replica*, and `lewis-serve` dedicates a worker
 //! thread to every open connection — so run replicas with `--workers`
 //! comfortably above the router's worker count (plus one spare for the
-//! health prober and any admin traffic). A replica whose pool is fully
-//! pinned by router connections cannot answer its own `/healthz` and
-//! gets evicted as if it were down.
+//! health prober, the router's one-shot write connections and any
+//! admin traffic). A replica whose pool is fully pinned by router
+//! connections cannot answer its own `/healthz` and gets evicted as if
+//! it were down.
 
-use crate::http::{read_request, write_response, HttpRequest, HttpResponse, ReadOutcome};
+use crate::client::Client;
+use crate::http::{self, error_response, Handler, HttpReply, HttpRequest, HttpResponse, Switch};
+use crate::server::replayable;
 use crate::wire::Json;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -76,13 +83,15 @@ impl Default for RouterConfig {
     }
 }
 
-/// Largest replica response body the router will relay (a batch of 256
-/// explanations is far below this; the cap only bounds a misbehaving
-/// upstream).
-const MAX_PROXY_BODY: usize = 64 << 20;
-
 /// IO budget for one health probe.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// IO budget for one forwarded request.
+const FORWARD_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The replica response headers the router relays (the ones replicas
+/// emit besides the framing).
+const RELAYED_HEADERS: [&str; 2] = ["x-engine-generation", "retry-after"];
 
 /// One replica's live state.
 struct Replica {
@@ -99,21 +108,18 @@ struct RouterState {
     next: AtomicUsize,
     requests: AtomicU64,
     unrouted: AtomicU64,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
-    max_body: usize,
 }
 
 /// A running router. Dropping the handle does **not** stop it; call
 /// [`Router::shutdown`].
 pub struct Router {
-    state: Arc<RouterState>,
-    threads: Vec<JoinHandle<()>>,
+    listener: http::Listener,
+    health: JoinHandle<()>,
 }
 
-/// Start a router over `config.replicas`. Returns once the listener is
-/// bound, the workers are up and one initial health sweep has run (so
-/// the first request already sees live health state).
+/// Start a router over `config.replicas`. Returns once one initial
+/// health sweep has run (so the first request already sees live health
+/// state), the listener is bound and the workers are up.
 pub fn route_serve(config: &RouterConfig) -> std::io::Result<Router> {
     if config.replicas.is_empty() {
         return Err(std::io::Error::new(
@@ -121,15 +127,14 @@ pub fn route_serve(config: &RouterConfig) -> std::io::Result<Router> {
             "a router needs at least one replica",
         ));
     }
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
     let state = Arc::new(RouterState {
         replicas: config
             .replicas
             .iter()
             .map(|&addr| Replica {
                 addr,
-                healthy: AtomicBool::new(false),
+                // one synchronous sweep before accepting traffic
+                healthy: AtomicBool::new(probe(addr)),
                 forwarded: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
             })
@@ -137,106 +142,58 @@ pub fn route_serve(config: &RouterConfig) -> std::io::Result<Router> {
         next: AtomicUsize::new(0),
         requests: AtomicU64::new(0),
         unrouted: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
-        addr,
-        max_body: config.max_body,
     });
+    let listener = http::listen(
+        "lewis-router",
+        &config.addr,
+        config.workers,
+        config.read_timeout,
+        config.max_body,
+        Arc::clone(&state),
+    )?;
 
-    // one synchronous sweep before accepting traffic
-    for replica in &state.replicas {
-        replica.healthy.store(probe(replica.addr), Ordering::SeqCst);
+    let switch = Arc::clone(listener.switch());
+    let interval = config.health_interval;
+    let health = std::thread::Builder::new()
+        .name("lewis-router-health".to_string())
+        .spawn(move || {
+            while !switch.is_set() {
+                for replica in &state.replicas {
+                    replica.healthy.store(probe(replica.addr), Ordering::SeqCst);
+                }
+                std::thread::sleep(interval);
+            }
+        });
+    match health {
+        Ok(health) => Ok(Router { listener, health }),
+        Err(e) => {
+            listener.switch().set();
+            listener.join();
+            Err(e)
+        }
     }
-
-    let workers = config.workers.max(1);
-    let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(workers);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::with_capacity(workers + 2);
-    for i in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let read_timeout = config.read_timeout;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("lewis-router-worker-{i}"))
-                .spawn(move || loop {
-                    let stream = {
-                        let Ok(queue) = rx.lock() else { break };
-                        match queue.recv() {
-                            Ok(s) => s,
-                            Err(_) => break,
-                        }
-                    };
-                    handle_connection(stream, &state, read_timeout);
-                })?,
-        );
-    }
-
-    {
-        let state = Arc::clone(&state);
-        threads.push(
-            std::thread::Builder::new()
-                .name("lewis-router-acceptor".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if state.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match stream {
-                            Ok(s) => {
-                                if tx.send(s).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                })?,
-        );
-    }
-
-    {
-        let state = Arc::clone(&state);
-        let interval = config.health_interval;
-        threads.push(
-            std::thread::Builder::new()
-                .name("lewis-router-health".to_string())
-                .spawn(move || {
-                    while !state.shutdown.load(Ordering::SeqCst) {
-                        for replica in &state.replicas {
-                            replica.healthy.store(probe(replica.addr), Ordering::SeqCst);
-                        }
-                        std::thread::sleep(interval);
-                    }
-                })?,
-        );
-    }
-
-    Ok(Router { state, threads })
 }
 
 impl Router {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.state.addr
+        self.listener.addr()
     }
 
     /// Whether shutdown has been requested.
     pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
+        self.listener.switch().is_set()
     }
 
     /// Block until the router stops on its own (admin shutdown route).
     pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.listener.join();
+        let _ = self.health.join();
     }
 
     /// Graceful stop: raise the flag, poke the acceptor, join.
     pub fn shutdown(self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.state.addr);
+        self.listener.switch().set();
         self.join();
     }
 }
@@ -244,360 +201,190 @@ impl Router {
 /// One health probe: `GET /healthz` answered `200` within the probe
 /// budget.
 fn probe(addr: SocketAddr) -> bool {
-    let Ok(stream) = TcpStream::connect_timeout(&addr, PROBE_TIMEOUT) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(PROBE_TIMEOUT)).is_err()
-        || stream.set_write_timeout(Some(PROBE_TIMEOUT)).is_err()
-    {
-        return false;
-    }
-    let mut stream = stream;
-    let request =
-        b"GET /healthz HTTP/1.1\r\nhost: lewis-router\r\nconnection: close\r\ncontent-length: 0\r\n\r\n";
-    if stream.write_all(request).is_err() {
-        return false;
-    }
-    let mut head = [0u8; 16];
-    let mut read = 0;
-    while read < head.len() {
-        match stream.read(&mut head[read..]) {
-            Ok(0) => break,
-            Ok(n) => read += n,
-            Err(_) => return false,
-        }
-    }
-    head[..read].starts_with(b"HTTP/1.1 200")
+    Client::connect_timeout(addr, PROBE_TIMEOUT)
+        .and_then(|mut client| client.send("GET", "/healthz", b""))
+        .is_ok_and(|reply| reply.status == 200)
 }
 
-/// A worker-owned keep-alive connection to one replica.
-struct ReplicaConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
+impl Handler for RouterState {
+    /// This client connection's lazily opened keep-alive connection to
+    /// each replica, carrying replayable requests only.
+    type Conn = Vec<Option<Client>>;
 
-/// A replica's framed answer: status, lowercased headers, body.
-type RelayedResponse = (u16, Vec<(String, String)>, Vec<u8>);
-
-impl ReplicaConn {
-    fn open(addr: SocketAddr, timeout: Duration) -> std::io::Result<ReplicaConn> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(ReplicaConn {
-            writer,
-            reader: BufReader::new(stream),
-        })
+    fn open(&self) -> Self::Conn {
+        self.replicas.iter().map(|_| None).collect()
     }
 
-    /// Forward one request and read the full framed response.
-    fn forward(&mut self, request: &HttpRequest) -> std::io::Result<RelayedResponse> {
-        let head = format!(
-            "{} {} HTTP/1.1\r\nhost: lewis-router\r\ncontent-length: {}\r\n\r\n",
-            request.method,
-            request.path,
-            request.body.len()
-        );
-        let mut buf = head.into_bytes();
-        buf.extend_from_slice(&request.body);
-        self.writer.write_all(&buf)?;
-        self.writer.flush()?;
-
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "replica closed the connection",
-            ));
-        }
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad replica status line {status_line:?}"),
+    /// The router's own routes, or a forward.
+    fn handle(
+        &self,
+        request: &HttpRequest,
+        conns: &mut Self::Conn,
+        switch: &Switch,
+    ) -> HttpResponse {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let (path, _query) = request
+            .path
+            .split_once('?')
+            .unwrap_or((request.path.as_str(), ""));
+        match (request.method.as_str(), path) {
+            ("GET", "/healthz") => {
+                let healthy = self
+                    .replicas
+                    .iter()
+                    .filter(|r| r.healthy.load(Ordering::SeqCst))
+                    .count();
+                HttpResponse::json(
+                    200,
+                    &Json::obj([
+                        ("status", Json::str("ok")),
+                        ("role", Json::str("router")),
+                        ("replicas_healthy", Json::num(healthy as f64)),
+                        ("replicas_total", Json::num(self.replicas.len() as f64)),
+                    ]),
                 )
-            })?;
-        let mut headers = Vec::new();
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line)?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
             }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_string();
-                if name == "content-length" {
-                    content_length = value.parse().map_err(|_| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "bad replica content-length",
-                        )
-                    })?;
-                }
-                headers.push((name, value));
-            }
-        }
-        if content_length > MAX_PROXY_BODY {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "replica response exceeds the proxy body cap",
-            ));
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok((status, headers, body))
-    }
-}
-
-/// Serve one client connection for its keep-alive lifetime.
-fn handle_connection(stream: TcpStream, state: &RouterState, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // lazily-opened keep-alive connection per replica, owned by this
-    // worker for this client connection's lifetime
-    let mut conns: Vec<Option<ReplicaConn>> = state.replicas.iter().map(|_| None).collect();
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let outcome = match read_request(&mut reader, state.max_body) {
-            Ok(o) => o,
-            Err(_) => break,
-        };
-        let (response, done) = match outcome {
-            ReadOutcome::Closed => break,
-            ReadOutcome::Malformed(msg) => (
-                error_response(400, "malformed_request", &msg).closing(),
-                true,
-            ),
-            ReadOutcome::TooLarge { announced } => (
-                error_response(
-                    413,
-                    "body_too_large",
-                    &format!("announced {announced} bytes, limit {}", state.max_body),
-                )
-                .closing(),
-                true,
-            ),
-            ReadOutcome::Request(request) => {
-                state.requests.fetch_add(1, Ordering::Relaxed);
-                let mut response = dispatch(&request, state, &mut conns);
-                let close_after = !request.keep_alive() || state.shutdown.load(Ordering::SeqCst);
-                if close_after {
-                    response.close = true;
-                }
-                (response, close_after)
-            }
-        };
-        if write_response(&mut writer, &response).is_err() {
-            break;
-        }
-        if done || response.close {
-            break;
-        }
-    }
-}
-
-/// The router's own routes, or a forward.
-fn dispatch(
-    request: &HttpRequest,
-    state: &RouterState,
-    conns: &mut [Option<ReplicaConn>],
-) -> HttpResponse {
-    let (path, _query) = request
-        .path
-        .split_once('?')
-        .unwrap_or((request.path.as_str(), ""));
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            let healthy = state
-                .replicas
-                .iter()
-                .filter(|r| r.healthy.load(Ordering::SeqCst))
-                .count();
-            HttpResponse::json(
-                200,
-                &Json::obj([
-                    ("status", Json::str("ok")),
-                    ("role", Json::str("router")),
-                    ("replicas_healthy", Json::num(healthy as f64)),
-                    ("replicas_total", Json::num(state.replicas.len() as f64)),
-                ]),
-            )
-        }
-        ("GET", "/router/metrics") => {
-            let replicas: Vec<Json> = state
-                .replicas
-                .iter()
-                .map(|r| {
-                    Json::obj([
-                        ("addr", Json::str(r.addr.to_string())),
-                        ("healthy", Json::Bool(r.healthy.load(Ordering::SeqCst))),
+            ("GET", "/router/metrics") => {
+                let replicas: Vec<Json> = self
+                    .replicas
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("addr", Json::str(r.addr.to_string())),
+                            ("healthy", Json::Bool(r.healthy.load(Ordering::SeqCst))),
+                            (
+                                "forwarded",
+                                Json::num(r.forwarded.load(Ordering::Relaxed) as f64),
+                            ),
+                            ("errors", Json::num(r.errors.load(Ordering::Relaxed) as f64)),
+                        ])
+                    })
+                    .collect();
+                HttpResponse::json(
+                    200,
+                    &Json::obj([
                         (
-                            "forwarded",
-                            Json::num(r.forwarded.load(Ordering::Relaxed) as f64),
+                            "requests",
+                            Json::num(self.requests.load(Ordering::Relaxed) as f64),
                         ),
-                        ("errors", Json::num(r.errors.load(Ordering::Relaxed) as f64)),
-                    ])
-                })
-                .collect();
-            HttpResponse::json(
-                200,
-                &Json::obj([
-                    (
-                        "requests",
-                        Json::num(state.requests.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "unrouted",
-                        Json::num(state.unrouted.load(Ordering::Relaxed) as f64),
-                    ),
-                    ("replicas", Json::Arr(replicas)),
-                ]),
-            )
+                        (
+                            "unrouted",
+                            Json::num(self.unrouted.load(Ordering::Relaxed) as f64),
+                        ),
+                        ("replicas", Json::Arr(replicas)),
+                    ]),
+                )
+            }
+            ("POST", "/admin/shutdown") => {
+                switch.set();
+                HttpResponse::json(200, &Json::obj([("status", Json::str("shutting down"))]))
+                    .closing()
+            }
+            _ => self.forward(request, conns),
         }
-        ("POST", "/admin/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(state.addr);
-            HttpResponse::json(200, &Json::obj([("status", Json::str("shutting down"))])).closing()
-        }
-        _ => forward(request, state, conns),
     }
 }
 
-/// Forward one request round-robin, skipping unhealthy replicas and
-/// retrying forward errors on the next candidate. Every replica gets
-/// at most one attempt per request.
-fn forward(
-    request: &HttpRequest,
-    state: &RouterState,
-    conns: &mut [Option<ReplicaConn>],
-) -> HttpResponse {
-    let n = state.replicas.len();
-    let start = state.next.fetch_add(1, Ordering::Relaxed);
-    for attempt in 0..n {
-        let i = (start + attempt) % n;
-        let Some(replica) = state.replicas.get(i) else {
-            continue;
-        };
-        if !replica.healthy.load(Ordering::SeqCst) {
-            continue;
-        }
-        let Some(slot) = conns.get_mut(i) else {
-            continue;
-        };
-        match forward_once(slot, replica, request) {
-            Some(response) => {
-                replica.forwarded.fetch_add(1, Ordering::Relaxed);
-                return response;
-            }
-            None => {
-                // connection-level failure: evict until the prober
-                // clears it, try the next replica (query lanes are
-                // reads; see module docs)
-                replica.errors.fetch_add(1, Ordering::Relaxed);
-                replica.healthy.store(false, Ordering::SeqCst);
-            }
-        }
-    }
-    state.unrouted.fetch_add(1, Ordering::Relaxed);
-    error_response(
-        503,
-        "no_healthy_replicas",
-        &format!("none of the {n} replicas answered"),
-    )
-}
-
-/// One forward attempt over the worker's cached connection (re-opened
-/// on demand). A *cached* connection failing is normal HTTP — the
-/// replica may have closed it as idle — so that one case retries once
-/// on a fresh socket before the replica is declared unreachable.
-/// `None` means a genuine transport failure; the connection is dropped
-/// either way it fails.
-fn forward_once(
-    slot: &mut Option<ReplicaConn>,
-    replica: &Replica,
-    request: &HttpRequest,
-) -> Option<HttpResponse> {
-    let cached = slot.is_some();
-    if slot.is_none() {
-        match ReplicaConn::open(replica.addr, PROBE_TIMEOUT.max(Duration::from_secs(5))) {
-            Ok(conn) => *slot = Some(conn),
-            Err(_) => return None,
-        }
-    }
-    let conn = slot.as_mut()?;
-    let result = match conn.forward(request) {
-        Err(_) if cached => {
-            // stale keep-alive: reopen and retry this replica once
-            *slot = None;
-            match ReplicaConn::open(replica.addr, PROBE_TIMEOUT.max(Duration::from_secs(5))) {
-                Ok(conn) => slot.insert(conn).forward(request),
-                Err(e) => Err(e),
-            }
-        }
-        other => other,
-    };
-    match result {
-        Ok((status, headers, body)) => {
-            let mut response = HttpResponse {
-                status,
-                content_type: "application/json",
-                body,
-                close: false,
-                headers: Vec::new(),
+impl RouterState {
+    /// Forward one request round-robin, skipping unhealthy replicas.
+    /// A replica whose connection fails is evicted until the prober
+    /// clears it. A replayable request then moves on to the next
+    /// candidate, so every replica gets at most one attempt (plus one
+    /// re-send when its cached keep-alive connection had gone stale);
+    /// any other request is sent at most once in all (module docs).
+    fn forward(&self, request: &HttpRequest, conns: &mut [Option<Client>]) -> HttpResponse {
+        let replay = replayable(&request.method, &request.path);
+        let send = |client: &mut Client| client.send(&request.method, &request.path, &request.body);
+        let n = self.replicas.len();
+        let start = self.next.fetch_add(1, Ordering::Relaxed);
+        for i in (0..n).map(|attempt| (start + attempt) % n) {
+            let (Some(replica), Some(slot)) = (self.replicas.get(i), conns.get_mut(i)) else {
+                continue;
             };
-            // relay the known extra headers (HttpResponse carries
-            // static names only; these are the ones replicas emit)
-            for (name, value) in headers {
-                match name.as_str() {
-                    "x-engine-generation" => {
-                        response = response.with_header("x-engine-generation", value);
+            if !replica.healthy.load(Ordering::SeqCst) {
+                continue;
+            }
+            if replay {
+                // the replica may have closed a cached connection as
+                // idle; then the request goes out again on a fresh one
+                if let Some(mut client) = slot.take() {
+                    if let Ok(reply) = send(&mut client) {
+                        *slot = Some(client);
+                        return relay(replica, reply);
                     }
-                    "retry-after" => {
-                        response = response.with_header("retry-after", value);
-                    }
-                    _ => {}
                 }
             }
-            Some(response)
+            let mut client = match Client::connect_timeout(replica.addr, FORWARD_TIMEOUT) {
+                Ok(client) => client,
+                Err(_) => {
+                    // nothing was sent: any request may try the next one
+                    self.evict(replica);
+                    continue;
+                }
+            };
+            match send(&mut client) {
+                Ok(reply) => {
+                    if replay {
+                        *slot = Some(client);
+                    }
+                    return relay(replica, reply);
+                }
+                Err(_) if replay => self.evict(replica),
+                Err(e) => {
+                    self.evict(replica);
+                    return error_response(
+                        502,
+                        "forward_failed",
+                        &format!(
+                            "replica {} failed after the request was sent ({e}); \
+                             it may or may not have been applied, and it was not retried",
+                            replica.addr
+                        ),
+                    );
+                }
+            }
         }
-        Err(_) => {
-            *slot = None;
-            None
-        }
+        self.unrouted.fetch_add(1, Ordering::Relaxed);
+        error_response(
+            503,
+            "no_healthy_replicas",
+            &format!("none of the {n} replicas answered"),
+        )
+    }
+
+    /// Count a transport failure and stop routing to the replica until
+    /// the prober sees it healthy again.
+    fn evict(&self, replica: &Replica) {
+        replica.errors.fetch_add(1, Ordering::Relaxed);
+        replica.healthy.store(false, Ordering::SeqCst);
     }
 }
 
-fn error_response(status: u16, code: &str, message: &str) -> HttpResponse {
-    HttpResponse::json(
-        status,
-        &Json::obj([(
-            "error",
-            Json::obj([("code", Json::str(code)), ("message", Json::str(message))]),
-        )]),
-    )
+/// A replica's answer as the router's: status and body bytes verbatim,
+/// plus the [`RELAYED_HEADERS`] it carried.
+fn relay(replica: &Replica, reply: HttpReply) -> HttpResponse {
+    replica.forwarded.fetch_add(1, Ordering::Relaxed);
+    let headers = RELAYED_HEADERS
+        .iter()
+        .filter_map(|&name| Some((name, reply.header(name)?.to_string())))
+        .collect();
+    HttpResponse {
+        status: reply.status,
+        body: reply.body,
+        close: false,
+        headers,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::http::{read_request, write_response, ReadOutcome};
     use crate::registry::EngineRegistry;
     use crate::server::{serve, ServerConfig};
+    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
 
     fn replica() -> crate::server::Server {
         let mut reg = EngineRegistry::new();
@@ -701,5 +488,126 @@ mod tests {
             Some("no_healthy_replicas")
         );
         router.shutdown();
+    }
+
+    /// A replica stand-in that answers `GET /healthz` and drops every
+    /// other request unanswered, counting the ones it received.
+    struct FakeReplica {
+        addr: SocketAddr,
+        delivered: Arc<AtomicUsize>,
+        stop: Arc<AtomicBool>,
+        thread: JoinHandle<()>,
+    }
+
+    impl FakeReplica {
+        fn start() -> FakeReplica {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let delivered = Arc::new(AtomicUsize::new(0));
+            let stop = Arc::new(AtomicBool::new(false));
+            let (count, stopped) = (Arc::clone(&delivered), Arc::clone(&stop));
+            let thread = std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stopped.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(2)))
+                        .unwrap();
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = BufReader::new(stream);
+                    while let Ok(ReadOutcome::Request(request)) = read_request(&mut reader, 1 << 20)
+                    {
+                        if request.path != "/healthz" {
+                            count.fetch_add(1, Ordering::SeqCst);
+                            break;
+                        }
+                        let ok = HttpResponse::json(200, &Json::obj([("status", Json::str("ok"))]));
+                        if write_response(&mut writer, &ok).is_err() {
+                            break;
+                        }
+                    }
+                }
+            });
+            FakeReplica {
+                addr,
+                delivered,
+                stop,
+                thread,
+            }
+        }
+
+        fn delivered(&self) -> usize {
+            self.delivered.load(Ordering::SeqCst)
+        }
+
+        fn stop(self) {
+            self.stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(self.addr);
+            self.thread.join().unwrap();
+        }
+    }
+
+    fn error_code(body: &Json) -> Option<&str> {
+        body.get("error")?.get("code")?.as_str()
+    }
+
+    #[test]
+    fn a_lost_write_is_a_typed_502_and_never_replayed() {
+        let a = FakeReplica::start();
+        let b = FakeReplica::start();
+        let router = router_over(vec![a.addr, b.addr]);
+        let mut client = Client::connect(router.addr()).unwrap();
+
+        // a write whose answer is lost reaches one replica, once
+        let (status, body) = client
+            .post("/v1/engines/x/rows", r#"{"rows":[[0,0,0,0,0,0,0]]}"#)
+            .unwrap();
+        assert_eq!(a.delivered() + b.delivered(), 1, "the write was replayed");
+        assert_eq!(status, 502, "{body:?}");
+        assert_eq!(error_code(&body), Some("forward_failed"));
+
+        // once the prober has both back, a sync explain (a read) is
+        // still tried on every replica before the fleet gives up
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let (_, health) = client.get("/healthz").unwrap();
+            if health.get("replicas_healthy").unwrap().as_f64() == Some(2.0) {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "{health:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (status, body) = client
+            .post("/v1/engines/x/explain", r#"{"kind":"global"}"#)
+            .unwrap();
+        assert_eq!(status, 503, "{body:?}");
+        assert_eq!(error_code(&body), Some("no_healthy_replicas"));
+        assert_eq!(a.delivered() + b.delivered(), 3, "one attempt per replica");
+
+        router.shutdown();
+        a.stop();
+        b.stop();
+    }
+
+    #[test]
+    fn oversized_bodies_are_a_typed_413_and_the_router_keeps_serving() {
+        let a = replica();
+        let router = router_over(vec![a.addr()]);
+        let mut client = Client::connect(router.addr()).unwrap();
+        let (status, body) = client
+            .post("/v1/engines/german_syn/explain", &"x".repeat(3 << 20))
+            .unwrap();
+        assert_eq!(status, 413, "{body:?}");
+        assert_eq!(error_code(&body), Some("body_too_large"));
+
+        let mut fresh = Client::connect(router.addr()).unwrap();
+        let (status, body) = fresh
+            .post("/v1/engines/german_syn/explain", r#"{"kind":"global"}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{body:?}");
+        router.shutdown();
+        a.shutdown();
     }
 }

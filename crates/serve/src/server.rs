@@ -1,20 +1,10 @@
-//! The server: `std::net::TcpListener`, a bounded worker pool, routing,
-//! and graceful shutdown.
+//! The server: routing, the engine-facing handlers, and the hot
+//! lifecycle, run on the shared listener, bounded worker pool and
+//! keep-alive connection loop of [`crate::http`] (which documents the
+//! concurrency and shutdown model).
 //!
-//! Concurrency model: one acceptor thread pushes connections into a
-//! **bounded** channel drained by a fixed pool of worker threads, each
-//! of which owns a connection for its whole keep-alive lifetime. The
-//! bound gives natural backpressure — when every worker is busy and the
-//! queue is full, the acceptor stops accepting and the kernel's listen
-//! backlog (and eventually the clients) absorb the burst, instead of
-//! the server buffering unboundedly.
-//!
-//! Shutdown is cooperative: [`Server::shutdown`] (or
-//! `POST /admin/shutdown`) raises an atomic flag; the acceptor exits on
-//! the next accept (poked awake by a loopback connection), dropping the
-//! channel sender; workers finish their in-flight request, observe the
-//! flag / closed channel, and exit. In-flight responses are never cut
-//! off.
+//! [`Server::shutdown`] (or `POST /admin/shutdown`) stops it
+//! gracefully: in-flight responses are never cut off.
 //!
 //! Routes:
 //!
@@ -32,6 +22,10 @@
 //! | `POST /admin/engines/{name}/swap` | atomically replace the engine from a same-schema pack |
 //! | `POST /admin/engines/{name}/unload` | remove the engine (in-flight holders finish) |
 //! | `POST /admin/shutdown` | graceful stop (for tests/automation) |
+//!
+//! [`replayable`] names the routes a router may send again when a
+//! transport failure leaves the outcome unknown: every `GET` and the
+//! synchronous explain.
 //!
 //! ## The hot lifecycle and admission control
 //!
@@ -70,19 +64,15 @@
 //! status and body the synchronous route would have produced.
 
 use crate::admission::Shed;
-use crate::http::{read_request, write_response, HttpRequest, HttpResponse, ReadOutcome};
+use crate::http::{self, error_json, error_response, Handler, HttpRequest, HttpResponse, Switch};
 use crate::metrics::{Metrics, Route};
 use crate::registry::EngineRegistry;
 use crate::wire::{self, Json};
 use crate::ServeError;
 use lewis_core::Engine;
 use lewis_jobs::{JobConfig, JobId, JobManager, JobState};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Server tunables. `Default` is sized for the tests and the demo;
@@ -133,23 +123,18 @@ struct ServerState {
     /// The async explain lane: jobs carry the exact (status, body)
     /// pair the synchronous route would have answered with.
     jobs: JobManager<(u16, Json)>,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
-    max_body: usize,
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
 /// call [`Server::shutdown`].
 pub struct Server {
     state: Arc<ServerState>,
-    threads: Vec<JoinHandle<()>>,
+    listener: http::Listener,
 }
 
 /// Start serving `registry` per `config`. Returns once the listener is
 /// bound and the workers are up.
 pub fn serve(config: &ServerConfig, registry: Arc<EngineRegistry>) -> std::io::Result<Server> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
     let state = Arc::new(ServerState {
         registry,
         metrics: Metrics::new(),
@@ -157,74 +142,23 @@ pub fn serve(config: &ServerConfig, registry: Arc<EngineRegistry>) -> std::io::R
             capacity: config.job_capacity,
             workers: config.job_workers,
             ttl: config.job_ttl,
-        }),
-        shutdown: AtomicBool::new(false),
-        addr,
-        max_body: config.max_body,
+        })?,
     });
-
-    let workers = config.workers.max(1);
-    // Bound = workers: at most one queued connection per busy worker
-    // before the acceptor itself blocks (see module docs).
-    let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(workers);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::with_capacity(workers + 1);
-    for i in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let read_timeout = config.read_timeout;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("lewis-serve-worker-{i}"))
-                .spawn(move || loop {
-                    let stream = {
-                        // a poisoned queue mutex means a sibling worker
-                        // panicked mid-recv; stop serving, don't unwind
-                        let Ok(queue) = rx.lock() else { break };
-                        match queue.recv() {
-                            Ok(s) => s,
-                            Err(_) => break, // acceptor gone: drain and stop
-                        }
-                    };
-                    handle_connection(stream, &state, read_timeout);
-                })?,
-        );
-    }
-
-    {
-        let state = Arc::clone(&state);
-        threads.push(
-            std::thread::Builder::new()
-                .name("lewis-serve-acceptor".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if state.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match stream {
-                            // a worker will pick it up; send blocks when
-                            // the pool is saturated (backpressure)
-                            Ok(s) => {
-                                if tx.send(s).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                    // dropping tx lets the workers drain and exit
-                })?,
-        );
-    }
-
-    Ok(Server { state, threads })
+    let listener = http::listen(
+        "lewis-serve",
+        &config.addr,
+        config.workers,
+        config.read_timeout,
+        config.max_body,
+        Arc::clone(&state),
+    )?;
+    Ok(Server { state, listener })
 }
 
 impl Server {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.state.addr
+        self.listener.addr()
     }
 
     /// The live metrics (shared with the workers).
@@ -234,112 +168,61 @@ impl Server {
 
     /// Whether shutdown has been requested (e.g. over the admin route).
     pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
+        self.listener.switch().is_set()
     }
 
     /// Block until the server stops on its own (admin shutdown route).
     pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.listener.join();
     }
 
     /// Graceful stop: raise the flag, poke the acceptor, join every
     /// thread. In-flight requests finish; idle keep-alive connections
     /// are released at their next read timeout.
     pub fn shutdown(self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        // poke accept() awake so the acceptor sees the flag
-        let _ = TcpStream::connect(self.state.addr);
+        self.listener.switch().set();
         self.join();
     }
 }
 
-/// Serve one connection for its keep-alive lifetime.
-fn handle_connection(stream: TcpStream, state: &ServerState, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let outcome = match read_request(&mut reader, state.max_body) {
-            Ok(o) => o,
-            Err(_) => break, // timeout or reset: drop the connection
-        };
+impl Handler for ServerState {
+    type Conn = ();
+
+    fn open(&self) {}
+
+    fn handle(&self, request: &HttpRequest, _: &mut (), switch: &Switch) -> HttpResponse {
         let started = Instant::now();
-        let (response, done) = match outcome {
-            ReadOutcome::Closed => break,
-            ReadOutcome::Malformed(msg) => {
-                state.metrics.record(Route::Other, started.elapsed(), true);
-                (
-                    error_response(400, "malformed_request", &msg).closing(),
-                    true,
-                )
-            }
-            ReadOutcome::TooLarge { announced } => {
-                // Drain a bounded amount of the oversized body first:
-                // closing with unread data pending makes TCP reset the
-                // connection, which can destroy the 413 before the
-                // client reads it. Beyond the cap we accept that risk
-                // rather than read forever.
-                const DRAIN_CAP: usize = 4 << 20;
-                if announced <= DRAIN_CAP {
-                    let mut sink = std::io::sink();
-                    let _ = std::io::copy(
-                        &mut std::io::Read::take(&mut reader, announced as u64),
-                        &mut sink,
-                    );
-                }
-                state.metrics.record(Route::Other, started.elapsed(), true);
-                (
-                    error_response(
-                        413,
-                        "body_too_large",
-                        &format!("announced {announced} bytes, limit {}", state.max_body),
-                    )
-                    .closing(),
-                    true,
-                )
-            }
-            ReadOutcome::Request(request) => {
-                let (route, mut response) = route(&request, state);
-                let close_after = !request.keep_alive() || state.shutdown.load(Ordering::SeqCst);
-                if close_after {
-                    response.close = true;
-                }
-                state
-                    .metrics
-                    .record(route, started.elapsed(), response.status >= 400);
-                (response, close_after)
-            }
-        };
-        if write_response(&mut writer, &response).is_err() {
-            break;
-        }
-        if done || response.close {
-            break;
-        }
+        let (route, response) = route(request, self, switch);
+        self.metrics
+            .record(route, started.elapsed(), response.status >= 400);
+        response
+    }
+
+    fn refused(&self, elapsed: Duration) {
+        self.metrics.record(Route::Other, elapsed, true);
     }
 }
 
-fn error_response(status: u16, code: &str, message: &str) -> HttpResponse {
-    HttpResponse::json(
-        status,
-        &Json::obj([(
-            "error",
-            Json::obj([("code", Json::str(code)), ("message", Json::str(message))]),
-        )]),
-    )
+/// Whether `method path` (query string included) may be sent again
+/// after a transport failure left its outcome unknown: reads and
+/// synchronous explains, which change nothing. Appends, compactions,
+/// async submissions and the admin routes are not. The router asks
+/// this, so the route table stays in this one module.
+pub fn replayable(method: &str, path: &str) -> bool {
+    let (path, query) = path.split_once('?').unwrap_or((path, ""));
+    method == "GET"
+        || (method == "POST"
+            && engine_route(path, "/explain").is_some()
+            && matches!(explain_mode(query), Ok(ExplainMode::Sync)))
+}
+
+/// The engine name of `/v1/engines/{name}{suffix}`.
+fn engine_route<'a>(path: &'a str, suffix: &str) -> Option<&'a str> {
+    path.strip_prefix("/v1/engines/")?.strip_suffix(suffix)
 }
 
 /// Dispatch one request; returns the metrics route and the response.
-fn route(request: &HttpRequest, state: &ServerState) -> (Route, HttpResponse) {
+fn route(request: &HttpRequest, state: &ServerState, switch: &Switch) -> (Route, HttpResponse) {
     // split the query string off the routing path
     let (path, query) = request
         .path
@@ -374,9 +257,7 @@ fn route(request: &HttpRequest, state: &ServerState) -> (Route, HttpResponse) {
             (Route::Metrics, HttpResponse::json(200, &body))
         }
         ("POST", "/admin/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            // poke the acceptor so it observes the flag promptly
-            let _ = TcpStream::connect(state.addr);
+            switch.set();
             (
                 Route::Admin,
                 HttpResponse::json(200, &Json::obj([("status", Json::str("shutting down"))]))
@@ -384,10 +265,7 @@ fn route(request: &HttpRequest, state: &ServerState) -> (Route, HttpResponse) {
             )
         }
         (method, path) => {
-            if let Some(name) = path
-                .strip_prefix("/v1/engines/")
-                .and_then(|rest| rest.strip_suffix("/explain"))
-            {
+            if let Some(name) = engine_route(path, "/explain") {
                 if method != "POST" {
                     return (
                         Route::Explain,
@@ -402,10 +280,7 @@ fn route(request: &HttpRequest, state: &ServerState) -> (Route, HttpResponse) {
                     Err(response) => (Route::Explain, response),
                 };
             }
-            if let Some(name) = path
-                .strip_prefix("/v1/engines/")
-                .and_then(|rest| rest.strip_suffix("/rows"))
-            {
+            if let Some(name) = engine_route(path, "/rows") {
                 if method != "POST" {
                     return (
                         Route::Append,
@@ -414,10 +289,7 @@ fn route(request: &HttpRequest, state: &ServerState) -> (Route, HttpResponse) {
                 }
                 return (Route::Append, append_rows(name, &request.body, state));
             }
-            if let Some(name) = path
-                .strip_prefix("/v1/engines/")
-                .and_then(|rest| rest.strip_suffix("/compact"))
-            {
+            if let Some(name) = engine_route(path, "/compact") {
                 if method != "POST" {
                     return (
                         Route::Append,
@@ -835,13 +707,7 @@ fn compact(name: &str, state: &ServerState) -> HttpResponse {
 /// so an async job's stored result replays the sync answer exactly.
 fn explain_payload(engine: &Engine, body: &[u8]) -> (u16, Json) {
     fn error_payload(status: u16, code: &str, message: &str) -> (u16, Json) {
-        (
-            status,
-            Json::obj([(
-                "error",
-                Json::obj([("code", Json::str(code)), ("message", Json::str(message))]),
-            )]),
-        )
+        (status, error_json(code, message))
     }
 
     let Ok(text) = std::str::from_utf8(body) else {
@@ -1042,6 +908,28 @@ mod tests {
         let (status, _) = client.post("/admin/shutdown", "").unwrap();
         assert_eq!(status, 200);
         server.join();
+    }
+
+    #[test]
+    fn only_reads_and_sync_explains_are_replayable() {
+        for (method, path) in [
+            ("GET", "/healthz"),
+            ("GET", "/v1/jobs/7"),
+            ("POST", "/v1/engines/g/explain"),
+            ("POST", "/v1/engines/g/explain?mode=sync"),
+        ] {
+            assert!(replayable(method, path), "{method} {path}");
+        }
+        for (method, path) in [
+            ("POST", "/v1/engines/g/explain?mode=async"),
+            ("POST", "/v1/engines/g/explain?mode=bogus"),
+            ("POST", "/v1/engines/g/rows"),
+            ("POST", "/v1/engines/g/compact"),
+            ("POST", "/admin/engines/g/swap"),
+            ("POST", "/admin/shutdown"),
+        ] {
+            assert!(!replayable(method, path), "{method} {path}");
+        }
     }
 
     #[test]
