@@ -1,63 +1,12 @@
-//! Micro-benchmarks for the explanation scores — the quantities behind
-//! Table 2's "Global" and "Local" columns.
+//! Micro-benchmark for the Fréchet bounds of Proposition 4.1 — the
+//! monotonicity-free diagnostic no served query runs. Served scoring
+//! (global, contextual, local, recourse) is timed layer by layer by
+//! `lewisbench`'s traced run.
 
 use bench::harness::{prepare, ModelKind};
 use criterion::{criterion_group, criterion_main, Criterion};
-use datasets::{GermanDataset, GermanSynDataset};
+use datasets::GermanSynDataset;
 use tabular::Context;
-
-fn bench_single_score(c: &mut Criterion) {
-    let p = prepare(
-        GermanSynDataset::standard().generate(10_000, 42),
-        ModelKind::ForestRegressor { threshold: 0.5 },
-        Some(5),
-        42,
-    );
-    let est = p.estimator();
-    c.bench_function("scores_single_contrast_10k_rows", |b| {
-        b.iter(|| {
-            est.scores(GermanSynDataset::STATUS, 3, 0, &Context::empty())
-                .unwrap()
-                .nesuf
-        })
-    });
-}
-
-fn bench_global_explanation(c: &mut Criterion) {
-    let p = prepare(
-        GermanDataset::generate(1000, 42),
-        ModelKind::RandomForest,
-        None,
-        42,
-    );
-    let lewis = p.engine();
-    c.bench_function("global_explanation_german_1k", |b| {
-        // cold cache per iteration: this measures the counting passes
-        // themselves (bench_engine covers the warm-cache path)
-        b.iter(|| {
-            lewis.clear_cache();
-            lewis.global().unwrap().attributes.len()
-        })
-    });
-}
-
-fn bench_local_explanation(c: &mut Criterion) {
-    let p = prepare(
-        GermanDataset::generate(1000, 42),
-        ModelKind::RandomForest,
-        None,
-        42,
-    );
-    let lewis = p.engine();
-    let idx = p.find_individual(0).unwrap();
-    let row = p.table.row(idx).unwrap();
-    c.bench_function("local_explanation_german", |b| {
-        b.iter(|| {
-            lewis.clear_cache();
-            lewis.local(&row).unwrap().contributions.len()
-        })
-    });
-}
 
 fn bench_score_bounds(c: &mut Criterion) {
     let p = prepare(
@@ -84,7 +33,6 @@ fn bench_score_bounds(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_single_score, bench_global_explanation, bench_local_explanation,
-              bench_score_bounds
+    targets = bench_score_bounds
 }
 criterion_main!(benches);

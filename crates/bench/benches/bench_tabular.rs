@@ -1,11 +1,12 @@
-//! Micro-benchmarks for the tabular counting engine — the hot path under
-//! every probability estimate (DESIGN.md ablation ⚖: dictionary-coded
-//! columnar scans vs row-oriented counting).
+//! Micro-benchmarks for the tabular primitives lewisbench does not time
+//! (its `tabular.scan_pass_us` covers the `Counter` counting pass):
+//! conditional probabilities, row filters, a row-oriented counting
+//! baseline and label → code lookups.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular::{AttrId, Context, Counter, Domain, Schema, Table};
+use tabular::{AttrId, Context, Domain, Schema, Table};
 
 fn make_table(n_rows: usize, n_attrs: usize, card: usize, seed: u64) -> Table {
     let mut schema = Schema::new();
@@ -25,22 +26,6 @@ fn make_table(n_rows: usize, n_attrs: usize, card: usize, seed: u64) -> Table {
         t.push_row(&row).unwrap();
     }
     t
-}
-
-fn bench_counter_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("counter_build");
-    for &n in &[10_000usize, 50_000] {
-        let t = make_table(n, 12, 4, 7);
-        let attrs = [AttrId(0), AttrId(1), AttrId(2), AttrId(3)];
-        group.bench_with_input(BenchmarkId::from_parameter(n), &t, |b, t| {
-            b.iter(|| {
-                Counter::build(t, &attrs, &Context::empty())
-                    .unwrap()
-                    .total()
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_conditional_probability(c: &mut Criterion) {
@@ -103,7 +88,7 @@ fn bench_code_of_wide_domain(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_counter_build, bench_conditional_probability, bench_row_filter,
-              bench_row_oriented_baseline, bench_code_of_wide_domain
+    targets = bench_conditional_probability, bench_row_filter, bench_row_oriented_baseline,
+              bench_code_of_wide_domain
 }
 criterion_main!(benches);

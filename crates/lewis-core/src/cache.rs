@@ -440,7 +440,7 @@ mod tests {
         let est = estimator();
         let cache = CountingCache::new(8);
         let build = |_: Option<(&ArmTable, usize)>| {
-            est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None)
+            est.build_arm_table(&[], &[AttrId(0)], &Context::empty())
         };
         let a = cache
             .get_or_count(&[AttrId(0)], &Context::empty(), &[], 5, build)
@@ -464,7 +464,7 @@ mod tests {
             // distinct keys via distinct adjustment sets
             let c_set = vec![AttrId(10 + v)];
             let _ = cache.get_or_count(&xs, &Context::empty(), &c_set, 5, |_| {
-                est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None)
+                est.build_arm_table(&[], &[AttrId(0)], &Context::empty())
             });
         }
         let s = cache.stats();
@@ -498,7 +498,7 @@ mod tests {
             cache
                 .get_or_count(&[AttrId(0)], &Context::empty(), &[], rows, |resident| {
                     assert_eq!(resident.map(|(_, w)| w), want, "lookup at {rows} rows");
-                    est.build_arm_table(&[], &[AttrId(0)], &Context::empty(), None)
+                    est.build_arm_table(&[], &[AttrId(0)], &Context::empty())
                 })
                 .unwrap()
         };

@@ -27,12 +27,13 @@
 //!
 //! * [`ExplainRequest`] / [`ExplainResponse`] make every query kind one
 //!   uniform `run` call, and [`Engine::run_batch`] answers many requests
-//!   while sharing work between them (one fitted recourse surrogate per
-//!   actionable set, one counting pass per `(intervened set, context)`);
+//!   in one call;
 //! * a bounded, thread-safe **counting-pass cache** inside the engine
 //!   reuses [`ArmTable`](crate::scores) scans across repeated and
-//!   batched queries — results are bit-identical to cold evaluation
-//!   (property-tested), just without the redundant table scans.
+//!   batched queries, recourse verification included — results are
+//!   bit-identical to cold evaluation (property-tested), just without
+//!   the redundant table scans. A surrogate cache fits each recourse
+//!   actionable set once.
 
 use crate::cache::{Caches, CountingCache, PassKey};
 use crate::explain::{
@@ -642,7 +643,7 @@ impl Engine {
                     coefficients: s.coefficients,
                     orders: s.orders,
                 });
-                RecourseEngine::with_fit(&est, &s.actionable, Arc::clone(&fit))
+                RecourseEngine::with_fit(&est, &s.actionable, Arc::clone(&fit), None)
                     .map_err(|e| LewisError::Invalid(format!("snapshot surrogate: {e}")))?;
                 Ok((s.actionable, (fit, None)))
             })
@@ -807,73 +808,13 @@ impl Engine {
         }
     }
 
-    /// Answer many requests, sharing work between compatible ones.
-    ///
-    /// Results are positionally aligned with `requests` and identical to
-    /// running each request alone. Two kinds of sharing happen:
-    ///
-    /// * scoring requests reuse counting passes through the engine cache
-    ///   (repeated or overlapping `(attribute, context)` pairs scan the
-    ///   table once);
-    /// * recourse requests are grouped by actionable set, so each group
-    ///   fits its logit-linear surrogate once instead of per request.
+    /// Answer many requests: each one exactly as [`Engine::run`]
+    /// answers it alone, positionally aligned with `requests`. Work is
+    /// shared through the engine's caches, not by grouping: repeated or
+    /// overlapping `(intervened set, context)` passes are counted once,
+    /// and each actionable set's recourse surrogate is fitted once.
     pub fn run_batch(&self, requests: &[ExplainRequest]) -> Vec<Result<ExplainResponse>> {
-        let mut out: Vec<Option<Result<ExplainResponse>>> = requests.iter().map(|_| None).collect();
-        // Group recourse requests by actionable set, preserving first-
-        // seen order for determinism.
-        let mut recourse_groups: Vec<(Vec<AttrId>, Vec<usize>)> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            match request {
-                ExplainRequest::Recourse { actionable, .. } => {
-                    match recourse_groups.iter_mut().find(|(a, _)| a == actionable) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => recourse_groups.push((actionable.clone(), vec![i])),
-                    }
-                }
-                other => out[i] = Some(self.run(other)),
-            }
-        }
-        for (actionable, idxs) in recourse_groups {
-            let build = self
-                .surrogate_for(&actionable)
-                .and_then(|fit| RecourseEngine::with_fit(&self.est, &actionable, fit));
-            match build {
-                Ok(engine) => {
-                    for i in idxs {
-                        let ExplainRequest::Recourse { row, opts, .. } = &requests[i] else {
-                            unreachable!("grouped index always points at a recourse request");
-                        };
-                        out[i] = Some(engine.recourse(row, opts).map(ExplainResponse::Recourse));
-                    }
-                }
-                Err(first) => {
-                    // LewisError is not Clone: the first failing request
-                    // gets the original error; the rest re-derive it from
-                    // the *cheap* validation checks (never repeating the
-                    // feature-matrix build or surrogate fit), falling
-                    // back to the formatted message when the failure came
-                    // from the fit itself.
-                    let msg = format!("{first}");
-                    let mut first = Some(first);
-                    for i in idxs {
-                        let err = match first.take() {
-                            Some(e) => e,
-                            None => RecourseEngine::validate(&self.est, &actionable)
-                                .err()
-                                .unwrap_or_else(|| {
-                                    LewisError::Invalid(format!(
-                                        "recourse engine build failed: {msg}"
-                                    ))
-                                }),
-                        };
-                        out[i] = Some(Err(err));
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every request answered"))
-            .collect()
+        requests.iter().map(|request| self.run(request)).collect()
     }
 
     /// Maximum scores over all ordered value pairs of `attr` within `k`.
@@ -1010,7 +951,9 @@ impl Engine {
     /// logit-linear surrogate for `actionable` is served from the
     /// engine's surrogate cache — only the first query over a set pays
     /// the full-table fit; repeats (and pack-restored warm sets) reuse
-    /// the coefficients bit-identically.
+    /// the coefficients bit-identically. Candidate actions are verified
+    /// on counting passes from the engine's pass cache, like every
+    /// other query's.
     pub fn recourse(
         &self,
         row: &[Value],
@@ -1018,7 +961,8 @@ impl Engine {
         opts: &RecourseOptions,
     ) -> Result<Recourse> {
         let fit = self.surrogate_for(actionable)?;
-        RecourseEngine::with_fit(&self.est, actionable, fit)?.recourse(row, opts)
+        RecourseEngine::with_fit(&self.est, actionable, fit, Some(&self.caches.passes))?
+            .recourse(row, opts)
     }
 
     /// One attribute's local contribution (the §3.2 rules; see
@@ -1902,6 +1846,47 @@ mod tests {
             assert_eq!(live.surrogate_stats().misses, s_before.misses + 1);
             assert_eq!(live.cache_stats().misses, before.misses);
         }
+    }
+
+    #[test]
+    fn recourse_verification_counts_through_the_pass_cache() {
+        let (full, pred) = setup(1600);
+        let (base, delta) = split(&full, 1300);
+        let scm = world();
+        let build = |t: Table| {
+            Engine::builder(t)
+                .graph(scm.graph())
+                .prediction(pred, 1)
+                .features(&[AttrId(0), AttrId(1), AttrId(2)])
+                .alpha(0.0)
+                .build()
+                .unwrap()
+        };
+        // a rejected applicant: bad status, low savings
+        let row = [0, 0, 0, 0];
+        let actionable = [AttrId(0), AttrId(1)];
+        let opts = RecourseOptions::default();
+        let engine = build(base);
+        assert_eq!(engine.cache_stats().misses, 0);
+        let answer = engine.recourse(&row, &actionable, &opts).unwrap();
+        assert!(answer.verified_sufficiency.is_some(), "{answer:?}");
+        // each distinct verification pass is counted once and stays
+        let cold = engine.cache_stats();
+        assert!(cold.misses > 0);
+        assert_eq!(cold.misses, cold.entries as u64);
+        // a repeat verifies from resident passes only
+        assert_eq!(engine.recourse(&row, &actionable, &opts).unwrap(), answer);
+        let warm = engine.cache_stats();
+        assert_eq!(warm.misses, cold.misses);
+        assert!(warm.hits > cold.hits);
+        // appended rows top the verification passes up
+        let live = engine.with_delta(Arc::new(delta)).unwrap();
+        let before = live.cache_stats();
+        assert_eq!(
+            live.recourse(&row, &actionable, &opts).unwrap(),
+            build(full).recourse(&row, &actionable, &opts).unwrap()
+        );
+        assert!(live.cache_stats().topped_up > before.topped_up);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use snapshot::EngineSnapshot;
 pub use statements::{OutcomeWords, Statement};
 
 /// Errors surfaced by LEWIS computations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum LewisError {
     /// Underlying data-engine error.
     Tabular(tabular::TabularError),

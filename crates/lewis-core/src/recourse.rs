@@ -20,9 +20,14 @@
 //! surrogate is approximate, every candidate solution is **verified**
 //! against the counting sufficiency estimator; rejected candidates are
 //! excluded and the search continues (a lazy no-good cut), escalating the
-//! covering target if the surrogate was too optimistic.
+//! covering target if the surrogate was too optimistic. Verification
+//! scores its contrast like every other engine query: an
+//! [`crate::Engine`]'s recourse reads the pass from the engine's
+//! counting-pass cache (counted, shared, topped up on live tables), a
+//! standalone [`RecourseEngine::new`] counts it uncached.
 
-use crate::scores::ScoreEstimator;
+use crate::cache::CountingCache;
+use crate::scores::{Contrast, ScoreEstimator};
 use crate::{LewisError, Result};
 use causal::Dag;
 use ml::linalg::dot;
@@ -167,16 +172,40 @@ pub(crate) struct SurrogatePlan {
     width: usize,
 }
 
-/// Derive the surrogate feature layout: one-hot slots for each
-/// actionable attribute, then one ordinal slot per context attribute
-/// (`K` = the non-descendants of `A` per §4.2; with no graph, every
-/// non-prediction non-actionable attribute).
+/// Check the actionable set and derive the surrogate feature layout:
+/// one-hot slots for each actionable attribute, then one ordinal slot
+/// per context attribute (`K` = the non-descendants of `A` per §4.2;
+/// with no graph, every non-prediction non-actionable attribute).
 pub(crate) fn surrogate_plan(
     table: &Table,
     graph: Option<&Dag>,
     pred: AttrId,
     actionable: &[AttrId],
 ) -> Result<SurrogatePlan> {
+    if actionable.is_empty() {
+        return Err(LewisError::Invalid("no actionable attributes".into()));
+    }
+    for &a in actionable {
+        if a == pred {
+            return Err(LewisError::Invalid(
+                "prediction column is not actionable".into(),
+            ));
+        }
+        if a.index() >= table.schema().len() {
+            return Err(LewisError::Invalid(format!(
+                "actionable attribute {a} is not in the schema"
+            )));
+        }
+    }
+    if let Some(g) = graph {
+        for &a in actionable {
+            if a.index() >= g.n_nodes() {
+                return Err(LewisError::Invalid(format!(
+                    "actionable attribute {a} is not a causal-graph node"
+                )));
+            }
+        }
+    }
     // K = non-descendants of every actionable attribute (derived
     // columns outside the graph are excluded — they may leak the
     // outcome).
@@ -225,43 +254,7 @@ pub fn surrogate_width(
     pred: AttrId,
     actionable: &[AttrId],
 ) -> Result<usize> {
-    validate_parts(table, graph, pred, actionable)?;
     Ok(surrogate_plan(table, graph, pred, actionable)?.width)
-}
-
-/// The configuration checks shared by [`RecourseEngine::new`] and the
-/// pack/snapshot validators.
-fn validate_parts(
-    table: &Table,
-    graph: Option<&Dag>,
-    pred: AttrId,
-    actionable: &[AttrId],
-) -> Result<()> {
-    if actionable.is_empty() {
-        return Err(LewisError::Invalid("no actionable attributes".into()));
-    }
-    for &a in actionable {
-        if a == pred {
-            return Err(LewisError::Invalid(
-                "prediction column is not actionable".into(),
-            ));
-        }
-        if a.index() >= table.schema().len() {
-            return Err(LewisError::Invalid(format!(
-                "actionable attribute {a} is not in the schema"
-            )));
-        }
-    }
-    if let Some(g) = graph {
-        for &a in actionable {
-            if a.index() >= g.n_nodes() {
-                return Err(LewisError::Invalid(format!(
-                    "actionable attribute {a} is not a causal-graph node"
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Fit the logit-linear surrogate `Pr(o | a, k)` (eq. 28) for one
@@ -289,7 +282,6 @@ pub(crate) fn fit_surrogate(
     actionable: &[AttrId],
     kept: Option<(&Patterns, usize)>,
 ) -> Result<(SurrogateFit, Patterns)> {
-    RecourseEngine::validate(est, actionable)?;
     let table = est.table();
     let pred = est.pred_attr();
     let plan = surrogate_plan(table, est.graph(), pred, actionable)?;
@@ -382,6 +374,8 @@ pub(crate) fn fit_surrogate(
 /// The recourse generator.
 pub struct RecourseEngine<'a> {
     est: &'a ScoreEstimator,
+    /// Where verification passes are cached (`None`: counted uncached).
+    passes: Option<&'a CountingCache>,
     actionable: Vec<AttrId>,
     fit: Arc<SurrogateFit>,
     /// one-hot feature offsets: per actionable attr, start index
@@ -393,25 +387,27 @@ pub struct RecourseEngine<'a> {
 impl<'a> RecourseEngine<'a> {
     /// Build an engine for a fixed set of actionable attributes,
     /// fitting the surrogate fresh (see the private `fit_surrogate`'s
-    /// docs for the grouped fit's determinism guarantee). Engines with a
-    /// surrogate cache go through [`RecourseEngine::with_fit`] instead.
+    /// docs for the grouped fit's determinism guarantee) and verifying
+    /// candidates with uncached counting passes. An [`crate::Engine`]
+    /// serves recourse from its surrogate and counting-pass caches
+    /// instead.
     pub fn new(est: &'a ScoreEstimator, actionable: &[AttrId]) -> Result<Self> {
         let (fit, _) = fit_surrogate(est, actionable, None)?;
-        let fit = Arc::new(fit);
-        Self::with_fit(est, actionable, fit)
+        Self::with_fit(est, actionable, Arc::new(fit), None)
     }
 
     /// Assemble the generator from an already-fitted surrogate (the
     /// engine's surrogate cache, or coefficients restored from a
-    /// `.lewis` pack). Validates the fit's shape against this
-    /// estimator's layout, so a foreign engine's fit is rejected as
-    /// `Invalid` rather than silently mis-indexed.
-    pub fn with_fit(
+    /// `.lewis` pack), verifying through `passes` when given. Validates
+    /// the fit's shape against this estimator's layout, so a foreign
+    /// engine's fit is rejected as `Invalid` rather than silently
+    /// mis-indexed.
+    pub(crate) fn with_fit(
         est: &'a ScoreEstimator,
         actionable: &[AttrId],
         fit: Arc<SurrogateFit>,
+        passes: Option<&'a CountingCache>,
     ) -> Result<Self> {
-        Self::validate(est, actionable)?;
         let table = est.table();
         let plan = surrogate_plan(table, est.graph(), est.pred_attr(), actionable)?;
         if fit.coefficients.len() != plan.width {
@@ -438,19 +434,12 @@ impl<'a> RecourseEngine<'a> {
         }
         Ok(RecourseEngine {
             est,
+            passes,
             actionable: actionable.to_vec(),
             fit,
             offsets: plan.offsets,
             context_attrs: plan.context_attrs,
         })
-    }
-
-    /// The cheap configuration checks [`RecourseEngine::new`] performs
-    /// before paying for the surrogate fit. `Engine::run_batch` uses
-    /// this to re-derive a failed group's build error per request
-    /// without repeating the expensive work.
-    pub(crate) fn validate(est: &ScoreEstimator, actionable: &[AttrId]) -> Result<()> {
-        validate_parts(est.table(), est.graph(), est.pred_attr(), actionable)
     }
 
     /// The actionable attributes.
@@ -498,6 +487,13 @@ impl<'a> RecourseEngine<'a> {
         let table = self.est.table();
         if row.len() < table.schema().len() {
             return Err(LewisError::Invalid("row too short for schema".into()));
+        }
+        for (a, &v) in table.schema().attr_ids().zip(row) {
+            if !table.schema().domain(a)?.contains(v) {
+                return Err(LewisError::Invalid(format!(
+                    "row value {v} of attribute {a} is outside its domain"
+                )));
+            }
         }
         // Recourse targets negative decisions (§3.2); a positive
         // individual needs no action — constraint (25) holds with δ = 0.
@@ -666,7 +662,9 @@ impl<'a> RecourseEngine<'a> {
     }
 
     /// Verify a candidate action set with the counting sufficiency
-    /// estimator. The evidence context is the individual's backed-off
+    /// estimator, through the counting-pass cache when the generator
+    /// has one (candidates of one individual, and individuals whose
+    /// backed-off contexts match, share its passes). The evidence context is the individual's backed-off
     /// non-descendant context *plus* the current values of actionable
     /// attributes that are not being changed (they are part of the
     /// individual `v` in `SUF_â(v)`, and they are non-descendants of the
@@ -702,14 +700,9 @@ impl<'a> RecourseEngine<'a> {
                 k2.set(a, row[a.index()]);
             }
         }
-        match self.est.sufficiency_set(&hi, &lo, &k2) {
-            Ok(s) => {
-                if s >= alpha {
-                    Verification::Passed(s)
-                } else {
-                    Verification::Failed
-                }
-            }
+        match self.est.scores_one(&Contrast { hi, lo }, &k2, self.passes) {
+            Ok(s) if s.sufficiency >= alpha => Verification::Passed(s.sufficiency),
+            Ok(_) => Verification::Failed,
             Err(_) => Verification::NoSupport,
         }
     }
@@ -921,5 +914,21 @@ mod tests {
         assert!(engine
             .recourse(&[0, 0], &RecourseOptions::default())
             .is_err());
+    }
+
+    #[test]
+    fn out_of_domain_row_values_are_invalid_not_a_panic() {
+        let (t, pred) = setup(1_000);
+        let est = ScoreEstimator::new(&t, None, pred, 1, 1.0).unwrap();
+        let engine = RecourseEngine::new(&est, &[AttrId(1)]).unwrap();
+        let opts = RecourseOptions::default();
+        // an actionable code, a context code and a prediction code, each
+        // past its attribute's domain
+        for row in [[0, 99, 0, 0], [7, 0, 0, 0], [0, 0, 0, 2]] {
+            match engine.recourse(&row, &opts) {
+                Err(LewisError::Invalid(m)) => assert!(m.contains("outside its domain"), "{m}"),
+                other => panic!("{row:?}: expected Invalid, got {other:?}"),
+            }
+        }
     }
 }

@@ -685,20 +685,29 @@ impl ScoreEstimator {
     }
 
     /// All three scores for a *set* contrast `X ← hi` vs `X ← lo`
-    /// (needed for recourse verification, where actions touch several
-    /// attributes at once). `hi` and `lo` must cover the same attributes.
+    /// (actions that touch several attributes at once): the one-contrast
+    /// case of [`ScoreEstimator::scores_batch`]. `hi` and `lo` must cover
+    /// the same attributes.
     pub fn scores_set(
         &self,
         hi: &[(AttrId, Value)],
         lo: &[(AttrId, Value)],
         k: &Context,
     ) -> Result<Scores> {
-        let (xs, hi_vals, lo_vals) = self.validate_for_scoring(hi, lo, k)?;
-        let c_set = self.adjustment_set(&xs, k);
-        // A single contrast only ever reads its own two arms, so skip
-        // materializing the rest (seed-equivalent memory behavior).
-        let arms = self.build_arm_table(&c_set, &xs, k, Some((&hi_vals, &lo_vals)))?;
-        self.scores_from_arms(&arms, &hi_vals, &lo_vals)
+        self.scores_one(&Contrast::set(hi, lo), k, None)
+    }
+
+    /// One contrast through [`ScoreEstimator::scores_batch_impl`], with
+    /// or without the counting-pass cache.
+    pub(crate) fn scores_one(
+        &self,
+        contrast: &Contrast,
+        k: &Context,
+        cache: Option<&CountingCache>,
+    ) -> Result<Scores> {
+        self.scores_batch_impl(std::slice::from_ref(contrast), k, cache)
+            .pop()
+            .expect("one result per contrast")
     }
 
     /// All three scores for a *batch* of contrasts sharing one context.
@@ -707,9 +716,8 @@ impl ScoreEstimator {
     /// pair of one attribute) share a **single** counting pass over the
     /// table instead of re-scanning once per contrast. Results are
     /// positionally aligned with `contrasts` and each entry is exactly
-    /// what the corresponding [`ScoreEstimator::scores_set`] call would
-    /// return — bit-for-bit, including per-contrast errors for
-    /// unsupported contrasts.
+    /// what scoring that contrast alone returns — bit-for-bit, including
+    /// per-contrast errors for unsupported contrasts.
     pub fn scores_batch(&self, contrasts: &[Contrast], k: &Context) -> Vec<Result<Scores>> {
         self.scores_batch_impl(contrasts, k, None)
     }
@@ -754,7 +762,7 @@ impl ScoreEstimator {
                     Some(cache) => {
                         cache.get_or_count(xs, k, &c_set, self.n_total_rows(), |resident| {
                             match resident {
-                                None => self.build_arm_table(&c_set, xs, k, None),
+                                None => self.build_arm_table(&c_set, xs, k),
                                 Some((arms, from)) => {
                                     let (arms, scanned) =
                                         self.top_up_arm_table(arms, from, &c_set, xs, k)?;
@@ -764,7 +772,7 @@ impl ScoreEstimator {
                             }
                         })
                     }
-                    None => self.build_arm_table(&c_set, xs, k, None).map(Arc::new),
+                    None => self.build_arm_table(&c_set, xs, k).map(Arc::new),
                 };
                 match arms {
                     Ok(arms) => members
@@ -774,14 +782,10 @@ impl ScoreEstimator {
                         })
                         .collect(),
                     // The shared pass itself failed (e.g. empty context):
-                    // fall back per contrast so every entry carries the
-                    // identical error scores_set would have produced.
-                    Err(_) => members
+                    // every member carries that error.
+                    Err(e) => members
                         .iter()
-                        .map(|(i, _, _)| {
-                            let c = &contrasts[*i];
-                            (*i, self.scores_set(&c.hi, &c.lo, k))
-                        })
+                        .map(|(i, _, _)| (*i, Err(e.clone())))
                         .collect(),
                 }
             })
@@ -818,16 +822,12 @@ impl ScoreEstimator {
     }
 
     /// One counting pass over `(C…, X…, pred)` within `k`, aggregated
-    /// per adjustment cell and per `x`-arm. When `keep` is given, only
-    /// those two arms are materialized (cell totals still count every
-    /// arm); missing arms read back as `(0, 0)` either way, so filtered
-    /// and unfiltered tables score identically.
+    /// per adjustment cell and per `x`-arm.
     pub(crate) fn build_arm_table(
         &self,
         c_set: &[AttrId],
         xs: &[AttrId],
         k: &Context,
-        keep: Option<(&[Value], &[Value])>,
     ) -> Result<ArmTable> {
         let counter = self.counting_pass(&self.pass_attrs(c_set, xs), k)?;
         if counter.total() == 0 {
@@ -835,7 +835,7 @@ impl ScoreEstimator {
                 "no rows match the context; relax the context or add data".into(),
             ));
         }
-        Ok(self.arms_from_counter(&counter, c_set.len(), xs.len(), keep))
+        Ok(self.arms_from_counter(&counter, c_set.len(), xs.len()))
     }
 
     /// `arms`, a pass over the first `from` logical rows, topped up with
@@ -854,7 +854,7 @@ impl ScoreEstimator {
         k: &Context,
     ) -> Result<(ArmTable, usize)> {
         let (counter, scanned) = self.counting_pass_since(&self.pass_attrs(c_set, xs), k, from)?;
-        let more = self.arms_from_counter(&counter, c_set.len(), xs.len(), None);
+        let more = self.arms_from_counter(&counter, c_set.len(), xs.len());
         Ok((arms.merged(&more), scanned))
     }
 
@@ -868,13 +868,7 @@ impl ScoreEstimator {
 
     /// Aggregate a `(C…, X…, pred)` counter per adjustment cell and per
     /// `x`-arm, frozen into sorted vectors.
-    fn arms_from_counter(
-        &self,
-        counter: &Counter,
-        nc: usize,
-        nx: usize,
-        keep: Option<(&[Value], &[Value])>,
-    ) -> ArmTable {
+    fn arms_from_counter(&self, counter: &Counter, nc: usize, nx: usize) -> ArmTable {
         let o = self.positive;
         #[derive(Default)]
         struct CellAcc {
@@ -886,11 +880,6 @@ impl ScoreEstimator {
             let cell = acc.entry(values[..nc].to_vec()).or_default();
             cell.n += n;
             let x_vals = &values[nc..nc + nx];
-            if let Some((hi_vals, lo_vals)) = keep {
-                if x_vals != hi_vals && x_vals != lo_vals {
-                    return;
-                }
-            }
             let arm = cell.arms.entry(x_vals.to_vec()).or_insert((0, 0));
             arm.0 += n;
             if values[nc + nx] == o {
@@ -1028,17 +1017,6 @@ impl ScoreEstimator {
             sufficiency,
             nesuf,
         })
-    }
-
-    /// Sufficiency of a *set* intervention — convenience wrapper used by
-    /// the recourse verifier.
-    pub fn sufficiency_set(
-        &self,
-        hi: &[(AttrId, Value)],
-        lo: &[(AttrId, Value)],
-        k: &Context,
-    ) -> Result<f64> {
-        Ok(self.scores_set(hi, lo, k)?.sufficiency)
     }
 
     /// Fréchet bounds (Proposition 4.1, eqs. 9–11) for one score — valid

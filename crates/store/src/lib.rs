@@ -53,7 +53,7 @@
 //! no compression, no seeking, one linear pass to read — restore cost
 //! is dominated by `memcpy`-shaped column decodes, which is what makes
 //! pack-boot dramatically faster than CSV-rebuild (`lewisbench` reports
-//! `store.pack.restore_ms`; `benches/bench_store.rs` compares the two).
+//! `store.pack.restore_ms`, and `setup_s` end to end).
 
 pub mod pack;
 

@@ -42,8 +42,9 @@ fn main() {
     let pred = label_table(&mut table, &black_box, "pred").expect("labelling");
 
     // One engine serves every applicant. Recourse requests that share an
-    // actionable set are grouped by `run_batch`, so the logit-linear
-    // surrogate is fitted once for the whole batch instead of per row.
+    // actionable set share the engine's surrogate cache, so the
+    // logit-linear surrogate is fitted once for the whole batch instead
+    // of per row.
     let engine = Engine::builder(table.clone())
         .graph(dataset.scm.graph())
         .prediction(pred, 1)

@@ -12,7 +12,7 @@ use lewis_serve::{serve, Client, EngineRegistry, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ENGINE: &str = "german_syn";
 
@@ -179,6 +179,58 @@ fn hostile_bodies_return_typed_400s_and_never_wedge_the_pool() {
         .post(&path, r#"{"kind":"global","kind":"local"}"#)
         .unwrap();
     assert_eq!(status, 200, "first-key semantics");
+    assert_alive(&server);
+    server.shutdown();
+}
+
+fn error_code_of(body: &Json) -> Option<&str> {
+    body.get("error")?.get("code")?.as_str()
+}
+
+#[test]
+fn out_of_domain_recourse_rows_are_typed_400s_on_both_lanes() {
+    let server = start();
+    let path = format!("/v1/engines/{ENGINE}/explain");
+    // code 99 is far outside the actionable attribute's domain
+    let body = r#"{"kind":"recourse","row":[2,0,99,3,2,9,1],"actionable":[2]}"#;
+    // one more request than the pool has workers: a worker lost to any
+    // of them would leave the last one (or the liveness probe) unserved
+    for _ in 0..3 {
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (status, response) = client.post(&path, body).unwrap();
+        assert_eq!(status, 400, "{response:?}");
+        assert_eq!(error_code_of(&response), Some("invalid"), "{response:?}");
+    }
+    let mut client = Client::connect(server.addr()).unwrap();
+    for _ in 0..3 {
+        let (status, ticket) = client.post(&format!("{path}?mode=async"), body).unwrap();
+        assert_eq!(status, 202, "{ticket:?}");
+        let id = ticket.get("job_id").unwrap().as_str().unwrap().to_string();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let view = loop {
+            let (status, view) = client.get(&format!("/v1/jobs/{id}")).unwrap();
+            assert_eq!(status, 200, "{view:?}");
+            match view.get("state").and_then(|s| s.as_str()) {
+                Some("queued" | "running") => {
+                    assert!(Instant::now() < deadline, "job {id} never finished");
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                _ => break view,
+            }
+        };
+        assert_eq!(
+            view.get("state").unwrap().as_str(),
+            Some("done"),
+            "{view:?}"
+        );
+        assert_eq!(
+            view.get("status").unwrap().as_f64(),
+            Some(400.0),
+            "{view:?}"
+        );
+        let result = view.get("result").unwrap();
+        assert_eq!(error_code_of(result), Some("invalid"), "{view:?}");
+    }
     assert_alive(&server);
     server.shutdown();
 }
