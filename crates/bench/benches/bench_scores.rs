@@ -15,7 +15,8 @@ fn bench_score_bounds(c: &mut Criterion) {
         Some(5),
         42,
     );
-    let est = p.estimator();
+    let engine = p.engine_with_alpha(0.25);
+    let est = engine.estimator();
     c.bench_function("frechet_bounds_single_contrast", |b| {
         b.iter(|| {
             est.bounds(

@@ -14,14 +14,26 @@ use super::Scale;
 use crate::harness::{header, prepare, ModelKind, Prepared};
 use datasets::GermanSynDataset;
 use lewis_core::groundtruth::GroundTruth;
-use lewis_core::scores::{ScoreEstimator, ScoreKind};
+use lewis_core::{Engine, ScoreKind};
 use std::sync::Arc;
 use tabular::Context;
 
-fn nesuf_or_nan(est: &ScoreEstimator, attr: tabular::AttrId, hi: u32, lo: u32) -> f64 {
-    est.scores(attr, hi, lo, &Context::empty())
+fn nesuf_or_nan(engine: &Engine, attr: tabular::AttrId, hi: u32, lo: u32) -> f64 {
+    engine
+        .estimator()
+        .scores(attr, hi, lo, &Context::empty())
         .map(|s| s.nesuf)
         .unwrap_or(f64::NAN)
+}
+
+/// The no-graph fallback (§6): an engine built without `.graph`.
+fn no_graph_engine(p: &Prepared) -> Engine {
+    Engine::builder(Arc::clone(&p.table))
+        .prediction(p.pred, p.positive)
+        .features(&p.features)
+        .alpha(0.25)
+        .build()
+        .expect("engine builds")
 }
 
 /// Run the ablation.
@@ -34,10 +46,8 @@ pub fn run(scale: Scale) -> String {
         42,
     );
     let gt = GroundTruth::exact(&p.scm, p.model.as_ref(), p.positive).expect("enumerable");
-    let with_graph = p.estimator_with_alpha(0.25);
-    let no_graph =
-        ScoreEstimator::from_shared(Arc::clone(&p.table), None, p.pred, p.positive, 0.25)
-            .expect("estimator");
+    let with_graph = p.engine_with_alpha(0.25);
+    let no_graph = no_graph_engine(&p);
 
     let contrasts: Vec<(tabular::AttrId, u32, u32)> = vec![
         (GermanSynDataset::STATUS, 3, 0),
@@ -58,6 +68,7 @@ pub fn run(scale: Scale) -> String {
         let adjusted = nesuf_or_nan(&with_graph, attr, hi, lo);
         let naive = nesuf_or_nan(&no_graph, attr, hi, lo);
         let bounds = with_graph
+            .estimator()
             .bounds(
                 ScoreKind::NecessityAndSufficiency,
                 attr,
@@ -85,8 +96,8 @@ pub fn run(scale: Scale) -> String {
         .nesuf(GermanSynDataset::STATUS, 3, 0, &Context::empty())
         .unwrap_or(f64::NAN);
     for &alpha in &[0.0, 0.25, 1.0, 5.0, 20.0] {
-        let est = p.estimator_with_alpha(alpha);
-        let v = nesuf_or_nan(&est, GermanSynDataset::STATUS, 3, 0);
+        let engine = p.engine_with_alpha(alpha);
+        let v = nesuf_or_nan(&engine, GermanSynDataset::STATUS, 3, 0);
         out.push_str(&format!(
             "{alpha:>6.2}  {v:>9.3}  {:>9.3}\n",
             (v - truth).abs()
@@ -109,10 +120,8 @@ mod tests {
             42,
         );
         let gt = GroundTruth::exact(&p.scm, p.model.as_ref(), p.positive).unwrap();
-        let with_graph = p.estimator_with_alpha(0.25);
-        let no_graph =
-            ScoreEstimator::from_shared(Arc::clone(&p.table), None, p.pred, p.positive, 0.25)
-                .unwrap();
+        let with_graph = p.engine_with_alpha(0.25);
+        let no_graph = no_graph_engine(&p);
         // status is confounded by (age, sex): adjustment must reduce error
         let truth = gt
             .nesuf(GermanSynDataset::STATUS, 3, 0, &Context::empty())
@@ -138,8 +147,8 @@ mod tests {
         let truth = gt
             .nesuf(GermanSynDataset::STATUS, 3, 0, &Context::empty())
             .unwrap();
-        let light = p.estimator_with_alpha(0.25);
-        let heavy = p.estimator_with_alpha(50.0);
+        let light = p.engine_with_alpha(0.25);
+        let heavy = p.engine_with_alpha(50.0);
         let err_light = (nesuf_or_nan(&light, GermanSynDataset::STATUS, 3, 0) - truth).abs();
         let err_heavy = (nesuf_or_nan(&heavy, GermanSynDataset::STATUS, 3, 0) - truth).abs();
         assert!(err_heavy > err_light, "α=50 should wash out the signal");

@@ -27,16 +27,14 @@ pub fn run(scale: Scale) -> String {
         out.push_str(&local_table(&lewis.local(&row).expect("local")));
 
         // recourse over the actionable attributes
-        let est = p.estimator();
-        let engine =
-            lewis_core::recourse::RecourseEngine::new(&est, &p.actionable).expect("engine builds");
+        let engine = p.engine_with_alpha(0.25);
         let opts = RecourseOptions {
             alpha: 0.75,
             cost: CostModel::OrdinalLinear,
             ..RecourseOptions::default()
         };
         out.push_str(&header("Fig 1 — recommended recourse for Maeve (α = 0.75)"));
-        match engine.recourse(&row, &opts) {
+        match engine.recourse(&row, &p.actionable, &opts) {
             Ok(r) => {
                 out.push_str(&format!(
                     "{:<16}  {:<16}  {:<16}  {:>6}\n",

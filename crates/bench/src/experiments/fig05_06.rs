@@ -48,11 +48,13 @@ pub fn run_fig06(scale: Scale) -> String {
     let mut out = locals(&adult, "Fig 6");
     if let Some(neg) = adult.find_borderline(0) {
         let row = adult.table.row(neg).expect("row in range");
-        let est = adult.estimator();
-        let engine = lewis_core::recourse::RecourseEngine::new(&est, &adult.actionable)
-            .expect("engine builds");
+        let engine = adult.engine_with_alpha(0.25);
         out.push_str(&header("Fig 6 — recourse for the negative example (Adult)"));
-        match engine.recourse(&row, &lewis_core::RecourseOptions::default()) {
+        match engine.recourse(
+            &row,
+            &adult.actionable,
+            &lewis_core::RecourseOptions::default(),
+        ) {
             Ok(r) => {
                 for a in &r.actions {
                     out.push_str(&format!(

@@ -17,9 +17,7 @@ pub fn run(scale: Scale) -> String {
         None,
         42,
     );
-    let est = p.estimator();
-    let engine =
-        lewis_core::recourse::RecourseEngine::new(&est, &p.actionable).expect("engine builds");
+    let engine = p.engine_with_alpha(0.25);
     let linear = LinearIpRecourse::fit(&p.table, p.pred, &p.actionable).expect("LinearIP fits");
 
     let neg = p.find_borderline(0).expect("a rejected applicant exists");
@@ -34,6 +32,7 @@ pub fn run(scale: Scale) -> String {
     for &t in &thresholds {
         let lewis_result = engine.recourse(
             &row,
+            &p.actionable,
             &RecourseOptions {
                 alpha: t,
                 cost: CostModel::Unit,
@@ -66,13 +65,13 @@ mod tests {
             None,
             42,
         );
-        let est = p.estimator();
-        let engine = lewis_core::recourse::RecourseEngine::new(&est, &p.actionable).unwrap();
+        let engine = p.engine_with_alpha(0.25);
         let linear = LinearIpRecourse::fit(&p.table, p.pred, &p.actionable).unwrap();
         let neg = p.find_borderline(0).unwrap();
         let row = p.table.row(neg).unwrap();
         let lr = engine.recourse(
             &row,
+            &p.actionable,
             &RecourseOptions {
                 alpha: 0.5,
                 cost: CostModel::Unit,

@@ -88,9 +88,7 @@ pub fn run(scale: Scale) -> String {
         42,
     );
     let gt = GroundTruth::exact(&p.scm, p.model.as_ref(), p.positive).expect("enumerable");
-    let est = p.estimator();
-    let engine =
-        lewis_core::recourse::RecourseEngine::new(&est, &p.actionable).expect("engine builds");
+    let engine = p.engine_with_alpha(0.25);
     let opts = RecourseOptions {
         alpha,
         cost: CostModel::Unit,
@@ -117,7 +115,7 @@ pub fn run(scale: Scale) -> String {
 
     for (i, &idx) in negatives.iter().enumerate() {
         let row = p.table.row(idx).expect("row in range");
-        let Ok(r) = engine.recourse(&row, &opts) else {
+        let Ok(r) = engine.recourse(&row, &p.actionable, &opts) else {
             continue;
         };
         if r.actions.is_empty() {

@@ -9,7 +9,8 @@ use datasets::ScalableDataset;
 use lewis_core::{CostModel, RecourseOptions};
 use std::time::Instant;
 
-/// One sweep point: build the engine and solve one recourse instance.
+/// One sweep point: build the engine, then time one recourse instance
+/// (the surrogate fit plus the solve).
 pub fn sweep_point(n_actionable: usize, scale: Scale, seed: u64) -> (usize, f64, bool) {
     let gen = ScalableDataset::new(n_actionable);
     let p = prepare(
@@ -18,22 +19,26 @@ pub fn sweep_point(n_actionable: usize, scale: Scale, seed: u64) -> (usize, f64,
         None,
         seed,
     );
-    let est = p.estimator();
+    let engine = p.engine_with_alpha(0.25);
+    let opts = RecourseOptions {
+        alpha: 0.7,
+        cost: CostModel::Unit,
+        ..RecourseOptions::default()
+    };
+    // one IP constraint per actionable attribute plus the covering one,
+    // whether or not the program is solved
+    let unsolved = (p.actionable.len() + 1, 0.0, false);
+    let Some(neg) = p.find_individual(0) else {
+        return unsolved;
+    };
+    let row = p.table.row(neg).expect("row in range");
     let t0 = Instant::now();
-    let engine =
-        lewis_core::recourse::RecourseEngine::new(&est, &p.actionable).expect("engine builds");
-    let n_constraints = engine.n_constraints();
-    let mut solved = false;
-    if let Some(neg) = p.find_individual(0) {
-        let row = p.table.row(neg).expect("row in range");
-        let opts = RecourseOptions {
-            alpha: 0.7,
-            cost: CostModel::Unit,
-            ..RecourseOptions::default()
-        };
-        solved = engine.recourse(&row, &opts).is_ok();
+    let result = engine.recourse(&row, &p.actionable, &opts);
+    let seconds = t0.elapsed().as_secs_f64();
+    match result {
+        Ok(r) => (r.n_constraints, seconds, true),
+        Err(_) => (unsolved.0, seconds, false),
     }
-    (n_constraints, t0.elapsed().as_secs_f64(), solved)
 }
 
 /// Run the sweep.

@@ -30,21 +30,15 @@ fn measure(p: &Prepared) -> Row {
     let _l = lewis.local(&row).expect("local");
     let local_s = t1.elapsed().as_secs_f64();
 
-    let recourse_s = if p.actionable.is_empty() {
-        None
-    } else {
-        let est = p.estimator();
+    // the timed span is the surrogate fit plus the solve, for the same
+    // (negative when one exists) individual; recourse may legitimately
+    // be infeasible at the default alpha — we time the attempt either way
+    let recourse_s = (!p.actionable.is_empty()).then(|| {
+        let engine = p.engine_with_alpha(0.25);
         let t2 = Instant::now();
-        let engine =
-            lewis_core::recourse::RecourseEngine::new(&est, &p.actionable).expect("engine");
-        // find a negative individual; recourse may legitimately be
-        // infeasible at the default alpha — we time the attempt either way
-        if let Some(neg) = p.find_individual(0) {
-            let neg_row = p.table.row(neg).expect("row");
-            let _ = engine.recourse(&neg_row, &RecourseOptions::default());
-        }
-        Some(t2.elapsed().as_secs_f64())
-    };
+        let _ = engine.recourse(&row, &p.actionable, &RecourseOptions::default());
+        t2.elapsed().as_secs_f64()
+    });
 
     Row {
         name: p.name.clone(),

@@ -37,7 +37,7 @@ pub struct Prepared {
     /// Dataset name.
     pub name: String,
     /// The labelled table (original columns + binary `pred`), shared so
-    /// engines and estimators can reference it without copying.
+    /// engines can reference it without copying.
     pub table: Arc<Table>,
     /// The binary prediction column.
     pub pred: AttrId,
@@ -238,7 +238,10 @@ impl Prepared {
         self.engine_with_alpha(1.0)
     }
 
-    /// Build an engine with explicit Laplace smoothing.
+    /// Build an engine with explicit Laplace smoothing. The recourse
+    /// experiments use 0.25: recourse verification compares
+    /// sufficiency against thresholds near 1, where heavy smoothing
+    /// would bias genuinely sufficient actions below the bar.
     pub fn engine_with_alpha(&self, alpha: f64) -> lewis_core::Engine {
         lewis_core::Engine::builder(Arc::clone(&self.table))
             .graph(self.scm.graph())
@@ -247,26 +250,6 @@ impl Prepared {
             .alpha(alpha)
             .build()
             .expect("engine builds")
-    }
-
-    /// Build a score estimator over the labelled table. The smoothing is
-    /// deliberately light (0.25): recourse verification compares scores
-    /// against thresholds near 1, where heavy Laplace smoothing would
-    /// bias genuinely sufficient actions below the bar.
-    pub fn estimator(&self) -> lewis_core::ScoreEstimator {
-        self.estimator_with_alpha(0.25)
-    }
-
-    /// Build a score estimator with explicit Laplace smoothing.
-    pub fn estimator_with_alpha(&self, alpha: f64) -> lewis_core::ScoreEstimator {
-        lewis_core::ScoreEstimator::from_shared(
-            Arc::clone(&self.table),
-            Some(Arc::new(self.scm.graph().clone())),
-            self.pred,
-            self.positive,
-            alpha,
-        )
-        .expect("estimator builds")
     }
 
     /// First row index whose prediction equals `wanted` (for picking
@@ -334,7 +317,6 @@ mod tests {
         let s = (p.score)(&row);
         assert!((0.0..=1.0).contains(&s), "score {s}");
         let _ = p.engine();
-        let _ = p.estimator();
     }
 
     #[test]

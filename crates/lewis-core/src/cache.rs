@@ -373,7 +373,7 @@ impl CountingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScoreEstimator;
+    use crate::scores::ScoreEstimator;
     use tabular::{Domain, Schema, Table};
 
     fn estimator() -> ScoreEstimator {
@@ -384,7 +384,7 @@ mod tests {
         for row in [[0, 0], [0, 1], [1, 1], [1, 0], [1, 1]] {
             t.push_row(&row).unwrap();
         }
-        ScoreEstimator::new(&t, None, AttrId(1), 1, 0.0).unwrap()
+        ScoreEstimator::from_shared(t.clone().into(), None, AttrId(1), 1, 0.0).unwrap()
     }
 
     fn key_of(v: u32) -> (Vec<AttrId>, Context) {

@@ -40,7 +40,9 @@ use crate::explain::{
     AttributeScores, ContextualExplanation, GlobalExplanation, LocalContribution, LocalExplanation,
 };
 use crate::ordering::{infer_value_order_from_stats, ordered_pairs};
-use crate::recourse::{fit_surrogate, Recourse, RecourseEngine, RecourseOptions, SurrogateFit};
+use crate::recourse::{
+    check_fit, fit_surrogate, Recourse, RecourseEngine, RecourseOptions, SurrogateFit,
+};
 use crate::scores::{ArmTable, CellArms, Contrast, ScoreEstimator, Scores};
 use crate::snapshot::{
     ArmSnapshot, CacheSnapshot, CellSnapshot, EngineSnapshot, PassSnapshot, SurrogateCacheSnapshot,
@@ -345,7 +347,10 @@ impl Engine {
         EngineBuilder::new(table.into())
     }
 
-    /// The underlying estimator.
+    /// The engine's scoring view: the estimator its queries count and
+    /// score through, read-only. Scoring through it directly bypasses
+    /// the engine's counting-pass cache, so every call counts its pass
+    /// afresh; use the engine's own queries to share passes.
     pub fn estimator(&self) -> &ScoreEstimator {
         &self.est
     }
@@ -643,7 +648,7 @@ impl Engine {
                     coefficients: s.coefficients,
                     orders: s.orders,
                 });
-                RecourseEngine::with_fit(&est, &s.actionable, Arc::clone(&fit), None)
+                check_fit(&est, &s.actionable, &fit)
                     .map_err(|e| LewisError::Invalid(format!("snapshot surrogate: {e}")))?;
                 Ok((s.actionable, (fit, None)))
             })
@@ -817,6 +822,14 @@ impl Engine {
         requests.iter().map(|request| self.run(request)).collect()
     }
 
+    /// Score `contrasts` within `k` through the engine's counting-pass
+    /// cache: each intervened set's pass is counted once and shared
+    /// with every later query that needs it.
+    pub(crate) fn scores_batch(&self, contrasts: &[Contrast], k: &Context) -> Vec<Result<Scores>> {
+        self.est
+            .scores_batch_impl(contrasts, k, Some(&self.caches.passes))
+    }
+
     /// Maximum scores over all ordered value pairs of `attr` within `k`.
     /// Pairs without data support are skipped; when **no** pair has
     /// support the scores are zero and `best_pair` is `None`.
@@ -835,11 +848,7 @@ impl Engine {
             .collect();
         let mut best = Scores::default();
         let mut best_pair: Option<(Value, Value)> = None;
-        for (&(hi, lo), result) in pairs.iter().zip(self.est.scores_batch_impl(
-            &contrasts,
-            k,
-            Some(&self.caches.passes),
-        )) {
+        for (&(hi, lo), result) in pairs.iter().zip(self.scores_batch(&contrasts, k)) {
             match result {
                 Ok(s) => {
                     if best_pair.is_none() || s.nesuf > best.nesuf {
@@ -961,8 +970,7 @@ impl Engine {
         opts: &RecourseOptions,
     ) -> Result<Recourse> {
         let fit = self.surrogate_for(actionable)?;
-        RecourseEngine::with_fit(&self.est, actionable, fit, Some(&self.caches.passes))?
-            .recourse(row, opts)
+        RecourseEngine::with_fit(self, actionable, fit)?.recourse(row, opts)
     }
 
     /// One attribute's local contribution (the §3.2 rules; see
@@ -1002,11 +1010,7 @@ impl Engine {
         }
         let mut positive = 0.0f64;
         let mut negative = 0.0f64;
-        for (is_positive, result) in directions.iter().zip(self.est.scores_batch_impl(
-            &contrasts,
-            &k,
-            Some(&self.caches.passes),
-        )) {
+        for (is_positive, result) in directions.iter().zip(self.scores_batch(&contrasts, &k)) {
             match result {
                 Ok(s) => {
                     // positive outcome: NEC quantifies both directions;

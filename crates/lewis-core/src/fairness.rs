@@ -9,6 +9,7 @@
 
 use crate::engine::Engine;
 use crate::ordering::ordered_pairs;
+use crate::scores::Contrast;
 use crate::Result;
 use tabular::{AttrId, Context, Value};
 
@@ -84,20 +85,26 @@ pub fn max_disparity(engine: &Engine, attr: AttrId, protected: AttrId, k: &Conte
 }
 
 /// All ordered contrasts of the protected attribute with their scores —
-/// the detailed evidence behind a failed audit.
+/// the detailed evidence behind a failed audit. The contrasts share one
+/// counting pass from `engine`'s cache, the pass [`audit`] reads.
 pub fn contrast_evidence(
     engine: &Engine,
     protected: AttrId,
     k: &Context,
 ) -> Result<Vec<((Value, Value), crate::Scores)>> {
-    let order = engine
-        .value_order(protected)
-        .ok_or_else(|| crate::LewisError::Invalid(format!("{protected} is not a feature")))?
-        .to_vec();
+    let pairs = ordered_pairs(
+        engine
+            .value_order(protected)
+            .ok_or_else(|| crate::LewisError::Invalid(format!("{protected} is not a feature")))?,
+    );
+    let contrasts: Vec<Contrast> = pairs
+        .iter()
+        .map(|&(hi, lo)| Contrast::single(protected, hi, lo))
+        .collect();
     let mut out = Vec::new();
-    for (hi, lo) in ordered_pairs(&order) {
-        match engine.estimator().scores(protected, hi, lo, k) {
-            Ok(s) => out.push(((hi, lo), s)),
+    for (&pair, result) in pairs.iter().zip(engine.scores_batch(&contrasts, k)) {
+        match result {
+            Ok(s) => out.push((pair, s)),
             Err(crate::LewisError::Unsupported(_)) => continue,
             Err(e) => return Err(e),
         }
@@ -161,6 +168,27 @@ mod tests {
         assert!(report.max_sufficiency > 0.1);
         let evidence = contrast_evidence(&engine, AttrId(0), &Context::empty()).unwrap();
         assert!(!evidence.is_empty());
+    }
+
+    #[test]
+    fn contrast_evidence_scores_through_the_pass_cache() {
+        let (t, pred) = setup(|row| row[1]);
+        let scm = world();
+        let engine = engine_for(t, &scm, pred);
+        let first = contrast_evidence(&engine, AttrId(0), &Context::empty()).unwrap();
+        let before = engine.cache_stats();
+        let again = contrast_evidence(&engine, AttrId(0), &Context::empty()).unwrap();
+        let after = engine.cache_stats();
+        assert_eq!(first, again);
+        assert!(after.hits > before.hits, "{before:?} -> {after:?}");
+        assert_eq!(after.misses, before.misses, "{before:?} -> {after:?}");
+        // bit-identical to the uncached scoring view
+        for ((hi, lo), s) in first {
+            let cold = engine
+                .estimator()
+                .scores(AttrId(0), hi, lo, &Context::empty());
+            assert_eq!(cold.unwrap(), s);
+        }
     }
 
     #[test]

@@ -11,18 +11,20 @@
 //! * [`scores`] — the necessity / sufficiency / necessity-and-sufficiency
 //!   estimators of Definition 3.1, identified via Proposition 4.2
 //!   (eqs. 19–21), with the Fréchet bounds of Proposition 4.1
-//!   (eqs. 9–11) and the no-graph fallback of §6;
+//!   (eqs. 9–11) and the no-graph fallback of §6 — built by an
+//!   [`Engine`], and read through [`Engine::estimator`];
 //! * [`ordering`] — inference of value orderings from the black box when
 //!   domains carry no natural order (§4.1);
-//! * [`engine`] — the owned, `Send + Sync` [`Engine`]: the one front
-//!   door for global / contextual / local / recourse queries
+//! * [`engine`] — the owned, `Send + Sync` [`Engine`]: the only way in
+//!   for global / contextual / local / recourse queries
 //!   ([`ExplainRequest`] → [`ExplainResponse`]), built with
-//!   [`Engine::builder`], sharing counting passes across queries
-//!   through a bounded in-engine cache;
+//!   [`Engine::builder`], sharing counting passes and recourse
+//!   surrogates across queries through bounded in-engine caches;
 //! * [`explain`] — global, contextual and local explanation result
 //!   types (§3.2);
 //! * [`recourse`] — minimal-cost actionable recourse via the integer
-//!   program of §4.2 with lazy sufficiency verification;
+//!   program of §4.2 with lazy sufficiency verification, served by
+//!   [`Engine::recourse`];
 //! * [`monotonicity`] — the Λ_viol diagnostic of §5.5;
 //! * [`groundtruth`] — exact scores from a known SCM (Pearl's three-step
 //!   procedure) for correctness evaluation (§5.5, Fig. 11);
@@ -52,7 +54,7 @@ pub use engine::{CacheStats, Engine, EngineBuilder, ExplainRequest, ExplainRespo
 pub use explain::{ContextualExplanation, GlobalExplanation, LocalExplanation};
 pub use ordering::infer_value_order;
 pub use recourse::{surrogate_width, Action, CostModel, Recourse, RecourseOptions, SurrogateFit};
-pub use scores::{Contrast, ScoreEstimator, ScoreKind, Scores};
+pub use scores::{Contrast, ScoreKind, Scores};
 pub use snapshot::EngineSnapshot;
 pub use statements::{OutcomeWords, Statement};
 

@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn monotone_model_has_zero_violation() {
         let (t, x, pred) = table_with(|v| u32::from(v >= 1));
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let v = empirical_violation(&est, x, 2, 0, &Context::empty()).unwrap();
         assert_eq!(v, 0.0);
         let ov = order_violation(&est, x, &[0, 1, 2], &Context::empty()).unwrap();
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn anti_monotone_model_is_flagged() {
         let (t, x, pred) = table_with(|v| u32::from(v == 0));
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let v = empirical_violation(&est, x, 2, 0, &Context::empty()).unwrap();
         assert!((v - 1.0).abs() < 1e-12, "violation {v}");
     }
@@ -148,7 +148,7 @@ mod tests {
             preds.push(u32::from(i % 2 == 0));
         }
         let pred = t.add_column("pred", Domain::boolean(), preds).unwrap();
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let v = empirical_violation(&est, x, 2, 0, &Context::empty()).unwrap();
         assert!((v - 0.5).abs() < 1e-9, "graded violation, got {v}");
     }

@@ -11,7 +11,7 @@ use tabular::{AttrId, Domain, Table, Value};
 
 /// Append a derived binary column `name` to `table` that is `1` whenever
 /// `outcome ≥ pivot` (favourable), `0` otherwise. Returns the new column's
-/// id — feed it to [`crate::ScoreEstimator`] as the prediction column.
+/// id — pass it to [`crate::EngineBuilder::prediction`].
 ///
 /// `pivot = 0` would make every row favourable, which breaks the scores'
 /// contrasts, so it is rejected.
@@ -82,7 +82,8 @@ mod tests {
     fn derived_column_is_usable_by_estimator() {
         let (mut t, o) = table();
         let b = binarize_outcome(&mut t, o, 2, "fav").unwrap();
-        let est = crate::ScoreEstimator::new(&t, None, b, 1, 1.0).unwrap();
+        let est =
+            crate::scores::ScoreEstimator::from_shared(t.clone().into(), None, b, 1, 1.0).unwrap();
         let s = est.scores(AttrId(0), 1, 0, &Context::empty()).unwrap();
         assert!((0.0..=1.0).contains(&s.sufficiency));
     }

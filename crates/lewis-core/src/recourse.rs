@@ -20,15 +20,16 @@
 //! surrogate is approximate, every candidate solution is **verified**
 //! against the counting sufficiency estimator; rejected candidates are
 //! excluded and the search continues (a lazy no-good cut), escalating the
-//! covering target if the surrogate was too optimistic. Verification
-//! scores its contrast like every other engine query: an
-//! [`crate::Engine`]'s recourse reads the pass from the engine's
-//! counting-pass cache (counted, shared, topped up on live tables), a
-//! standalone [`RecourseEngine::new`] counts it uncached.
+//! covering target if the surrogate was too optimistic.
+//!
+//! Recourse is served by [`Engine::recourse`]: the surrogate
+//! comes from the engine's surrogate cache, and verification scores its
+//! contrast like every other engine query, reading the pass from the
+//! engine's counting-pass cache (counted, shared, topped up on live
+//! tables).
 
-use crate::cache::CountingCache;
 use crate::scores::{Contrast, ScoreEstimator};
-use crate::{LewisError, Result};
+use crate::{Engine, LewisError, Result};
 use causal::Dag;
 use ml::linalg::dot;
 use ml::linear::{
@@ -185,7 +186,13 @@ pub(crate) fn surrogate_plan(
     if actionable.is_empty() {
         return Err(LewisError::Invalid("no actionable attributes".into()));
     }
-    for &a in actionable {
+    for (i, &a) in actionable.iter().enumerate() {
+        // a repeat would get a second one-hot block and IP group
+        if actionable[..i].contains(&a) {
+            return Err(LewisError::Invalid(format!(
+                "actionable attribute {a} is listed twice"
+            )));
+        }
         if a == pred {
             return Err(LewisError::Invalid(
                 "prediction column is not actionable".into(),
@@ -371,11 +378,46 @@ pub(crate) fn fit_surrogate(
     Ok((fit, patterns))
 }
 
-/// The recourse generator.
-pub struct RecourseEngine<'a> {
-    est: &'a ScoreEstimator,
-    /// Where verification passes are cached (`None`: counted uncached).
-    passes: Option<&'a CountingCache>,
+/// Check `fit`'s shape against `est`'s surrogate layout for
+/// `actionable` and return the layout, so a foreign engine's fit is
+/// rejected as `Invalid` rather than silently mis-indexed.
+pub(crate) fn check_fit(
+    est: &ScoreEstimator,
+    actionable: &[AttrId],
+    fit: &SurrogateFit,
+) -> Result<SurrogatePlan> {
+    let table = est.table();
+    let plan = surrogate_plan(table, est.graph(), est.pred_attr(), actionable)?;
+    if fit.coefficients.len() != plan.width {
+        return Err(LewisError::Invalid(format!(
+            "surrogate has {} coefficients, layout needs {}",
+            fit.coefficients.len(),
+            plan.width
+        )));
+    }
+    if fit.orders.len() != actionable.len() {
+        return Err(LewisError::Invalid(format!(
+            "surrogate has {} value orders for {} actionable attributes",
+            fit.orders.len(),
+            actionable.len()
+        )));
+    }
+    for (&a, order) in actionable.iter().zip(&fit.orders) {
+        let card = table.schema().cardinality(a)?;
+        if order.len() != card || (0..card as Value).any(|v| !order.contains(&v)) {
+            return Err(LewisError::Invalid(format!(
+                "surrogate value order for attribute {a} is not a permutation of its domain"
+            )));
+        }
+    }
+    Ok(plan)
+}
+
+/// The recourse generator for one actionable set: the engine's fitted
+/// surrogate for it, verifying candidates through the engine's
+/// counting-pass cache. Built per query by [`Engine::recourse`].
+pub(crate) struct RecourseEngine<'a> {
+    engine: &'a Engine,
     actionable: Vec<AttrId>,
     fit: Arc<SurrogateFit>,
     /// one-hot feature offsets: per actionable attr, start index
@@ -385,72 +427,22 @@ pub struct RecourseEngine<'a> {
 }
 
 impl<'a> RecourseEngine<'a> {
-    /// Build an engine for a fixed set of actionable attributes,
-    /// fitting the surrogate fresh (see the private `fit_surrogate`'s
-    /// docs for the grouped fit's determinism guarantee) and verifying
-    /// candidates with uncached counting passes. An [`crate::Engine`]
-    /// serves recourse from its surrogate and counting-pass caches
-    /// instead.
-    pub fn new(est: &'a ScoreEstimator, actionable: &[AttrId]) -> Result<Self> {
-        let (fit, _) = fit_surrogate(est, actionable, None)?;
-        Self::with_fit(est, actionable, Arc::new(fit), None)
-    }
-
-    /// Assemble the generator from an already-fitted surrogate (the
-    /// engine's surrogate cache, or coefficients restored from a
-    /// `.lewis` pack), verifying through `passes` when given. Validates
-    /// the fit's shape against this estimator's layout, so a foreign
-    /// engine's fit is rejected as `Invalid` rather than silently
-    /// mis-indexed.
+    /// Assemble the generator from the engine's fitted surrogate for
+    /// `actionable` (freshly fitted, cached, or restored from a
+    /// `.lewis` pack).
     pub(crate) fn with_fit(
-        est: &'a ScoreEstimator,
+        engine: &'a Engine,
         actionable: &[AttrId],
         fit: Arc<SurrogateFit>,
-        passes: Option<&'a CountingCache>,
     ) -> Result<Self> {
-        let table = est.table();
-        let plan = surrogate_plan(table, est.graph(), est.pred_attr(), actionable)?;
-        if fit.coefficients.len() != plan.width {
-            return Err(LewisError::Invalid(format!(
-                "surrogate has {} coefficients, layout needs {}",
-                fit.coefficients.len(),
-                plan.width
-            )));
-        }
-        if fit.orders.len() != actionable.len() {
-            return Err(LewisError::Invalid(format!(
-                "surrogate has {} value orders for {} actionable attributes",
-                fit.orders.len(),
-                actionable.len()
-            )));
-        }
-        for (&a, order) in actionable.iter().zip(&fit.orders) {
-            let card = table.schema().cardinality(a)?;
-            if order.len() != card || (0..card as Value).any(|v| !order.contains(&v)) {
-                return Err(LewisError::Invalid(format!(
-                    "surrogate value order for attribute {a} is not a permutation of its domain"
-                )));
-            }
-        }
+        let plan = check_fit(engine.estimator(), actionable, &fit)?;
         Ok(RecourseEngine {
-            est,
-            passes,
+            engine,
             actionable: actionable.to_vec(),
             fit,
             offsets: plan.offsets,
             context_attrs: plan.context_attrs,
         })
-    }
-
-    /// The actionable attributes.
-    pub fn actionable(&self) -> &[AttrId] {
-        &self.actionable
-    }
-
-    /// Number of IP constraints the solver will see (one per actionable
-    /// attribute plus the covering constraint).
-    pub fn n_constraints(&self) -> usize {
-        self.actionable.len() + 1
     }
 
     /// The surrogate's positive probability for a feature vector.
@@ -484,7 +476,10 @@ impl<'a> RecourseEngine<'a> {
         if !(0.0..1.0).contains(&opts.alpha) {
             return Err(LewisError::Invalid("alpha must be in [0, 1)".into()));
         }
-        let table = self.est.table();
+        let est = self.engine.estimator();
+        let table = est.table();
+        // one per actionable attribute plus the covering constraint
+        let n_constraints = self.actionable.len() + 1;
         if row.len() < table.schema().len() {
             return Err(LewisError::Invalid("row too short for schema".into()));
         }
@@ -497,14 +492,14 @@ impl<'a> RecourseEngine<'a> {
         }
         // Recourse targets negative decisions (§3.2); a positive
         // individual needs no action — constraint (25) holds with δ = 0.
-        if row[self.est.pred_attr().index()] == self.est.positive() {
+        if row[est.pred_attr().index()] == est.positive() {
             let p = self.predict(&self.features_for(row, &[]));
             return Ok(Recourse {
                 actions: Vec::new(),
                 total_cost: 0.0,
                 verified_sufficiency: None,
                 surrogate_probability: p,
-                n_constraints: self.n_constraints(),
+                n_constraints,
             });
         }
 
@@ -523,7 +518,7 @@ impl<'a> RecourseEngine<'a> {
                 total_cost: 0.0,
                 verified_sufficiency: None,
                 surrogate_probability: p_cur,
-                n_constraints: self.n_constraints(),
+                n_constraints,
             });
         }
 
@@ -645,7 +640,7 @@ impl<'a> RecourseEngine<'a> {
                         total_cost: solution.total_cost,
                         verified_sufficiency: verified,
                         surrogate_probability: p_new,
-                        n_constraints: self.n_constraints(),
+                        n_constraints,
                     });
                 }
                 Err(IpError::Infeasible) => {
@@ -662,13 +657,14 @@ impl<'a> RecourseEngine<'a> {
     }
 
     /// Verify a candidate action set with the counting sufficiency
-    /// estimator, through the counting-pass cache when the generator
-    /// has one (candidates of one individual, and individuals whose
-    /// backed-off contexts match, share its passes). The evidence context is the individual's backed-off
-    /// non-descendant context *plus* the current values of actionable
-    /// attributes that are not being changed (they are part of the
-    /// individual `v` in `SUF_â(v)`, and they are non-descendants of the
-    /// changed set whenever the graph says so).
+    /// estimator, through the engine's counting-pass cache (candidates
+    /// of one individual, and individuals whose backed-off contexts
+    /// match, share its passes). The evidence context is the
+    /// individual's backed-off non-descendant context *plus* the
+    /// current values of actionable attributes that are not being
+    /// changed (they are part of the individual `v` in `SUF_â(v)`, and
+    /// they are non-descendants of the changed set whenever the graph
+    /// says so).
     fn verify(
         &self,
         row: &[Value],
@@ -692,7 +688,7 @@ impl<'a> RecourseEngine<'a> {
             if hi.iter().any(|&(c, _)| c == a) {
                 continue;
             }
-            let is_descendant = self.est.graph().is_some_and(|g| {
+            let is_descendant = self.engine.graph().is_some_and(|g| {
                 hi.iter()
                     .any(|&(c, _)| g.is_strict_descendant(a.index(), c.index()))
             });
@@ -700,10 +696,10 @@ impl<'a> RecourseEngine<'a> {
                 k2.set(a, row[a.index()]);
             }
         }
-        match self.est.scores_one(&Contrast { hi, lo }, &k2, self.passes) {
-            Ok(s) if s.sufficiency >= alpha => Verification::Passed(s.sufficiency),
-            Ok(_) => Verification::Failed,
-            Err(_) => Verification::NoSupport,
+        match self.engine.scores_batch(&[Contrast { hi, lo }], &k2).pop() {
+            Some(Ok(s)) if s.sufficiency >= alpha => Verification::Passed(s.sufficiency),
+            Some(Ok(_)) => Verification::Failed,
+            _ => Verification::NoSupport,
         }
     }
 
@@ -718,7 +714,7 @@ impl<'a> RecourseEngine<'a> {
         let mut ctx = Context::empty();
         for &a in &self.context_attrs {
             let trial = ctx.with(a, row[a.index()]);
-            if self.est.support_count(&trial) >= min_support {
+            if self.engine.estimator().support_count(&trial) >= min_support {
                 ctx = trial;
             }
         }
@@ -736,7 +732,6 @@ enum Verification {
 mod tests {
     use super::*;
     use crate::blackbox::label_table;
-    use crate::scores::ScoreEstimator;
     use causal::scm::{Mechanism, ScmBuilder};
     use causal::Scm;
     use rand::rngs::StdRng;
@@ -778,12 +773,26 @@ mod tests {
         (t, pred)
     }
 
+    /// An engine over every non-prediction attribute, with or without
+    /// the world's graph.
+    fn engine(t: Table, pred: AttrId, graph: Option<&Dag>) -> Engine {
+        let builder = Engine::builder(t)
+            .prediction(pred, 1)
+            .features(&[AttrId(0), AttrId(1), AttrId(2)])
+            .alpha(1.0);
+        match graph {
+            Some(g) => builder.graph(g),
+            None => builder,
+        }
+        .build()
+        .unwrap()
+    }
+
     #[test]
     fn recourse_flips_the_decision() {
         let (t, pred) = setup(20_000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 1.0).unwrap();
-        let engine = RecourseEngine::new(&est, &[AttrId(1), AttrId(2)]).unwrap();
+        let engine = engine(t, pred, Some(scm.graph()));
         // a young individual with no savings, short duration: rejected
         let row = [0u32, 0, 0, 0];
         assert_eq!(approve(&row), 0);
@@ -791,7 +800,9 @@ mod tests {
             alpha: 0.8,
             ..RecourseOptions::default()
         };
-        let r = engine.recourse(&row, &opts).unwrap();
+        let r = engine
+            .recourse(&row, &[AttrId(1), AttrId(2)], &opts)
+            .unwrap();
         assert!(!r.actions.is_empty(), "rejected individual needs action");
         // applying the actions must actually flip the black box
         let mut new_row = row;
@@ -814,8 +825,7 @@ mod tests {
     #[test]
     fn already_positive_needs_no_action() {
         let (t, pred) = setup(10_000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 1.0).unwrap();
-        let engine = RecourseEngine::new(&est, &[AttrId(1), AttrId(2)]).unwrap();
+        let engine = engine(t, pred, None);
         // savings=lots, duration=long, prediction cell = 1: approved
         let row = [1u32, 2, 1, 1];
         assert_eq!(approve(&row), 1);
@@ -823,7 +833,9 @@ mod tests {
             alpha: 0.5,
             ..RecourseOptions::default()
         };
-        let r = engine.recourse(&row, &opts).unwrap();
+        let r = engine
+            .recourse(&row, &[AttrId(1), AttrId(2)], &opts)
+            .unwrap();
         assert!(r.actions.is_empty(), "positive individual needs no action");
         assert_eq!(r.total_cost, 0.0);
         assert!(r.surrogate_probability > 0.8);
@@ -833,8 +845,7 @@ mod tests {
     fn minimal_cost_action_is_chosen() {
         let (t, pred) = setup(20_000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 1.0).unwrap();
-        let engine = RecourseEngine::new(&est, &[AttrId(1), AttrId(2)]).unwrap();
+        let engine = engine(t, pred, Some(scm.graph()));
         // savings=some already; only duration needs fixing. The minimal
         // unit-cost action is {duration -> long}.
         let row = [0u32, 1, 0, 0];
@@ -844,7 +855,9 @@ mod tests {
             cost: CostModel::Unit,
             ..RecourseOptions::default()
         };
-        let r = engine.recourse(&row, &opts).unwrap();
+        let r = engine
+            .recourse(&row, &[AttrId(1), AttrId(2)], &opts)
+            .unwrap();
         assert_eq!(r.actions.len(), 1, "one action suffices: {:?}", r.actions);
         assert_eq!(r.actions[0].attr, AttrId(2));
         assert_eq!(r.actions[0].to, 1);
@@ -855,18 +868,17 @@ mod tests {
     fn infeasible_when_no_action_helps() {
         // actionable attribute that the model ignores
         let (t, pred) = setup(5_000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 1.0).unwrap();
+        let engine = engine(t, pred, None);
         // age is causal for savings but with savings/duration fixed it
         // cannot flip the model output for this individual... instead use
         // the truly ignored scenario: only `age` actionable, and request
         // very high alpha.
-        let engine = RecourseEngine::new(&est, &[AttrId(0)]).unwrap();
         let row = [0u32, 0, 0, 0];
         let opts = RecourseOptions {
             alpha: 0.95,
             ..RecourseOptions::default()
         };
-        let r = engine.recourse(&row, &opts);
+        let r = engine.recourse(&row, &[AttrId(0)], &opts);
         assert!(
             matches!(
                 r,
@@ -879,8 +891,7 @@ mod tests {
     #[test]
     fn cost_models_change_selection() {
         let (t, pred) = setup(20_000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 1.0).unwrap();
-        let engine = RecourseEngine::new(&est, &[AttrId(1), AttrId(2)]).unwrap();
+        let engine = engine(t, pred, None);
         let row = [0u32, 0, 0, 0];
         // make changing duration prohibitively expensive: savings path wins
         let opts = RecourseOptions {
@@ -888,7 +899,7 @@ mod tests {
             cost: CostModel::Weighted(vec![(AttrId(1), 1.0), (AttrId(2), 100.0)]),
             ..RecourseOptions::default()
         };
-        match engine.recourse(&row, &opts) {
+        match engine.recourse(&row, &[AttrId(1), AttrId(2)], &opts) {
             Ok(r) => {
                 // whatever is chosen, it should avoid the expensive attr
                 // unless strictly necessary; verify cost sanity
@@ -902,30 +913,48 @@ mod tests {
     #[test]
     fn input_validation() {
         let (t, pred) = setup(1_000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 1.0).unwrap();
-        assert!(RecourseEngine::new(&est, &[]).is_err());
-        assert!(RecourseEngine::new(&est, &[pred]).is_err());
-        let engine = RecourseEngine::new(&est, &[AttrId(1)]).unwrap();
+        let engine = engine(t, pred, None);
+        let row = [0, 0, 0, 0];
+        let defaults = RecourseOptions::default();
+        assert!(engine.recourse(&row, &[], &defaults).is_err());
+        assert!(engine.recourse(&row, &[pred], &defaults).is_err());
         let opts = RecourseOptions {
             alpha: 1.5,
             ..RecourseOptions::default()
         };
-        assert!(engine.recourse(&[0, 0, 0, 0], &opts).is_err());
-        assert!(engine
-            .recourse(&[0, 0], &RecourseOptions::default())
-            .is_err());
+        assert!(engine.recourse(&row, &[AttrId(1)], &opts).is_err());
+        assert!(engine.recourse(&[0, 0], &[AttrId(1)], &defaults).is_err());
+    }
+
+    #[test]
+    fn repeated_actionable_attributes_are_invalid() {
+        let (t, pred) = setup(1_000);
+        let width = surrogate_width(&t, None, pred, &[AttrId(1), AttrId(1)]);
+        assert!(matches!(width, Err(LewisError::Invalid(_))), "{width:?}");
+        let engine = engine(t, pred, None);
+        let opts = RecourseOptions::default();
+        for actionable in [
+            &[AttrId(1), AttrId(1)][..],
+            &[AttrId(1), AttrId(2), AttrId(1)],
+        ] {
+            match engine.recourse(&[0, 0, 0, 0], actionable, &opts) {
+                Err(LewisError::Invalid(m)) => assert!(m.contains("listed twice"), "{m}"),
+                other => panic!("{actionable:?}: expected Invalid, got {other:?}"),
+            }
+        }
+        // rejected before any surrogate is fitted or cached
+        assert_eq!(engine.surrogate_stats().entries, 0);
     }
 
     #[test]
     fn out_of_domain_row_values_are_invalid_not_a_panic() {
         let (t, pred) = setup(1_000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 1.0).unwrap();
-        let engine = RecourseEngine::new(&est, &[AttrId(1)]).unwrap();
+        let engine = engine(t, pred, None);
         let opts = RecourseOptions::default();
         // an actionable code, a context code and a prediction code, each
         // past its attribute's domain
         for row in [[0, 99, 0, 0], [7, 0, 0, 0], [0, 0, 0, 2]] {
-            match engine.recourse(&row, &opts) {
+            match engine.recourse(&row, &[AttrId(1)], &opts) {
                 Err(LewisError::Invalid(m)) => assert!(m.contains("outside its domain"), "{m}"),
                 other => panic!("{row:?}: expected Invalid, got {other:?}"),
             }

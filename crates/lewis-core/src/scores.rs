@@ -213,10 +213,10 @@ fn merge_sorted<K: Ord + Clone, V: Clone>(
 /// column `pred` (multi-class outcomes are first reduced with
 /// [`crate::multiclass::binarize_outcome`]).
 ///
-/// The estimator *owns* its inputs behind [`Arc`]s, so it is `Send +
-/// Sync`, has no borrowed lifetime, and can be shared freely across
-/// threads (clone the `Arc`s via [`ScoreEstimator::from_shared`] to
-/// avoid copying the data itself).
+/// Every estimator is built and owned by an [`crate::Engine`];
+/// [`crate::Engine::estimator`] lends it out as the engine's uncached,
+/// read-only scoring view. It owns its inputs behind [`Arc`]s, so it is
+/// `Send + Sync` and has no borrowed lifetime.
 #[derive(Clone)]
 pub struct ScoreEstimator {
     table: Arc<Table>,
@@ -242,34 +242,12 @@ pub struct ScoreEstimator {
 }
 
 impl ScoreEstimator {
-    /// Create an estimator from borrowed inputs. `graph` is the causal
-    /// diagram over the table's attributes (pass `None` for the
-    /// no-confounding fallback of §6); `positive` is the favourable
-    /// outcome code `o`; `alpha` is the Laplace pseudo-count used for the
-    /// inner conditionals.
-    ///
-    /// The table (and graph) are **cloned** into shared ownership; use
-    /// [`ScoreEstimator::from_shared`] when an `Arc` is already at hand
-    /// to avoid the copy.
-    pub fn new(
-        table: &Table,
-        graph: Option<&Dag>,
-        pred: AttrId,
-        positive: Value,
-        alpha: f64,
-    ) -> Result<Self> {
-        Self::from_shared(
-            Arc::new(table.clone()),
-            graph.map(|g| Arc::new(g.clone())),
-            pred,
-            positive,
-            alpha,
-        )
-    }
-
     /// Create an estimator from already-shared inputs without copying
-    /// the table. This is the constructor [`crate::Engine`] uses.
-    pub fn from_shared(
+    /// the table. `graph` is the causal diagram over the table's
+    /// attributes (`None` for the no-confounding fallback of §6);
+    /// `positive` is the favourable outcome code `o`; `alpha` is the
+    /// Laplace pseudo-count used for the inner conditionals.
+    pub(crate) fn from_shared(
         table: Arc<Table>,
         graph: Option<Arc<Dag>>,
         pred: AttrId,
@@ -328,7 +306,7 @@ impl ScoreEstimator {
     /// any shard count (see [`tabular::Counter::build_sharded`]); the
     /// fan-out only buys wall-clock on multi-core machines.
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
+    pub(crate) fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, tabular::MAX_SHARDS);
         self.sharded = (self.shards > 1)
             .then(|| ShardedTable::from_shared(Arc::clone(&self.table), self.shards));
@@ -346,7 +324,7 @@ impl ScoreEstimator {
     /// Indexed counting passes and support probes are bit-identical to
     /// their scan equivalents (property-tested in
     /// `tests/index_parity.rs`); the index only changes wall-clock.
-    pub fn with_index(mut self, enabled: bool) -> Result<Self> {
+    pub(crate) fn with_index(mut self, enabled: bool) -> Result<Self> {
         self.index = if enabled {
             Some(Arc::new(
                 TableIndex::build(&self.table, self.shards).map_err(LewisError::from)?,
@@ -679,11 +657,6 @@ impl ScoreEstimator {
         Ok(self.scores(attr, x_hi, x_lo, k)?.sufficiency)
     }
 
-    /// Necessity-and-sufficiency score for a single-attribute contrast.
-    pub fn nesuf(&self, attr: AttrId, x_hi: Value, x_lo: Value, k: &Context) -> Result<f64> {
-        Ok(self.scores(attr, x_hi, x_lo, k)?.nesuf)
-    }
-
     /// All three scores for a *set* contrast `X ← hi` vs `X ← lo`
     /// (actions that touch several attributes at once): the one-contrast
     /// case of [`ScoreEstimator::scores_batch`]. `hi` and `lo` must cover
@@ -694,18 +667,7 @@ impl ScoreEstimator {
         lo: &[(AttrId, Value)],
         k: &Context,
     ) -> Result<Scores> {
-        self.scores_one(&Contrast::set(hi, lo), k, None)
-    }
-
-    /// One contrast through [`ScoreEstimator::scores_batch_impl`], with
-    /// or without the counting-pass cache.
-    pub(crate) fn scores_one(
-        &self,
-        contrast: &Contrast,
-        k: &Context,
-        cache: Option<&CountingCache>,
-    ) -> Result<Scores> {
-        self.scores_batch_impl(std::slice::from_ref(contrast), k, cache)
+        self.scores_batch(&[Contrast::set(hi, lo)], k)
             .pop()
             .expect("one result per contrast")
     }
@@ -1292,7 +1254,14 @@ mod tests {
     fn estimates_match_ground_truth_globally() {
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(scm.graph().clone().into()),
+            pred,
+            1,
+            0.0,
+        )
+        .unwrap();
         let got = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
         let want = ground_truth_scores(None);
         assert!(
@@ -1319,7 +1288,14 @@ mod tests {
     fn estimates_match_ground_truth_contextually() {
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(scm.graph().clone().into()),
+            pred,
+            1,
+            0.0,
+        )
+        .unwrap();
         for c in [0u32, 1] {
             let k = Context::of([(AttrId(0), c)]);
             let got = est.scores(AttrId(1), 1, 0, &k).unwrap();
@@ -1343,7 +1319,14 @@ mod tests {
     fn bounds_contain_point_estimates_and_truth() {
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(scm.graph().clone().into()),
+            pred,
+            1,
+            0.0,
+        )
+        .unwrap();
         let truth = ground_truth_scores(None);
         for (kind, want) in [
             (ScoreKind::Necessity, truth.necessity),
@@ -1375,7 +1358,14 @@ mod tests {
         // and the last term vanishes for binary domains.
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(scm.graph().clone().into()),
+            pred,
+            1,
+            0.0,
+        )
+        .unwrap();
         let s = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
         let n = t.n_rows() as f64;
         let pr_o_x = t.count(&Context::of([(AttrId(1), 1), (pred, 1)])) as f64 / n;
@@ -1417,7 +1407,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let mut t = scm2.generate(40_000, &mut rng);
         let pred = crate::blackbox::label_table(&mut t, &f, "pred").unwrap();
-        let est = ScoreEstimator::new(&t, Some(scm2.graph()), pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(scm2.graph().clone().into()),
+            pred,
+            1,
+            0.0,
+        )
+        .unwrap();
         let s = est.scores(iso, 1, 0, &Context::empty()).unwrap();
         assert!(s.necessity < 0.03, "NEC {}", s.necessity);
         assert!(s.sufficiency < 0.03, "SUF {}", s.sufficiency);
@@ -1428,7 +1425,7 @@ mod tests {
     fn no_graph_fallback_reduces_to_conditional_contrast() {
         // §6: without a graph, SUF = [Pr(o|x,k) − Pr(o|x',k)] / Pr(o'|x',k)
         let (t, pred) = setup(20_000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let s = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
         let p_hi = t
             .conditional_probability(pred, 1, &Context::of([(AttrId(1), 1)]), 0.0)
@@ -1446,7 +1443,7 @@ mod tests {
     #[test]
     fn set_contrasts_validated() {
         let (t, pred) = setup(1000);
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         // mismatched attr sets
         assert!(est
             .scores_set(&[(AttrId(0), 1)], &[(AttrId(1), 0)], &Context::empty())
@@ -1486,10 +1483,10 @@ mod tests {
     #[test]
     fn constructor_validations() {
         let (t, pred) = setup(100);
-        assert!(ScoreEstimator::new(&t, None, pred, 2, 0.0).is_err());
-        assert!(ScoreEstimator::new(&t, None, pred, 1, -0.5).is_err());
+        assert!(ScoreEstimator::from_shared(t.clone().into(), None, pred, 2, 0.0).is_err());
+        assert!(ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, -0.5).is_err());
         // non-binary prediction column
-        assert!(ScoreEstimator::new(&t, None, AttrId(0), 1, 0.0).is_ok());
+        assert!(ScoreEstimator::from_shared(t.clone().into(), None, AttrId(0), 1, 0.0).is_ok());
         let mut t2 = t.clone();
         let tri = t2
             .add_column(
@@ -1498,14 +1495,21 @@ mod tests {
                 vec![0; t.n_rows()],
             )
             .unwrap();
-        assert!(ScoreEstimator::new(&t2, None, tri, 1, 0.0).is_err());
+        assert!(ScoreEstimator::from_shared(t2.clone().into(), None, tri, 1, 0.0).is_err());
     }
 
     #[test]
     fn local_context_backs_off_to_keep_support() {
         let (t, pred) = setup(5000);
         let scm = world();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(scm.graph().clone().into()),
+            pred,
+            1,
+            0.0,
+        )
+        .unwrap();
         let row = t.row(0).unwrap();
         // generous support: keeps C (the only non-descendant of X)
         let ctx = est.local_context(&row, AttrId(1), 10);
@@ -1546,7 +1550,14 @@ mod tests {
             let mut g = causal::Dag::new(2);
             g.add_edge(0, 1).unwrap();
             let alpha = rng.gen_range(0.0..2.0);
-            let est = ScoreEstimator::new(&t, Some(&g), AttrId(2), 1, alpha).unwrap();
+            let est = ScoreEstimator::from_shared(
+                t.clone().into(),
+                Some(g.clone().into()),
+                AttrId(2),
+                1,
+                alpha,
+            )
+            .unwrap();
             for kind in [
                 ScoreKind::Necessity,
                 ScoreKind::Sufficiency,
@@ -1596,7 +1607,14 @@ mod tests {
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
         g.add_edge(2, 3).unwrap();
-        let est = ScoreEstimator::new(&t, Some(&g), AttrId(4), 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(
+            t.clone().into(),
+            Some(g.clone().into()),
+            AttrId(4),
+            1,
+            0.0,
+        )
+        .unwrap();
         let row = t.row(0).unwrap();
         // {B=1, A=1} has 1 row, {B=1} has 1 row, {A=1} has 10: the
         // back-off must end empty, never keeping A without B.
@@ -1624,7 +1642,14 @@ mod tests {
         let (t, pred) = setup(2000);
         let scm = world();
         for alpha in [0.0, 0.5, 2.0] {
-            let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, alpha).unwrap();
+            let est = ScoreEstimator::from_shared(
+                t.clone().into(),
+                Some(scm.graph().clone().into()),
+                pred,
+                1,
+                alpha,
+            )
+            .unwrap();
             let s = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
             for v in [s.necessity, s.sufficiency, s.nesuf] {
                 assert!((0.0..=1.0).contains(&v), "alpha={alpha}: {v}");

@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn sufficiency_statement_quotes_probability() {
         let (t, pred) = fixture();
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let words = OutcomeWords {
             subject: "your loan".into(),
             positive: "been approved".into(),
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn best_statement_picks_direction_from_outcome() {
         let (t, pred) = fixture();
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let words = OutcomeWords::default();
         let order = infer_value_order(&t, AttrId(0), pred, 1).unwrap();
         // negative individual with purpose = repairs: sufficiency upward
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn no_statement_for_extreme_values() {
         let (t, pred) = fixture();
-        let est = ScoreEstimator::new(&t, None, pred, 1, 0.0).unwrap();
+        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
         let order = infer_value_order(&t, AttrId(0), pred, 1).unwrap();
         // a negative individual already holding the best value has no
         // upward contrast

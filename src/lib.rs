@@ -44,8 +44,7 @@ pub mod prelude {
     pub use crate::core::blackbox::label_table;
     pub use crate::core::{
         BlackBox, CacheStats, ClassifierBox, Contrast, CostModel, Engine, EngineBuilder,
-        ExplainRequest, ExplainResponse, LewisError, Recourse, RecourseOptions, ScoreEstimator,
-        ScoreKind, Scores,
+        ExplainRequest, ExplainResponse, LewisError, Recourse, RecourseOptions, ScoreKind, Scores,
     };
     pub use crate::tabular::{AttrId, Context, Domain, Schema, Table, Value};
 }

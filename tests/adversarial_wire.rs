@@ -236,6 +236,24 @@ fn out_of_domain_recourse_rows_are_typed_400s_on_both_lanes() {
 }
 
 #[test]
+fn repeated_actionable_attributes_are_typed_400s() {
+    let server = start();
+    let path = format!("/v1/engines/{ENGINE}/explain");
+    // a repeated attribute would get its own one-hot block, IP group and
+    // surrogate slot; a dozen repeats make a solve run for minutes
+    let body = r#"{"kind":"recourse","row":[2,0,0,3,2,9,0],"actionable":[2,2]}"#;
+    // one more request than the pool has workers
+    for _ in 0..3 {
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (status, response) = client.post(&path, body).unwrap();
+        assert_eq!(status, 400, "{response:?}");
+        assert_eq!(error_code_of(&response), Some("invalid"), "{response:?}");
+    }
+    assert_alive(&server);
+    server.shutdown();
+}
+
+#[test]
 fn transport_truncation_mid_body_does_not_hang_a_worker() {
     let server = start();
     // announce more bytes than we send — then go silent and close, with

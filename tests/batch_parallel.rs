@@ -1,7 +1,7 @@
 //! The batched scoring path is a *pure optimization*: it must agree
 //! exactly with the sequential per-contrast estimator.
 
-use lewis::core::{Contrast, ScoreEstimator};
+use lewis::core::{Contrast, Engine};
 use lewis::datasets::GermanSynDataset;
 use lewis::tabular::{AttrId, Context, Domain, Schema, Table};
 use proptest::prelude::*;
@@ -40,7 +40,13 @@ proptest! {
         with_ctx in 0u32..2,
     ) {
         let pred = AttrId(3);
-        let est = ScoreEstimator::new(&t, None, pred, 1, alpha).unwrap();
+        let engine = Engine::builder(t)
+            .prediction(pred, 1)
+            .features(&[AttrId(0), AttrId(1), AttrId(2)])
+            .alpha(alpha)
+            .build()
+            .unwrap();
+        let est = engine.estimator();
         let k = if with_ctx == 1 {
             Context::of([(AttrId(k_attr), k_val)])
         } else {
@@ -135,8 +141,15 @@ fn german_pipeline(n: usize, seed: u64) -> (Table, AttrId, Vec<AttrId>, lewis::c
 /// agrees with the per-pair sequential calls.
 #[test]
 fn batch_matches_sequential_on_real_pipeline() {
-    let (table, pred, _features, scm) = german_pipeline(3_000, 11);
-    let est = ScoreEstimator::new(&table, Some(scm.graph()), pred, 1, 0.25).unwrap();
+    let (table, pred, features, scm) = german_pipeline(3_000, 11);
+    let engine = Engine::builder(table.clone())
+        .graph(scm.graph())
+        .prediction(pred, 1)
+        .features(&features)
+        .alpha(0.25)
+        .build()
+        .unwrap();
+    let est = engine.estimator();
     for attr in [
         GermanSynDataset::STATUS,
         GermanSynDataset::SAVING,

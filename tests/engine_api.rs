@@ -259,7 +259,13 @@ fn unsupported_is_a_typed_outcome() {
         t.push_row(&[0, 1, 1]).unwrap();
         t.push_row(&[1, 0, 0]).unwrap();
     }
-    let est = ScoreEstimator::new(&t, None, AttrId(2), 1, 0.0).unwrap();
+    let engine = Engine::builder(t)
+        .prediction(AttrId(2), 1)
+        .features(&[AttrId(0), AttrId(1)])
+        .alpha(0.0)
+        .build()
+        .unwrap();
+    let est = engine.estimator();
     // the x = 1 arm is empty under z = 1: typed no-support outcome
     match est.scores(AttrId(1), 1, 0, &Context::of([(AttrId(0), 1)])) {
         Err(e) => assert!(e.is_unsupported(), "expected Unsupported, got {e}"),

@@ -6,7 +6,7 @@ use lewis::core::blackbox::label_table;
 use lewis::core::groundtruth::GroundTruth;
 use lewis::core::ordering::ordered_pairs;
 use lewis::core::scores::ScoreKind;
-use lewis::core::{ClassifierBox, Engine, ScoreEstimator};
+use lewis::core::{ClassifierBox, Engine};
 use lewis::datasets::GermanSynDataset;
 use lewis::ml::encode::{Encoding, TableEncoder};
 use lewis::ml::forest::ForestParams;
@@ -19,6 +19,21 @@ struct Fixture {
     scm: lewis::causal::Scm,
     features: Vec<AttrId>,
     bb: ClassifierBox<RandomForestClassifier>,
+}
+
+/// The fixture's engine at the smoothing every test here uses (0.25),
+/// with or without the generating graph.
+fn engine(f: &Fixture, graph: bool) -> Engine {
+    let builder = Engine::builder(f.table.clone())
+        .prediction(f.pred, 1)
+        .features(&f.features)
+        .alpha(0.25);
+    let builder = if graph {
+        builder.graph(f.scm.graph())
+    } else {
+        builder
+    };
+    builder.build().unwrap()
 }
 
 fn fixture(n: usize, seed: u64) -> Fixture {
@@ -60,7 +75,8 @@ fn fixture(n: usize, seed: u64) -> Fixture {
 #[test]
 fn estimated_scores_track_exact_ground_truth() {
     let f = fixture(12_000, 21);
-    let est = ScoreEstimator::new(&f.table, Some(f.scm.graph()), f.pred, 1, 0.25).unwrap();
+    let lewis = engine(&f, true);
+    let est = lewis.estimator();
     let gt = GroundTruth::exact(&f.scm, &f.bb, 1).unwrap();
     let k = Context::empty();
     for attr in [
@@ -97,7 +113,8 @@ fn frechet_bounds_contain_ground_truth() {
     // Proposition 4.1: the bounds hold *without* monotonicity, so they
     // must bracket the exact counterfactual quantities.
     let f = fixture(12_000, 22);
-    let est = ScoreEstimator::new(&f.table, Some(f.scm.graph()), f.pred, 1, 0.25).unwrap();
+    let lewis = engine(&f, true);
+    let est = lewis.estimator();
     let gt = GroundTruth::exact(&f.scm, &f.bb, 1).unwrap();
     let k = Context::empty();
     let attr = GermanSynDataset::STATUS;
@@ -127,13 +144,7 @@ fn indirect_influence_of_age_is_recovered() {
     // The Fig 11a headline: age has NO direct edge to the score, yet its
     // ground-truth NESUF is materially positive, and LEWIS finds it.
     let f = fixture(12_000, 23);
-    let lewis = Engine::builder(f.table.clone())
-        .graph(f.scm.graph())
-        .prediction(f.pred, 1)
-        .features(&f.features)
-        .alpha(0.25)
-        .build()
-        .unwrap();
+    let lewis = engine(&f, true);
     let gt = GroundTruth::exact(&f.scm, &f.bb, 1).unwrap();
     let order = lewis.value_order(GermanSynDataset::AGE).unwrap().to_vec();
     let mut exact_max = 0.0f64;
@@ -157,7 +168,8 @@ fn indirect_influence_of_age_is_recovered() {
 #[test]
 fn contextual_scores_match_ground_truth_per_stratum() {
     let f = fixture(15_000, 24);
-    let est = ScoreEstimator::new(&f.table, Some(f.scm.graph()), f.pred, 1, 0.25).unwrap();
+    let lewis = engine(&f, true);
+    let est = lewis.estimator();
     let gt = GroundTruth::exact(&f.scm, &f.bb, 1).unwrap();
     for age in 0..3u32 {
         let k = Context::of([(GermanSynDataset::AGE, age)]);
@@ -176,12 +188,7 @@ fn no_graph_fallback_still_ranks_direct_causes_high() {
     // §6: without a causal diagram LEWIS degrades to the no-confounding
     // fallback — rankings of strong direct causes survive.
     let f = fixture(8_000, 25);
-    let lewis = Engine::builder(f.table.clone())
-        .prediction(f.pred, 1)
-        .features(&f.features)
-        .alpha(0.25)
-        .build()
-        .unwrap();
+    let lewis = engine(&f, false);
     let g = lewis.global().unwrap();
     assert_eq!(g.attributes[0].attr, GermanSynDataset::STATUS);
 }

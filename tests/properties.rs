@@ -294,7 +294,7 @@ proptest! {
     #[test]
     fn scores_are_probabilities_on_random_worlds(seed in 0u64..5000, flip in 0.05f64..0.45) {
         use lewis::causal::{Mechanism, ScmBuilder};
-        use lewis::core::ScoreEstimator;
+        use lewis::core::Engine;
         use rand::SeedableRng;
 
         let mut schema = Schema::new();
@@ -313,8 +313,14 @@ proptest! {
         let mut t = scm.generate(600, &mut rng);
         let f = |row: &[u32]| u32::from(row[0] + row[1] >= 1);
         let pred = lewis::core::blackbox::label_table(&mut t, &f, "pred").unwrap();
-        let est = ScoreEstimator::new(&t, Some(scm.graph()), pred, 1, 0.5).unwrap();
-        if let Ok(s) = est.scores(lewis::tabular::AttrId(1), 1, 0, &Context::empty()) {
+        let engine = Engine::builder(t.clone())
+            .graph(scm.graph())
+            .prediction(pred, 1)
+            .features(&[lewis::tabular::AttrId(0), lewis::tabular::AttrId(1)])
+            .alpha(0.5)
+            .build()
+            .unwrap();
+        if let Ok(s) = engine.estimator().scores(lewis::tabular::AttrId(1), 1, 0, &Context::empty()) {
             for v in [s.necessity, s.sufficiency, s.nesuf] {
                 prop_assert!((0.0..=1.0).contains(&v));
             }

@@ -4,8 +4,7 @@
 
 use lewis::core::blackbox::label_table;
 use lewis::core::groundtruth::GroundTruth;
-use lewis::core::recourse::RecourseEngine;
-use lewis::core::{ClassifierBox, CostModel, RecourseOptions, ScoreEstimator};
+use lewis::core::{ClassifierBox, CostModel, Engine, RecourseOptions};
 use lewis::datasets::GermanSynDataset;
 use lewis::ml::encode::{Encoding, TableEncoder};
 use lewis::ml::forest::ForestParams;
@@ -42,8 +41,13 @@ fn recourse_achieves_ground_truth_sufficiency() {
     let bb = ClassifierBox::new(forest, encoder);
     let pred = label_table(&mut table, &bb, "pred").unwrap();
 
-    let est = ScoreEstimator::new(&table, Some(scm.graph()), pred, 1, 0.25).unwrap();
-    let engine = RecourseEngine::new(&est, &actionable).unwrap();
+    let engine = Engine::builder(table.clone())
+        .graph(scm.graph())
+        .prediction(pred, 1)
+        .features(&features)
+        .alpha(0.25)
+        .build()
+        .unwrap();
     let gt = GroundTruth::exact(&scm, &bb, 1).unwrap();
     let alpha = 0.9;
     let opts = RecourseOptions {
@@ -60,7 +64,7 @@ fn recourse_achieves_ground_truth_sufficiency() {
             continue;
         }
         let row = table.row(idx).unwrap();
-        let Ok(r) = engine.recourse(&row, &opts) else {
+        let Ok(r) = engine.recourse(&row, &actionable, &opts) else {
             continue;
         };
         if r.actions.is_empty() {
@@ -106,9 +110,15 @@ fn recourse_respects_actionability_boundaries() {
         RandomForestClassifier::fit(&xs, &labels, 2, &ForestParams::default(), 32).unwrap();
     let bb = ClassifierBox::new(forest, encoder);
     let pred = label_table(&mut table, &bb, "pred").unwrap();
-    let est = ScoreEstimator::new(&table, Some(scm.graph()), pred, 1, 0.25).unwrap();
+    let engine = Engine::builder(table.clone())
+        .graph(scm.graph())
+        .prediction(pred, 1)
+        .features(&features)
+        .alpha(0.25)
+        .build()
+        .unwrap();
     // only saving is actionable
-    let engine = RecourseEngine::new(&est, &[GermanSynDataset::SAVING]).unwrap();
+    let actionable = [GermanSynDataset::SAVING];
     let opts = RecourseOptions {
         alpha: 0.5,
         ..RecourseOptions::default()
@@ -120,7 +130,7 @@ fn recourse_respects_actionability_boundaries() {
             continue;
         }
         let row = table.row(idx).unwrap();
-        if let Ok(r) = engine.recourse(&row, &opts) {
+        if let Ok(r) = engine.recourse(&row, &actionable, &opts) {
             for a in &r.actions {
                 assert_eq!(
                     a.attr,

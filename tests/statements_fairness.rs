@@ -4,7 +4,7 @@
 use lewis::core::blackbox::label_table;
 use lewis::core::fairness;
 use lewis::core::statements::{best_statement, OutcomeWords};
-use lewis::core::{ClassifierBox, Engine, ScoreEstimator};
+use lewis::core::{ClassifierBox, Engine};
 use lewis::datasets::{CompasDataset, GermanDataset};
 use lewis::ml::encode::{Encoding, TableEncoder};
 use lewis::ml::forest::ForestParams;
@@ -35,9 +35,15 @@ fn train(dataset: lewis::datasets::Dataset, seed: u64) -> (Table, AttrId, Vec<At
 
 #[test]
 fn figure_one_style_statement_for_rejected_applicant() {
-    let (table, pred, _features) = train(GermanDataset::generate(2500, 61), 61);
+    let (table, pred, features) = train(GermanDataset::generate(2500, 61), 61);
     let scm = GermanDataset::scm();
-    let est = ScoreEstimator::new(&table, Some(scm.graph()), pred, 1, 0.25).unwrap();
+    let lewis = Engine::builder(table.clone())
+        .graph(scm.graph())
+        .prediction(pred, 1)
+        .features(&features)
+        .alpha(0.25)
+        .build()
+        .unwrap();
     let words = OutcomeWords {
         subject: "your loan".into(),
         positive: "been approved".into(),
@@ -51,9 +57,16 @@ fn figure_one_style_statement_for_rejected_applicant() {
         .find(|&i| preds[i] == 0 && table.get(i, GermanDataset::STATUS).unwrap() != worst_status)
         .expect("rejected applicant with improvable status");
     let row = table.row(idx).unwrap();
-    let stmt = best_statement(&est, &words, &row, GermanDataset::STATUS, &order, 20)
-        .unwrap()
-        .expect("a statement exists");
+    let stmt = best_statement(
+        lewis.estimator(),
+        &words,
+        &row,
+        GermanDataset::STATUS,
+        &order,
+        20,
+    )
+    .unwrap()
+    .expect("a statement exists");
     assert!(stmt
         .text
         .starts_with("Your loan would have been approved with"));
