@@ -25,20 +25,17 @@ pub fn sweep_point(n_actionable: usize, scale: Scale, seed: u64) -> (usize, f64,
         cost: CostModel::Unit,
         ..RecourseOptions::default()
     };
-    // one IP constraint per actionable attribute plus the covering one,
-    // whether or not the program is solved
-    let unsolved = (p.actionable.len() + 1, 0.0, false);
-    let Some(neg) = p.find_individual(0) else {
-        return unsolved;
-    };
+    let neg = p.find_individual(0).expect("a rejected individual exists");
     let row = p.table.row(neg).expect("row in range");
     let t0 = Instant::now();
     let result = engine.recourse(&row, &p.actionable, &opts);
     let seconds = t0.elapsed().as_secs_f64();
-    match result {
-        Ok(r) => (r.n_constraints, seconds, true),
-        Err(_) => (unsolved.0, seconds, false),
-    }
+    // an unsolved program still had one constraint per actionable
+    // attribute plus the covering one
+    let n_constraints = result
+        .as_ref()
+        .map_or(p.actionable.len() + 1, |r| r.n_constraints);
+    (n_constraints, seconds, result.is_ok())
 }
 
 /// Run the sweep.

@@ -1176,6 +1176,18 @@ mod tests {
     use rand::SeedableRng;
     use tabular::{Domain, Schema};
 
+    /// An estimator over copies of `t` and `graph` (engines share theirs).
+    fn estimator(
+        t: &Table,
+        graph: Option<&Dag>,
+        pred: AttrId,
+        positive: Value,
+        alpha: f64,
+    ) -> Result<ScoreEstimator> {
+        let graph = graph.map(|g| Arc::new(g.clone()));
+        ScoreEstimator::from_shared(Arc::new(t.clone()), graph, pred, positive, alpha)
+    }
+
     /// Confounded, monotone world:
     /// C → X, C → O-inputs, X → D; f(c, x, d) = 1 iff c + x + d ≥ 2.
     fn world() -> Scm {
@@ -1254,14 +1266,7 @@ mod tests {
     fn estimates_match_ground_truth_globally() {
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(scm.graph().clone().into()),
-            pred,
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
         let got = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
         let want = ground_truth_scores(None);
         assert!(
@@ -1288,14 +1293,7 @@ mod tests {
     fn estimates_match_ground_truth_contextually() {
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(scm.graph().clone().into()),
-            pred,
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
         for c in [0u32, 1] {
             let k = Context::of([(AttrId(0), c)]);
             let got = est.scores(AttrId(1), 1, 0, &k).unwrap();
@@ -1319,14 +1317,7 @@ mod tests {
     fn bounds_contain_point_estimates_and_truth() {
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(scm.graph().clone().into()),
-            pred,
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
         let truth = ground_truth_scores(None);
         for (kind, want) in [
             (ScoreKind::Necessity, truth.necessity),
@@ -1358,14 +1349,7 @@ mod tests {
         // and the last term vanishes for binary domains.
         let (t, pred) = setup(60_000);
         let scm = world();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(scm.graph().clone().into()),
-            pred,
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
         let s = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
         let n = t.n_rows() as f64;
         let pr_o_x = t.count(&Context::of([(AttrId(1), 1), (pred, 1)])) as f64 / n;
@@ -1407,14 +1391,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let mut t = scm2.generate(40_000, &mut rng);
         let pred = crate::blackbox::label_table(&mut t, &f, "pred").unwrap();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(scm2.graph().clone().into()),
-            pred,
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(scm2.graph()), pred, 1, 0.0).unwrap();
         let s = est.scores(iso, 1, 0, &Context::empty()).unwrap();
         assert!(s.necessity < 0.03, "NEC {}", s.necessity);
         assert!(s.sufficiency < 0.03, "SUF {}", s.sufficiency);
@@ -1425,7 +1402,7 @@ mod tests {
     fn no_graph_fallback_reduces_to_conditional_contrast() {
         // §6: without a graph, SUF = [Pr(o|x,k) − Pr(o|x',k)] / Pr(o'|x',k)
         let (t, pred) = setup(20_000);
-        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
+        let est = estimator(&t, None, pred, 1, 0.0).unwrap();
         let s = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
         let p_hi = t
             .conditional_probability(pred, 1, &Context::of([(AttrId(1), 1)]), 0.0)
@@ -1443,7 +1420,7 @@ mod tests {
     #[test]
     fn set_contrasts_validated() {
         let (t, pred) = setup(1000);
-        let est = ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, 0.0).unwrap();
+        let est = estimator(&t, None, pred, 1, 0.0).unwrap();
         // mismatched attr sets
         assert!(est
             .scores_set(&[(AttrId(0), 1)], &[(AttrId(1), 0)], &Context::empty())
@@ -1483,10 +1460,10 @@ mod tests {
     #[test]
     fn constructor_validations() {
         let (t, pred) = setup(100);
-        assert!(ScoreEstimator::from_shared(t.clone().into(), None, pred, 2, 0.0).is_err());
-        assert!(ScoreEstimator::from_shared(t.clone().into(), None, pred, 1, -0.5).is_err());
+        assert!(estimator(&t, None, pred, 2, 0.0).is_err());
+        assert!(estimator(&t, None, pred, 1, -0.5).is_err());
         // non-binary prediction column
-        assert!(ScoreEstimator::from_shared(t.clone().into(), None, AttrId(0), 1, 0.0).is_ok());
+        assert!(estimator(&t, None, AttrId(0), 1, 0.0).is_ok());
         let mut t2 = t.clone();
         let tri = t2
             .add_column(
@@ -1495,21 +1472,14 @@ mod tests {
                 vec![0; t.n_rows()],
             )
             .unwrap();
-        assert!(ScoreEstimator::from_shared(t2.clone().into(), None, tri, 1, 0.0).is_err());
+        assert!(estimator(&t2, None, tri, 1, 0.0).is_err());
     }
 
     #[test]
     fn local_context_backs_off_to_keep_support() {
         let (t, pred) = setup(5000);
         let scm = world();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(scm.graph().clone().into()),
-            pred,
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(scm.graph()), pred, 1, 0.0).unwrap();
         let row = t.row(0).unwrap();
         // generous support: keeps C (the only non-descendant of X)
         let ctx = est.local_context(&row, AttrId(1), 10);
@@ -1550,14 +1520,7 @@ mod tests {
             let mut g = causal::Dag::new(2);
             g.add_edge(0, 1).unwrap();
             let alpha = rng.gen_range(0.0..2.0);
-            let est = ScoreEstimator::from_shared(
-                t.clone().into(),
-                Some(g.clone().into()),
-                AttrId(2),
-                1,
-                alpha,
-            )
-            .unwrap();
+            let est = estimator(&t, Some(&g), AttrId(2), 1, alpha).unwrap();
             for kind in [
                 ScoreKind::Necessity,
                 ScoreKind::Sufficiency,
@@ -1607,14 +1570,7 @@ mod tests {
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
         g.add_edge(2, 3).unwrap();
-        let est = ScoreEstimator::from_shared(
-            t.clone().into(),
-            Some(g.clone().into()),
-            AttrId(4),
-            1,
-            0.0,
-        )
-        .unwrap();
+        let est = estimator(&t, Some(&g), AttrId(4), 1, 0.0).unwrap();
         let row = t.row(0).unwrap();
         // {B=1, A=1} has 1 row, {B=1} has 1 row, {A=1} has 10: the
         // back-off must end empty, never keeping A without B.
@@ -1642,14 +1598,7 @@ mod tests {
         let (t, pred) = setup(2000);
         let scm = world();
         for alpha in [0.0, 0.5, 2.0] {
-            let est = ScoreEstimator::from_shared(
-                t.clone().into(),
-                Some(scm.graph().clone().into()),
-                pred,
-                1,
-                alpha,
-            )
-            .unwrap();
+            let est = estimator(&t, Some(scm.graph()), pred, 1, alpha).unwrap();
             let s = est.scores(AttrId(1), 1, 0, &Context::empty()).unwrap();
             for v in [s.necessity, s.sufficiency, s.nesuf] {
                 assert!((0.0..=1.0).contains(&v), "alpha={alpha}: {v}");
