@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 client over one keep-alive connection.
 //!
 //! Shared by the router (which forwards to its replicas and probes
-//! their `/healthz` with it), the integration tests and the `loadgen`
-//! binary — all need exactly this: send a request, read the
+//! their `/healthz` with it) and the integration tests — both need
+//! exactly this: send a request, read the
 //! `Content-Length`-framed answer, reuse the socket. [`Client::send`]
 //! returns the answer's bytes as sent; [`Client::request`] and its
 //! `get`/`post` shorthands parse them as JSON. It is intentionally not

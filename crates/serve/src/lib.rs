@@ -32,16 +32,14 @@
 //!   (load/swap/unload of `.lewis` packs with a monotonic engine
 //!   generation);
 //! * [`client`] — the minimal blocking client the router forwards and
-//!   probes with, and the tests and the `loadgen` binary drive the
-//!   server with;
+//!   probes with, and the tests drive the server with;
 //! * [`router`] — a std-only fleet front: round-robin over N replica
 //!   processes through [`Client`], with health-check eviction, writes
 //!   sent once, and per-replica forward counters.
 //!
 //! Three binaries ship with the crate: `lewis-serve` (the server),
-//! `lewis-router` (the replica front) and `loadgen` (a mixed-workload
-//! load generator with ramp/soak profiles printing throughput and tail
-//! latencies). The repository's service benchmark is `lewisbench`,
+//! `lewis-router` (the replica front) and `lewis-pack` (the `.lewis`
+//! pack compiler). The repository's service benchmark is `lewisbench`,
 //! which drives these same binaries' code paths over real sockets.
 //!
 //! ## The wire codec in one example
@@ -67,7 +65,6 @@
 pub mod admission;
 pub mod client;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod registry;
 pub mod router;

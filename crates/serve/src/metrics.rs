@@ -3,22 +3,26 @@
 //!
 //! Everything is lock-free (`AtomicU64` relaxed counters): metrics are
 //! recorded on the request path of every worker thread, so they must
-//! never serialize the workers. Latency is kept as a power-of-two
-//! histogram over microseconds — 38 buckets cover 1µs to ~2 minutes,
-//! and quantiles are read off the bucket boundaries (an upper bound,
-//! never an underestimate). The cache effectiveness numbers come
-//! straight from each engine's [`CacheStats`](lewis_core::CacheStats),
-//! including the `hit_rate()` helper this PR adds.
+//! never serialize the workers. Latency is kept as a log-linear
+//! histogram over microseconds — every power of two is split into 8
+//! equal sub-buckets — and quantiles are read off the bucket upper
+//! bounds: never an underestimate, and at most 12.5% above the true
+//! value. The cache effectiveness numbers come straight from each
+//! engine's [`CacheStats`](lewis_core::CacheStats).
 
 use crate::registry::EngineRegistry;
 use crate::wire::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Histogram bucket count: bucket `i` holds samples with
-/// `latency_us < 2^i` (and at least `2^(i-1)`), the last bucket is a
-/// catch-all.
-const N_BUCKETS: usize = 38;
+/// Bits a sample keeps below its leading one: each power of two splits
+/// into `SUB` equal buckets.
+const SUB_BITS: usize = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Histogram bucket count: samples below `2 * SUB` get a bucket each,
+/// and every power of two above splits into `SUB` buckets, up to
+/// `u64::MAX`.
+const N_BUCKETS: usize = (65 - SUB_BITS) * SUB;
 
 /// The routes the server distinguishes in its metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +87,7 @@ impl Route {
     }
 }
 
-/// A power-of-two latency histogram over microseconds.
+/// A log-linear latency histogram over microseconds.
 struct Histogram {
     buckets: [AtomicU64; N_BUCKETS],
     max_us: AtomicU64,
@@ -98,9 +102,18 @@ impl Histogram {
     }
 
     fn bucket_of(us: u64) -> usize {
-        // bucket i covers [2^(i-1), 2^i); 0µs lands in bucket 0
+        // keep the leading one and the SUB_BITS bits below it; every
+        // power of two past 2 * SUB shifts one more bit away
         let bits = 64 - us.leading_zeros() as usize;
-        bits.min(N_BUCKETS - 1)
+        let shift = bits.saturating_sub(SUB_BITS + 1);
+        shift * SUB + (us >> shift) as usize
+    }
+
+    /// The largest sample that lands in bucket `i`.
+    fn upper_bound(i: usize) -> u64 {
+        let shift = (i / SUB).saturating_sub(1);
+        let mantissa = (i - shift * SUB) as u128;
+        (((mantissa + 1) << shift) - 1).min(u128::from(u64::MAX)) as u64
     }
 
     fn record(&self, us: u64) {
@@ -126,10 +139,8 @@ impl Histogram {
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                // bucket i upper bound is 2^i - 1; never report beyond
-                // the true max
-                let bound = if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-                return bound.min(self.max_us.load(Ordering::Relaxed));
+                // never report beyond the true max
+                return Self::upper_bound(i).min(self.max_us.load(Ordering::Relaxed));
             }
         }
         self.max_us.load(Ordering::Relaxed)
@@ -333,12 +344,55 @@ mod tests {
 
     #[test]
     fn buckets_partition_the_microsecond_axis() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(1024), 11);
+        // small samples are exact; past 2 * SUB, each power of two
+        // splits into SUB equal buckets
+        for us in 0..16 {
+            assert_eq!(Histogram::bucket_of(us), us as usize);
+        }
+        assert_eq!(Histogram::bucket_of(16), 16);
+        assert_eq!(Histogram::bucket_of(17), 16);
+        assert_eq!(Histogram::bucket_of(18), 17);
+        assert_eq!(Histogram::bucket_of(1024), 64);
+        assert_eq!(Histogram::bucket_of(1024 + 127), 64);
+        assert_eq!(Histogram::bucket_of(1024 + 128), 65);
         assert_eq!(Histogram::bucket_of(u64::MAX), N_BUCKETS - 1);
+        assert_eq!(Histogram::upper_bound(N_BUCKETS - 1), u64::MAX);
+        // contiguous, and each bucket's upper bound is within 12.5% of
+        // every sample it holds
+        let mut prev = 0;
+        for us in 0..200_000u64 {
+            let i = Histogram::bucket_of(us);
+            assert!(i == prev || i == prev + 1, "{us}µs skips a bucket");
+            prev = i;
+            let bound = Histogram::upper_bound(i);
+            assert!(
+                bound >= us && bound as f64 <= us as f64 * 1.125,
+                "{us}µs → {bound}"
+            );
+            assert_eq!(Histogram::bucket_of(bound), i, "{us}µs");
+        }
+    }
+
+    #[test]
+    fn a_p95_and_p99_within_one_power_of_two_stay_distinct() {
+        let h = Histogram::new();
+        for _ in 0..95 {
+            h.record(300);
+        }
+        for _ in 0..4 {
+            h.record(400);
+        }
+        h.record(1000);
+        let (p95, p99) = (h.quantile_us(0.95), h.quantile_us(0.99));
+        assert_ne!(p95, p99, "256..512µs is one power of two");
+        assert!(
+            (300..=337).contains(&p95),
+            "p95 within 12.5% of 300µs: {p95}"
+        );
+        assert!(
+            (400..=450).contains(&p99),
+            "p99 within 12.5% of 400µs: {p99}"
+        );
     }
 
     #[test]

@@ -825,6 +825,8 @@ fn job_status(id: &str, state: &ServerState) -> HttpResponse {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     fn test_server() -> Server {
         let mut reg = EngineRegistry::new();
@@ -1078,6 +1080,75 @@ mod tests {
             Some(503.0),
             "compaction must not advance the version"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn appends_land_while_readers_run() {
+        let mut reg = EngineRegistry::new();
+        reg.load_builtin("german_syn", 300, 5).unwrap();
+        // 4 workers: one per reader, one for the writer
+        let server = serve(&ServerConfig::default(), Arc::new(reg)).unwrap();
+        let addr = server.addr();
+        let n_rows = |client: &mut Client| {
+            let (_, list) = client.get("/v1/engines").unwrap();
+            let engine = &list.get("engines").unwrap().as_arr().unwrap()[0];
+            engine.get("n_rows").unwrap().as_f64().unwrap()
+        };
+        let mut writer = Client::connect(addr).unwrap();
+        let before = n_rows(&mut writer);
+        let writing = Arc::new(AtomicBool::new(true));
+        let started = Arc::new(Barrier::new(3));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (writing, started) = (Arc::clone(&writing), Arc::clone(&started));
+                std::thread::spawn(move || {
+                    let bodies = [
+                        r#"{"kind":"global"}"#,
+                        r#"{"kind":"contextual","attr":2,"context":[[1,1]]}"#,
+                        r#"{"kind":"local","row":[0,1,0,0,1,2,0]}"#,
+                        r#"{"kind":"recourse","row":[0,0,0,0,0,0,0],"actionable":[2,3]}"#,
+                    ];
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut reads = 0;
+                    while reads < bodies.len() || writing.load(Ordering::Relaxed) {
+                        let body = bodies[reads % bodies.len()];
+                        let (status, answer) =
+                            client.post("/v1/engines/german_syn/explain", body).unwrap();
+                        let code = answer.get("error").and_then(|e| e.get("code"));
+                        assert!(
+                            status == 200
+                                || status == 422
+                                    && matches!(
+                                        code.and_then(Json::as_str),
+                                        Some("unsupported" | "no_recourse")
+                                    ),
+                            "{body}: {status} {answer:?}"
+                        );
+                        reads += 1;
+                        if reads == 1 {
+                            started.wait();
+                        }
+                    }
+                })
+            })
+            .collect();
+        started.wait();
+        for batch in 0..5u32 {
+            let rows: Vec<Json> = (0..8u32)
+                .map(|r| Json::Arr((0..7).map(|a| Json::num((batch + r + a) % 2)).collect()))
+                .collect();
+            let body = Json::obj([("rows", Json::Arr(rows))]).to_json();
+            let (status, receipt) = writer.post("/v1/engines/german_syn/rows", &body).unwrap();
+            assert_eq!(status, 200, "{receipt:?}");
+            assert_eq!(receipt.get("appended").unwrap().as_f64(), Some(8.0));
+        }
+        writing.store(false, Ordering::Relaxed);
+        for reader in readers {
+            reader.join().unwrap();
+        }
+        assert_eq!(n_rows(&mut writer), before + 40.0, "every row landed once");
+        drop(writer);
         server.shutdown();
     }
 

@@ -2,17 +2,38 @@
 //! snapshot (`lewis-pack --warm`) ships with a populated counting-pass
 //! cache and the restored server starts at steady-state hit rates.
 //!
-//! The mix mirrors the dashboard-shaped serving workload the loadgen
-//! uses — mostly contextual probes, a stream of per-individual locals,
-//! the occasional global sweep — but draws context values and rows from
-//! the engine's *own table*, so warmed contexts are guaranteed to be
-//! populated (a warm-up that mostly hits `Unsupported` warms nothing).
-//! Recourse is deliberately absent: it exercises the surrogate fitter,
-//! not the counting cache, and fits are not cached across processes.
+//! The mix is dashboard-shaped — mostly contextual probes, a stream of
+//! per-individual locals, the occasional global sweep — and draws
+//! context values and rows from the engine's *own table*, so warmed
+//! contexts are guaranteed to be populated (a warm-up that mostly hits
+//! `Unsupported` warms nothing). Recourse is deliberately absent: it
+//! exercises the surrogate fitter, not the counting cache, and fits are
+//! not cached across processes.
 
-use crate::loadgen::Rng;
 use lewis_core::{Engine, ExplainRequest};
 use tabular::Context;
+
+/// xorshift64* — tiny, seedable, good enough to spread queries.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u32) -> u32 {
+        (self.next() % u64::from(n.max(1))) as u32
+    }
+}
 
 /// Synthesize `n` warm-up requests for `engine`, deterministically from
 /// `seed`. The same `(engine shape, n, seed)` always yields the same

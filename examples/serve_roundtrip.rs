@@ -5,8 +5,8 @@
 //! cargo run --release --example serve_roundtrip
 //! ```
 //!
-//! For the standalone deployment, see the `lewis-serve` and `loadgen`
-//! binaries (`cargo run --release -p lewis-serve --bin lewis-serve`).
+//! For the standalone deployment, see the `lewis-serve` binary
+//! (`cargo run --release -p lewis-serve --bin lewis-serve`).
 
 use lewis_serve::wire::{self, Json};
 use lewis_serve::{serve, Client, EngineRegistry, ServerConfig};

@@ -2,7 +2,6 @@
 //! with a ticket, polling replays the exact synchronous answer, the
 //! queue bound is a typed `429`, and tickets expire into `404`s.
 
-use lewis_serve::loadgen::{run, LoadgenConfig, Mix};
 use lewis_serve::wire::Json;
 use lewis_serve::{serve, Client, EngineRegistry, Server, ServerConfig};
 use std::sync::Arc;
@@ -16,23 +15,28 @@ fn start(config: ServerConfig) -> Server {
     serve(&config, Arc::new(registry)).unwrap()
 }
 
-/// A recourse body over the schema the server publishes: the all-zeros
-/// row (code 0 is valid in every domain) with the first two features
-/// actionable. Whatever the engine answers — actions, "no recourse",
-/// "already favourable" — the async lane must replay it exactly.
-fn recourse_body(client: &mut Client) -> String {
+/// Recourse bodies over the schema the server publishes: the all-zeros
+/// row (code 0 is valid in every domain) with each adjacent pair of
+/// features actionable, the first two first. Whatever the engine
+/// answers — actions, "no recourse", "already favourable" — the async
+/// lane must replay it exactly.
+fn recourse_bodies(client: &mut Client) -> Vec<String> {
     let (_, list) = client.get("/v1/engines").unwrap();
     let engine = &list.get("engines").unwrap().as_arr().unwrap()[0];
     let features = engine.get("features").unwrap().as_arr().unwrap();
-    let actionable: Vec<Json> = features.iter().take(2).cloned().collect();
     let n_attrs = engine.get("attributes").unwrap().as_arr().unwrap().len();
     let row: Vec<Json> = (0..n_attrs).map(|_| Json::num(0u32)).collect();
-    Json::obj([
-        ("kind", Json::str("recourse")),
-        ("row", Json::Arr(row)),
-        ("actionable", Json::Arr(actionable)),
-    ])
-    .to_json()
+    features
+        .windows(2)
+        .map(|actionable| {
+            Json::obj([
+                ("kind", Json::str("recourse")),
+                ("row", Json::Arr(row.clone())),
+                ("actionable", Json::Arr(actionable.to_vec())),
+            ])
+            .to_json()
+        })
+        .collect()
 }
 
 /// Poll `/v1/jobs/{id}` until the job is terminal (bounded, so a
@@ -78,7 +82,7 @@ fn async_jobs_replay_the_sync_answer_exactly() {
     // one cheap query and one recourse query, sync first
     for body in [
         r#"{"kind":"global"}"#.to_string(),
-        recourse_body(&mut client),
+        recourse_bodies(&mut client).swap_remove(0),
     ] {
         let (sync_status, sync_answer) = client.post(&path, &body).unwrap();
         let id = submit(&mut client, &body);
@@ -135,39 +139,47 @@ fn async_jobs_replay_the_sync_answer_exactly() {
 }
 
 #[test]
-fn loadgen_routes_recourse_through_the_lane_cleanly() {
+fn concurrent_recourse_submissions_finish_cleanly() {
     let server = start(ServerConfig::default());
-    let config = LoadgenConfig {
-        addr: server.addr(),
-        engine: ENGINE.to_string(),
-        duration: Duration::from_millis(400),
-        concurrency: 2,
-        mix: Mix {
-            global: 1,
-            contextual: 1,
-            local: 1,
-            recourse: 5,
-        },
-        batch: 1,
-        seed: 7,
-        job_lane: true,
-        append_mix: None,
-        ..LoadgenConfig::default()
-    };
-    let report = run(&config).unwrap();
-    assert!(report.sent_by_kind[3] > 0, "recourse was exercised");
-    assert!(report.ok > 0, "queries succeeded: {report:?}");
-    assert_eq!(
-        report.other_errors, 0,
-        "a job-lane run is as clean as a sync one: {report:?}"
-    );
-    // the lane really was used: submissions show up in /metrics
-    let mut client = Client::connect(server.addr()).unwrap();
-    let (_, metrics) = client.get("/metrics").unwrap();
+    let addr = server.addr();
+    let bodies = recourse_bodies(&mut Client::connect(addr).unwrap());
+    assert!(bodies.len() >= 3, "several actionable sets: {bodies:?}");
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            let bodies = bodies.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                // submit every body before polling any, so both
+                // threads' tickets can sit in the lane together
+                let ids: Vec<String> = bodies.iter().map(|b| submit(&mut client, b)).collect();
+                for id in ids {
+                    let view = poll_until_terminal(&mut client, &id);
+                    assert_eq!(view.get("state").unwrap().as_str(), Some("done"));
+                    let result = view.get("result").unwrap();
+                    match view.get("status").unwrap().as_f64() {
+                        Some(200.0) => assert!(result.get("error").is_none(), "{view:?}"),
+                        Some(422.0) => {
+                            let code = result.get("error").unwrap().get("code").unwrap();
+                            assert!(
+                                matches!(code.as_str(), Some("no_recourse" | "unsupported")),
+                                "a 422 is a typed data outcome: {view:?}"
+                            );
+                        }
+                        other => panic!("job {id} replayed status {other:?}: {view:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let (_, metrics) = Client::connect(addr).unwrap().get("/metrics").unwrap();
     let lane = metrics.get("job_lane").unwrap();
-    assert!(
-        lane.get("submitted").unwrap().as_f64().unwrap() >= 1.0,
-        "recourse queries went through the lane: {lane:?}"
+    assert_eq!(
+        lane.get("submitted").unwrap().as_f64(),
+        Some(2.0 * bodies.len() as f64),
+        "every recourse query went through the lane: {lane:?}"
     );
     assert_eq!(lane.get("failed").unwrap().as_f64(), Some(0.0));
     server.shutdown();
