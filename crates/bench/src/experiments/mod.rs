@@ -1,6 +1,6 @@
-//! One module per paper table/figure. Every `run_*` function returns the
-//! formatted report its binary prints, so experiments are testable and
-//! `all_experiments` can chain them.
+//! One module per paper table/figure. Every `run*` function returns the
+//! formatted report `all_experiments` prints under the experiment's
+//! name, so experiments are testable on their own.
 
 pub mod ablation;
 pub mod fig01;

@@ -297,7 +297,7 @@ pub fn emit(name: &str, body: &str) {
     }
 }
 
-/// Standard section header used by all experiment binaries.
+/// Standard section header used by every experiment report.
 pub fn header(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }

@@ -1,9 +1,9 @@
 //! # bench — experiment harness for the LEWIS reproduction
 //!
-//! One binary per table/figure of the paper's evaluation (§5) lives in
-//! `src/bin/`; Criterion micro-benchmarks live in `benches/`. Shared
-//! setup (trained models, labelled datasets, printing) is in this
-//! library.
+//! Every table and figure of the paper's evaluation (§5) is a module of
+//! [`experiments`]; the `all_experiments` binary runs them, all or by
+//! name. Shared setup (trained models, labelled datasets, printing) is
+//! in this library.
 
 pub mod experiments;
 pub mod harness;

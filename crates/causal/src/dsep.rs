@@ -7,7 +7,6 @@
 //! `Pr(y | do(x)) = Σ_c Pr(y | c, x) Pr(c)`.
 
 use crate::graph::{Dag, NodeId};
-use crate::{CausalError, Result};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dir {
@@ -115,95 +114,6 @@ pub fn satisfies_backdoor(g: &Dag, xs: &[NodeId], ys: &[NodeId], z: &[NodeId]) -
     is_d_separated(&mutilated, xs, ys, z)
 }
 
-/// Find a backdoor adjustment set for `(xs, ys)` that avoids `forbidden`
-/// nodes.
-///
-/// The search tries, in order: the empty set, the union of parents of
-/// `xs`, and finally all subsets of eligible nodes by increasing size
-/// (eligible = non-descendants of `xs`, not in `xs`/`ys`/`forbidden`).
-/// Under causal sufficiency the parent set is always valid, so the subset
-/// search is a fallback for graphs where parents are forbidden.
-pub fn backdoor_adjustment_set(
-    g: &Dag,
-    xs: &[NodeId],
-    ys: &[NodeId],
-    forbidden: &[NodeId],
-) -> Result<Vec<NodeId>> {
-    let ok =
-        |z: &[NodeId]| z.iter().all(|v| !forbidden.contains(v)) && satisfies_backdoor(g, xs, ys, z);
-
-    if ok(&[]) {
-        return Ok(Vec::new());
-    }
-
-    let mut parents: Vec<NodeId> = xs
-        .iter()
-        .flat_map(|&x| g.parents(x).iter().copied())
-        .filter(|p| !xs.contains(p) && !ys.contains(p))
-        .collect();
-    parents.sort_unstable();
-    parents.dedup();
-    if ok(&parents) {
-        return Ok(parents);
-    }
-
-    let eligible: Vec<NodeId> = (0..g.n_nodes())
-        .filter(|&v| {
-            !xs.contains(&v)
-                && !ys.contains(&v)
-                && !forbidden.contains(&v)
-                && !xs.iter().any(|&x| g.is_strict_descendant(v, x))
-        })
-        .collect();
-
-    // Subsets by increasing cardinality; graphs here are small (≤ ~100
-    // nodes, eligible sets far smaller), and we cap the subset size.
-    const MAX_SIZE: usize = 4;
-    let mut found: Option<Vec<NodeId>> = None;
-    for size in 1..=MAX_SIZE.min(eligible.len()) {
-        for_each_combination(eligible.len(), size, &mut |combo| {
-            let z: Vec<NodeId> = combo.iter().map(|&i| eligible[i]).collect();
-            if satisfies_backdoor(g, xs, ys, &z) {
-                found = Some(z);
-                true
-            } else {
-                false
-            }
-        });
-        if let Some(z) = found.take() {
-            return Ok(z);
-        }
-    }
-    Err(CausalError::NotABackdoorSet(format!(
-        "no admissible adjustment set of size ≤ {MAX_SIZE} for X={xs:?}, Y={ys:?}"
-    )))
-}
-
-/// Visit every size-`k` combination of `0..n`; stop early when `f`
-/// returns `true`. Returns whether the visit was stopped early.
-fn for_each_combination(n: usize, k: usize, f: &mut impl FnMut(&[usize]) -> bool) -> bool {
-    fn rec(
-        start: usize,
-        n: usize,
-        k: usize,
-        cur: &mut Vec<usize>,
-        f: &mut impl FnMut(&[usize]) -> bool,
-    ) -> bool {
-        if cur.len() == k {
-            return f(cur);
-        }
-        for i in start..n {
-            cur.push(i);
-            if rec(i + 1, n, k, cur, f) {
-                return true;
-            }
-            cur.pop();
-        }
-        false
-    }
-    rec(0, n, k, &mut Vec::with_capacity(k), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,8 +187,6 @@ mod tests {
         // X=0, Y=1: backdoor path 0 ← 2 → 1 must be blocked.
         assert!(!satisfies_backdoor(&g, &[0], &[1], &[]));
         assert!(satisfies_backdoor(&g, &[0], &[1], &[2]));
-        let z = backdoor_adjustment_set(&g, &[0], &[1], &[]).unwrap();
-        assert_eq!(z, vec![2]);
     }
 
     #[test]
@@ -288,8 +196,6 @@ mod tests {
         assert!(!satisfies_backdoor(&g, &[0], &[1], &[2]));
         // empty set is fine: no backdoor paths at all
         assert!(satisfies_backdoor(&g, &[0], &[2], &[]));
-        let z = backdoor_adjustment_set(&g, &[0], &[2], &[]).unwrap();
-        assert!(z.is_empty());
     }
 
     #[test]
@@ -309,14 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn backdoor_with_forbidden_falls_back_to_search() {
-        let g = confounded();
-        // forbid the only confounder: no set can work
-        let res = backdoor_adjustment_set(&g, &[0], &[1], &[2]);
-        assert!(res.is_err());
-    }
-
-    #[test]
     fn multi_node_sets() {
         // two treatments 0,1 with common confounder 2 of outcome 3
         let mut g = Dag::new(4);
@@ -326,7 +224,5 @@ mod tests {
         g.add_edge(1, 3).unwrap();
         assert!(!satisfies_backdoor(&g, &[0, 1], &[3], &[]));
         assert!(satisfies_backdoor(&g, &[0, 1], &[3], &[2]));
-        let z = backdoor_adjustment_set(&g, &[0, 1], &[3], &[]).unwrap();
-        assert_eq!(z, vec![2]);
     }
 }

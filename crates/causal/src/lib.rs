@@ -6,7 +6,7 @@
 //! * [`graph`] — causal diagrams as DAGs whose nodes are the attribute ids
 //!   of a [`tabular::Schema`], with topological utilities;
 //! * [`dsep`] — d-separation (the reachability algorithm) and the
-//!   **backdoor criterion**, including adjustment-set search;
+//!   **backdoor criterion**;
 //! * [`adjustment`] — estimation of interventional queries
 //!   `Pr(y | do(x), k)` from observational data via the backdoor formula
 //!   (paper eq. 4);
@@ -41,7 +41,7 @@ pub mod validate;
 pub use adjustment::interventional_probability;
 pub use counterfactual::CounterfactualEngine;
 pub use discovery::{pc_algorithm, Cpdag, PcOptions};
-pub use dsep::{backdoor_adjustment_set, is_d_separated, satisfies_backdoor};
+pub use dsep::{is_d_separated, satisfies_backdoor};
 pub use graph::{Dag, NodeId};
 pub use scm::{Mechanism, Scm, ScmBuilder};
 pub use validate::{validate_graph, ValidationReport};

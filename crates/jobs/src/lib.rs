@@ -1,10 +1,9 @@
 //! # lewis-jobs — a bounded async job lane for explanation servers
 //!
-//! Most LEWIS queries answer in microseconds from warm counting passes,
-//! but some — a cold recourse fit over a million rows, a wide batch —
-//! are long enough that holding an HTTP connection open is the wrong
-//! contract. This crate provides the serving layer's job lane: submit
-//! work, get a ticket immediately, poll for the result.
+//! Some clients would rather not hold an HTTP connection open while a
+//! piece of explain work runs — a wide batch, say. This crate provides
+//! the serving layer's job lane for them: submit work, get a ticket
+//! immediately, poll for the result.
 //!
 //! * **Bounded admission** — the queue holds at most
 //!   [`JobConfig::capacity`] pending jobs; past that, [`submit`]

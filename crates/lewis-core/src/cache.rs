@@ -256,12 +256,6 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         }
     }
 
-    /// Drop every entry (counters are kept — they describe the
-    /// engine's lifetime, not the current residency).
-    pub(crate) fn clear(&self) {
-        self.inner.lock().expect("cache lock").map.clear();
-    }
-
     /// Export the entries counted over all `rows` logical rows in
     /// recency order (least recently touched first), together with the
     /// lifetime counters — the payload of an engine snapshot. Entries
@@ -470,8 +464,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 2, "LRU must evict down to capacity");
         assert_eq!(s.misses, 4);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

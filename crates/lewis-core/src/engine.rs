@@ -439,13 +439,6 @@ impl Engine {
             })
     }
 
-    /// Drop all cached counting passes — for every generation of this
-    /// engine's live table, which share one cache (results are
-    /// unaffected — the next queries just pay their scans again).
-    pub fn clear_cache(&self) {
-        self.caches.passes.clear()
-    }
-
     /// Capture everything needed to rebuild this engine exactly —
     /// configuration, inferred value orders, and the warm counting-pass
     /// cache. The table and graph are shared into the snapshot, not
@@ -1524,16 +1517,6 @@ mod tests {
             }
         }
         assert!(warm.cache_stats().hits > 0);
-    }
-
-    #[test]
-    fn clear_cache_keeps_results_stable() {
-        let e = engine(3000);
-        let a = e.attribute_scores(AttrId(1), &Context::empty()).unwrap();
-        e.clear_cache();
-        assert_eq!(e.cache_stats().entries, 0);
-        let b = e.attribute_scores(AttrId(1), &Context::empty()).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl RandomForestClassifier {
         }
         Ok(RandomForestClassifier { trees, n_classes })
     }
-
-    /// Number of trees in the ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Classifier for RandomForestClassifier {
@@ -157,11 +152,6 @@ impl RandomForestRegressor {
             )?);
         }
         Ok(RandomForestRegressor { trees })
-    }
-
-    /// Number of trees in the ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
     }
 }
 

@@ -129,11 +129,6 @@ impl GradientBoostedTrees {
         }
         m
     }
-
-    /// Number of boosting rounds actually stored.
-    pub fn n_rounds(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Classifier for GradientBoostedTrees {

@@ -43,6 +43,8 @@ pub struct HttpRequest {
     pub method: String,
     /// The request target (path only; no scheme/authority support).
     pub path: String,
+    /// Whether the request line said `HTTP/1.0` rather than `HTTP/1.1`.
+    pub(crate) http10: bool,
     /// Header name/value pairs, names lower-cased.
     pub headers: Vec<(String, String)>,
     /// The body (empty when no `Content-Length`).
@@ -55,13 +57,14 @@ impl HttpRequest {
         find_header(&self.headers, name)
     }
 
-    /// Whether the client asked to keep the connection open after this
-    /// request (HTTP/1.1 defaults to yes).
+    /// Whether the connection stays open after this request: yes for
+    /// HTTP/1.1 unless the client sent `Connection: close`, never for
+    /// HTTP/1.0 (whose clients may read the response to EOF).
     pub fn keep_alive(&self) -> bool {
-        match self.header("connection") {
-            Some(v) => !v.eq_ignore_ascii_case("close"),
-            None => true,
-        }
+        !self.http10
+            && !self
+                .header("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
 
@@ -119,6 +122,7 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> std::io::Resu
     let mut request = HttpRequest {
         method: method.to_string(),
         path: path.to_string(),
+        http10: version == "HTTP/1.0",
         headers,
         body: Vec::new(),
     };
@@ -129,7 +133,7 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> std::io::Resu
         ));
     }
     if let Some(len) = request.header("content-length") {
-        let Ok(len) = len.parse::<usize>() else {
+        let Some(len) = content_length(len) else {
             return Ok(ReadOutcome::Malformed(format!(
                 "bad content-length {len:?}"
             )));
@@ -185,9 +189,9 @@ pub fn read_response(reader: &mut impl BufRead, max_body: usize) -> std::io::Res
         .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
     let headers = read_headers(reader)?.map_err(invalid)?;
     let len = match find_header(&headers, "content-length") {
-        Some(len) => len
-            .parse::<usize>()
-            .map_err(|_| invalid(format!("bad content-length {len:?}")))?,
+        Some(len) => {
+            content_length(len).ok_or_else(|| invalid(format!("bad content-length {len:?}")))?
+        }
         None => 0,
     };
     if len > max_body {
@@ -202,6 +206,16 @@ pub fn read_response(reader: &mut impl BufRead, max_body: usize) -> std::io::Res
         headers,
         body,
     })
+}
+
+/// A `Content-Length` value: ASCII digits only (`usize::from_str` alone
+/// would also take a leading `+`).
+fn content_length(value: &str) -> Option<usize> {
+    if value.bytes().all(|b| b.is_ascii_digit()) {
+        value.parse().ok()
+    } else {
+        None
+    }
 }
 
 /// Case-insensitive lookup in lower-cased header pairs (first match).
@@ -627,6 +641,22 @@ mod tests {
             panic!()
         };
         assert!(!r.keep_alive());
+    }
+
+    #[test]
+    fn content_length_must_be_ascii_digits_both_ways() {
+        for len in ["+5", "-0", "0x5"] {
+            let request = format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\nhello");
+            assert!(
+                matches!(read(&request), ReadOutcome::Malformed(_)),
+                "{len:?}"
+            );
+            let reply = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nhello");
+            assert!(
+                read_response(&mut BufReader::new(reply.as_bytes()), 64).is_err(),
+                "{len:?}"
+            );
+        }
     }
 
     #[test]

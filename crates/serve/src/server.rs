@@ -55,12 +55,11 @@
 //! of a live table shares one counting-pass cache and one surrogate
 //! cache, so appends never cool them.
 //!
-//! The async lane exists for work that should not pin an HTTP worker —
-//! a cold recourse fit over a million rows takes seconds, and holding
-//! the connection open for it starves the cheap queries behind it.
-//! `?mode=async` enqueues the same work on a bounded [`lewis_jobs`]
-//! queue and answers `202` immediately (or a typed `429` when the
-//! queue is full); polling `GET /v1/jobs/{id}` returns the exact
+//! The async lane is for clients that would rather poll than hold a
+//! connection open — a wide batch, say — so the work does not pin an
+//! HTTP worker. `?mode=async` enqueues the same work on a bounded
+//! [`lewis_jobs`] queue and answers `202` immediately (or a typed `429`
+//! when the queue is full); polling `GET /v1/jobs/{id}` returns the exact
 //! status and body the synchronous route would have produced.
 
 use crate::admission::Shed;
@@ -954,6 +953,26 @@ mod tests {
         );
         let (status, _) = client.get("/v1/engines/german_syn/explain").unwrap();
         assert_eq!(status, 405);
+        server.shutdown();
+    }
+
+    #[test]
+    fn http10_requests_are_answered_and_closed() {
+        use std::io::{Read, Write};
+        let server = test_server();
+        // an HTTP/1.0 client reads to EOF: the server must close right
+        // after the response, not hold the worker until its read timeout
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("EOF right after the response");
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+        assert!(reply.contains("connection: close\r\n"), "{reply}");
         server.shutdown();
     }
 
