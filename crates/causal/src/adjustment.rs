@@ -161,7 +161,7 @@ mod tests {
         // Ground truth from the SCM itself: do(x = 0) has a heterogeneous
         // effect (y = OR(0, c) = c up to flips), so confounding matters.
         let eng = crate::counterfactual::CounterfactualEngine::exact(&scm).unwrap();
-        let truth = eng.interventional(&[(1, 0)], |w| w[2] == 1);
+        let truth = eng.interventional(&[(1, 0)], |w| w[2] == 1).unwrap();
 
         // Naive conditional is confounded and should differ: x = 0 biases
         // the population toward c = 0.

@@ -95,12 +95,12 @@ impl<'a> CounterfactualEngine<'a> {
         let mut mass = 0.0f64;
         let mut hit = 0.0f64;
         for (noise, w) in &self.particles {
-            let factual = self.scm.world(noise, &[]);
+            let factual = self.scm.world(noise, &[])?;
             if !evidence(&factual) {
                 continue;
             }
             mass += w;
-            let cf = self.scm.world(noise, interventions);
+            let cf = self.scm.world(noise, interventions)?;
             if event(&cf) {
                 hit += w;
             }
@@ -126,16 +126,16 @@ impl<'a> CounterfactualEngine<'a> {
         let mut mass = 0.0f64;
         let mut hit = 0.0f64;
         for (noise, w) in &self.particles {
-            let factual = self.scm.world(noise, &[]);
+            let factual = self.scm.world(noise, &[])?;
             if !evidence(&factual) {
                 continue;
             }
             mass += w;
-            let w1 = self.scm.world(noise, interventions1);
+            let w1 = self.scm.world(noise, interventions1)?;
             if !event1(&w1) {
                 continue;
             }
-            let w2 = self.scm.world(noise, interventions2);
+            let w2 = self.scm.world(noise, interventions2)?;
             if event2(&w2) {
                 hit += w;
             }
@@ -152,20 +152,20 @@ impl<'a> CounterfactualEngine<'a> {
         &self,
         interventions: &[(usize, Value)],
         event: impl Fn(&[Value]) -> bool,
-    ) -> f64 {
+    ) -> Result<f64> {
         let mut hit = 0.0f64;
         let mut mass = 0.0f64;
         for (noise, w) in &self.particles {
             mass += w;
-            let world = self.scm.world(noise, interventions);
+            let world = self.scm.world(noise, interventions)?;
             if event(&world) {
                 hit += w;
             }
         }
         if mass == 0.0 {
-            return 0.0;
+            return Ok(0.0);
         }
-        hit / mass
+        Ok(hit / mass)
     }
 }
 
@@ -205,7 +205,7 @@ mod tests {
         let scm = noisy_copy();
         let eng = CounterfactualEngine::exact(&scm).unwrap();
         // Pr(y = 1 | do(x = 1)) = 0.8
-        let p = eng.interventional(&[(0, 1)], |w| w[1] == 1);
+        let p = eng.interventional(&[(0, 1)], |w| w[1] == 1).unwrap();
         assert!((p - 0.8).abs() < 1e-12);
     }
 
@@ -232,7 +232,7 @@ mod tests {
         // Pr(y | do(x)).
         let scm = noisy_copy();
         let eng = CounterfactualEngine::exact(&scm).unwrap();
-        let interventional = eng.interventional(&[(0, 0)], |w| w[1] == 1); // 0.2
+        let interventional = eng.interventional(&[(0, 0)], |w| w[1] == 1).unwrap(); // 0.2
         let counterfactual = eng.query(|w| w[1] == 1, &[(0, 0)], |w| w[1] == 1).unwrap();
         assert!((interventional - 0.2).abs() < 1e-12);
         // conditioned on y=1, the noise is biased toward u_y=0 when x=1:

@@ -62,6 +62,14 @@ pub enum CausalError {
     NoiseSpaceTooLarge { size: u128, limit: u128 },
     /// No world is consistent with the conditioning evidence.
     ZeroProbabilityEvidence,
+    /// A joint noise assignment has the wrong number of entries.
+    NoiseArity { expected: usize, got: usize },
+    /// A noise level is outside its node's noise domain.
+    NoiseOutOfRange {
+        node: usize,
+        level: usize,
+        levels: usize,
+    },
     /// Underlying tabular error.
     Tabular(tabular::TabularError),
 }
@@ -86,6 +94,20 @@ impl std::fmt::Display for CausalError {
             CausalError::ZeroProbabilityEvidence => {
                 write!(f, "conditioning evidence has zero probability")
             }
+            CausalError::NoiseArity { expected, got } => {
+                write!(
+                    f,
+                    "noise assignment has {got} levels, the model has {expected} nodes"
+                )
+            }
+            CausalError::NoiseOutOfRange {
+                node,
+                level,
+                levels,
+            } => write!(
+                f,
+                "noise level {level} of node {node} out of range ({levels} levels)"
+            ),
             CausalError::Tabular(e) => write!(f, "tabular error: {e}"),
         }
     }

@@ -80,6 +80,32 @@ pub struct Scm {
     graph: Dag,
     mechanisms: Vec<Mechanism>,
     topo: Vec<NodeId>,
+    /// What [`ScmBuilder::build`] precomputed for each node, by node id.
+    plans: Vec<NodePlan>,
+}
+
+/// The sampling cut points and (when the build probed it) the full
+/// output grid of one node.
+#[derive(Debug, Clone)]
+struct NodePlan {
+    /// `cuts[i - 1]` is the smallest 53-bit draw `x` for which the
+    /// reference float loop ([`float_level`]) picks level `i` or above,
+    /// or `2⁵³` when no draw does; a draw's level is `#{c ∈ cuts : c ≤ x}`.
+    cuts: Vec<u64>,
+    /// The probe's outputs, cell `u + Σⱼ strides[j] · parentⱼ` holding
+    /// `func(parents, u)`; `None` when the grid was too large to probe.
+    outputs: Option<Vec<Value>>,
+    /// Mixed-radix stride of each parent (in [`Dag::parents`] order).
+    strides: Vec<usize>,
+}
+
+impl NodePlan {
+    /// Draw a noise level: one `next_u64`, the same bits `gen::<f64>()`
+    /// would read, compared against every cut point.
+    fn draw<R: Rng>(&self, rng: &mut R) -> usize {
+        let x = rng.next_u64() >> 11;
+        self.cuts.iter().map(|&c| usize::from(c <= x)).sum()
+    }
 }
 
 impl Scm {
@@ -108,10 +134,7 @@ impl Scm {
 
     /// Draw a joint noise assignment from the prior.
     pub fn sample_noise<R: Rng>(&self, rng: &mut R) -> Vec<usize> {
-        self.mechanisms
-            .iter()
-            .map(|m| sample_categorical(&m.noise_probs, rng))
-            .collect()
+        self.plans.iter().map(|p| p.draw(rng)).collect()
     }
 
     /// Prior probability of a joint noise assignment.
@@ -123,64 +146,112 @@ impl Scm {
             .product()
     }
 
+    /// Node `v`'s value given the values of its parents in `values` and
+    /// its noise level `u`: a lookup in the probe's grid when the build
+    /// kept one, a call of the mechanism otherwise. `parent_buf` is
+    /// scratch for the call.
+    fn eval(&self, v: NodeId, values: &[Value], u: usize, parent_buf: &mut Vec<Value>) -> Value {
+        let plan = &self.plans[v];
+        let parents = self.graph.parents(v);
+        if let Some(outputs) = &plan.outputs {
+            let cell = parents
+                .iter()
+                .zip(&plan.strides)
+                .fold(u, |cell, (&p, &s)| cell + s * values[p] as usize);
+            return outputs[cell];
+        }
+        parent_buf.clear();
+        parent_buf.extend(parents.iter().map(|&p| values[p]));
+        (self.mechanisms[v].func)(parent_buf, u)
+    }
+
     /// Deterministically compute the world (all endogenous values) induced
     /// by `noise`, with the structural equations of `interventions`
     /// replaced by constants (paper's action step). Pass an empty slice
     /// for the factual world.
-    pub fn world(&self, noise: &[usize], interventions: &[(NodeId, Value)]) -> Vec<Value> {
-        debug_assert_eq!(noise.len(), self.mechanisms.len());
-        let mut values = vec![0 as Value; self.mechanisms.len()];
+    ///
+    /// Fails with [`CausalError::NoiseArity`] or
+    /// [`CausalError::NoiseOutOfRange`] on a malformed noise assignment,
+    /// [`CausalError::UnknownNode`] on an intervention on a node the
+    /// model does not have, and [`tabular::TabularError::ValueOutOfDomain`]
+    /// on an intervention value (or a mechanism output) outside its
+    /// node's domain.
+    pub fn world(&self, noise: &[usize], interventions: &[(NodeId, Value)]) -> Result<Vec<Value>> {
+        let n_nodes = self.mechanisms.len();
+        if noise.len() != n_nodes {
+            return Err(CausalError::NoiseArity {
+                expected: n_nodes,
+                got: noise.len(),
+            });
+        }
+        for (node, (&level, m)) in noise.iter().zip(&self.mechanisms).enumerate() {
+            if level >= m.noise_levels() {
+                return Err(CausalError::NoiseOutOfRange {
+                    node,
+                    level,
+                    levels: m.noise_levels(),
+                });
+            }
+        }
+        for &(node, x) in interventions {
+            if node >= n_nodes {
+                return Err(CausalError::UnknownNode { node, n_nodes });
+            }
+            self.schema.check_value(tabular::AttrId(node as u32), x)?;
+        }
+        let mut values = vec![0 as Value; n_nodes];
         let mut parent_buf: Vec<Value> = Vec::with_capacity(8);
         for &v in &self.topo {
-            if let Some(&(_, x)) = interventions.iter().find(|&&(n, _)| n == v) {
-                values[v] = x;
-                continue;
-            }
-            parent_buf.clear();
-            parent_buf.extend(self.graph.parents(v).iter().map(|&p| values[p]));
-            values[v] = (self.mechanisms[v].func)(&parent_buf, noise[v]);
+            values[v] = match interventions.iter().find(|&&(n, _)| n == v) {
+                Some(&(_, x)) => x,
+                None => {
+                    let x = self.eval(v, &values, noise[v], &mut parent_buf);
+                    self.schema.check_value(tabular::AttrId(v as u32), x)?;
+                    x
+                }
+            };
         }
-        values
-    }
-
-    /// Sample one world from the observational distribution.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Vec<Value> {
-        let noise = self.sample_noise(rng);
-        self.world(&noise, &[])
+        Ok(values)
     }
 
     /// Generate an observational dataset of `n` rows.
+    ///
+    /// Each row draws every node's noise level in node order from its
+    /// cut points, then evaluates the nodes in topological order through
+    /// the probe's grid (or the mechanism, for nodes the build did not
+    /// probe). The RNG stream, and so the table, is the one the
+    /// reference float loop and per-row mechanism calls would give.
+    /// Rows go straight into columns, which [`Table::from_columns`]
+    /// checks against their domains.
     pub fn generate<R: Rng>(&self, n: usize, rng: &mut R) -> Table {
-        let mut t = Table::with_capacity(self.schema.clone(), n);
+        let n_nodes = self.mechanisms.len();
+        let mut columns: Vec<Vec<Value>> = (0..n_nodes).map(|_| Vec::with_capacity(n)).collect();
+        let mut noise = vec![0usize; n_nodes];
+        let mut values = vec![0 as Value; n_nodes];
+        let mut parent_buf: Vec<Value> = Vec::with_capacity(8);
         for _ in 0..n {
-            let row = self.sample(rng);
-            t.push_row(&row)
-                .expect("SCM produced a row outside its schema");
+            for (u, plan) in noise.iter_mut().zip(&self.plans) {
+                *u = plan.draw(rng);
+            }
+            for &v in &self.topo {
+                values[v] = self.eval(v, &values, noise[v], &mut parent_buf);
+            }
+            for (col, &x) in columns.iter_mut().zip(&values) {
+                col.push(x);
+            }
         }
-        t
-    }
-
-    /// Generate a dataset under an intervention (`do(x)` semantics).
-    pub fn generate_interventional<R: Rng>(
-        &self,
-        n: usize,
-        interventions: &[(NodeId, Value)],
-        rng: &mut R,
-    ) -> Table {
-        let mut t = Table::with_capacity(self.schema.clone(), n);
-        for _ in 0..n {
-            let noise = self.sample_noise(rng);
-            let row = self.world(&noise, interventions);
-            t.push_row(&row)
-                .expect("SCM produced a row outside its schema");
-        }
-        t
+        Table::from_columns(self.schema.clone(), columns)
+            .expect("SCM produced a row outside its schema")
     }
 }
 
-/// Draw an index from a categorical distribution.
-pub(crate) fn sample_categorical<R: Rng>(probs: &[f64], rng: &mut R) -> usize {
-    let mut r: f64 = rng.gen::<f64>();
+/// The noise level the reference float loop picks for the 53-bit draw
+/// `x`, i.e. for the uniform `x · 2⁻⁵³` that `gen::<f64>()` returns
+/// from the same `next_u64`. The level is a monotone step function of
+/// `x`, which is what lets [`ScmBuilder::build`] replace the loop by
+/// cut points.
+fn float_level(probs: &[f64], x: u64) -> usize {
+    let mut r = x as f64 * (1.0 / (1u64 << 53) as f64);
     for (i, &p) in probs.iter().enumerate() {
         if r < p {
             return i;
@@ -188,6 +259,26 @@ pub(crate) fn sample_categorical<R: Rng>(probs: &[f64], rng: &mut R) -> usize {
         r -= p;
     }
     probs.len() - 1 // numeric slack: return the last level
+}
+
+/// The cut points of `probs`: for each level `i ≥ 1`, the smallest
+/// `x < 2⁵³` with `float_level(probs, x) ≥ i`, by binary search (`2⁵³`
+/// when there is none).
+fn cut_points(probs: &[f64]) -> Vec<u64> {
+    (1..probs.len())
+        .map(|level| {
+            let (mut lo, mut hi) = (0u64, 1u64 << 53);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if float_level(probs, mid) >= level {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        })
+        .collect()
 }
 
 /// Incremental [`Scm`] constructor that validates as it goes.
@@ -231,6 +322,11 @@ impl ScmBuilder {
     /// noise prior is a distribution, and every mechanism's output stays
     /// inside its domain on a probe of all parent-value/noise combinations
     /// (probed only when the local grid is small).
+    ///
+    /// The model keeps what the checks compute: each prior's cut points,
+    /// which [`Scm::generate`] and [`Scm::sample_noise`] draw from, and
+    /// each probed grid of outputs, which [`Scm::world`] and
+    /// [`Scm::generate`] read instead of calling the mechanism.
     pub fn build(self) -> Result<Scm> {
         let mut mechanisms = Vec::with_capacity(self.mechanisms.len());
         for (v, m) in self.mechanisms.into_iter().enumerate() {
@@ -255,65 +351,68 @@ impl ScmBuilder {
             mechanisms.push(m);
         }
 
-        let topo = self.graph.topological_order();
-        let scm = Scm {
-            schema: self.schema,
-            graph: self.graph,
-            mechanisms,
-            topo,
-        };
-
-        // Probe mechanisms for domain violations on small local grids.
-        for v in 0..scm.mechanisms.len() {
-            let parents = scm.graph.parents(v);
-            let card_out = scm
-                .schema
+        // Probe mechanisms for domain violations on small local grids,
+        // keeping the outputs.
+        let cardinality = |v: NodeId| {
+            self.schema
                 .cardinality(tabular::AttrId(v as u32))
-                .map_err(CausalError::Tabular)?;
-            let mut grid: u128 = scm.mechanisms[v].noise_levels() as u128;
-            for &p in parents {
-                grid = grid.saturating_mul(
-                    scm.schema
-                        .cardinality(tabular::AttrId(p as u32))
-                        .map_err(CausalError::Tabular)? as u128,
-                );
-            }
-            if grid > 100_000 {
-                continue; // too large to probe exhaustively; trust the caller
-            }
-            let mut parent_values = vec![0 as Value; parents.len()];
-            loop {
-                for u in 0..scm.mechanisms[v].noise_levels() {
-                    let out = (scm.mechanisms[v].func)(&parent_values, u);
+                .map_err(CausalError::Tabular)
+        };
+        let mut plans = Vec::with_capacity(mechanisms.len());
+        for (v, m) in mechanisms.iter().enumerate() {
+            let parents = self.graph.parents(v);
+            let card_out = cardinality(v)?;
+            let cards = parents
+                .iter()
+                .map(|&p| cardinality(p))
+                .collect::<Result<Vec<usize>>>()?;
+            let levels = m.noise_levels();
+            let grid = cards
+                .iter()
+                .fold(levels as u128, |g, &c| g.saturating_mul(c as u128));
+            let mut plan = NodePlan {
+                cuts: cut_points(&m.noise_probs),
+                outputs: None,
+                strides: Vec::new(),
+            };
+            if grid <= 100_000 {
+                // larger grids are too large to probe exhaustively; trust
+                // the caller and call the mechanism at evaluation time
+                let mut outputs = Vec::with_capacity(grid as usize);
+                let mut parent_values = vec![0 as Value; parents.len()];
+                for cell in 0..grid as usize {
+                    let u = cell % levels;
+                    let mut rest = cell / levels;
+                    for (pv, &c) in parent_values.iter_mut().zip(&cards) {
+                        *pv = (rest % c) as Value;
+                        rest /= c;
+                    }
+                    let out = (m.func)(&parent_values, u);
                     if out as usize >= card_out {
                         return Err(CausalError::InvalidScm(format!(
                             "node {v}: mechanism output {out} out of domain (cardinality {card_out}) for parents {parent_values:?}, noise {u}"
                         )));
                     }
+                    outputs.push(out);
                 }
-                // advance mixed-radix counter over parent values
-                let mut i = 0;
-                loop {
-                    if i == parents.len() {
-                        break;
-                    }
-                    let card = scm
-                        .schema
-                        .cardinality(tabular::AttrId(parents[i] as u32))
-                        .map_err(CausalError::Tabular)? as Value;
-                    parent_values[i] += 1;
-                    if parent_values[i] < card {
-                        break;
-                    }
-                    parent_values[i] = 0;
-                    i += 1;
+                let mut stride = levels;
+                for &c in &cards {
+                    plan.strides.push(stride);
+                    stride *= c;
                 }
-                if i == parents.len() {
-                    break;
-                }
+                plan.outputs = Some(outputs);
             }
+            plans.push(plan);
         }
-        Ok(scm)
+
+        let topo = self.graph.topological_order();
+        Ok(Scm {
+            schema: self.schema,
+            graph: self.graph,
+            mechanisms,
+            topo,
+            plans,
+        })
     }
 }
 
@@ -355,33 +454,71 @@ mod tests {
     #[test]
     fn world_is_deterministic_given_noise() {
         let scm = xor_scm();
-        assert_eq!(scm.world(&[1, 0], &[]), vec![1, 1]);
-        assert_eq!(scm.world(&[1, 1], &[]), vec![1, 0]);
-        assert_eq!(scm.world(&[0, 1], &[]), vec![0, 1]);
+        assert_eq!(scm.world(&[1, 0], &[]).unwrap(), vec![1, 1]);
+        assert_eq!(scm.world(&[1, 1], &[]).unwrap(), vec![1, 0]);
+        assert_eq!(scm.world(&[0, 1], &[]).unwrap(), vec![0, 1]);
     }
 
     #[test]
     fn interventions_override_mechanisms() {
         let scm = xor_scm();
         // do(x = 0) with noise that would have made x = 1
-        let w = scm.world(&[1, 0], &[(0, 0)]);
+        let w = scm.world(&[1, 0], &[(0, 0)]).unwrap();
         assert_eq!(w, vec![0, 0]);
         // consistency rule (paper eq. 2): intervening with the factual
         // value changes nothing
-        let factual = scm.world(&[1, 0], &[]);
-        let forced = scm.world(&[1, 0], &[(0, factual[0])]);
+        let factual = scm.world(&[1, 0], &[]).unwrap();
+        let forced = scm.world(&[1, 0], &[(0, factual[0])]).unwrap();
         assert_eq!(factual, forced);
     }
 
     #[test]
-    fn interventional_sampling_breaks_dependence() {
+    fn world_rejects_interventions_outside_the_model() {
         let scm = xor_scm();
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = scm.generate_interventional(20_000, &[(0, 1)], &mut rng);
-        // everyone has x = 1; Pr(y=1) = 0.9
-        assert_eq!(t.count(&Context::of([(tabular::AttrId(0), 1)])), 20_000);
-        let p_y = t.probability(&Context::of([(tabular::AttrId(1), 1)]));
-        assert!((p_y - 0.9).abs() < 0.02, "Pr(y=1 | do(x=1)) = {p_y}");
+        assert_eq!(
+            scm.world(&[1, 0], &[(2, 0)]),
+            Err(CausalError::UnknownNode {
+                node: 2,
+                n_nodes: 2
+            })
+        );
+        assert!(matches!(
+            scm.world(&[1, 0], &[(0, 2)]),
+            Err(CausalError::Tabular(
+                tabular::TabularError::ValueOutOfDomain {
+                    attr: 0,
+                    value: 2,
+                    ..
+                }
+            ))
+        ));
+    }
+
+    #[test]
+    fn world_rejects_malformed_noise() {
+        let scm = xor_scm();
+        assert_eq!(
+            scm.world(&[1], &[]),
+            Err(CausalError::NoiseArity {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(
+            scm.world(&[1, 0, 0], &[]),
+            Err(CausalError::NoiseArity {
+                expected: 2,
+                got: 3
+            })
+        );
+        assert_eq!(
+            scm.world(&[0, 2], &[]),
+            Err(CausalError::NoiseOutOfRange {
+                node: 1,
+                level: 2,
+                levels: 2
+            })
+        );
     }
 
     #[test]
@@ -419,11 +556,16 @@ mod tests {
 
     #[test]
     fn categorical_sampler_is_distributed() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut schema = Schema::new();
+        schema.push("x", Domain::categorical(["a", "b", "c"]));
+        let mut b = ScmBuilder::new(schema);
         let probs = [0.2, 0.5, 0.3];
+        b.mechanism(0, Mechanism::root(probs.to_vec())).unwrap();
+        let scm = b.build().unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
         let mut counts = [0usize; 3];
         for _ in 0..30_000 {
-            counts[sample_categorical(&probs, &mut rng)] += 1;
+            counts[scm.sample_noise(&mut rng)[0]] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             let freq = c as f64 / 30_000.0;

@@ -53,7 +53,7 @@ proptest! {
     fn worlds_are_deterministic(scm in arb_scm(), seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let noise = scm.sample_noise(&mut rng);
-        prop_assert_eq!(scm.world(&noise, &[]), scm.world(&noise, &[]));
+        prop_assert_eq!(scm.world(&noise, &[]).unwrap(), scm.world(&noise, &[]).unwrap());
     }
 
     /// The consistency rule (paper eq. 2): if `X(u) = x` already, then
@@ -62,8 +62,8 @@ proptest! {
     fn consistency_rule(scm in arb_scm(), seed in 0u64..1000, node in 0usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
         let noise = scm.sample_noise(&mut rng);
-        let factual = scm.world(&noise, &[]);
-        let forced = scm.world(&noise, &[(node, factual[node])]);
+        let factual = scm.world(&noise, &[]).unwrap();
+        let forced = scm.world(&noise, &[(node, factual[node])]).unwrap();
         prop_assert_eq!(factual, forced);
     }
 
@@ -76,9 +76,9 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let noise = scm.sample_noise(&mut rng);
-        let factual = scm.world(&noise, &[]);
+        let factual = scm.world(&noise, &[]).unwrap();
         // intervene on b (node 1): a and c are non-descendants of b
-        let cf = scm.world(&noise, &[(1, value)]);
+        let cf = scm.world(&noise, &[(1, value)]).unwrap();
         prop_assert_eq!(cf[1], value, "intervention must pin the target");
         prop_assert_eq!(cf[0], factual[0], "a is upstream");
         prop_assert_eq!(cf[2], factual[2], "c is not downstream of b");
@@ -89,13 +89,13 @@ proptest! {
     #[test]
     fn exact_engine_matches_simulation(scm in arb_scm()) {
         let engine = causal::CounterfactualEngine::exact(&scm).unwrap();
-        let exact = engine.interventional(&[(1, 1)], |w| w[3] == 1);
+        let exact = engine.interventional(&[(1, 1)], |w| w[3] == 1).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let n = 30_000;
         let mut hits = 0usize;
         for _ in 0..n {
             let noise = scm.sample_noise(&mut rng);
-            let w = scm.world(&noise, &[(1, 1)]);
+            let w = scm.world(&noise, &[(1, 1)]).unwrap();
             if w[3] == 1 {
                 hits += 1;
             }

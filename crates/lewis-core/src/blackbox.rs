@@ -118,9 +118,12 @@ pub fn label_table(
     model: &dyn BlackBox,
     column_name: &str,
 ) -> tabular::Result<AttrId> {
+    let columns = table.columns();
+    let mut row: Vec<Value> = Vec::with_capacity(columns.len());
     let preds: Vec<Value> = (0..table.n_rows())
         .map(|r| {
-            let row = table.row(r).expect("row in range");
+            row.clear();
+            row.extend(columns.iter().map(|c| c[r]));
             model.predict(&row)
         })
         .collect();
