@@ -164,7 +164,6 @@ pub struct EngineBuilder {
     alpha: f64,
     min_support: usize,
     cache_capacity: usize,
-    surrogate_capacity: usize,
     shards: usize,
     index: bool,
 }
@@ -180,7 +179,6 @@ impl EngineBuilder {
             alpha: DEFAULT_ALPHA,
             min_support: DEFAULT_MIN_SUPPORT,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            surrogate_capacity: DEFAULT_SURROGATE_CAPACITY,
             shards: 1,
             index: true,
         }
@@ -241,16 +239,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Maximum fitted recourse surrogates kept resident (default 32;
-    /// clamped to at least 1). Each entry is one actionable set's
-    /// logit-linear surrogate — the expensive full-table fit recourse
-    /// queries would otherwise repeat.
-    #[must_use]
-    pub fn surrogate_capacity(mut self, capacity: usize) -> Self {
-        self.surrogate_capacity = capacity;
-        self
-    }
-
     /// Reference override: fan every counting pass over `shards`
     /// fixed-boundary row shards (default 1; clamped to at least 1).
     /// Results are **bit-identical** for every shard count — per-shard
@@ -308,7 +296,7 @@ impl EngineBuilder {
         }
         let caches = Caches::new(
             CountingCache::new(self.cache_capacity),
-            SurrogateCache::new(self.surrogate_capacity),
+            SurrogateCache::new(DEFAULT_SURROGATE_CAPACITY),
             est.n_total_rows(),
         );
         Ok(Engine {

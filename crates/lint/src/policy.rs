@@ -46,7 +46,6 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "crates/store/src/bytes.rs",
     "crates/store/src/pack.rs",
     "crates/index/src/codec.rs",
-    "crates/jobs/src/lib.rs",
 ];
 
 /// Modules where f64 summation order or serialized byte order could

@@ -154,7 +154,6 @@ pub struct LiveStatus {
 /// and hand readers [`LiveEngine::engine`] clones.
 pub struct LiveEngine {
     state: Mutex<State>,
-    threshold: usize,
 }
 
 /// A poisoned writer mutex means an append or fold panicked mid-swap.
@@ -177,22 +176,7 @@ impl LiveEngine {
                 engine,
                 compacting: false,
             }),
-            threshold: DEFAULT_COMPACTION_THRESHOLD,
         }
-    }
-
-    /// Replace the [`DEFAULT_COMPACTION_THRESHOLD`].
-    ///
-    /// `rows == usize::MAX` effectively disables automatic compaction;
-    /// explicit [`LiveEngine::compact`] calls still fold.
-    pub fn with_compaction_threshold(mut self, rows: usize) -> LiveEngine {
-        self.threshold = rows.max(1);
-        self
-    }
-
-    /// The delta-row threshold that arms background compaction.
-    pub fn compaction_threshold(&self) -> usize {
-        self.threshold
     }
 
     /// The current engine generation. The handle is immutable — queries
@@ -297,7 +281,7 @@ impl LiveEngine {
     pub fn maybe_spawn_compaction(self: &Arc<Self>) -> bool {
         {
             let st = recover(self.state.lock());
-            if st.compacting || st.engine.delta_rows() < self.threshold {
+            if st.compacting || st.engine.delta_rows() < DEFAULT_COMPACTION_THRESHOLD {
                 return false;
             }
         }
@@ -461,29 +445,37 @@ mod tests {
 
     #[test]
     fn threshold_arms_background_compaction() {
-        let live = Arc::new(LiveEngine::new(seed_engine()).with_compaction_threshold(2));
-        live.append_rows(&[vec![0, 0, 0]]).unwrap();
-        assert!(!live.maybe_spawn_compaction(), "1 < threshold 2");
+        let live = Arc::new(LiveEngine::new(seed_engine()));
+        let short = vec![vec![0, 0, 0]; DEFAULT_COMPACTION_THRESHOLD - 1];
+        live.append_rows(&short).unwrap();
+        assert!(
+            !live.maybe_spawn_compaction(),
+            "one row short of the threshold"
+        );
         live.append_rows(&[vec![1, 1, 1]]).unwrap();
         assert!(live.maybe_spawn_compaction());
         // the fold runs on its own thread; wait for it to publish
         while live.status().pending_delta_rows > 0 || live.status().compacting {
             std::thread::yield_now();
         }
-        assert_eq!(live.status().base_rows, 10);
-        assert_eq!(live.status().total_rows, 10);
+        let rows = 8 + DEFAULT_COMPACTION_THRESHOLD;
+        assert_eq!(live.status().base_rows, rows);
+        assert_eq!(live.status().total_rows, rows);
     }
 
     #[test]
     fn concurrent_appends_and_reads_stay_consistent() {
-        let live = Arc::new(LiveEngine::new(seed_engine()).with_compaction_threshold(4));
+        // 32 batches of a quarter threshold: the delta crosses the
+        // threshold at least twice while the writers run
+        const BATCH: usize = DEFAULT_COMPACTION_THRESHOLD / 4;
+        let live = Arc::new(LiveEngine::new(seed_engine()));
         let writers: Vec<_> = (0..4)
             .map(|w| {
                 let live = Arc::clone(&live);
                 std::thread::spawn(move || {
                     for i in 0..8 {
                         let status = (w + i) % 3;
-                        live.append_rows(&[vec![status, 1, 1]]).unwrap();
+                        live.append_rows(&vec![vec![status, 1, 1]; BATCH]).unwrap();
                         live.maybe_spawn_compaction();
                         let _ = live.engine().run(&ExplainRequest::Global).unwrap();
                     }
@@ -493,14 +485,14 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        assert_eq!(live.status().total_rows, 8 + 32);
+        assert_eq!(live.status().total_rows, 8 + 32 * BATCH);
         // settle any in-flight fold, then a final fold must converge
         while live.status().compacting {
             std::thread::yield_now();
         }
         live.compact().unwrap();
         let status = live.status();
-        assert_eq!(status.base_rows, 40);
+        assert_eq!(status.base_rows, 8 + 32 * BATCH);
         assert_eq!(status.pending_delta_rows, 0);
     }
 

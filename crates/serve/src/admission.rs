@@ -4,7 +4,7 @@
 //! A fleet is only as healthy as its worst engine: one model whose
 //! queries are 100× slower than the rest must not head-of-line-block
 //! the worker pool for everyone else. Each registered engine therefore
-//! owns an [`Admission`] that every synchronous explain passes through:
+//! owns an [`Admission`] that every explain, sync or async, passes through:
 //!
 //! * **rate** — an optional token bucket capping admitted queries per
 //!   second. Over-rate requests shed *immediately* (no queueing — a

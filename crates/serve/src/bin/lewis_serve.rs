@@ -46,8 +46,9 @@ ROUTES:
     GET  /v1/engines                      engines + schemas
     POST /v1/engines/{name}/explain       one request or {\"batch\": [...]}
     POST /v1/engines/{name}/explain?mode=async
-                                          queue on the job lane: 202 + job id
-    GET  /v1/jobs/{id}                    poll a queued job's state and answer
+                                          the same explain, answer kept under
+                                          a ticket: 202 + job id
+    GET  /v1/jobs/{id}                    read a ticket's state and answer
     POST /v1/engines/{name}/rows          append rows {\"rows\": [[...], ...]} (≤256)
     POST /v1/engines/{name}/compact       fold the pending appended rows now
     GET  /metrics                         counters, latency quantiles, cache stats

@@ -13,10 +13,10 @@
 //! | `GET /healthz` | liveness + engine count |
 //! | `GET /v1/engines` | every engine with its full schema and live-table state |
 //! | `POST /v1/engines/{name}/explain` | one request or `{"batch": [...]}` |
-//! | `POST /v1/engines/{name}/explain?mode=async` | `202 {job_id}`; result via the job lane |
+//! | `POST /v1/engines/{name}/explain?mode=async` | the same explain, answer kept under a ticket: `202 {job_id}` |
 //! | `POST /v1/engines/{name}/rows` | append `{"rows": [[codes…], …]}` to the live table |
 //! | `POST /v1/engines/{name}/compact` | fold the delta into the base now |
-//! | `GET /v1/jobs/{id}` | job state; the finished result replays the sync answer |
+//! | `GET /v1/jobs/{id}` | the ticket; its result replays the sync answer |
 //! | `GET /metrics` | counters, latency quantiles, cache, admission and job-lane stats |
 //! | `POST /admin/engines/{name}/load` | register a new engine from `{"path": "x.lewis"}` |
 //! | `POST /admin/engines/{name}/swap` | atomically replace the engine from a same-schema pack |
@@ -39,11 +39,11 @@
 //! field, so answer bytes stay identical across the fleet).
 //!
 //! Each engine owns an [`Admission`](crate::admission::Admission) gate
-//! the synchronous explain passes through. When the gate sheds, the
-//! answer is a typed `429` with top-level `retry_after_ms` and a
-//! `retry-after` header; shed counts per engine appear in `/metrics`.
-//! The append/compact write lane and the async job lane (which has its
-//! own bounded queue) are not admission-gated.
+//! every explain passes through, synchronous or `?mode=async`. When the
+//! gate sheds, the answer is a typed `429` with top-level
+//! `retry_after_ms` and a `retry-after` header; shed counts per engine
+//! appear in `/metrics`. The append/compact write lane is not
+//! admission-gated.
 //!
 //! The append lane validates a whole batch (arity and domain of every
 //! row) before any row lands — a bad row rejects the batch with a `400`
@@ -55,12 +55,13 @@
 //! of a live table shares one counting-pass cache and one surrogate
 //! cache, so appends never cool them.
 //!
-//! The async lane is for clients that would rather poll than hold a
-//! connection open — a wide batch, say — so the work does not pin an
-//! HTTP worker. `?mode=async` enqueues the same work on a bounded
-//! [`lewis_jobs`] queue and answers `202` immediately (or a typed `429`
-//! when the queue is full); polling `GET /v1/jobs/{id}` returns the exact
-//! status and body the synchronous route would have produced.
+//! `?mode=async` is the synchronous explain with its answer stored under
+//! a ticket: the worker that takes the submission resolves the engine,
+//! passes the admission gate and runs the same payload, then answers
+//! `202 {job_id, poll}`. Polling `GET /v1/jobs/{id}` returns the exact
+//! status and body the synchronous route would have produced. There is
+//! no queue and no thread of its own, so a ticket is finished when it is
+//! issued; finished tickets expire after `TICKET_TTL` (300 s).
 
 use crate::admission::Shed;
 use crate::http::{self, error_json, error_response, Handler, HttpRequest, HttpResponse, Switch};
@@ -69,9 +70,10 @@ use crate::registry::EngineRegistry;
 use crate::wire::{self, Json};
 use crate::ServeError;
 use lewis_core::Engine;
-use lewis_jobs::{JobConfig, JobId, JobManager, JobState};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server tunables. `Default` is sized for the tests and the demo;
@@ -87,15 +89,6 @@ pub struct ServerConfig {
     /// Idle read timeout on keep-alive connections; bounds how long a
     /// silent client can pin a worker (and how long shutdown waits).
     pub read_timeout: Duration,
-    /// Most `?mode=async` jobs allowed to sit queued; past that,
-    /// submissions get a typed `429`. `0` disables the lane.
-    pub job_capacity: usize,
-    /// Threads draining the job queue (separate from the HTTP workers,
-    /// so a long fit never blocks request handling).
-    pub job_workers: usize,
-    /// How long a finished job stays pollable before its ticket
-    /// expires (expired tickets answer `404`).
-    pub job_ttl: Duration,
 }
 
 impl Default for ServerConfig {
@@ -105,9 +98,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_body: 1 << 20,
             read_timeout: Duration::from_secs(5),
-            job_capacity: 64,
-            job_workers: 2,
-            job_ttl: Duration::from_secs(300),
         }
     }
 }
@@ -115,13 +105,122 @@ impl Default for ServerConfig {
 /// Most queries accepted in one `{"batch": [...]}` body.
 const MAX_BATCH: usize = 256;
 
+/// How long a finished `?mode=async` ticket stays pollable; an expired
+/// ticket answers `404` like one that was never issued.
+const TICKET_TTL: Duration = Duration::from_secs(300);
+
 /// Shared server state every worker sees.
 struct ServerState {
     registry: Arc<EngineRegistry>,
     metrics: Metrics,
-    /// The async explain lane: jobs carry the exact (status, body)
-    /// pair the synchronous route would have answered with.
-    jobs: JobManager<(u16, Json)>,
+    /// The answers of `?mode=async` explains, by ticket.
+    tickets: Tickets,
+}
+
+/// A finished async explain: its timings and its outcome.
+#[derive(Clone)]
+struct Ticket {
+    /// From receipt to the start of the payload (the admission wait).
+    waited: Duration,
+    ran: Duration,
+    /// The `(status, body)` pair the synchronous route answers, or the
+    /// message of a payload that panicked.
+    outcome: Result<(u16, Json), String>,
+}
+
+/// Lifetime ticket counters, for `/metrics`.
+#[derive(Clone, Copy, Default)]
+struct TicketCounters {
+    submitted: u64,
+    completed: u64,
+    failed: u64,
+    expired: u64,
+}
+
+#[derive(Default)]
+struct TicketState {
+    next_id: u64,
+    /// Each ticket with the instant it was stored. Ids and instants are
+    /// both taken under the lock, so both ascend together and expiry
+    /// pops from the front.
+    tickets: BTreeMap<u64, (Instant, Ticket)>,
+    counters: TicketCounters,
+}
+
+/// The ticket store behind `?mode=async`. The payload runs on the HTTP
+/// worker that took the submission, so every ticket is finished when it
+/// is stored; expiry is lazy, on the next store or lookup.
+struct Tickets {
+    ttl: Duration,
+    state: Mutex<TicketState>,
+}
+
+impl Tickets {
+    fn new(ttl: Duration) -> Self {
+        Tickets {
+            ttl,
+            state: Mutex::default(),
+        }
+    }
+
+    /// Lock the state and drop the expired tickets. Poison is
+    /// recovered: every update is made whole under one lock hold, and
+    /// payloads run outside it.
+    fn lock(&self) -> MutexGuard<'_, TicketState> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let now = Instant::now();
+        while let Some(oldest) = state.tickets.first_entry() {
+            if now.duration_since(oldest.get().0) < self.ttl {
+                break;
+            }
+            oldest.remove();
+            state.counters.expired += 1;
+        }
+        state
+    }
+
+    /// Run `payload` and store its answer under a fresh ticket id. A
+    /// panicking payload is stored as failed and does not unwind into
+    /// the caller's worker.
+    fn run(&self, received: Instant, payload: impl FnOnce() -> (u16, Json)) -> u64 {
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(payload)).map_err(|panic| {
+            panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "job panicked".to_string())
+        });
+        let mut state = self.lock();
+        let finished = Instant::now();
+        let id = state.next_id;
+        state.next_id += 1;
+        state.counters.submitted += 1;
+        if outcome.is_ok() {
+            state.counters.completed += 1;
+        } else {
+            state.counters.failed += 1;
+        }
+        let ticket = Ticket {
+            waited: started.duration_since(received),
+            ran: finished.duration_since(started),
+            outcome,
+        };
+        state.tickets.insert(id, (finished, ticket));
+        id
+    }
+
+    /// The ticket, or `None` when it was never issued or has expired.
+    fn get(&self, id: u64) -> Option<Ticket> {
+        self.lock()
+            .tickets
+            .get(&id)
+            .map(|(_, ticket)| ticket.clone())
+    }
+
+    fn counters(&self) -> TicketCounters {
+        self.lock().counters
+    }
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -137,11 +236,7 @@ pub fn serve(config: &ServerConfig, registry: Arc<EngineRegistry>) -> std::io::R
     let state = Arc::new(ServerState {
         registry,
         metrics: Metrics::new(),
-        jobs: JobManager::new(JobConfig {
-            capacity: config.job_capacity,
-            workers: config.job_workers,
-            ttl: config.job_ttl,
-        })?,
+        tickets: Tickets::new(TICKET_TTL),
     });
     let listener = http::listen(
         "lewis-serve",
@@ -241,13 +336,11 @@ fn route(request: &HttpRequest, state: &ServerState, switch: &Switch) -> (Route,
         ("GET", "/v1/engines") => (Route::Engines, list_engines(state)),
         ("GET", "/metrics") => {
             let mut body = state.metrics.to_json(&state.registry);
-            let counters = state.jobs.counters();
+            let counters = state.tickets.counters();
             let lane = Json::obj([
-                ("depth", Json::num(state.jobs.depth() as f64)),
                 ("submitted", Json::num(counters.submitted as f64)),
                 ("completed", Json::num(counters.completed as f64)),
                 ("failed", Json::num(counters.failed as f64)),
-                ("rejected", Json::num(counters.rejected as f64)),
                 ("expired", Json::num(counters.expired as f64)),
             ]);
             if let Json::Obj(fields) = &mut body {
@@ -345,7 +438,7 @@ enum ExplainMode {
 }
 
 /// Parse the explain route's query string: empty or `mode=sync` keep
-/// the synchronous path, `mode=async` submits to the job lane, and
+/// the synchronous answer, `mode=async` keeps it under a ticket, and
 /// anything else is a typed `400` (a silently ignored typo would make
 /// the caller believe they got the async contract).
 fn explain_mode(query: &str) -> Result<ExplainMode, HttpResponse> {
@@ -611,13 +704,10 @@ fn append_rows(name: &str, body: &[u8], state: &ServerState) -> HttpResponse {
         Ok(j) => j,
         Err(e) => return error_response(400, "bad_json", &e.to_string()),
     };
-    let Some(rows_json) = json.get("rows") else {
+    let Some(rows) = json.get("rows") else {
         return error_response(400, "bad_request", "missing field \"rows\"");
     };
-    let Some(items) = rows_json.as_arr() else {
-        return error_response(400, "bad_request", "rows: expected an array of rows");
-    };
-    if items.len() > MAX_BATCH {
+    if let Some(items) = rows.as_arr().filter(|items| items.len() > MAX_BATCH) {
         return error_response(
             400,
             "batch_too_large",
@@ -627,32 +717,10 @@ fn append_rows(name: &str, body: &[u8], state: &ServerState) -> HttpResponse {
             ),
         );
     }
-    let mut rows = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let Some(codes) = item.as_arr() else {
-            return error_response(
-                400,
-                "bad_request",
-                &format!("rows[{i}]: expected an array of codes"),
-            );
-        };
-        let mut row = Vec::with_capacity(codes.len());
-        for (j, code) in codes.iter().enumerate() {
-            match code.as_f64() {
-                Some(v) if v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v) => {
-                    row.push(v as u32);
-                }
-                _ => {
-                    return error_response(
-                        400,
-                        "bad_request",
-                        &format!("rows[{i}][{j}]: expected a non-negative integer code"),
-                    )
-                }
-            }
-        }
-        rows.push(row);
-    }
+    let rows = match wire::rows_from_json(rows, "rows") {
+        Ok(rows) => rows,
+        Err(e) => return error_response(400, "bad_request", &e.to_string()),
+    };
     match entry.live.append_rows(&rows) {
         Ok(receipt) => {
             let compaction_armed = entry.live.maybe_spawn_compaction();
@@ -702,8 +770,8 @@ fn compact(name: &str, state: &ServerState) -> HttpResponse {
 }
 
 /// The status code and body JSON for one explain body against one
-/// engine — the shared core of the synchronous route and the job lane,
-/// so an async job's stored result replays the sync answer exactly.
+/// engine — the shared core of the synchronous and async routes, so an
+/// async ticket's stored result replays the sync answer exactly.
 fn explain_payload(engine: &Engine, body: &[u8]) -> (u16, Json) {
     fn error_payload(status: u16, code: &str, message: &str) -> (u16, Json) {
         (status, error_json(code, message))
@@ -759,63 +827,64 @@ fn explain_payload(engine: &Engine, body: &[u8]) -> (u16, Json) {
     }
 }
 
-/// `POST /v1/engines/{name}/explain?mode=async`: queue the work and
-/// answer `202` with the ticket. Unknown engines still 404 *here* —
-/// admission errors must not cost the client a round of polling.
+/// `POST /v1/engines/{name}/explain?mode=async`: the synchronous
+/// explain, behind the same admission gate, with its answer stored
+/// under a ticket; answers `202` with the ticket. Unknown engines `404`
+/// and sheds `429` here, and neither issues a ticket.
 fn submit_explain(name: &str, body: &[u8], state: &ServerState) -> HttpResponse {
+    let received = Instant::now();
     let Some(entry) = state.registry.get(name) else {
         return error_response(404, "unknown_engine", &format!("no engine named {name:?}"));
     };
-    // resolve the Arc before moving into the closure: jobs hold the
-    // engine generation alive, never the registry or the server state
-    let engine = entry.engine();
-    let body = body.to_vec();
-    match state.jobs.submit(move || explain_payload(&engine, &body)) {
-        Ok(id) => HttpResponse::json(
-            202,
-            &Json::obj([
-                ("job_id", Json::str(id.to_string())),
-                ("poll", Json::str(format!("/v1/jobs/{id}"))),
-            ]),
-        ),
-        Err(lewis_jobs::QueueFull) => error_response(
-            429,
-            "queue_full",
-            "the async job queue is at capacity; retry later or use the synchronous route",
-        ),
-    }
+    let _permit = match entry.admission.admit() {
+        Ok(permit) => permit,
+        Err(shed) => return shed_response(&shed),
+    };
+    let id = state
+        .tickets
+        .run(received, || explain_payload(&entry.engine(), body));
+    HttpResponse::json(
+        202,
+        &Json::obj([
+            ("job_id", Json::str(id.to_string())),
+            ("poll", Json::str(format!("/v1/jobs/{id}"))),
+        ]),
+    )
 }
 
-/// `GET /v1/jobs/{id}`: the job's state, timings, and — once done —
-/// the exact status and body the synchronous route would have
-/// produced. Unknown and expired tickets both answer `404`.
+/// `GET /v1/jobs/{id}`: the ticket's state, timings, and the exact
+/// status and body the synchronous route produced. Unknown, malformed
+/// and expired tickets all answer `404`.
 fn job_status(id: &str, state: &ServerState) -> HttpResponse {
-    let Ok(id) = id.parse::<JobId>() else {
+    let Ok(id) = id.parse::<u64>() else {
         return error_response(404, "unknown_job", &format!("malformed job id {id:?}"));
     };
-    let Some(view) = state.jobs.status(id) else {
+    let Some(ticket) = state.tickets.get(id) else {
         return error_response(404, "unknown_job", &format!("no job {id} (or it expired)"));
+    };
+    let name = if ticket.outcome.is_ok() {
+        "done"
+    } else {
+        "failed"
     };
     let mut fields = vec![
         ("id".to_string(), Json::str(id.to_string())),
-        ("state".to_string(), Json::str(view.state.name())),
+        ("state".to_string(), Json::str(name)),
         (
             "waited_us".to_string(),
-            Json::num(view.waited.as_micros() as f64),
+            Json::num(ticket.waited.as_micros() as f64),
+        ),
+        (
+            "ran_us".to_string(),
+            Json::num(ticket.ran.as_micros() as f64),
         ),
     ];
-    if let Some(ran) = view.ran {
-        fields.push(("ran_us".to_string(), Json::num(ran.as_micros() as f64)));
-    }
-    match view.state {
-        JobState::Done((status, result)) => {
+    match ticket.outcome {
+        Ok((status, result)) => {
             fields.push(("status".to_string(), Json::num(f64::from(status))));
             fields.push(("result".to_string(), result));
         }
-        JobState::Failed(detail) => {
-            fields.push(("error".to_string(), Json::str(&detail)));
-        }
-        JobState::Queued | JobState::Running => {}
+        Err(detail) => fields.push(("error".to_string(), Json::str(&detail))),
     }
     HttpResponse::json(200, &Json::Obj(fields))
 }
@@ -1208,6 +1277,96 @@ mod tests {
         let (status, _) = client.get("/v1/engines/german_syn/rows").unwrap();
         assert_eq!(status, 405);
         server.shutdown();
+    }
+
+    /// A server state with no engines, for driving the ticket routes
+    /// without a socket.
+    fn ticket_state(ttl: Duration) -> ServerState {
+        ServerState {
+            registry: Arc::new(EngineRegistry::new()),
+            metrics: Metrics::new(),
+            tickets: Tickets::new(ttl),
+        }
+    }
+
+    fn view(id: &str, state: &ServerState) -> (u16, Json) {
+        let response = job_status(id, state);
+        let body = std::str::from_utf8(&response.body).unwrap();
+        (response.status, Json::parse(body).unwrap())
+    }
+
+    #[test]
+    fn a_ticket_carries_the_payload_answer() {
+        let state = ticket_state(TICKET_TTL);
+        let id = state.tickets.run(Instant::now(), || {
+            (200, Json::obj([("answer", Json::num(42u32))]))
+        });
+        let (status, ticket) = view(&id.to_string(), &state);
+        assert_eq!(status, 200);
+        assert_eq!(ticket.get("id").unwrap().as_str(), Some("0"));
+        assert_eq!(ticket.get("state").unwrap().as_str(), Some("done"));
+        assert_eq!(ticket.get("status").unwrap().as_f64(), Some(200.0));
+        assert_eq!(ticket.get("result").unwrap().to_json(), r#"{"answer":42}"#);
+        assert!(ticket.get("waited_us").unwrap().as_f64().is_some());
+        assert!(ticket.get("ran_us").unwrap().as_f64().is_some());
+        let next = state.tickets.run(Instant::now(), || (400, Json::Null));
+        assert_ne!(next, id, "every ticket gets a fresh id");
+        let c = state.tickets.counters();
+        assert_eq!((c.submitted, c.completed, c.failed), (2, 2, 0));
+    }
+
+    #[test]
+    fn a_panicking_payload_leaves_a_failed_ticket() {
+        let state = ticket_state(TICKET_TTL);
+        let id = state
+            .tickets
+            .run(Instant::now(), || panic!("surrogate exploded"));
+        let (status, ticket) = view(&id.to_string(), &state);
+        assert_eq!(status, 200);
+        assert_eq!(ticket.get("state").unwrap().as_str(), Some("failed"));
+        let detail = ticket.get("error").unwrap().as_str().unwrap();
+        assert!(detail.contains("surrogate exploded"), "{detail}");
+        assert!(ticket.get("result").is_none());
+        // the store still works after the panic
+        let good = state.tickets.run(Instant::now(), || (200, Json::Null));
+        assert_eq!(
+            state.tickets.get(good).unwrap().outcome,
+            Ok((200, Json::Null))
+        );
+        let c = state.tickets.counters();
+        assert_eq!((c.submitted, c.completed, c.failed), (2, 1, 1));
+    }
+
+    #[test]
+    fn finished_tickets_expire_into_404s() {
+        let state = ticket_state(Duration::from_millis(50));
+        let id = state.tickets.run(Instant::now(), || (200, Json::Null));
+        assert_eq!(view(&id.to_string(), &state).0, 200);
+        std::thread::sleep(Duration::from_millis(120));
+        let (status, answer) = view(&id.to_string(), &state);
+        assert_eq!(status, 404, "expired tickets read as unknown: {answer:?}");
+        assert_eq!(
+            answer.get("error").unwrap().get("code").unwrap().as_str(),
+            Some("unknown_job")
+        );
+        assert_eq!(state.tickets.counters().expired, 1);
+    }
+
+    #[test]
+    fn unknown_and_malformed_ids_are_404s() {
+        let state = ticket_state(TICKET_TTL);
+        let id = state.tickets.run(Instant::now(), || (200, Json::Null));
+        for bogus in ["7", "banana", "-1", "", "0x0"] {
+            let (status, answer) = view(bogus, &state);
+            assert_eq!(status, 404, "{bogus}: {answer:?}");
+            assert_eq!(
+                answer.get("error").unwrap().get("code").unwrap().as_str(),
+                Some("unknown_job")
+            );
+        }
+        // the id a 202 hands out parses back to its ticket
+        assert_eq!(id.to_string().parse::<u64>().unwrap(), id);
+        assert_eq!(view(&id.to_string(), &state).0, 200);
     }
 
     #[test]

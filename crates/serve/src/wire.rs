@@ -490,14 +490,22 @@ fn get_f64(j: &Json, path: &str) -> Result<f64, WireError> {
 }
 
 fn get_code(j: &Json, path: &str) -> Result<u32, WireError> {
-    let n = get_f64(j, path)?;
+    code(j).map_err(|message| WireError::new(path, message))
+}
+
+/// A dictionary code, or the failure message without its path — so
+/// hot decoders build the path string only when they report an error.
+fn code(j: &Json) -> Result<u32, String> {
+    let n = j.as_f64().ok_or("expected a number")?;
     if n.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&n) {
-        return Err(WireError::new(
-            path,
-            format!("expected a u32 code, got {n}"),
-        ));
+        return Err(format!("expected a u32 code, got {n}"));
     }
     Ok(n as u32)
+}
+
+/// A decode error at element `i` of the array at `path`.
+fn at_index(path: &str, i: usize, message: impl Into<String>) -> WireError {
+    WireError::new(&format!("{path}[{i}]"), message)
 }
 
 fn get_usize(j: &Json, path: &str) -> Result<usize, WireError> {
@@ -525,11 +533,30 @@ fn row_to_json(row: &[Value]) -> Json {
     Json::Arr(row.iter().map(|&v| Json::num(v)).collect())
 }
 
+/// The codes of `items`, or the index and message of the first bad one.
+fn codes(items: &[Json]) -> Result<Vec<Value>, (usize, String)> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, v)| code(v).map_err(|message| (i, message)))
+        .collect()
+}
+
 fn row_from_json(j: &Json, path: &str) -> Result<Vec<Value>, WireError> {
+    codes(get_arr(j, path)?).map_err(|(i, message)| at_index(path, i, message))
+}
+
+/// Decode an array of dictionary-coded rows (an append body's `rows`).
+pub(crate) fn rows_from_json(j: &Json, path: &str) -> Result<Vec<Vec<Value>>, WireError> {
     get_arr(j, path)?
         .iter()
         .enumerate()
-        .map(|(i, v)| get_code(v, &format!("{path}[{i}]")))
+        .map(|(i, row)| {
+            let items = row
+                .as_arr()
+                .ok_or_else(|| at_index(path, i, "expected an array"))?;
+            codes(items).map_err(|(k, message)| at_index(&format!("{path}[{i}]"), k, message))
+        })
         .collect()
 }
 
@@ -551,12 +578,13 @@ pub fn context_to_json(k: &Context) -> Json {
 pub fn context_from_json(j: &Json, path: &str) -> Result<Context, WireError> {
     let mut k = Context::empty();
     for (i, pair) in get_arr(j, path)?.iter().enumerate() {
-        let p = format!("{path}[{i}]");
-        let pair = get_arr(pair, &p)?;
-        if pair.len() != 2 {
-            return Err(WireError::new(&p, "expected an [attribute, value] pair"));
-        }
-        k.set(AttrId(get_code(&pair[0], &p)?), get_code(&pair[1], &p)?);
+        let (attr, value) = match pair.as_arr() {
+            Some([attr, value]) => (attr, value),
+            Some(_) => return Err(at_index(path, i, "expected an [attribute, value] pair")),
+            None => return Err(at_index(path, i, "expected an array")),
+        };
+        let get = |v: &Json| code(v).map_err(|message| at_index(path, i, message));
+        k.set(AttrId(get(attr)?), get(value)?);
     }
     Ok(k)
 }

@@ -97,6 +97,78 @@ fn rate_cap_sheds_typed_429s_with_retry_hints() {
 }
 
 #[test]
+fn async_submissions_pass_the_gate_and_a_shed_issues_no_ticket() {
+    let server = start(AdmissionConfig {
+        rate: Some(1),
+        ..AdmissionConfig::unlimited()
+    });
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // a burst of async submissions far past 1 q/s: the first token
+    // admits, the rest shed exactly as the synchronous route does
+    let (mut tickets, mut shed) = (Vec::new(), 0u32);
+    for _ in 0..20 {
+        let (status, body) = client
+            .post(
+                "/v1/engines/capped/explain?mode=async",
+                r#"{"kind":"global"}"#,
+            )
+            .unwrap();
+        match status {
+            202 => tickets.push(body.get("job_id").unwrap().as_str().unwrap().to_string()),
+            429 => {
+                assert_eq!(shed_code(&body), Some("overloaded"), "{body:?}");
+                assert!(body.get("job_id").is_none(), "a shed issues no ticket");
+                assert!(
+                    body.get("retry_after_ms").and_then(Json::as_f64).is_some(),
+                    "{body:?}"
+                );
+                assert!(client.response_header("retry-after").is_some());
+                shed += 1;
+            }
+            other => panic!("unexpected status {other}: {body:?}"),
+        }
+    }
+    assert!(!tickets.is_empty(), "the bucket's first token admits");
+    assert!(shed > 0, "async submissions past the rate cap shed");
+
+    // every admitted ticket holds the answer
+    for id in &tickets {
+        let (status, view) = client.get(&format!("/v1/jobs/{id}")).unwrap();
+        assert_eq!(status, 200, "{view:?}");
+        assert_eq!(view.get("state").and_then(Json::as_str), Some("done"));
+        assert_eq!(view.get("status").and_then(Json::as_f64), Some(200.0));
+    }
+
+    // the gate and the ticket counters agree
+    let (_, metrics) = client.get("/metrics").unwrap();
+    let admission = metrics
+        .get("engines")
+        .unwrap()
+        .get("capped")
+        .unwrap()
+        .get("admission")
+        .unwrap();
+    assert_eq!(
+        admission.get("admitted").and_then(Json::as_f64),
+        Some(tickets.len() as f64),
+        "{admission:?}"
+    );
+    assert_eq!(
+        admission.get("shed_rate").and_then(Json::as_f64),
+        Some(f64::from(shed)),
+        "{admission:?}"
+    );
+    let lane = metrics.get("job_lane").unwrap();
+    assert_eq!(
+        lane.get("submitted").and_then(Json::as_f64),
+        Some(tickets.len() as f64),
+        "{lane:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn queue_bound_sheds_queue_full_and_the_neighbour_engine_stays_fast() {
     // one slot, no queue: any concurrent second request sheds at once
     let server = start(AdmissionConfig {

@@ -1,6 +1,8 @@
-//! The async job lane over a real socket: `?mode=async` answers `202`
-//! with a ticket, polling replays the exact synchronous answer, the
-//! queue bound is a typed `429`, and tickets expire into `404`s.
+//! `?mode=async` over a real socket: it answers `202` with a ticket,
+//! polling replays the exact synchronous answer, and unknown tickets,
+//! engines and modes fail typed. Ticket expiry and panicking payloads
+//! are unit-tested on the ticket store in `crates/serve/src/server.rs`;
+//! async sheds are covered in `tests/admission.rs`.
 
 use lewis_serve::wire::Json;
 use lewis_serve::{serve, Client, EngineRegistry, Server, ServerConfig};
@@ -182,66 +184,6 @@ fn concurrent_recourse_submissions_finish_cleanly() {
         "every recourse query went through the lane: {lane:?}"
     );
     assert_eq!(lane.get("failed").unwrap().as_f64(), Some(0.0));
-    server.shutdown();
-}
-
-#[test]
-fn a_full_queue_is_a_typed_429() {
-    // capacity 0: every submission rejected, deterministically
-    let server = start(ServerConfig {
-        job_capacity: 0,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(server.addr()).unwrap();
-    let (status, answer) = client
-        .post(
-            &format!("/v1/engines/{ENGINE}/explain?mode=async"),
-            r#"{"kind":"global"}"#,
-        )
-        .unwrap();
-    assert_eq!(status, 429);
-    assert_eq!(
-        answer.get("error").unwrap().get("code").unwrap().as_str(),
-        Some("queue_full")
-    );
-    // the synchronous route is unaffected
-    let (status, _) = client
-        .post(
-            &format!("/v1/engines/{ENGINE}/explain"),
-            r#"{"kind":"global"}"#,
-        )
-        .unwrap();
-    assert_eq!(status, 200);
-    let (_, metrics) = client.get("/metrics").unwrap();
-    assert_eq!(
-        metrics
-            .get("job_lane")
-            .unwrap()
-            .get("rejected")
-            .unwrap()
-            .as_f64(),
-        Some(1.0)
-    );
-    server.shutdown();
-}
-
-#[test]
-fn finished_tickets_expire_into_404s() {
-    let server = start(ServerConfig {
-        job_ttl: Duration::from_millis(50),
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(server.addr()).unwrap();
-    let id = submit(&mut client, r#"{"kind":"global"}"#);
-    let view = poll_until_terminal(&mut client, &id);
-    assert_eq!(view.get("state").unwrap().as_str(), Some("done"));
-    std::thread::sleep(Duration::from_millis(120));
-    let (status, answer) = client.get(&format!("/v1/jobs/{id}")).unwrap();
-    assert_eq!(status, 404, "expired tickets read as unknown: {answer:?}");
-    assert_eq!(
-        answer.get("error").unwrap().get("code").unwrap().as_str(),
-        Some("unknown_job")
-    );
     server.shutdown();
 }
 
