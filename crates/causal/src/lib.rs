@@ -70,6 +70,16 @@ pub enum CausalError {
         level: usize,
         levels: usize,
     },
+    /// [`Scm::generate_into`] got a column count other than the
+    /// model's node count.
+    ColumnArity { expected: usize, got: usize },
+    /// [`Scm::generate_into`] got a column whose length differs from
+    /// the first column's.
+    RaggedColumns {
+        column: usize,
+        len: usize,
+        expected: usize,
+    },
     /// Underlying tabular error.
     Tabular(tabular::TabularError),
 }
@@ -107,6 +117,17 @@ impl std::fmt::Display for CausalError {
             } => write!(
                 f,
                 "noise level {level} of node {node} out of range ({levels} levels)"
+            ),
+            CausalError::ColumnArity { expected, got } => {
+                write!(f, "got {got} columns, the model has {expected} nodes")
+            }
+            CausalError::RaggedColumns {
+                column,
+                len,
+                expected,
+            } => write!(
+                f,
+                "column {column} holds {len} rows, column 0 holds {expected}"
             ),
             CausalError::Tabular(e) => write!(f, "tabular error: {e}"),
         }

@@ -214,22 +214,54 @@ impl Scm {
         Ok(values)
     }
 
-    /// Generate an observational dataset of `n` rows.
+    /// Generate an observational dataset of `n` rows: allocate the
+    /// columns, fill them with [`Scm::generate_into`], and let
+    /// [`Table::from_columns`] check them against their domains.
+    pub fn generate<R: Rng>(&self, n: usize, rng: &mut R) -> Table {
+        let mut columns: Vec<Vec<Value>> = (0..self.mechanisms.len()).map(|_| vec![0; n]).collect();
+        let mut slices: Vec<&mut [Value]> = columns.iter_mut().map(Vec::as_mut_slice).collect();
+        self.generate_into(&mut slices, rng)
+            .expect("one column of n rows per node");
+        Table::from_columns(self.schema.clone(), columns)
+            .expect("SCM produced a row outside its schema")
+    }
+
+    /// Overwrite `columns` (one slice per node, in node order, all of
+    /// one length) with that many observational rows. Writing into
+    /// caller-owned slices lets a large table be generated in disjoint
+    /// pieces of its final columns, with no copy to concatenate them.
     ///
     /// Each row draws every node's noise level in node order from its
     /// cut points, then evaluates the nodes in topological order through
     /// the probe's grid (or the mechanism, for nodes the build did not
     /// probe). The RNG stream, and so the table, is the one the
     /// reference float loop and per-row mechanism calls would give.
-    /// Rows go straight into columns, which [`Table::from_columns`]
-    /// checks against their domains.
-    pub fn generate<R: Rng>(&self, n: usize, rng: &mut R) -> Table {
+    /// Values are not checked against their domains here;
+    /// [`Table::from_columns`] does that once for the whole table.
+    ///
+    /// Fails with [`CausalError::ColumnArity`] when there is not one
+    /// slice per node and [`CausalError::RaggedColumns`] when the slices
+    /// differ in length; `columns` and `rng` are untouched then.
+    pub fn generate_into<R: Rng>(&self, columns: &mut [&mut [Value]], rng: &mut R) -> Result<()> {
         let n_nodes = self.mechanisms.len();
-        let mut columns: Vec<Vec<Value>> = (0..n_nodes).map(|_| Vec::with_capacity(n)).collect();
+        if columns.len() != n_nodes {
+            return Err(CausalError::ColumnArity {
+                expected: n_nodes,
+                got: columns.len(),
+            });
+        }
+        let n = columns.first().map_or(0, |c| c.len());
+        if let Some((column, c)) = columns.iter().enumerate().find(|(_, c)| c.len() != n) {
+            return Err(CausalError::RaggedColumns {
+                column,
+                len: c.len(),
+                expected: n,
+            });
+        }
         let mut noise = vec![0usize; n_nodes];
         let mut values = vec![0 as Value; n_nodes];
         let mut parent_buf: Vec<Value> = Vec::with_capacity(8);
-        for _ in 0..n {
+        for row in 0..n {
             for (u, plan) in noise.iter_mut().zip(&self.plans) {
                 *u = plan.draw(rng);
             }
@@ -237,11 +269,10 @@ impl Scm {
                 values[v] = self.eval(v, &values, noise[v], &mut parent_buf);
             }
             for (col, &x) in columns.iter_mut().zip(&values) {
-                col.push(x);
+                col[row] = x;
             }
         }
-        Table::from_columns(self.schema.clone(), columns)
-            .expect("SCM produced a row outside its schema")
+        Ok(())
     }
 }
 
@@ -420,7 +451,7 @@ impl ScmBuilder {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use tabular::{Context, Domain};
 
     /// X → Y where X ~ Bernoulli(0.3) and Y = X XOR noise(0.1).
@@ -449,6 +480,44 @@ mod tests {
         // Pr(y=1) = Pr(x=1)·0.9 + Pr(x=0)·0.1 = 0.27 + 0.07 = 0.34
         let p_y = t.probability(&Context::of([(tabular::AttrId(1), 1)]));
         assert!((p_y - 0.34).abs() < 0.02, "Pr(y=1) = {p_y}");
+    }
+
+    #[test]
+    fn generate_into_rejects_misshapen_columns_untouched() {
+        let scm = xor_scm();
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut x, mut y, mut z) = ([7 as Value; 4], [7 as Value; 4], [7 as Value; 3]);
+        assert_eq!(
+            scm.generate_into(&mut [&mut x[..]], &mut rng),
+            Err(CausalError::ColumnArity {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(
+            scm.generate_into(&mut [&mut x[..], &mut y[..], &mut z[..]], &mut rng),
+            Err(CausalError::ColumnArity {
+                expected: 2,
+                got: 3
+            })
+        );
+        assert_eq!(
+            scm.generate_into(&mut [&mut x[..], &mut z[..]], &mut rng),
+            Err(CausalError::RaggedColumns {
+                column: 1,
+                len: 3,
+                expected: 4
+            })
+        );
+        assert_eq!((x, z), ([7; 4], [7; 3]), "a rejected call writes nothing");
+        // nor does it draw: the stream still matches a fresh one
+        let mut fresh = StdRng::seed_from_u64(3);
+        assert_eq!(rng.next_u64(), fresh.next_u64());
+        // well-shaped slices get exactly the rows `generate` gives
+        scm.generate_into(&mut [&mut x[..], &mut y[..]], &mut StdRng::seed_from_u64(8))
+            .unwrap();
+        let t = scm.generate(4, &mut StdRng::seed_from_u64(8));
+        assert_eq!(t.columns(), [x.to_vec(), y.to_vec()]);
     }
 
     #[test]

@@ -41,7 +41,8 @@ use crate::explain::{
 };
 use crate::ordering::{infer_value_order_from_stats, ordered_pairs};
 use crate::recourse::{
-    check_fit, fit_surrogate, Recourse, RecourseEngine, RecourseOptions, SurrogateFit,
+    check_fit, check_request, fit_surrogate, surrogate_plan, Recourse, RecourseEngine,
+    RecourseOptions, SurrogateFit,
 };
 use crate::scores::{ArmTable, CellArms, Contrast, ScoreEstimator, Scores};
 use crate::snapshot::{
@@ -950,6 +951,10 @@ impl Engine {
         actionable: &[AttrId],
         opts: &RecourseOptions,
     ) -> Result<Recourse> {
+        // a bad actionable set, alpha or row fails before the fit
+        let est = &self.est;
+        surrogate_plan(est.table(), est.graph(), est.pred_attr(), actionable)?;
+        check_request(est.table(), row, opts)?;
         let fit = self.surrogate_for(actionable)?;
         RecourseEngine::with_fit(self, actionable, fit)?.recourse(row, opts)
     }
@@ -1582,6 +1587,36 @@ mod tests {
             (Err(d), Err(r)) => assert_eq!(format!("{d}"), format!("{r}")),
             (d, r) => panic!("direct {d:?} vs batch {r:?}"),
         }
+    }
+
+    #[test]
+    fn recourse_rejects_a_bad_row_or_alpha_before_fitting_a_surrogate() {
+        let e = engine(2000);
+        let actionable = [AttrId(0), AttrId(1)];
+        let defaults = RecourseOptions::default();
+        let bad_alpha = RecourseOptions {
+            alpha: 1.5,
+            ..RecourseOptions::default()
+        };
+        let invalid = |row: &[Value], actionable: &[AttrId], opts, expected: &str| match e
+            .recourse(row, actionable, opts)
+        {
+            Err(LewisError::Invalid(m)) => assert!(m.contains(expected), "{m}"),
+            other => panic!("{row:?}: expected Invalid, got {other:?}"),
+        };
+        invalid(&[0, 99, 0, 0], &actionable, &defaults, "outside its domain");
+        invalid(&[0, 0], &actionable, &defaults, "row too short");
+        invalid(&[0, 0, 0, 0], &actionable, &bad_alpha, "alpha must be");
+        // a bad actionable set still reports before a bad row
+        invalid(
+            &[0, 99, 0, 0],
+            &[AttrId(0), AttrId(0)],
+            &defaults,
+            "listed twice",
+        );
+        assert_eq!(e.surrogate_stats().misses, 0, "no surrogate was fitted");
+        let _ = e.recourse(&[0, 0, 0, 0], &actionable, &defaults);
+        assert_eq!(e.surrogate_stats().misses, 1);
     }
 
     #[test]

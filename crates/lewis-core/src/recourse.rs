@@ -413,6 +413,28 @@ pub(crate) fn check_fit(
     Ok(plan)
 }
 
+/// Check a recourse request against `table`'s schema: `alpha` in
+/// `[0, 1)`, and `row` a full row whose every code lies in its
+/// attribute's domain. Cheap, so [`Engine::recourse`] runs it before a
+/// surrogate is fitted (or a cached one evicted) for a request that
+/// would fail anyway.
+pub(crate) fn check_request(table: &Table, row: &[Value], opts: &RecourseOptions) -> Result<()> {
+    if !(0.0..1.0).contains(&opts.alpha) {
+        return Err(LewisError::Invalid("alpha must be in [0, 1)".into()));
+    }
+    if row.len() < table.schema().len() {
+        return Err(LewisError::Invalid("row too short for schema".into()));
+    }
+    for (a, &v) in table.schema().attr_ids().zip(row) {
+        if !table.schema().domain(a)?.contains(v) {
+            return Err(LewisError::Invalid(format!(
+                "row value {v} of attribute {a} is outside its domain"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The recourse generator for one actionable set: the engine's fitted
 /// surrogate for it, verifying candidates through the engine's
 /// counting-pass cache. Built per query by [`Engine::recourse`].
@@ -471,25 +493,13 @@ impl<'a> RecourseEngine<'a> {
 
     /// Compute recourse for `row` (a full schema row of the labelled
     /// table — including the prediction cell, which identifies
-    /// already-positive individuals).
+    /// already-positive individuals). `row` and `opts` have passed
+    /// [`check_request`].
     pub fn recourse(&self, row: &[Value], opts: &RecourseOptions) -> Result<Recourse> {
-        if !(0.0..1.0).contains(&opts.alpha) {
-            return Err(LewisError::Invalid("alpha must be in [0, 1)".into()));
-        }
         let est = self.engine.estimator();
         let table = est.table();
         // one per actionable attribute plus the covering constraint
         let n_constraints = self.actionable.len() + 1;
-        if row.len() < table.schema().len() {
-            return Err(LewisError::Invalid("row too short for schema".into()));
-        }
-        for (a, &v) in table.schema().attr_ids().zip(row) {
-            if !table.schema().domain(a)?.contains(v) {
-                return Err(LewisError::Invalid(format!(
-                    "row value {v} of attribute {a} is outside its domain"
-                )));
-            }
-        }
         // Recourse targets negative decisions (§3.2); a positive
         // individual needs no action — constraint (25) holds with δ = 0.
         if row[est.pred_attr().index()] == est.positive() {

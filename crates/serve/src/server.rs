@@ -61,9 +61,11 @@
 //! `202 {job_id, poll}`. Polling `GET /v1/jobs/{id}` returns the exact
 //! status and body the synchronous route would have produced. There is
 //! no queue and no thread of its own, so a ticket is finished when it is
-//! issued; finished tickets expire after `TICKET_TTL` (300 s).
+//! issued; finished tickets expire after `TICKET_TTL` (300 s). At most
+//! `MAX_TICKETS` are held at once: past that a submission is the typed
+//! `429 queue_full`, issues no ticket and runs nothing.
 
-use crate::admission::Shed;
+use crate::admission::{Shed, ShedReason};
 use crate::http::{self, error_json, error_response, Handler, HttpRequest, HttpResponse, Switch};
 use crate::metrics::{Metrics, Route};
 use crate::registry::EngineRegistry;
@@ -109,6 +111,12 @@ const MAX_BATCH: usize = 256;
 /// ticket answers `404` like one that was never issued.
 const TICKET_TTL: Duration = Duration::from_secs(300);
 
+/// Most `?mode=async` tickets held at once, payloads still running
+/// included. A held ticket costs about 4.2 KB of RSS (100k cheap async
+/// globals grew a server from 45 to 420 MB), so this bounds the store
+/// near 17 MB however fast a client submits.
+const MAX_TICKETS: usize = 4096;
+
 /// Shared server state every worker sees.
 struct ServerState {
     registry: Arc<EngineRegistry>,
@@ -135,6 +143,8 @@ struct TicketCounters {
     completed: u64,
     failed: u64,
     expired: u64,
+    /// Submissions refused because the store was full.
+    shed: u64,
 }
 
 #[derive(Default)]
@@ -144,21 +154,27 @@ struct TicketState {
     /// both taken under the lock, so both ascend together and expiry
     /// pops from the front.
     tickets: BTreeMap<u64, (Instant, Ticket)>,
+    /// Slots reserved by payloads still running; they count against
+    /// the cap like stored tickets.
+    running: usize,
     counters: TicketCounters,
 }
 
 /// The ticket store behind `?mode=async`. The payload runs on the HTTP
 /// worker that took the submission, so every ticket is finished when it
-/// is stored; expiry is lazy, on the next store or lookup.
+/// is stored; expiry is lazy, on the next store or lookup. At most `cap`
+/// tickets are held, running payloads included.
 struct Tickets {
     ttl: Duration,
+    cap: usize,
     state: Mutex<TicketState>,
 }
 
 impl Tickets {
-    fn new(ttl: Duration) -> Self {
+    fn new(ttl: Duration, cap: usize) -> Self {
         Tickets {
             ttl,
+            cap,
             state: Mutex::default(),
         }
     }
@@ -179,10 +195,30 @@ impl Tickets {
         state
     }
 
-    /// Run `payload` and store its answer under a fresh ticket id. A
-    /// panicking payload is stored as failed and does not unwind into
-    /// the caller's worker.
-    fn run(&self, received: Instant, payload: impl FnOnce() -> (u16, Json)) -> u64 {
+    /// Reserve a slot, run `payload` and store its answer under a fresh
+    /// ticket id. A panicking payload is stored as failed and does not
+    /// unwind into the caller's worker. When every slot is held the
+    /// payload does not run: the shed is `queue_full`, with a retry
+    /// hint of when the oldest ticket expires.
+    fn run(&self, received: Instant, payload: impl FnOnce() -> (u16, Json)) -> Result<u64, Shed> {
+        {
+            let mut state = self.lock();
+            if state.tickets.len() + state.running >= self.cap {
+                state.counters.shed += 1;
+                // with no ticket stored yet, the running ones are held a
+                // whole TTL once they finish
+                let held = state
+                    .tickets
+                    .first_key_value()
+                    .map_or(Duration::ZERO, |(_, (at, _))| at.elapsed());
+                let wait = self.ttl.saturating_sub(held);
+                return Err(Shed {
+                    reason: ShedReason::QueueFull,
+                    retry_after_ms: (wait.as_millis() as u64).max(1),
+                });
+            }
+            state.running += 1;
+        }
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(payload)).map_err(|panic| {
             panic
@@ -192,6 +228,7 @@ impl Tickets {
                 .unwrap_or_else(|| "job panicked".to_string())
         });
         let mut state = self.lock();
+        state.running -= 1;
         let finished = Instant::now();
         let id = state.next_id;
         state.next_id += 1;
@@ -207,7 +244,7 @@ impl Tickets {
             outcome,
         };
         state.tickets.insert(id, (finished, ticket));
-        id
+        Ok(id)
     }
 
     /// The ticket, or `None` when it was never issued or has expired.
@@ -236,7 +273,7 @@ pub fn serve(config: &ServerConfig, registry: Arc<EngineRegistry>) -> std::io::R
     let state = Arc::new(ServerState {
         registry,
         metrics: Metrics::new(),
-        tickets: Tickets::new(TICKET_TTL),
+        tickets: Tickets::new(TICKET_TTL, MAX_TICKETS),
     });
     let listener = http::listen(
         "lewis-serve",
@@ -342,6 +379,7 @@ fn route(request: &HttpRequest, state: &ServerState, switch: &Switch) -> (Route,
                 ("completed", Json::num(counters.completed as f64)),
                 ("failed", Json::num(counters.failed as f64)),
                 ("expired", Json::num(counters.expired as f64)),
+                ("shed", Json::num(counters.shed as f64)),
             ]);
             if let Json::Obj(fields) = &mut body {
                 fields.push(("job_lane".to_string(), lane));
@@ -830,7 +868,8 @@ fn explain_payload(engine: &Engine, body: &[u8]) -> (u16, Json) {
 /// `POST /v1/engines/{name}/explain?mode=async`: the synchronous
 /// explain, behind the same admission gate, with its answer stored
 /// under a ticket; answers `202` with the ticket. Unknown engines `404`
-/// and sheds `429` here, and neither issues a ticket.
+/// here; admission sheds and a full ticket store `429`. None of them
+/// issues a ticket.
 fn submit_explain(name: &str, body: &[u8], state: &ServerState) -> HttpResponse {
     let received = Instant::now();
     let Some(entry) = state.registry.get(name) else {
@@ -840,9 +879,13 @@ fn submit_explain(name: &str, body: &[u8], state: &ServerState) -> HttpResponse 
         Ok(permit) => permit,
         Err(shed) => return shed_response(&shed),
     };
-    let id = state
+    let id = match state
         .tickets
-        .run(received, || explain_payload(&entry.engine(), body));
+        .run(received, || explain_payload(&entry.engine(), body))
+    {
+        Ok(id) => id,
+        Err(shed) => return shed_response(&shed),
+    };
     HttpResponse::json(
         202,
         &Json::obj([
@@ -1285,7 +1328,7 @@ mod tests {
         ServerState {
             registry: Arc::new(EngineRegistry::new()),
             metrics: Metrics::new(),
-            tickets: Tickets::new(ttl),
+            tickets: Tickets::new(ttl, MAX_TICKETS),
         }
     }
 
@@ -1298,9 +1341,12 @@ mod tests {
     #[test]
     fn a_ticket_carries_the_payload_answer() {
         let state = ticket_state(TICKET_TTL);
-        let id = state.tickets.run(Instant::now(), || {
-            (200, Json::obj([("answer", Json::num(42u32))]))
-        });
+        let id = state
+            .tickets
+            .run(Instant::now(), || {
+                (200, Json::obj([("answer", Json::num(42u32))]))
+            })
+            .unwrap();
         let (status, ticket) = view(&id.to_string(), &state);
         assert_eq!(status, 200);
         assert_eq!(ticket.get("id").unwrap().as_str(), Some("0"));
@@ -1309,7 +1355,10 @@ mod tests {
         assert_eq!(ticket.get("result").unwrap().to_json(), r#"{"answer":42}"#);
         assert!(ticket.get("waited_us").unwrap().as_f64().is_some());
         assert!(ticket.get("ran_us").unwrap().as_f64().is_some());
-        let next = state.tickets.run(Instant::now(), || (400, Json::Null));
+        let next = state
+            .tickets
+            .run(Instant::now(), || (400, Json::Null))
+            .unwrap();
         assert_ne!(next, id, "every ticket gets a fresh id");
         let c = state.tickets.counters();
         assert_eq!((c.submitted, c.completed, c.failed), (2, 2, 0));
@@ -1320,7 +1369,8 @@ mod tests {
         let state = ticket_state(TICKET_TTL);
         let id = state
             .tickets
-            .run(Instant::now(), || panic!("surrogate exploded"));
+            .run(Instant::now(), || panic!("surrogate exploded"))
+            .unwrap();
         let (status, ticket) = view(&id.to_string(), &state);
         assert_eq!(status, 200);
         assert_eq!(ticket.get("state").unwrap().as_str(), Some("failed"));
@@ -1328,7 +1378,10 @@ mod tests {
         assert!(detail.contains("surrogate exploded"), "{detail}");
         assert!(ticket.get("result").is_none());
         // the store still works after the panic
-        let good = state.tickets.run(Instant::now(), || (200, Json::Null));
+        let good = state
+            .tickets
+            .run(Instant::now(), || (200, Json::Null))
+            .unwrap();
         assert_eq!(
             state.tickets.get(good).unwrap().outcome,
             Ok((200, Json::Null))
@@ -1338,9 +1391,61 @@ mod tests {
     }
 
     #[test]
+    fn a_full_ticket_store_sheds_without_running_and_frees_a_slot_on_expiry() {
+        let mut registry = EngineRegistry::new();
+        registry.load_builtin("german_syn", 200, 3).unwrap();
+        let state = ServerState {
+            registry: Arc::new(registry),
+            metrics: Metrics::new(),
+            tickets: Tickets::new(Duration::from_millis(300), 4),
+        };
+        let body = br#"{"kind":"global"}"#;
+        for _ in 0..4 {
+            assert_eq!(submit_explain("german_syn", body, &state).status, 202);
+        }
+        let ran = AtomicBool::new(false);
+        let shed = state
+            .tickets
+            .run(Instant::now(), || {
+                ran.store(true, Ordering::SeqCst);
+                (200, Json::Null)
+            })
+            .unwrap_err();
+        assert!(
+            !ran.load(Ordering::SeqCst),
+            "a shed submission runs nothing"
+        );
+        assert_eq!(shed.reason, ShedReason::QueueFull);
+        assert!((1..=300).contains(&shed.retry_after_ms), "{shed:?}");
+        let response = submit_explain("german_syn", body, &state);
+        assert_eq!(response.status, 429);
+        let answer = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        assert_eq!(
+            answer.get("error").unwrap().get("code").unwrap().as_str(),
+            Some("queue_full")
+        );
+        assert!(answer.get("retry_after_ms").unwrap().as_f64().unwrap() >= 1.0);
+        assert!(answer.get("job_id").is_none(), "{answer:?}");
+        assert!(response
+            .headers
+            .iter()
+            .any(|(name, _)| *name == "retry-after"));
+        let c = state.tickets.counters();
+        assert_eq!((c.submitted, c.shed), (4, 2));
+        // the held tickets expire, and their slots take submissions again
+        std::thread::sleep(Duration::from_millis(400));
+        assert_eq!(submit_explain("german_syn", body, &state).status, 202);
+        let c = state.tickets.counters();
+        assert_eq!((c.submitted, c.expired, c.shed), (5, 4, 2));
+    }
+
+    #[test]
     fn finished_tickets_expire_into_404s() {
         let state = ticket_state(Duration::from_millis(50));
-        let id = state.tickets.run(Instant::now(), || (200, Json::Null));
+        let id = state
+            .tickets
+            .run(Instant::now(), || (200, Json::Null))
+            .unwrap();
         assert_eq!(view(&id.to_string(), &state).0, 200);
         std::thread::sleep(Duration::from_millis(120));
         let (status, answer) = view(&id.to_string(), &state);
@@ -1355,7 +1460,10 @@ mod tests {
     #[test]
     fn unknown_and_malformed_ids_are_404s() {
         let state = ticket_state(TICKET_TTL);
-        let id = state.tickets.run(Instant::now(), || (200, Json::Null));
+        let id = state
+            .tickets
+            .run(Instant::now(), || (200, Json::Null))
+            .unwrap();
         for bogus in ["7", "banana", "-1", "", "0x0"] {
             let (status, answer) = view(bogus, &state);
             assert_eq!(status, 404, "{bogus}: {answer:?}");
