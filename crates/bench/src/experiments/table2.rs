@@ -50,6 +50,16 @@ fn measure(p: &Prepared) -> Row {
     }
 }
 
+/// A runtime cell: three significant figures as a plain decimal that
+/// always has a point and a digit after it (`0.000412`, `0.0123`,
+/// `12.3`, `123.4`), so sub-millisecond LEWIS runtimes do not print as
+/// `0.00`.
+fn seconds(s: f64) -> String {
+    let magnitude = if s > 0.0 { s.log10().floor() as i32 } else { 0 };
+    let decimals = (2 - magnitude).max(1) as usize;
+    format!("{s:.decimals$}")
+}
+
 /// Run the full table.
 pub fn run(scale: Scale) -> String {
     let preps = vec![
@@ -92,13 +102,13 @@ pub fn run(scale: Scale) -> String {
     for p in &preps {
         let r = measure(p);
         out.push_str(&format!(
-            "{:<12}  {:>6}  {:>7}  {:>8.2}  {:>8.2}  {:>8}\n",
+            "{:<12}  {:>6}  {:>7}  {:>8}  {:>8}  {:>8}\n",
             r.name,
             r.attrs,
             r.rows,
-            r.global_s,
-            r.local_s,
-            r.recourse_s.map_or("-".to_string(), |s| format!("{s:.2}"))
+            seconds(r.global_s),
+            seconds(r.local_s),
+            r.recourse_s.map_or("-".to_string(), seconds)
         ));
     }
     out
@@ -107,6 +117,16 @@ pub fn run(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runtime_cells_keep_three_significant_figures_and_a_point() {
+        assert_eq!(seconds(0.000_412_3), "0.000412");
+        assert_eq!(seconds(0.012_34), "0.0123");
+        assert_eq!(seconds(0.5), "0.500");
+        assert_eq!(seconds(12.34), "12.3");
+        assert_eq!(seconds(123.4), "123.4");
+        assert_eq!(seconds(0.0), "0.00");
+    }
 
     #[test]
     fn timings_are_positive_and_bounded() {

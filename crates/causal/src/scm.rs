@@ -73,6 +73,11 @@ impl Mechanism {
     }
 }
 
+/// Rows [`Scm::generate_into`] draws and fills at a time: the block's
+/// draws (8 bytes per node and row, 12 KB for six nodes) stay in the L1
+/// cache while its columns are filled.
+pub const BLOCK_ROWS: usize = 256;
+
 /// A complete structural causal model over a schema.
 #[derive(Debug, Clone)]
 pub struct Scm {
@@ -91,7 +96,10 @@ struct NodePlan {
     /// `cuts[i - 1]` is the smallest 53-bit draw `x` for which the
     /// reference float loop ([`float_level`]) picks level `i` or above,
     /// or `2⁵³` when no draw does; a draw's level is `#{c ∈ cuts : c ≤ x}`.
-    cuts: Vec<u64>,
+    /// Cut points and draws are held as `f64`, which is exact for every
+    /// integer up to `2⁵³`, because `f64` comparisons vectorize where
+    /// baseline x86-64 has no 64-bit integer compare.
+    cuts: Vec<f64>,
     /// The probe's outputs, cell `u + Σⱼ strides[j] · parentⱼ` holding
     /// `func(parents, u)`; `None` when the grid was too large to probe.
     outputs: Option<Vec<Value>>,
@@ -101,9 +109,14 @@ struct NodePlan {
 
 impl NodePlan {
     /// Draw a noise level: one `next_u64`, the same bits `gen::<f64>()`
-    /// would read, compared against every cut point.
+    /// would read, through [`NodePlan::level`].
     fn draw<R: Rng>(&self, rng: &mut R) -> usize {
-        let x = rng.next_u64() >> 11;
+        self.level((rng.next_u64() >> 11) as f64)
+    }
+
+    /// The noise level of the 53-bit draw `x`: the cut points at or
+    /// below it.
+    fn level(&self, x: f64) -> usize {
         self.cuts.iter().map(|&c| usize::from(c <= x)).sum()
     }
 }
@@ -231,11 +244,14 @@ impl Scm {
     /// caller-owned slices lets a large table be generated in disjoint
     /// pieces of its final columns, with no copy to concatenate them.
     ///
-    /// Each row draws every node's noise level in node order from its
-    /// cut points, then evaluates the nodes in topological order through
-    /// the probe's grid (or the mechanism, for nodes the build did not
-    /// probe). The RNG stream, and so the table, is the one the
-    /// reference float loop and per-row mechanism calls would give.
+    /// Rows are made [`BLOCK_ROWS`] at a time. A block first takes its
+    /// 53-bit noise draws in row order, every node's in node order, so
+    /// the RNG stream, and so the table, is the one a row-at-a-time
+    /// loop over the reference float loop and per-row mechanism calls
+    /// would give. Then, in topological order, each node's column of
+    /// the block is filled from its parents' columns: the draw's level
+    /// from the cut points, and the value from the probe's grid (or one
+    /// mechanism call per row, for nodes the build did not probe).
     /// Values are not checked against their domains here;
     /// [`Table::from_columns`] does that once for the whole table.
     ///
@@ -258,18 +274,54 @@ impl Scm {
                 expected: n,
             });
         }
-        let mut noise = vec![0usize; n_nodes];
-        let mut values = vec![0 as Value; n_nodes];
+        let block = BLOCK_ROWS.min(n);
+        // draws[v * block + r] is node v's draw for row r of the block
+        let mut draws = vec![0f64; block * n_nodes];
+        let mut cells = vec![0usize; block];
         let mut parent_buf: Vec<Value> = Vec::with_capacity(8);
-        for row in 0..n {
-            for (u, plan) in noise.iter_mut().zip(&self.plans) {
-                *u = plan.draw(rng);
+        for start in (0..n).step_by(BLOCK_ROWS) {
+            let rows = start..n.min(start + BLOCK_ROWS);
+            for r in 0..rows.len() {
+                for v in 0..n_nodes {
+                    draws[v * block + r] = (rng.next_u64() >> 11) as f64;
+                }
             }
             for &v in &self.topo {
-                values[v] = self.eval(v, &values, noise[v], &mut parent_buf);
-            }
-            for (col, &x) in columns.iter_mut().zip(&values) {
-                col[row] = x;
+                let plan = &self.plans[v];
+                let parents = self.graph.parents(v);
+                // a draw's level is the number of cut points at or below it
+                let cells = &mut cells[..rows.len()];
+                cells.fill(0);
+                for &cut in &plan.cuts {
+                    for (cell, &x) in cells.iter_mut().zip(&draws[v * block..]) {
+                        *cell += usize::from(cut <= x);
+                    }
+                }
+                // a DAG node is not its own parent, so its column can
+                // be written while its parents' columns are read
+                let column = std::mem::take(&mut columns[v]);
+                let out = &mut column[rows.clone()];
+                match &plan.outputs {
+                    Some(outputs) => {
+                        for (&p, &stride) in parents.iter().zip(&plan.strides) {
+                            for (cell, &x) in cells.iter_mut().zip(&columns[p][rows.clone()]) {
+                                *cell += stride * x as usize;
+                            }
+                        }
+                        for (x, &cell) in out.iter_mut().zip(cells.iter()) {
+                            *x = outputs[cell];
+                        }
+                    }
+                    None => {
+                        let func = &self.mechanisms[v].func;
+                        for ((row, x), &u) in rows.clone().zip(out.iter_mut()).zip(cells.iter()) {
+                            parent_buf.clear();
+                            parent_buf.extend(parents.iter().map(|&p| columns[p][row]));
+                            *x = func(&parent_buf, u);
+                        }
+                    }
+                }
+                columns[v] = column;
             }
         }
         Ok(())
@@ -294,8 +346,8 @@ fn float_level(probs: &[f64], x: u64) -> usize {
 
 /// The cut points of `probs`: for each level `i ≥ 1`, the smallest
 /// `x < 2⁵³` with `float_level(probs, x) ≥ i`, by binary search (`2⁵³`
-/// when there is none).
-fn cut_points(probs: &[f64]) -> Vec<u64> {
+/// when there is none), as an exact `f64`.
+fn cut_points(probs: &[f64]) -> Vec<f64> {
     (1..probs.len())
         .map(|level| {
             let (mut lo, mut hi) = (0u64, 1u64 << 53);
@@ -307,7 +359,7 @@ fn cut_points(probs: &[f64]) -> Vec<u64> {
                     lo = mid + 1;
                 }
             }
-            lo
+            lo as f64
         })
         .collect()
 }

@@ -6,13 +6,12 @@
 //! distribution* as [`crate::GermanSynDataset`] (identical schema, SCM
 //! and mechanisms) in fixed-size chunks written in place: the final
 //! columns are allocated once, each chunk is a disjoint slice of every
-//! column, and scoped worker threads (at most one per available core
-//! and one per chunk) fill the chunks through
-//! [`causal::Scm::generate_into`]. One [`Table::from_columns`] checks
-//! the finished table. Nothing is copied, so the peak memory is about
-//! one copy of the table (24 MB at 1M rows), and a seeded 1M-row table
-//! takes about 50 ms on two threads of a 2-vCPU Intel Xeon, 70–105 ms
-//! on one.
+//! column, and [`tabular::fanout::fan_out`] fills the chunks on every
+//! core through [`causal::Scm::generate_into`], which fills each chunk
+//! column by column. One [`Table::from_columns`] checks the finished
+//! table. Nothing is copied, so the peak memory is about one copy of
+//! the table (24 MB at 1M rows), and a seeded 1M-row table takes about
+//! 20–30 ms on two threads of a 2-vCPU Intel Xeon, 50–60 ms on one.
 //!
 //! Determinism guarantees:
 //!
@@ -29,7 +28,7 @@ use crate::german_syn::GermanSynDataset;
 use crate::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, PoisonError};
+use tabular::fanout::{available_workers, fan_out};
 use tabular::{Table, Value};
 
 /// Rows generated per chunk (one unit of parallel work).
@@ -50,8 +49,7 @@ fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 /// ground-truth SCM, outcome and actionable roles as
 /// [`GermanSynDataset::generate`].
 pub fn german_syn_scaled(rows: usize, seed: u64) -> Dataset {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    generate_on(rows, seed, cores)
+    generate_on(rows, seed, available_workers())
 }
 
 /// [`german_syn_scaled`] on at most `workers` threads, the calling one
@@ -61,29 +59,18 @@ fn generate_on(rows: usize, seed: u64, workers: usize) -> Dataset {
     let schema = GermanSynDataset::schema();
     let mut columns: Vec<Vec<Value>> = (0..schema.len()).map(|_| vec![0; rows]).collect();
     // chunk i is the i-th CHUNK_ROWS slice of every column
-    let mut chunks: Vec<Vec<&mut [Value]>> = (0..rows.div_ceil(CHUNK_ROWS))
-        .map(|_| Vec::with_capacity(schema.len()))
+    let mut chunks: Vec<(u64, Vec<&mut [Value]>)> = (0..rows.div_ceil(CHUNK_ROWS) as u64)
+        .map(|i| (i, Vec::with_capacity(schema.len())))
         .collect();
     for column in &mut columns {
         for (chunk, slice) in chunks.iter_mut().zip(column.chunks_mut(CHUNK_ROWS)) {
-            chunk.push(slice);
+            chunk.1.push(slice);
         }
     }
-    let workers = workers.clamp(1, chunks.len().max(1));
-    let queue = Mutex::new(chunks.into_iter().enumerate());
-    let work = || loop {
-        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-        let Some((i, mut chunk)) = next else { break };
-        let mut rng = StdRng::seed_from_u64(chunk_seed(seed, i as u64));
+    fan_out(workers, rows, chunks, |(i, mut chunk)| {
+        let mut rng = StdRng::seed_from_u64(chunk_seed(seed, i));
         scm.generate_into(&mut chunk, &mut rng)
             .expect("every chunk holds one equal-length slice per node");
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            // a thread the OS refuses leaves its chunks to the others
-            let _ = std::thread::Builder::new().spawn_scoped(scope, work);
-        }
-        work();
     });
     let table = Table::from_columns(schema, columns).expect("SCM rows lie in the schema");
     Dataset {

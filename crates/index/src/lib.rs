@@ -87,8 +87,9 @@ pub use codec::IndexError;
 use std::borrow::Cow;
 use std::ops::Range;
 use tabular::bitmap::{and_assign, and_count, and_count_multi, and_into, count_ones};
+use tabular::fanout::{available_workers, fan_out, ITEM_ROWS};
 use tabular::shard::shard_boundaries;
-use tabular::{column_bitmaps, words_for, AttrId, Bitmap, Context, Counter, Table, Value};
+use tabular::{code_words, words_for, AttrId, Bitmap, Context, Counter, Table, Value};
 
 /// Group grids larger than this always fall back to the scan path:
 /// past it the intersection walk visits more cells than a scan visits
@@ -128,40 +129,25 @@ pub struct TableIndex {
 impl TableIndex {
     /// Index every attribute of `table`, one bitmap set per shard of
     /// the canonical `shard_boundaries(n_rows, n_shards)` partition
-    /// (clamped like the counting engine's own sharding). Shards build
-    /// in parallel; the result is a pure function of the table and the
-    /// shard count.
+    /// (clamped like the counting engine's own sharding). Each shard's
+    /// columns are split into 64-row-aligned word ranges of
+    /// [`ITEM_ROWS`] rows, which [`fan_out`] fills on every core; a
+    /// table under [`tabular::fanout::FANOUT_MIN_ROWS`] rows builds on
+    /// the calling thread. The result is a pure function of the table
+    /// and the shard count.
     pub fn build(table: &Table, n_shards: usize) -> tabular::Result<TableIndex> {
-        use rayon::prelude::*;
         let schema = table.schema();
         let mut cardinalities = Vec::with_capacity(schema.len());
         for a in schema.attr_ids() {
             cardinalities.push(schema.cardinality(a)? as u32);
         }
-        let boundaries = shard_boundaries(table.n_rows(), n_shards);
-        let indices: Vec<usize> = (0..boundaries.len() - 1).collect();
-        let built: Vec<tabular::Result<ShardIndex>> = indices
-            .par_iter()
-            .map(|&i| {
-                let rows = boundaries[i]..boundaries[i + 1];
-                let mut attrs = Vec::with_capacity(cardinalities.len());
-                for (ai, a) in schema.attr_ids().enumerate() {
-                    let col = &table.column(a)?[rows.clone()];
-                    attrs.push(column_bitmaps(col, cardinalities[ai] as usize)?);
-                }
-                Ok(ShardIndex { attrs })
-            })
-            .collect();
-        let mut shards = Vec::with_capacity(indices.len());
-        for shard in built {
-            shards.push(shard?);
-        }
-        Ok(TableIndex {
-            n_rows: table.n_rows(),
+        build_on(
+            table.columns(),
+            table.n_rows(),
             cardinalities,
-            boundaries,
-            shards,
-        })
+            n_shards,
+            available_workers(),
+        )
     }
 
     /// This index with `delta`'s rows appended after its own: each
@@ -442,6 +428,70 @@ impl TableIndex {
         }
         Counter::from_dense(table, attrs, counts).map(Some)
     }
+}
+
+/// [`TableIndex::build`] over the `n_rows` rows of `columns` with the
+/// given cardinalities, on at most `workers` threads. The index does
+/// not depend on `workers`; an out-of-domain code is the error of the
+/// first item (in shard, attribute, row order) that holds one.
+fn build_on(
+    columns: &[Vec<Value>],
+    n_rows: usize,
+    cardinalities: Vec<u32>,
+    n_shards: usize,
+    workers: usize,
+) -> tabular::Result<TableIndex> {
+    let boundaries = shard_boundaries(n_rows, n_shards);
+    // words[shard][attr][code]
+    let mut words: Vec<Vec<Vec<Vec<u64>>>> = boundaries
+        .windows(2)
+        .map(|b| {
+            let n_words = words_for(b[1] - b[0]);
+            cardinalities
+                .iter()
+                .map(|&card| (0..card).map(|_| vec![0u64; n_words]).collect())
+                .collect()
+        })
+        .collect();
+    let mut items = Vec::new();
+    for (b, shard) in boundaries.windows(2).zip(&mut words) {
+        for (col, codes) in columns.iter().zip(shard.iter_mut()) {
+            let col = &col[b[0]..b[1]];
+            let mut ranges: Vec<_> = col
+                .chunks(ITEM_ROWS)
+                .enumerate()
+                .map(|(i, rows)| (i * ITEM_ROWS, rows, Vec::with_capacity(codes.len())))
+                .collect();
+            for code in codes.iter_mut() {
+                for (range, w) in ranges.iter_mut().zip(code.chunks_mut(ITEM_ROWS / 64)) {
+                    range.2.push(w);
+                }
+            }
+            items.extend(ranges);
+        }
+    }
+    fan_out(workers, n_rows, items, |(first_row, col, mut out)| {
+        code_words(col, first_row, &mut out)
+    })
+    .into_iter()
+    .collect::<tabular::Result<()>>()?;
+    let mut shards = Vec::with_capacity(words.len());
+    for (b, shard) in boundaries.windows(2).zip(words) {
+        let mut attrs = Vec::with_capacity(shard.len());
+        for codes in shard {
+            let maps = codes
+                .into_iter()
+                .map(|w| Bitmap::from_words(w, b[1] - b[0]));
+            attrs.push(maps.collect::<tabular::Result<Vec<Bitmap>>>()?);
+        }
+        shards.push(ShardIndex { attrs });
+    }
+    Ok(TableIndex {
+        n_rows,
+        cardinalities,
+        boundaries,
+        shards,
+    })
 }
 
 /// The words `rows` touches: `rows.start / 64 .. ceil(rows.end / 64)`.
@@ -1383,5 +1433,98 @@ mod tests {
         }
         let index = TableIndex::build(&table(10), 1).unwrap();
         assert_eq!(index.appended(&DeltaBitmaps::new(vec![3, 2])), None);
+    }
+
+    /// The index as the per-row loop built it: one `Bitmap::set` per
+    /// row and attribute.
+    fn per_row_index(table: &Table, n_shards: usize) -> TableIndex {
+        let schema = table.schema();
+        let cardinalities: Vec<u32> = schema
+            .attr_ids()
+            .map(|a| schema.cardinality(a).unwrap() as u32)
+            .collect();
+        let boundaries = shard_boundaries(table.n_rows(), n_shards);
+        let shards = boundaries
+            .windows(2)
+            .map(|b| ShardIndex {
+                attrs: table
+                    .columns()
+                    .iter()
+                    .zip(&cardinalities)
+                    .map(|(col, &card)| {
+                        let mut maps = vec![Bitmap::zeros(b[1] - b[0]); card as usize];
+                        for (row, &code) in col[b[0]..b[1]].iter().enumerate() {
+                            maps[code as usize].set(row);
+                        }
+                        maps
+                    })
+                    .collect(),
+            })
+            .collect();
+        TableIndex {
+            n_rows: table.n_rows(),
+            cardinalities,
+            boundaries,
+            shards,
+        }
+    }
+
+    /// Row counts at the edges of a word and of the fan-out threshold.
+    fn edge_row_counts() -> [usize; 11] {
+        let m = tabular::fanout::FANOUT_MIN_ROWS;
+        [
+            0,
+            1,
+            63,
+            64,
+            65,
+            m - 64,
+            m - 1,
+            m,
+            m + 1,
+            m + 64,
+            m + 2 * ITEM_ROWS + 5,
+        ]
+    }
+
+    #[test]
+    fn builds_equal_the_per_row_loop_word_for_word_on_any_worker_count() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for rows in edge_row_counts() {
+            let t = random_table(&mut rng, rows, 70, [3, 2, 70]);
+            let cardinalities = vec![3, 2, 70];
+            for n_shards in [1, 2] {
+                let reference = per_row_index(&t, n_shards);
+                for workers in 1..=3 {
+                    let built =
+                        build_on(t.columns(), rows, cardinalities.clone(), n_shards, workers);
+                    assert!(
+                        built.unwrap() == reference,
+                        "{rows} rows, {n_shards} shards, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_out_of_domain_code_in_the_last_range_names_its_row() {
+        let rows = 2 * ITEM_ROWS + 64;
+        assert!(rows > tabular::fanout::FANOUT_MIN_ROWS);
+        let t = random_table(&mut StdRng::seed_from_u64(5), rows, 4, [3, 2, 4]);
+        // the last item is the last attribute's final 64 rows
+        for bad_row in [rows - 64, rows - 1] {
+            let mut columns = t.columns().to_vec();
+            columns[2][bad_row] = 9;
+            for workers in 1..=3 {
+                assert_eq!(
+                    build_on(&columns, rows, vec![3, 2, 4], 1, workers),
+                    Err(tabular::TabularError::InvalidArgument(format!(
+                        "code 9 at row {bad_row} exceeds cardinality 4"
+                    ))),
+                    "{workers} workers"
+                );
+            }
+        }
     }
 }

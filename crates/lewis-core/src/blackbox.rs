@@ -8,6 +8,7 @@
 
 use ml::encode::TableEncoder;
 use ml::{Classifier, Regressor};
+use tabular::fanout::{available_workers, fan_out, ITEM_ROWS};
 use tabular::{AttrId, Domain, Table, Value};
 
 /// A decision-making algorithm `f : Dom(I) → Dom(O)` seen purely through
@@ -113,20 +114,43 @@ impl<R: Regressor> BlackBox for RegressorThresholdBox<R> {
 ///
 /// LEWIS explains the *algorithm*, not the world, so all probability
 /// estimation downstream is over this predicted column (paper §5.2).
+///
+/// The rows are split into [`ITEM_ROWS`]-row ranges that
+/// [`fan_out`] labels on every core, each range into its own slice of
+/// the new column; a table of at most [`ITEM_ROWS`] rows is one range,
+/// labelled on the calling thread. The model sees each row once either
+/// way.
 pub fn label_table(
     table: &mut Table,
     model: &dyn BlackBox,
     column_name: &str,
 ) -> tabular::Result<AttrId> {
+    label_table_on(table, model, column_name, available_workers())
+}
+
+/// [`label_table`] on at most `workers` threads. The column does not
+/// depend on `workers`.
+fn label_table_on(
+    table: &mut Table,
+    model: &dyn BlackBox,
+    column_name: &str,
+    workers: usize,
+) -> tabular::Result<AttrId> {
     let columns = table.columns();
-    let mut row: Vec<Value> = Vec::with_capacity(columns.len());
-    let preds: Vec<Value> = (0..table.n_rows())
-        .map(|r| {
+    let mut preds: Vec<Value> = vec![0; table.n_rows()];
+    let ranges: Vec<(usize, &mut [Value])> = preds
+        .chunks_mut(ITEM_ROWS)
+        .enumerate()
+        .map(|(i, out)| (i * ITEM_ROWS, out))
+        .collect();
+    fan_out(workers, table.n_rows(), ranges, |(first, out)| {
+        let mut row: Vec<Value> = Vec::with_capacity(columns.len());
+        for (r, pred) in (first..).zip(out) {
             row.clear();
             row.extend(columns.iter().map(|c| c[r]));
-            model.predict(&row)
-        })
-        .collect();
+            *pred = model.predict(&row);
+        }
+    });
     let domain = if model.n_outcomes() == 2 {
         Domain::boolean()
     } else {
@@ -196,6 +220,30 @@ mod tests {
         assert_eq!(bb.predict(&[0, 1]), 0); // 0.25 < 0.5
         assert!((bb.score(&[1, 1]) - 0.5).abs() < 1e-12);
         assert_eq!(bb.predict(&[1, 1]), 1, "threshold is inclusive");
+    }
+
+    #[test]
+    fn labels_equal_the_row_loop_on_any_worker_count() {
+        let m = tabular::fanout::FANOUT_MIN_ROWS;
+        let f = |row: &[Value]| u32::from((row[0] + 2 * row[1]) % 3 == 1);
+        let n = ITEM_ROWS;
+        for rows in [0, 1, m - 1, m, m + 1, n - 1, n, n + 1, m + 2 * n + 5] {
+            let mut t = Table::with_capacity(schema(), rows);
+            // a period of 7 rows: no two item ranges start alike
+            for i in 0..rows {
+                t.push_row(&[(i % 7 % 2) as Value, (i % 7 % 3) as Value])
+                    .unwrap();
+            }
+            let reference: Vec<Value> = t.rows().map(|row| f(&row)).collect();
+            for workers in 1..=3 {
+                let mut labelled = t.clone();
+                let pred = label_table_on(&mut labelled, &f, "pred", workers).unwrap();
+                assert!(
+                    labelled.column(pred).unwrap() == reference,
+                    "{rows} rows on {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

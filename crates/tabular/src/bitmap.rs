@@ -341,26 +341,37 @@ mod kernels {
     }
 }
 
-/// One bitmap per dictionary code of a column slice: `out[code]` has
-/// bit `i` set iff `col[i] == code`. This is the per-(attribute, code)
-/// index build primitive; passing a [`crate::shard::RowShard`] column
-/// slice yields one shard's index set.
+/// The words of one bitmap per dictionary code over a column slice:
+/// bit `i` of `out[code]` is set iff `col[i] == code`, so `out` holds
+/// one word range per code, each `words_for(col.len())` words long.
+/// This is the per-(attribute, code) index build primitive: a table's
+/// column split at multiples of 64 rows fills disjoint word ranges of
+/// its bitmaps. Each word is assembled off to the side from its 64 rows
+/// and stored once.
 ///
-/// Codes at or above `cardinality` (impossible in a validated
-/// [`crate::Table`], whose push path checks domains) are reported as a
-/// typed error rather than dropped, so an index can never silently
-/// under-count.
-pub fn column_bitmaps(col: &[Value], cardinality: usize) -> Result<Vec<Bitmap>> {
-    let mut out = vec![Bitmap::zeros(col.len()); cardinality];
-    for (row, &code) in col.iter().enumerate() {
-        let Some(bitmap) = out.get_mut(code as usize) else {
-            return Err(TabularError::InvalidArgument(format!(
-                "code {code} at row {row} exceeds cardinality {cardinality}"
-            )));
-        };
-        bitmap.set(row);
+/// Codes at or above `out.len()` (impossible in a validated
+/// [`crate::Table`], whose constructors check domains) are a typed
+/// error naming the row, `first_row` plus its offset in `col`, rather
+/// than dropped, so an index can never silently under-count.
+pub fn code_words(col: &[Value], first_row: usize, out: &mut [&mut [u64]]) -> Result<()> {
+    let cardinality = out.len();
+    debug_assert!(out.iter().all(|w| w.len() == words_for(col.len())));
+    let mut word = vec![0u64; cardinality];
+    for (wi, rows) in col.chunks(64).enumerate() {
+        for (bit, &code) in rows.iter().enumerate() {
+            let Some(w) = word.get_mut(code as usize) else {
+                let row = first_row + wi * 64 + bit;
+                return Err(TabularError::InvalidArgument(format!(
+                    "code {code} at row {row} exceeds cardinality {cardinality}"
+                )));
+            };
+            *w |= 1u64 << bit;
+        }
+        for (words, w) in out.iter_mut().zip(&mut word) {
+            words[wi] = std::mem::take(w);
+        }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -445,6 +456,17 @@ mod tests {
         assert!(Bitmap::from_words(Vec::new(), 0).is_ok());
     }
 
+    /// [`code_words`] over a whole column, as bitmaps.
+    fn column_bitmaps(col: &[Value], cardinality: usize) -> Result<Vec<Bitmap>> {
+        let mut words = vec![vec![0u64; words_for(col.len())]; cardinality];
+        let mut out: Vec<&mut [u64]> = words.iter_mut().map(Vec::as_mut_slice).collect();
+        code_words(col, 0, &mut out)?;
+        words
+            .into_iter()
+            .map(|w| Bitmap::from_words(w, col.len()))
+            .collect()
+    }
+
     #[test]
     fn column_bitmaps_partition_the_rows() {
         let col: Vec<Value> = vec![2, 0, 1, 2, 2, 0];
@@ -462,5 +484,27 @@ mod tests {
         // empty slice works
         let empty = column_bitmaps(&[], 4).unwrap();
         assert!(empty.iter().all(|b| b.count_ones() == 0));
+    }
+
+    #[test]
+    fn code_words_match_per_row_sets_across_word_edges() {
+        for n in [1, 63, 64, 65, 130, 200] {
+            let col: Vec<Value> = (0..n).map(|i| (i * 7 % 5) as Value).collect();
+            let mut reference = vec![Bitmap::zeros(n); 5];
+            for (row, &code) in col.iter().enumerate() {
+                reference[code as usize].set(row);
+            }
+            assert_eq!(column_bitmaps(&col, 5).unwrap(), reference, "{n} rows");
+        }
+        // the error names the first bad row, offset by `first_row`
+        let col: Vec<Value> = vec![0, 1, 0, 4, 1, 9];
+        let mut words = [[0u64; 1]; 3];
+        let mut out: Vec<&mut [u64]> = words.iter_mut().map(|w| &mut w[..]).collect();
+        assert_eq!(
+            code_words(&col, 128, &mut out),
+            Err(TabularError::InvalidArgument(
+                "code 4 at row 131 exceeds cardinality 3".into()
+            ))
+        );
     }
 }

@@ -41,6 +41,7 @@ pub mod context;
 pub mod csv;
 pub mod domain;
 pub mod error;
+pub mod fanout;
 pub mod groupby;
 pub mod hash;
 pub mod sample;
@@ -49,7 +50,7 @@ pub mod shard;
 pub mod table;
 
 pub use binning::{Binner, BinningStrategy};
-pub use bitmap::{column_bitmaps, words_for, Bitmap};
+pub use bitmap::{code_words, words_for, Bitmap};
 pub use context::Context;
 pub use csv::{read_csv_file, read_csv_str, write_csv_file, write_csv_string};
 pub use domain::{AttrId, Domain, Value};

@@ -60,16 +60,7 @@ impl Table {
                     got: col.len(),
                 });
             }
-            let dom = schema.domain(AttrId(i as u32))?;
-            for &v in col {
-                if !dom.contains(v) {
-                    return Err(TabularError::ValueOutOfDomain {
-                        attr: i as u32,
-                        value: v,
-                        cardinality: dom.cardinality(),
-                    });
-                }
-            }
+            check_codes(i as u32, schema.domain(AttrId(i as u32))?, col)?;
         }
         Ok(Table {
             schema,
@@ -278,15 +269,7 @@ impl Table {
                 got: values.len(),
             });
         }
-        for &v in &values {
-            if !domain.contains(v) {
-                return Err(TabularError::ValueOutOfDomain {
-                    attr: self.schema.len() as u32,
-                    value: v,
-                    cardinality: domain.cardinality(),
-                });
-            }
-        }
+        check_codes(self.schema.len() as u32, &domain, &values)?;
         let id = self.schema.push(name, domain);
         self.columns.push(values);
         Ok(id)
@@ -300,16 +283,7 @@ impl Table {
                 got: values.len(),
             });
         }
-        let dom = self.schema.domain(attr)?.clone();
-        for &v in &values {
-            if !dom.contains(v) {
-                return Err(TabularError::ValueOutOfDomain {
-                    attr: attr.0,
-                    value: v,
-                    cardinality: dom.cardinality(),
-                });
-            }
-        }
+        check_codes(attr.0, self.schema.domain(attr)?, &values)?;
         self.columns[attr.index()] = values;
         Ok(())
     }
@@ -328,6 +302,25 @@ impl Table {
     /// prefer column access in hot paths.
     pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         (0..self.n_rows).map(move |r| self.columns.iter().map(|c| c[r]).collect())
+    }
+}
+
+/// Check every code of column `attr` against its domain in one pass
+/// that compiles to vector max instructions: the column's maximum
+/// against the cardinality. Only a column that fails is searched again,
+/// for its first out-of-domain code, which is the error.
+fn check_codes(attr: u32, domain: &Domain, col: &[Value]) -> Result<()> {
+    let max = col.iter().fold(0, |max: Value, &v| max.max(v));
+    if domain.contains(max) {
+        return Ok(());
+    }
+    match col.iter().find(|&&v| !domain.contains(v)) {
+        Some(&value) => Err(TabularError::ValueOutOfDomain {
+            attr,
+            value,
+            cardinality: domain.cardinality(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -477,6 +470,15 @@ mod tests {
             Table::from_columns(t.schema().clone(), vec![vec![7], vec![0]]),
             Err(TabularError::ValueOutOfDomain { .. })
         ));
+        // the first out-of-domain code is the error, not the largest
+        assert_eq!(
+            Table::from_columns(t.schema().clone(), vec![vec![0, 2, 1], vec![1, 5, 7]]),
+            Err(TabularError::ValueOutOfDomain {
+                attr: 1,
+                value: 5,
+                cardinality: 2
+            })
+        );
         // zero-row tables are fine
         let empty = Table::from_columns(t.schema().clone(), vec![Vec::new(), Vec::new()]).unwrap();
         assert_eq!(empty.n_rows(), 0);

@@ -7,6 +7,7 @@
 //! `Scm::world` must also reject interventions and noise outside the
 //! model instead of reading past a grid.
 
+use lewis::causal::scm::BLOCK_ROWS;
 use lewis::causal::{CausalError, CounterfactualEngine, Mechanism, Scm, ScmBuilder};
 use lewis::datasets::{
     AdultDataset, CompasDataset, DrugDataset, GermanDataset, GermanSynDataset, ScalableDataset,
@@ -199,7 +200,18 @@ fn probe_skips(scm: &Scm, v: usize) -> bool {
 #[test]
 fn generation_matches_the_row_at_a_time_reference() {
     for (seed, (name, scm)) in builtin_scms().into_iter().enumerate() {
-        for n in [0, 5_000] {
+        // the edges of `generate_into`'s blocks, and several blocks
+        // plus a remainder
+        let sizes = [
+            0,
+            1,
+            BLOCK_ROWS - 1,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 1,
+            3 * BLOCK_ROWS + 17,
+            5_000,
+        ];
+        for n in sizes {
             let fast = scm.generate(n, &mut StdRng::seed_from_u64(seed as u64));
             let slow = reference_generate(&scm, n, &mut StdRng::seed_from_u64(seed as u64));
             assert_eq!(fast.n_rows(), n, "{name}");
