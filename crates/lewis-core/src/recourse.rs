@@ -724,7 +724,7 @@ impl<'a> RecourseEngine<'a> {
         let mut ctx = Context::empty();
         for &a in &self.context_attrs {
             let trial = ctx.with(a, row[a.index()]);
-            if self.engine.estimator().support_count(&trial) >= min_support {
+            if self.engine.estimator().has_support(&trial, min_support) {
                 ctx = trial;
             }
         }

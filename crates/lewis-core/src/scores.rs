@@ -47,15 +47,16 @@ pub(crate) struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// `|delta rows matching ctx|` — bitmaps when present, else a scan
-    /// of the (small) delta shard. Both count the same integer.
-    fn count(&self, ctx: &Context) -> usize {
+    /// `min(|delta rows matching ctx|, cap)` — bitmaps when present,
+    /// else a scan of the (small) delta shard. Both count the same
+    /// integer.
+    fn count_at_most(&self, ctx: &Context, cap: u64) -> u64 {
         if let Some(bitmaps) = &self.bitmaps {
-            if let Some(n) = bitmaps.count(ctx) {
-                return n as usize;
+            if let Some(n) = bitmaps.count_at_most(ctx, cap) {
+                return n;
             }
         }
-        self.table.count(ctx)
+        (self.table.count(ctx) as u64).min(cap)
     }
 }
 
@@ -428,24 +429,21 @@ impl ScoreEstimator {
         self.table.n_rows() + self.delta_rows()
     }
 
-    /// `|rows matching ctx|`, served from the bitmap index when one is
-    /// present (word-level AND + popcount per shard, summed in shard
-    /// order) and from a table scan otherwise, plus the delta shard's
-    /// matches when one is overlaid. All paths count the same integer —
-    /// this is the support probe under every local-context back-off
-    /// step and Fréchet bound.
-    pub(crate) fn support_count(&self, ctx: &Context) -> usize {
-        let base = 'base: {
-            if let Some(index) = &self.index {
-                if let Some(n) = index.count(ctx) {
-                    break 'base n as usize;
-                }
-            }
-            self.table.count(ctx)
+    /// Whether at least `min` rows match `ctx` — the support probe
+    /// under every local-context back-off step. The base rows are
+    /// counted up to `min` (bitmap index when one is present, a table
+    /// scan otherwise), then the delta shard's up to the remainder, so
+    /// a probe stops reading words once the answer is known. All paths
+    /// decide on the integer one scan of the concatenated table counts.
+    pub(crate) fn has_support(&self, ctx: &Context, min: usize) -> bool {
+        let min = min as u64;
+        let base = match self.index.as_ref().and_then(|i| i.count_at_most(ctx, min)) {
+            Some(n) => n,
+            None => (self.table.count(ctx) as u64).min(min),
         };
         match &self.delta {
-            Some(delta) => base + delta.count(ctx),
-            None => base,
+            Some(delta) if base < min => base + delta.count_at_most(ctx, min - base) >= min,
+            _ => base >= min,
         }
     }
 
@@ -1122,7 +1120,7 @@ impl ScoreEstimator {
         let mut kept = candidates;
         loop {
             let ctx = Context::of(kept.iter().map(|a| (*a, row[a.index()])));
-            if kept.is_empty() || self.support_count(&ctx) >= min_support {
+            if kept.is_empty() || self.has_support(&ctx, min_support) {
                 return ctx;
             }
             kept.pop();
@@ -1493,6 +1491,41 @@ mod tests {
         // impossible support: context collapses to empty
         let ctx2 = est.local_context(&row, AttrId(1), t.n_rows() + 1);
         assert!(ctx2.is_empty());
+    }
+
+    #[test]
+    fn has_support_decides_on_the_concatenated_count() {
+        let (t, pred) = setup(3000);
+        let all: Vec<usize> = (0..t.n_rows()).collect();
+        for split in [0, 1, 2000, 2999, 3000] {
+            let base = Arc::new(t.select(&all[..split]).unwrap());
+            let delta = Arc::new(t.select(&all[split..]).unwrap());
+            for indexed in [false, true] {
+                let est = ScoreEstimator::from_shared(Arc::clone(&base), None, pred, 1, 0.0)
+                    .unwrap()
+                    .with_index(indexed)
+                    .unwrap();
+                let live = est.with_delta_overlay(Arc::clone(&delta)).unwrap();
+                for r in [0, 7, 2999] {
+                    let row = t.row(r).unwrap();
+                    for subset in 0u32..16 {
+                        let ctx = Context::of(
+                            (0..4u32)
+                                .filter(|a| subset >> a & 1 == 1)
+                                .map(|a| (AttrId(a), row[a as usize])),
+                        );
+                        let n = t.count(&ctx);
+                        for min in [0, 1, n.saturating_sub(1), n, n + 1, usize::MAX] {
+                            assert_eq!(
+                                live.has_support(&ctx, min),
+                                n >= min,
+                                "split {split}, indexed {indexed}, {ctx:?}, min {min}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

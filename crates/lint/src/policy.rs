@@ -50,12 +50,14 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
 
 /// Modules where f64 summation order or serialized byte order could
 /// leak hash-iteration order: the counting engine and its merge path,
-/// snapshot/cache export, row sharding and the pack writer. LEWIS's
+/// snapshot/cache export, row sharding, the pack writer and the bitmap
+/// kernels (with their CPU-tier dispatch) every indexed count runs. LEWIS's
 /// bit-identical-results guarantee (sharding, caching, pack round-trips)
 /// lives or dies in these files.
 const DETERMINISM_CRITICAL_FILES: &[&str] = &[
     "crates/tabular/src/groupby.rs",
     "crates/tabular/src/shard.rs",
+    "crates/tabular/src/bitmap.rs",
     "crates/lewis-core/src/scores.rs",
     "crates/lewis-core/src/cache.rs",
     "crates/lewis-core/src/snapshot.rs",

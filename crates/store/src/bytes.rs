@@ -160,11 +160,14 @@ impl WriteBytes for Vec<u8> {
     }
 }
 
-/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected). Table generated at
-/// compile time; detects every single-byte corruption the property
+/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) lookup tables for
+/// slicing-by-8, generated at compile time. `CRC_TABLES[0]` is the
+/// classic bytewise table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight table reads fold eight input
+/// bytes at once. Detects every single-byte corruption the property
 /// tests throw at a section payload.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -177,17 +180,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 of `bytes`.
+/// CRC-32 of `bytes`, eight bytes per step (slicing-by-8), then the
+/// tail byte by byte. Equal to the bytewise CRC for every input.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -202,6 +230,32 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The CRC one byte at a time, the reference [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_crc_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,18 @@
 //! The counting kernels ([`count_ones`], [`and_count`], [`and_into`],
 //! [`and_assign`], [`and_count_multi`]) take plain word slices of equal
 //! length, so they serve a whole bitmap and a window of one alike.
+//!
+//! ## Kernel tiers
+//!
+//! Each counting kernel, and [`and_assign`], exists in three compiled
+//! copies. On x86-64 a process runs the fastest copy its CPU supports:
+//! the `avx512` twins (AVX-512 with `avx512vpopcntdq`: a 512-bit `vpand`
+//! and `vpopcntq` per eight words), then the `kernels` twins (scalar
+//! `popcnt`), then the portable code. CPU features are probed once per
+//! process. [`kernel_tier`] names the chosen tier. All three copies
+//! inline the same private `_body` function, so the tier can change
+//! only latency, never a count. A test compares every tier the CPU has
+//! against the portable bodies.
 
 use crate::domain::Value;
 use crate::error::TabularError;
@@ -145,26 +157,35 @@ impl AsRef<[u64]> for Bitmap {
     }
 }
 
+/// Runs `$kernel($args)` on tier `$tier`: its twin in [`avx512`] or
+/// [`kernels`], or the portable `$body`. Every tier runs the same
+/// `$body` code. `$tier` must be one the CPU executes: [`tier`], or in
+/// tests a tier it was checked against.
+macro_rules! run_on {
+    ($tier:expr, $kernel:ident, $body:ident($($arg:expr),*)) => {
+        match $tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `$tier` is `Avx512` only when the CPU has every
+            // feature `avx512` is compiled for.
+            Tier::Avx512 => unsafe { avx512::$kernel($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `$tier` is `Popcnt` only when the CPU has the
+            // `popcnt` feature `kernels` is compiled for.
+            Tier::Popcnt => unsafe { kernels::$kernel($($arg),*) },
+            Tier::Portable => $body($($arg),*),
+        }
+    };
+}
+
 /// Popcount of `words`.
 pub fn count_ones(words: &[u64]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if hw_popcnt() {
-        // SAFETY: `hw_popcnt` verified the `popcnt` CPU feature the
-        // callee is compiled for.
-        return unsafe { kernels::count_ones(words) };
-    }
-    count_ones_body(words)
+    run_on!(tier(), count_ones, count_ones_body(words))
 }
 
 /// `popcount(a & b)` without materializing the intersection.
 pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
     debug_assert_eq!(a.len(), b.len(), "AND over mismatched word ranges");
-    #[cfg(target_arch = "x86_64")]
-    if hw_popcnt() {
-        // SAFETY: as in `count_ones`.
-        return unsafe { kernels::and_count(a, b) };
-    }
-    and_count_body(a, b)
+    run_on!(tier(), and_count, and_count_body(a, b))
 }
 
 /// Write `a & b` into `out` and return its popcount, in one pass over
@@ -172,21 +193,14 @@ pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
 pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
     debug_assert_eq!(a.len(), b.len(), "AND over mismatched word ranges");
     debug_assert_eq!(a.len(), out.len(), "AND into a mismatched word range");
-    #[cfg(target_arch = "x86_64")]
-    if hw_popcnt() {
-        // SAFETY: as in `count_ones`.
-        return unsafe { kernels::and_into(a, b, out) };
-    }
-    and_into_body(a, b, out)
+    run_on!(tier(), and_into, and_into_body(a, b, out))
 }
 
 /// `mask &= b`, word by word. No popcount, so the loop vectorizes: a
 /// context folds into a root mask this way and is counted once.
 pub fn and_assign(mask: &mut [u64], b: &[u64]) {
     debug_assert_eq!(mask.len(), b.len(), "AND over mismatched word ranges");
-    for (w, &y) in mask.iter_mut().zip(b) {
-        *w &= y;
-    }
+    run_on!(tier(), and_assign, and_assign_body(mask, b))
 }
 
 /// Fused two-level intersection counts: returns `popcount(a & b)` and
@@ -214,41 +228,66 @@ pub fn and_count_multi<T: AsRef<[u64]>>(
         ([t], [o]) => {
             let t = t.as_ref();
             debug_assert_eq!(a.len(), t.len(), "AND over mismatched word ranges");
-            #[cfg(target_arch = "x86_64")]
-            if hw_popcnt() {
-                // SAFETY: as in `count_ones`.
-                let (total, n) = unsafe { kernels::and_count_pair(a, b, t) };
-                *o = n;
-                return total;
-            }
-            let (total, n) = and_count_pair_body(a, b, t);
+            let (total, n) = run_on!(tier(), and_count_pair, and_count_pair_body(a, b, t));
             *o = n;
             total
         }
         // wider leaves: word-major with zero-word skipping, which
         // pays off once several popcounts hang off each word
-        (thirds, out) => {
-            #[cfg(target_arch = "x86_64")]
-            if hw_popcnt() {
-                // SAFETY: as in `count_ones`.
-                return unsafe { kernels::and_count_fan(a, b, thirds, out) };
-            }
-            and_count_fan_body(a, b, thirds, out)
-        }
+        (thirds, out) => run_on!(tier(), and_count_fan, and_count_fan_body(a, b, thirds, out)),
     }
 }
 
-/// Whether the CPU executes the `popcnt` instruction (std caches the
-/// CPUID probe, so this is an atomic load after the first call). The
-/// portable `u64::count_ones` lowers to a ~12-op bit-twiddling sequence
-/// under the baseline x86-64 target; the counting kernels dispatch to
-/// [`kernels`] twins compiled with the feature enabled when it is
-/// actually there. Both sides run the *same* `_body` code, so dispatch
-/// can only change latency, never a count.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn hw_popcnt() -> bool {
-    std::arch::is_x86_feature_detected!("popcnt")
+/// A compiled copy of the counting kernels; [`tier`] picks one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// [`avx512`]: 512-bit `vpopcntq`, eight words per instruction.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// [`kernels`]: the scalar `popcnt` instruction, one word at a time.
+    #[cfg(target_arch = "x86_64")]
+    Popcnt,
+    /// The `_body` functions under the baseline target.
+    Portable,
+}
+
+/// The fastest kernel tier this CPU runs, probed once per process and
+/// then read from a `OnceLock`. The portable `u64::count_ones` lowers to
+/// a ~12-op bit-twiddling sequence under the baseline x86-64 target, so
+/// the counting kernels dispatch to twins of themselves compiled with
+/// the features enabled when the CPU has them: first [`avx512`] (the
+/// `avx512vpopcntdq` extension, which popcounts a 512-bit vector in one
+/// instruction), then [`kernels`] (`popcnt`). Every tier runs the
+/// *same* `_body` code, so dispatch can only change latency, never a
+/// count.
+fn tier() -> Tier {
+    static TIER: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+    *TIER.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("popcnt") && has!("avx2") && has!("avx512f") && has!("avx512vpopcntdq") {
+                return Tier::Avx512;
+            }
+            if has!("popcnt") {
+                return Tier::Popcnt;
+            }
+        }
+        Tier::Portable
+    })
+}
+
+/// The name of the kernel tier this process dispatches to:
+/// `"avx512vpopcntdq"`, `"popcnt"` or `"portable"` (what a server
+/// reports under `/metrics`).
+pub fn kernel_tier() -> &'static str {
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => "avx512vpopcntdq",
+        #[cfg(target_arch = "x86_64")]
+        Tier::Popcnt => "popcnt",
+        Tier::Portable => "portable",
+    }
 }
 
 #[inline(always)]
@@ -273,6 +312,13 @@ fn and_into_body(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
         count += u64::from(v.count_ones());
     }
     count
+}
+
+#[inline(always)]
+fn and_assign_body(mask: &mut [u64], b: &[u64]) {
+    for (w, &y) in mask.iter_mut().zip(b) {
+        *w &= y;
+    }
 }
 
 #[inline(always)]
@@ -304,41 +350,63 @@ fn and_count_fan_body<T: AsRef<[u64]>>(a: &[u64], b: &[u64], thirds: &[T], out: 
     total
 }
 
-/// The counting kernels recompiled with the `popcnt` target feature, so
-/// every `count_ones` lowers to the single instruction. Calling one is
-/// `unsafe` (undefined on CPUs without the feature); the only call
-/// sites sit behind [`hw_popcnt`].
+/// One tier's twins of the kernels: each calls its `_body` function
+/// inside a function compiled with the tier's `$features`, so the body
+/// is inlined and lowered with those instructions. Calling one is
+/// `unsafe` (undefined on CPUs without the features); the only call
+/// sites sit behind [`tier`].
+#[cfg(target_arch = "x86_64")]
+macro_rules! twins {
+    ($features:literal) => {
+        #[target_feature(enable = $features)]
+        pub fn count_ones(words: &[u64]) -> u64 {
+            super::count_ones_body(words)
+        }
+
+        #[target_feature(enable = $features)]
+        pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
+            super::and_count_body(a, b)
+        }
+
+        #[target_feature(enable = $features)]
+        pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
+            super::and_into_body(a, b, out)
+        }
+
+        #[target_feature(enable = $features)]
+        pub fn and_assign(mask: &mut [u64], b: &[u64]) {
+            super::and_assign_body(mask, b)
+        }
+
+        #[target_feature(enable = $features)]
+        pub fn and_count_pair(a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
+            super::and_count_pair_body(a, b, c)
+        }
+
+        #[target_feature(enable = $features)]
+        pub fn and_count_fan<T: AsRef<[u64]>>(
+            a: &[u64],
+            b: &[u64],
+            thirds: &[T],
+            out: &mut [u64],
+        ) -> u64 {
+            super::and_count_fan_body(a, b, thirds, out)
+        }
+    };
+}
+
+/// The kernels compiled with the `popcnt` target feature, so every
+/// `count_ones` lowers to the single scalar instruction.
 #[cfg(target_arch = "x86_64")]
 mod kernels {
-    #[target_feature(enable = "popcnt")]
-    pub fn count_ones(words: &[u64]) -> u64 {
-        super::count_ones_body(words)
-    }
+    twins!("popcnt");
+}
 
-    #[target_feature(enable = "popcnt")]
-    pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
-        super::and_count_body(a, b)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-        super::and_into_body(a, b, out)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    pub fn and_count_pair(a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
-        super::and_count_pair_body(a, b, c)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    pub fn and_count_fan<T: AsRef<[u64]>>(
-        a: &[u64],
-        b: &[u64],
-        thirds: &[T],
-        out: &mut [u64],
-    ) -> u64 {
-        super::and_count_fan_body(a, b, thirds, out)
-    }
+/// The kernels compiled for AVX-512 with `avx512vpopcntdq`, so the
+/// word loops vectorize to 512-bit `vpand` and `vpopcntq`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    twins!("popcnt,avx2,avx512f,avx512vpopcntdq");
 }
 
 /// The words of one bitmap per dictionary code over a column slice:
@@ -440,6 +508,87 @@ mod tests {
             collected,
             (0..100).filter(|i| i % 6 == 0).collect::<Vec<_>>()
         );
+    }
+
+    /// `n` words from a xorshift stream, every fourth one zero so the
+    /// fan kernel's zero-word skip is taken.
+    fn noise(n: usize, seed: u64) -> Vec<u64> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if i % 4 == 3 {
+                    0
+                } else {
+                    x
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `check` once per tier this CPU executes.
+    fn for_each_tier(mut check: impl FnMut(Tier)) {
+        check(Tier::Portable);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("popcnt") {
+                check(Tier::Popcnt);
+            }
+            if tier() == Tier::Avx512 {
+                check(Tier::Avx512);
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_counts_what_the_portable_bodies_count() {
+        for_each_tier(|tier| {
+            for len in (0..=67).chain([1000]) {
+                let (a, b, c) = (noise(len, 1), noise(len, 2), noise(len, 3));
+                let what = format!("{tier:?}, {len} words");
+                let got = (
+                    run_on!(tier, count_ones, count_ones_body(&a)),
+                    run_on!(tier, and_count, and_count_body(&a, &b)),
+                    run_on!(tier, and_count_pair, and_count_pair_body(&a, &b, &c)),
+                );
+                let want = (
+                    count_ones_body(&a),
+                    and_count_body(&a, &b),
+                    and_count_pair_body(&a, &b, &c),
+                );
+                assert_eq!(got, want, "{what}");
+                let (mut into, mut want_into) = (vec![7u64; len], vec![7u64; len]);
+                assert_eq!(
+                    run_on!(tier, and_into, and_into_body(&a, &b, &mut into)),
+                    and_into_body(&a, &b, &mut want_into),
+                    "{what}"
+                );
+                assert_eq!(into, want_into, "{what}");
+                let (mut mask, mut want_mask) = (a.clone(), a.clone());
+                run_on!(tier, and_assign, and_assign_body(&mut mask, &b));
+                and_assign_body(&mut want_mask, &b);
+                assert_eq!(mask, want_mask, "{what}");
+                let thirds: Vec<Vec<u64>> = (0..5).map(|j| noise(len, 10 + j)).collect();
+                for k in 0..=5 {
+                    let thirds = &thirds[..k];
+                    let (mut out, mut want_out) = (vec![9u64; k], vec![9u64; k]);
+                    assert_eq!(
+                        run_on!(
+                            tier,
+                            and_count_fan,
+                            and_count_fan_body(&a, &b, thirds, &mut out)
+                        ),
+                        and_count_fan_body(&a, &b, thirds, &mut want_out),
+                        "{what}, {k} thirds"
+                    );
+                    assert_eq!(out, want_out, "{what}, {k} thirds");
+                }
+            }
+        });
+        assert!(["avx512vpopcntdq", "popcnt", "portable"].contains(&kernel_tier()));
     }
 
     #[test]

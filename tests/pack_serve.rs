@@ -150,15 +150,13 @@ fn warm_packed_metrics_expose_the_carried_cache() {
     let mut client = Client::connect(server.addr()).unwrap();
     let (status, metrics) = client.get("/metrics").unwrap();
     assert_eq!(status, 200);
-    let cache = metrics
-        .get("engines")
-        .unwrap()
-        .get("warm")
-        .unwrap()
-        .get("counting_cache")
-        .unwrap();
+    let engine = metrics.get("engines").unwrap().get("warm").unwrap();
+    let cache = engine.get("counting_cache").unwrap();
     let entries = cache.get("entries").unwrap().as_f64().unwrap();
     assert!(entries > 0.0, "cache arrives warm: {entries}");
+    // the index names the bitmap kernel tier this process dispatches to
+    let kernels = engine.get("index").unwrap().get("kernels").unwrap();
+    assert_eq!(kernels.as_str(), Some(tabular::bitmap::kernel_tier()));
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
