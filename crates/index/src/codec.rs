@@ -28,6 +28,9 @@
 //!    bitmaps must be disjoint and cover every row — the structural
 //!    fact that makes intersections count exactly what a scan counts.
 //!
+//! The payload carries no joint-count cube: a decoded index has none
+//! until [`TableIndex::with_cube`] counts it from the table it indexes.
+//!
 //! Bit flips inside the pack are caught by the section CRC before this
 //! parser runs; the checks here catch *valid-checksum nonsense* (a
 //! rewritten section) and turn it into a typed error, never a panic.
@@ -220,6 +223,7 @@ impl TableIndex {
             cardinalities,
             boundaries,
             shards,
+            cube: None,
         })
     }
 }
@@ -251,6 +255,13 @@ mod tests {
             assert_eq!(back.n_shards(), idx.n_shards());
             assert_eq!(back.cardinalities(), idx.cardinalities());
             assert_eq!(back.to_bytes(), bytes, "byte-stable round trip");
+            // the cube is not in the bytes; the table gives it back
+            assert_eq!(back.cube_cells(), 0);
+            assert_eq!(
+                back.clone().with_cube(&t),
+                idx,
+                "{rows} rows, {shards} shards"
+            );
             // and it still counts correctly
             let ctx = Context::of([(tabular::AttrId(0), 1)]);
             assert_eq!(back.count(&ctx), Some(t.count(&ctx) as u64));

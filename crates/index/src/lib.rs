@@ -19,7 +19,7 @@
 //!
 //! The index keeps one bitmap set per row shard, aligned to the
 //! canonical [`tabular::shard_boundaries`] partition, and reduces
-//! per-shard results **in shard-index order**. Counts are `u64`s and
+//! per-shard results **in shard-index order**, on the calling thread. Counts are `u64`s and
 //! the reduction is addition, so — exactly as with sharded scans — an
 //! indexed result is bit-identical to the single-scan result for any
 //! shard count. Whether a query runs through the index or falls back
@@ -37,6 +37,58 @@
 //! the same loop with `cap = u64::MAX`, so capped and full counts share
 //! one path. The AND and popcount are the [`tabular::bitmap`] kernels,
 //! which run on the fastest instruction tier the CPU has.
+//!
+//! ## Joint counts
+//!
+//! For a categorical schema, one dense count over the full joint grid
+//! of the table's attributes — the *cube* — is a sufficient statistic
+//! for every grouped count. A [`TableIndex`] keeps one when that grid
+//! has at most `min(65,536, n_rows)` cells, so it never
+//! exceeds 512 KiB and counting it never costs more than one scan.
+//! [`TableIndex::counting_pass`] then marginalises the cube: it keeps
+//! the slice the context fixes, sums out the attributes the pass does
+//! not group by, and places what is left into the pass's dense cells —
+//! no bitmap is read. [`TableIndex::build`] counts the cube in the same
+//! fan-out that fills the bitmaps, into one partial cube per worker;
+//! [`TableIndex::appended`] adds the cube a [`DeltaBitmaps`] keeps (one
+//! cell bump per appended row); an index decoded from bytes regains its
+//! cube from its table with [`TableIndex::with_cube`]. Counts are `u64`
+//! sums, so a cube pass equals a walk and a scan exactly.
+//!
+//! ```
+//! use tabular::{Context, Counter, Domain, Schema, Table};
+//! use lewis_index::TableIndex;
+//!
+//! let mut schema = Schema::new();
+//! let color = schema.push("color", Domain::categorical(["red", "green"]));
+//! let size = schema.push("size", Domain::categorical(["s", "m", "l"]));
+//! let mut table = Table::new(schema);
+//! for row in [[0, 0], [0, 2], [1, 1], [0, 2], [1, 2], [1, 0]] {
+//!     table.push_row(&row).unwrap();
+//! }
+//!
+//! // 2 × 3 = 6 cells and 6 rows: the index keeps a cube
+//! let index = TableIndex::build(&table, 1).unwrap();
+//! assert_eq!(index.cube_cells(), 6);
+//!
+//! // a pass answered from the cube equals the scan
+//! let ctx = Context::of([(color, 1)]);
+//! let passed = index.counting_pass(&table, &[size], &ctx).unwrap().unwrap();
+//! let scanned = Counter::build(&table, &[size], &ctx).unwrap();
+//! assert_eq!(passed.nonzero_groups(), scanned.nonzero_groups());
+//!
+//! // the byte format carries no cube; the table gives it back
+//! let decoded = TableIndex::from_bytes(&index.to_bytes()).unwrap();
+//! assert_eq!(decoded.cube_cells(), 0);
+//! assert_eq!(decoded.with_cube(&table), index);
+//!
+//! // one row fewer than cells: no cube, and passes walk the bitmaps
+//! let mut short = Table::new(table.schema().clone());
+//! for r in 0..5 {
+//!     short.push_row(&table.row(r).unwrap()).unwrap();
+//! }
+//! assert_eq!(TableIndex::build(&short, 1).unwrap().cube_cells(), 0);
+//! ```
 //!
 //! ## Example: build → index → count
 //!
@@ -77,11 +129,13 @@
 //!
 //! Memory: per attribute, `cardinality × rows / 8` bytes (each code
 //! owns a full-length bitmap), summed over attributes — ~5 MB for a
-//! million rows of an 8-attribute, ~40-codes-total schema. Probes win
+//! million rows of an 8-attribute, ~40-codes-total schema — plus 8
+//! bytes per cube cell. Probes win
 //! whenever the table is large and the group grid is small relative to
-//! it; [`TableIndex::counting_pass`] prices each request with a
-//! deterministic cost model and returns `None` (caller scans) when the
-//! grid is too large for intersections to beat one sequential pass.
+//! it; without a cube, [`TableIndex::counting_pass`] prices each
+//! request with a deterministic cost model and returns `None` (caller
+//! scans) when the grid is too large for intersections to beat one
+//! sequential pass.
 //!
 //! ## Range walks: live-table top-ups
 //!
@@ -102,6 +156,7 @@ pub use codec::IndexError;
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use tabular::bitmap::{and_assign, and_count, and_count_multi, and_into, count_ones};
 use tabular::fanout::{available_workers, fan_out, ITEM_ROWS};
 use tabular::shard::shard_boundaries;
@@ -110,7 +165,8 @@ use tabular::{code_words, words_for, AttrId, Bitmap, Context, Counter, Table, Va
 /// Group grids larger than this always fall back to the scan path:
 /// past it the intersection walk visits more cells than a scan visits
 /// rows in any realistic table, and the dense count vector would start
-/// to rival the index itself in size.
+/// to rival the index itself in size. The joint-count cube obeys the
+/// same cap (512 KiB of `u64` cells at most).
 const MAX_INDEX_GRID: u64 = 1 << 16;
 
 /// The indexed walk is admitted when its estimated word operations stay
@@ -119,10 +175,9 @@ const MAX_INDEX_GRID: u64 = 1 << 16;
 /// only ever lowers the real cost below the estimate.
 const COST_BIAS: u64 = 8;
 
-/// Above this shard count the per-shard walks run sequentially into one
-/// accumulator instead of materializing one count vector per shard —
-/// identical sums (addition, in shard order either way), bounded memory.
-const PARALLEL_SHARD_LIMIT: usize = 64;
+/// Rows per block of [`count_cells`]: the block's cell keys live in
+/// one array on the stack while the columns are added in one by one.
+const CUBE_BLOCK_ROWS: usize = 256;
 
 /// One shard's bitmaps: `attrs[a][c]` covers the shard's local rows
 /// holding code `c` in attribute `a`.
@@ -140,6 +195,9 @@ pub struct TableIndex {
     cardinalities: Vec<u32>,
     boundaries: Vec<usize>,
     shards: Vec<ShardIndex>,
+    /// The joint counts over every attribute (see [`cube_grid`]), cell
+    /// `Σ code[a] × stride[a]` in row-major order; `None` past the gate.
+    cube: Option<Vec<u64>>,
 }
 
 impl TableIndex {
@@ -149,8 +207,9 @@ impl TableIndex {
     /// columns are split into 64-row-aligned word ranges of
     /// [`ITEM_ROWS`] rows, which [`fan_out`] fills on every core; a
     /// table under [`tabular::fanout::FANOUT_MIN_ROWS`] rows builds on
-    /// the calling thread. The result is a pure function of the table
-    /// and the shard count.
+    /// the calling thread. The same fan-out counts the joint-count
+    /// cube, when the grid passes its gate, into per-worker partials.
+    /// The result is a pure function of the table and the shard count.
     pub fn build(table: &Table, n_shards: usize) -> tabular::Result<TableIndex> {
         let schema = table.schema();
         let mut cardinalities = Vec::with_capacity(schema.len());
@@ -171,6 +230,9 @@ impl TableIndex {
     /// to bit offset [`TableIndex::n_rows`]. The result equals
     /// [`TableIndex::build`]`(concatenated, 1)` word for word, without
     /// reading a column — how a live table's compaction folds its index.
+    /// The folded cube is the sum of the two cubes; a base too small for
+    /// a cube of its own (fewer rows than cells) has its counts walked
+    /// from its bitmaps instead.
     ///
     /// `None` when the index has more than one shard (shard boundaries
     /// move with the row count, so the caller rebuilds) or `delta` was
@@ -203,12 +265,63 @@ impl TableIndex {
             }
             attrs.push(codes);
         }
+        // The delta keeps a cube whenever the grid is within the cap,
+        // so whenever the folded index has one.
+        let cube = cube_grid(&self.cardinalities, n_rows).zip(delta.cube.as_ref());
+        let cube = cube.map(|(grid, tail)| {
+            let mut cube = match &self.cube {
+                Some(cube) => cube.clone(),
+                None => self.walked_cube(&shard.attrs, grid),
+            };
+            add_cells(&mut cube, tail);
+            cube
+        });
         Some(TableIndex {
             n_rows,
             cardinalities: self.cardinalities.clone(),
             boundaries: shard_boundaries(n_rows, 1),
             shards: vec![ShardIndex { attrs }],
+            cube,
         })
+    }
+
+    /// The `grid` joint counts of this index's rows, walked from the
+    /// bitmaps `cols`: a counting pass grouped by every attribute.
+    fn walked_cube(&self, cols: &[Vec<Bitmap>], grid: usize) -> Vec<u64> {
+        let all: Vec<AttrId> = (0..self.cardinalities.len() as u32).map(AttrId).collect();
+        let mut cube = vec![0u64; grid];
+        if let Some(plan) = Plan::new(&self.cardinalities, &all, &Context::empty()) {
+            plan.walk(cols, Root::All(self.n_rows as u64), &mut cube);
+        }
+        cube
+    }
+
+    /// This index with its joint-count cube counted from `table`, the
+    /// table it indexes — how an index decoded from a pack (whose
+    /// format carries no cube) regains the one its build would have
+    /// made. The rows are counted on [`fan_out`] like a build's.
+    /// Unchanged when the index does not match `table`.
+    pub fn with_cube(mut self, table: &Table) -> TableIndex {
+        if !self.matches(table) {
+            return self;
+        }
+        self.cube = cube_grid(&self.cardinalities, self.n_rows).map(|grid| {
+            let partials = Partials::new(grid);
+            let ranges = row_ranges(self.n_rows).collect();
+            fan_out(available_workers(), self.n_rows, ranges, |rows| {
+                partials.count(table.columns(), &self.cardinalities, rows)
+            });
+            partials.sum()
+        });
+        self
+    }
+
+    /// Cells of the joint-count cube: the product of the cardinalities,
+    /// or 0 when the grid is past the cube's gate (more than 65,536
+    /// cells or more cells than rows) or the index
+    /// was decoded and not given one ([`TableIndex::with_cube`]).
+    pub fn cube_cells(&self) -> usize {
+        self.cube.as_ref().map_or(0, Vec::len)
     }
 
     /// Rows the indexed table has.
@@ -227,9 +340,10 @@ impl TableIndex {
     }
 
     /// Heap bytes held by the packed bitmap words (the dominant cost;
-    /// per attribute this is `cardinality × n_rows / 8` bytes).
+    /// per attribute this is `cardinality × n_rows / 8` bytes) and the
+    /// joint-count cube (8 bytes a cell).
     pub fn memory_bytes(&self) -> u64 {
-        let mut total = 0u64;
+        let mut total = self.cube_cells() as u64 * 8;
         for shard in &self.shards {
             for maps in &shard.attrs {
                 for b in maps {
@@ -333,63 +447,42 @@ impl TableIndex {
     /// same `u64`s in the same mixed-radix order, assembled via
     /// [`Counter::from_dense`]).
     ///
+    /// With a joint-count cube the pass marginalises it: only the cells
+    /// matching the context are visited, and no bitmap is read. Without
+    /// one the bitmaps are walked shard by shard, in shard order, on the
+    /// calling thread.
+    ///
     /// Returns `Ok(None)` when the request is better served by a scan —
-    /// the group grid exceeds the built-in grid cap, the deterministic
-    /// cost estimate says intersections would visit more words than the
-    /// scan visits cells, or an attribute is outside the indexed schema.
-    /// The decision is a pure function of the grid and row count, and
-    /// both paths return identical counters, so routing can never
-    /// change an answer.
+    /// the group grid exceeds the built-in grid cap, there is no cube
+    /// and the deterministic cost estimate says intersections would
+    /// visit more words than the scan visits cells, or an attribute is
+    /// outside the indexed schema. The decision is a pure function of
+    /// the grid and row count, and every path returns identical
+    /// counters, so routing can never change an answer.
     pub fn counting_pass(
         &self,
         table: &Table,
         attrs: &[AttrId],
         ctx: &Context,
     ) -> tabular::Result<Option<Counter>> {
-        use rayon::prelude::*;
         if !self.matches(table) {
             return Ok(None);
         }
         let Some(plan) = Plan::new(&self.cardinalities, attrs, ctx) else {
             return Ok(None);
         };
-        if !plan.walk_is_cheaper(self.n_rows, words_for(self.n_rows)) {
-            return Ok(None);
-        }
-        let grid = plan.grid as usize;
-        // Every row of a shard is in the pass: the walk starts from the
-        // shard's whole code bitmaps, with no root mask to build.
-        let shard_pass = |si: usize, counts: &mut [u64]| {
-            let rows = self.boundaries[si + 1] - self.boundaries[si];
-            plan.walk(&self.shards[si].attrs, Root::All(rows as u64), counts);
-        };
-        let counts = if self.shards.len() <= 1 || self.shards.len() > PARALLEL_SHARD_LIMIT {
-            // Sequential accumulation in shard-index order.
-            let mut counts = vec![0u64; grid];
-            for si in 0..self.shards.len() {
-                shard_pass(si, &mut counts);
-            }
-            counts
-        } else {
-            // One count vector per shard in parallel, summed in
-            // shard-index order — u64 addition, so identical to the
-            // sequential accumulation above.
-            let indices: Vec<usize> = (0..self.shards.len()).collect();
-            let partials: Vec<Vec<u64>> = indices
-                .par_iter()
-                .map(|&si| {
-                    let mut counts = vec![0u64; grid];
-                    shard_pass(si, &mut counts);
-                    counts
-                })
-                .collect();
-            let mut counts = vec![0u64; grid];
-            for partial in partials {
-                for (acc, n) in counts.iter_mut().zip(partial) {
-                    *acc += n;
+        let counts = match &self.cube {
+            Some(cube) => plan.marginalise(&self.cardinalities, cube),
+            None if !plan.walk_is_cheaper(self.n_rows, words_for(self.n_rows)) => return Ok(None),
+            // Every row of a shard is in the pass: the walk starts from
+            // the shard's whole code bitmaps, with no root mask to build.
+            None => {
+                let mut counts = vec![0u64; plan.grid as usize];
+                for (shard, b) in self.shards.iter().zip(self.boundaries.windows(2)) {
+                    plan.walk(&shard.attrs, Root::All((b[1] - b[0]) as u64), &mut counts);
                 }
+                counts
             }
-            counts
         };
         Counter::from_dense(table, attrs, counts).map(Some)
     }
@@ -490,11 +583,25 @@ fn build_on(
                     range.2.push(w);
                 }
             }
-            items.extend(ranges);
+            items.extend(
+                ranges
+                    .into_iter()
+                    .map(|(first, col, out)| Item::Words(first, col, out)),
+            );
         }
     }
-    fan_out(workers, n_rows, items, |(first_row, col, mut out)| {
-        code_words(col, first_row, &mut out)
+    let partials = cube_grid(&cardinalities, n_rows).map(Partials::new);
+    if partials.is_some() {
+        items.extend(row_ranges(n_rows).map(Item::Cells));
+    }
+    fan_out(workers, n_rows, items, |item| match item {
+        Item::Words(first_row, col, mut out) => code_words(col, first_row, &mut out),
+        Item::Cells(rows) => {
+            if let Some(partials) = &partials {
+                partials.count(columns, &cardinalities, rows);
+            }
+            Ok(())
+        }
     })
     .into_iter()
     .collect::<tabular::Result<()>>()?;
@@ -514,7 +621,136 @@ fn build_on(
         cardinalities,
         boundaries,
         shards,
+        cube: partials.map(Partials::sum),
     })
+}
+
+/// One item of an index build's fan-out.
+enum Item<'a> {
+    /// The rows of one shard's column from its local row `first_row`
+    /// on, coded into their slices of that shard's code words.
+    Words(usize, &'a [Value], Vec<&'a mut [u64]>),
+    /// These rows of every column, counted into a partial cube.
+    Cells(Range<usize>),
+}
+
+/// `0..n_rows` cut into [`ITEM_ROWS`]-row ranges.
+fn row_ranges(n_rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n_rows)
+        .step_by(ITEM_ROWS)
+        .map(move |r| r..n_rows.min(r + ITEM_ROWS))
+}
+
+/// Cells of the joint grid over `cardinalities` when an index of
+/// `n_rows` rows keeps a cube of them: at most [`MAX_INDEX_GRID`], so
+/// a cube never exceeds 512 KiB, and at most `n_rows`, so counting it
+/// costs no more than one scan and it never outweighs the table.
+fn cube_grid(cardinalities: &[u32], n_rows: usize) -> Option<usize> {
+    let grid = (cardinalities.iter()).try_fold(1u64, |g, &c| g.checked_mul(u64::from(c)))?;
+    (1..=MAX_INDEX_GRID.min(n_rows as u64))
+        .contains(&grid)
+        .then_some(grid as usize)
+}
+
+/// Add the rows `rows` of `columns` to `cube`, [`CUBE_BLOCK_ROWS`] rows
+/// at a time: a block's cell keys are built column by column on the
+/// stack (`key × cardinality + code`, so the last attribute varies
+/// fastest, as in a [`Counter`]), then each key's cell is bumped.
+fn count_cells(
+    columns: &[Vec<Value>],
+    cardinalities: &[u32],
+    rows: Range<usize>,
+    cube: &mut [u64],
+) {
+    let mut keys = [0u32; CUBE_BLOCK_ROWS];
+    for start in rows.clone().step_by(CUBE_BLOCK_ROWS) {
+        let block = start..rows.end.min(start + CUBE_BLOCK_ROWS);
+        let keys = &mut keys[..block.len()];
+        keys.fill(0);
+        for (col, &card) in columns.iter().zip(cardinalities) {
+            for (key, &code) in keys.iter_mut().zip(&col[block.clone()]) {
+                *key = key.wrapping_mul(card).wrapping_add(code);
+            }
+        }
+        // A code outside its domain (the build reports it as an error
+        // from the words items) may key past the grid: skip it.
+        for &key in keys.iter() {
+            if let Some(cell) = cube.get_mut(key as usize) {
+                *cell += 1;
+            }
+        }
+    }
+}
+
+/// `cube += other`, cell by cell.
+fn add_cells(cube: &mut [u64], other: &[u64]) {
+    for (cell, &n) in cube.iter_mut().zip(other) {
+        *cell += n;
+    }
+}
+
+/// `cells`, row-major over `axes`, with axis `p` taken out of `axes`
+/// and of the cells: only the slice at `code` kept, or, for `None`,
+/// the slices summed.
+fn contract(
+    cells: &[u64],
+    axes: &mut Vec<(usize, usize)>,
+    p: usize,
+    code: Option<usize>,
+) -> Vec<u64> {
+    let (_, card) = axes.remove(p);
+    let inner: usize = axes[p..].iter().map(|&(_, c)| c).product();
+    let mut out = vec![0u64; cells.len() / card];
+    for (dst, src) in out
+        .chunks_exact_mut(inner)
+        .zip(cells.chunks_exact(inner * card))
+    {
+        match code {
+            Some(code) => dst.copy_from_slice(&src[code * inner..(code + 1) * inner]),
+            None if inner == 1 => dst[0] = src.iter().sum(),
+            None => src
+                .chunks_exact(inner)
+                .for_each(|slice| add_cells(dst, slice)),
+        }
+    }
+    out
+}
+
+/// The per-worker partial cubes of one fan-out. An item takes a partial
+/// no other thread holds (or starts one), counts its rows into it and
+/// hands it back, so a fan-out holds at most one partial per thread.
+/// The cube is their sum: `u64` addition, whichever rows each holds.
+struct Partials {
+    grid: usize,
+    free: Mutex<Vec<Vec<u64>>>,
+}
+
+impl Partials {
+    fn new(grid: usize) -> Partials {
+        Partials {
+            grid,
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn count(&self, columns: &[Vec<Value>], cardinalities: &[u32], rows: Range<usize>) {
+        let free = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let taken = free().pop();
+        let mut cube = taken.unwrap_or_else(|| vec![0u64; self.grid]);
+        count_cells(columns, cardinalities, rows, &mut cube);
+        free().push(cube);
+    }
+
+    fn sum(self) -> Vec<u64> {
+        let free = self
+            .free
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut partials = free.into_iter();
+        let mut cube = partials.next().unwrap_or_else(|| vec![0u64; self.grid]);
+        partials.for_each(|partial| add_cells(&mut cube, &partial));
+        cube
+    }
 }
 
 /// The words `rows` touches: `rows.start / 64 .. ceil(rows.end / 64)`.
@@ -654,6 +890,64 @@ impl Plan {
         let index_cost = visits.saturating_mul(words as u64);
         let scan_cost = rows.saturating_mul(self.radices.len().max(1) as u64);
         index_cost <= scan_cost.saturating_mul(COST_BIAS)
+    }
+
+    /// The pass's dense counts summed out of `cube`, the joint counts
+    /// over every attribute of `cardinalities`. The cube is cut down one
+    /// axis at a time ([`contract`]): first to the slice the context
+    /// fixes, then summed over each attribute no group holds. What is
+    /// left covers the grouped attributes in schema order, and an
+    /// odometer adds each of its cells to its group's cell. An attribute
+    /// steps the group key by the strides of every position it is
+    /// grouped at, so a repeated grouped attribute lands on the cells a
+    /// scan fills.
+    fn marginalise(&self, cardinalities: &[u32], cube: &[u64]) -> Vec<u64> {
+        let mut counts = vec![0u64; self.grid as usize];
+        let mut key_step = vec![0usize; cardinalities.len()];
+        for (&a, &stride) in self.attrs.iter().zip(&self.strides) {
+            key_step[a] += stride as usize;
+        }
+        // (attribute, cardinality) of each axis of `cells`, row-major
+        let mut axes: Vec<(usize, usize)> = (cardinalities.iter().enumerate())
+            .map(|(a, &card)| (a, card as usize))
+            .collect();
+        let mut cells = Cow::Borrowed(cube);
+        let mut key = 0usize;
+        for &(a, code) in &self.ctx {
+            let Some(p) = axes.iter().position(|&(b, _)| b == a) else {
+                continue;
+            };
+            if code >= axes[p].1 {
+                return counts; // outside the attribute's domain: no row holds it
+            }
+            key += code * key_step[a];
+            cells = Cow::Owned(contract(&cells, &mut axes, p, Some(code)));
+        }
+        while let Some(p) = axes.iter().position(|&(a, _)| key_step[a] == 0) {
+            cells = Cow::Owned(contract(&cells, &mut axes, p, None));
+        }
+        let Some((&(last, last_card), outer)) = axes.split_last() else {
+            counts[key] += cells[0];
+            return counts;
+        };
+        let mut digits = vec![0usize; outer.len()];
+        for block in cells.chunks_exact(last_card) {
+            let mut k = key;
+            for &n in block {
+                counts[k] += n;
+                k += key_step[last];
+            }
+            for (digit, &(a, card)) in digits.iter_mut().zip(outer).rev() {
+                *digit += 1;
+                key += key_step[a];
+                if *digit < card {
+                    break;
+                }
+                *digit = 0;
+                key -= card * key_step[a];
+            }
+        }
+        counts
     }
 
     /// Count `rows` of one run of code words (`attrs[a][c]`: the words
@@ -873,20 +1167,25 @@ impl<W: AsRef<[u64]>> Walk<'_, W> {
 ///
 /// Cache top-ups walk a range of these rows through
 /// [`TableIndex::counting_pass_range`], and compaction appends them to
-/// the base index with [`TableIndex::appended`].
+/// the base index with [`TableIndex::appended`]. So that the folded
+/// index keeps its joint-count cube without a rescan, the delta counts
+/// its rows into a cube of its own, one cell bump per row, whenever the
+/// grid is within 65,536 cells.
 ///
 /// Word vectors grow lazily: a code's vector only extends when one of
 /// its rows lands in a new word, and rows past a vector's end read as
 /// zero. [`DeltaBitmaps::count`] mirrors [`TableIndex::count`]'s
 /// contract — `None` defers out-of-schema attributes to the caller's
 /// scan path, out-of-domain codes count zero rows.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DeltaBitmaps {
     n_rows: usize,
     cardinalities: Vec<u32>,
     /// `attrs[a][c]`: packed words over delta rows (missing tail words
     /// are all-zero).
     attrs: Vec<Vec<Vec<u64>>>,
+    /// The delta rows' joint counts, laid out like [`TableIndex`]'s.
+    cube: Option<Vec<u64>>,
 }
 
 impl DeltaBitmaps {
@@ -897,10 +1196,13 @@ impl DeltaBitmaps {
             .iter()
             .map(|&card| vec![Vec::new(); card as usize])
             .collect();
+        // No row bound: the cube is sized by the grid alone.
+        let cube = cube_grid(&cardinalities, usize::MAX).map(|grid| vec![0u64; grid]);
         DeltaBitmaps {
             n_rows: 0,
             cardinalities,
             attrs,
+            cube,
         }
     }
 
@@ -919,6 +1221,9 @@ impl DeltaBitmaps {
             }
         }
         delta.n_rows = table.n_rows();
+        if let Some(cube) = &mut delta.cube {
+            count_cells(table.columns(), &delta.cardinalities, 0..delta.n_rows, cube);
+        }
         Ok(delta)
     }
 
@@ -942,8 +1247,13 @@ impl DeltaBitmaps {
             }
         }
         let r = self.n_rows;
+        let mut key = 0usize;
         for (a, &code) in row.iter().take(self.cardinalities.len()).enumerate() {
             self.set_bit(a, code, r);
+            key = key * self.cardinalities[a] as usize + code as usize;
+        }
+        if let Some(cube) = &mut self.cube {
+            cube[key] += 1;
         }
         self.n_rows += 1;
         Ok(())
@@ -1168,8 +1478,10 @@ mod tests {
     fn memory_accounting_matches_the_layout() {
         let t = table(64);
         let idx = TableIndex::build(&t, 1).unwrap();
-        // 64 rows = 1 word per bitmap; 3 + 2 + 4 = 9 bitmaps × 8 bytes
-        assert_eq!(idx.memory_bytes(), 72);
+        // 64 rows = 1 word per bitmap; 3 + 2 + 4 = 9 bitmaps × 8 bytes,
+        // plus a cube of 3 × 2 × 4 = 24 cells × 8 bytes
+        assert_eq!(idx.cube_cells(), 24);
+        assert_eq!(idx.memory_bytes(), 72 + 192);
         assert_eq!(idx.n_rows(), 64);
         assert_eq!(idx.cardinalities(), &[3, 2, 4]);
     }
@@ -1460,10 +1772,15 @@ mod tests {
     #[test]
     fn appended_indexes_equal_rebuilds_over_the_concatenated_table() {
         let mut rng = StdRng::seed_from_u64(3);
+        // the joint grid has 3 × 2 × 5 = 30 cells: a base or a fold of
+        // fewer rows has no cube, and (20, 10) is the first fold with one
         for (n_base, n_delta) in [
             (0, 0),
             (0, 70),
             (1, 63),
+            (20, 9),
+            (20, 10),
+            (29, 1),
             (63, 1),
             (64, 64),
             (65, 300),
@@ -1474,12 +1791,17 @@ mod tests {
             let mut full = base.clone();
             delta.rows().for_each(|row| full.push_row(&row).unwrap());
             let index = TableIndex::build(&base, 1).unwrap();
-            let folded = index.appended(&DeltaBitmaps::from_table(&delta).unwrap());
+            let rebuilt = TableIndex::build(&full, 1).unwrap();
+            let what = format!("{n_base} + {n_delta}");
             assert_eq!(
-                folded,
-                Some(TableIndex::build(&full, 1).unwrap()),
-                "{n_base} + {n_delta}"
+                rebuilt.cube_cells(),
+                if full.n_rows() >= 30 { 30 } else { 0 }
             );
+            let mut grown = DeltaBitmaps::new(vec![3, 2, 5]);
+            delta.rows().for_each(|row| grown.append_row(&row).unwrap());
+            for bitmaps in [DeltaBitmaps::from_table(&delta).unwrap(), grown] {
+                assert_eq!(index.appended(&bitmaps).as_ref(), Some(&rebuilt), "{what}");
+            }
             // a sharded index moves its boundaries: the caller rebuilds
             let sharded = TableIndex::build(&base, 2).unwrap();
             assert_eq!(
@@ -1489,6 +1811,102 @@ mod tests {
         }
         let index = TableIndex::build(&table(10), 1).unwrap();
         assert_eq!(index.appended(&DeltaBitmaps::new(vec![3, 2])), None);
+    }
+
+    /// `rows` rows over attributes of cardinalities `cards`, each code
+    /// drawn at random, plus every code of every attribute at least
+    /// once when there are rows enough.
+    fn table_over(rng: &mut StdRng, rows: usize, cards: &[u32]) -> Table {
+        let mut s = Schema::new();
+        for (a, &card) in cards.iter().enumerate() {
+            s.push(
+                a.to_string(),
+                Domain::categorical((0..card).map(|i| i.to_string())),
+            );
+        }
+        let columns = cards
+            .iter()
+            .map(|&card| {
+                (0..rows)
+                    .map(|r| match (r as u32) < card {
+                        true => r as u32,
+                        false => rng.gen_range(0..card),
+                    })
+                    .collect()
+            })
+            .collect();
+        Table::from_columns(s, columns).unwrap()
+    }
+
+    #[test]
+    fn cube_passes_equal_scans_on_both_sides_of_the_gate_on_any_shard_and_worker_count() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let m = tabular::fanout::FANOUT_MIN_ROWS;
+        // (cardinalities, rows): grid = rows keeps a cube and grid =
+        // rows + 1 does not; the fan-out sizes run cube items on 1–3
+        // workers, the last one over several row ranges
+        let cases: [(&[u32], usize); 6] = [
+            (&[3, 2, 4], 24),
+            (&[3, 2, 4], 23),
+            (&[2, 64, 64], m),
+            (&[2, 64, 64], m - 1),
+            (&[3, 2, 5, 2], 2 * ITEM_ROWS + 5),
+            (&[1], 1),
+        ];
+        for (cards, rows) in cases {
+            let t = table_over(&mut rng, rows, cards);
+            let grid: usize = cards.iter().map(|&c| c as usize).product();
+            let n = cards.len() as u32;
+            let last = AttrId(n - 1);
+            let groupings: Vec<Vec<AttrId>> = vec![
+                vec![],
+                vec![last],
+                vec![last, AttrId(0)],
+                (0..n).map(AttrId).collect(),
+                vec![AttrId(0), last, AttrId(0)], // a repeated grouped attribute
+            ];
+            let contexts = [
+                Context::empty(),
+                Context::of([(AttrId(0), 0)]), // fixes a grouped attribute
+                Context::of([(last, 1.min(cards[n as usize - 1] - 1))]),
+                Context::of([(AttrId(0), 0), (last, 0)]),
+                Context::of([(last, cards[n as usize - 1])]), // out of domain
+            ];
+            for n_shards in 1..=3 {
+                for workers in 1..=3 {
+                    let index =
+                        build_on(t.columns(), rows, cards.to_vec(), n_shards, workers).unwrap();
+                    let what =
+                        format!("{cards:?} × {rows} rows, {n_shards} shards, {workers} workers");
+                    assert_eq!(
+                        index.cube_cells(),
+                        if grid <= rows { grid } else { 0 },
+                        "{what}"
+                    );
+                    assert!(index == per_row_index(&t, n_shards), "{what}");
+                    for attrs in &groupings {
+                        for ctx in &contexts {
+                            let scanned = Counter::build(&t, attrs, ctx).unwrap();
+                            let passed = index.counting_pass(&t, attrs, ctx).unwrap();
+                            if grid <= rows {
+                                let passed = passed.expect("a cube answers every small grid");
+                                assert_same(
+                                    &passed,
+                                    &scanned,
+                                    &format!("{what}, {attrs:?} {ctx:?}"),
+                                );
+                            } else if let Some(passed) = passed {
+                                assert_same(
+                                    &passed,
+                                    &scanned,
+                                    &format!("{what}, {attrs:?} {ctx:?}"),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The index as the per-row loop built it: one `Bitmap::set` per
@@ -1517,11 +1935,21 @@ mod tests {
                     .collect(),
             })
             .collect();
+        // the cube as the per-row loop counts it: one key per row
+        let cube = cube_grid(&cardinalities, table.n_rows()).map(|grid| {
+            let mut cube = vec![0u64; grid];
+            for row in table.rows() {
+                let key = row.iter().zip(&cardinalities);
+                cube[key.fold(0, |k, (&code, &card)| k * card + code) as usize] += 1;
+            }
+            cube
+        });
         TableIndex {
             n_rows: table.n_rows(),
             cardinalities,
             boundaries,
             shards,
+            cube,
         }
     }
 

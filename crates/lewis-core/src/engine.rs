@@ -396,6 +396,12 @@ impl Engine {
         self.est.index().map_or(0, |i| i.memory_bytes())
     }
 
+    /// Cells of the index's joint-count cube (0 without an index or
+    /// when the grid is past the cube's gate).
+    pub fn index_cube_cells(&self) -> usize {
+        self.est.index().map_or(0, |i| i.cube_cells())
+    }
+
     /// The inferred (ascending) value order of a feature.
     pub fn value_order(&self, attr: AttrId) -> Option<&[Value]> {
         self.orders.get(attr.index()).and_then(|o| o.as_deref())

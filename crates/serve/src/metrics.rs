@@ -307,6 +307,7 @@ impl Metrics {
                                     "memory_bytes",
                                     Json::num(engine.index_memory_bytes() as f64),
                                 ),
+                                ("cube_cells", Json::num(engine.index_cube_cells() as f64)),
                                 ("kernels", Json::str(tabular::bitmap::kernel_tier())),
                             ]),
                         ),

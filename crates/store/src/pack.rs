@@ -285,7 +285,9 @@ impl Pack {
                         table.n_attrs()
                     )));
                 }
-                Some(Arc::new(index))
+                // The section carries no joint-count cube: count it
+                // from the table, as the build would have.
+                Some(Arc::new(index.with_cube(&table)))
             }
             // Index-enabled without a section (a writer stripped it):
             // rebuild from the table so the engine still serves indexed.
@@ -1511,6 +1513,8 @@ mod tests {
         let (restored, _) = Pack::from_bytes(&bytes).unwrap().restore_engine().unwrap();
         assert!(restored.index_enabled(), "index must arrive installed");
         assert_eq!(restored.index_memory_bytes(), engine.index_memory_bytes());
+        // the section carries no cube: the restore counts it (2 × 2 cells)
+        assert_eq!(restored.index_cube_cells(), 4);
         let a = engine.run(&ExplainRequest::Global).unwrap();
         let b = restored.run(&ExplainRequest::Global).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));

@@ -157,6 +157,9 @@ fn warm_packed_metrics_expose_the_carried_cache() {
     // the index names the bitmap kernel tier this process dispatches to
     let kernels = engine.get("index").unwrap().get("kernels").unwrap();
     assert_eq!(kernels.as_str(), Some(tabular::bitmap::kernel_tier()));
+    // 500 rows are fewer than german_syn's 5,760 joint cells: no cube
+    let cube_cells = engine.get("index").unwrap().get("cube_cells").unwrap();
+    assert_eq!(cube_cells.as_f64(), Some(0.0));
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
