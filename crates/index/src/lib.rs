@@ -28,10 +28,11 @@
 //! ## Capped counts
 //!
 //! A support probe asks "do at least `min_support` rows match?", not
-//! "how many?". [`TableIndex::count_at_most`] and
-//! [`DeltaBitmaps::count_at_most`] return exactly `min(count, cap)`:
-//! they AND the context's code words in blocks of 64 words, popcount
-//! each block, and stop after the block that reaches `cap`. On a 1M-row
+//! "how many?". [`TableIndex::count_at_most`] returns exactly
+//! `min(count, cap)`: it ANDs the context's code words in blocks of 64
+//! words, popcounts each block, and stops after the block that reaches
+//! `cap`. A live table probes its base rows, then its appended rows'
+//! index with the cap lowered by what the base found. On a 1M-row
 //! table a context matching thousands of rows is settled after a block
 //! or two instead of ~15,600 words per code. [`TableIndex::count`] is
 //! the same loop with `cap = u64::MAX`, so capped and full counts share
@@ -50,10 +51,11 @@
 //! not group by, and places what is left into the pass's dense cells —
 //! no bitmap is read. [`TableIndex::build`] counts the cube in the same
 //! fan-out that fills the bitmaps, into one partial cube per worker;
-//! [`TableIndex::appended`] adds the cube a [`DeltaBitmaps`] keeps (one
-//! cell bump per appended row); an index decoded from bytes regains its
-//! cube from its table with [`TableIndex::with_cube`]. Counts are `u64`
-//! sums, so a cube pass equals a walk and a scan exactly.
+//! [`TableIndex::extended`] counts just the new rows into a copy of its
+//! cube, or counts one from the table when the grown grid first passes
+//! the gate; an index decoded from bytes regains its cube from its
+//! table with [`TableIndex::with_cube`]. Counts are `u64` sums, so a
+//! cube pass equals a walk and a scan exactly.
 //!
 //! ```
 //! use tabular::{Context, Counter, Domain, Schema, Table};
@@ -137,18 +139,23 @@
 //! scans) when the grid is too large for intersections to beat one
 //! sequential pass.
 //!
-//! ## Range walks: live-table top-ups
+//! ## Live tables: extended indexes and range walks
 //!
-//! A live table tops a cached pass up with just the rows appended past
-//! its watermark. [`TableIndex::counting_pass_range`] counts such a row
-//! range of the base index and of a [`DeltaBitmaps`] with the same
-//! walk: the root mask covers only the words the range spans, with the
-//! bits outside the range cleared, and every code's words are read
-//! through that window. A top-up of a few thousand rows thus touches a
-//! few dozen words per code instead of scanning its rows one by one.
-//! Compaction folds the delta into the base index the same way, by
-//! appending the delta's words at the base's bit offset
-//! ([`TableIndex::appended`]).
+//! A live table's appended rows are an index of their own, grown batch
+//! by batch with [`TableIndex::extended`]: the previous words are
+//! copied and only the new rows are coded, and the result equals a
+//! build over all the rows. Compaction folds the appended rows into the
+//! base's index the same way. A count over the live table is the base
+//! index's count plus the appended index's, so every count runs the same
+//! code over both.
+//!
+//! A cached pass is topped up with just the rows past its watermark.
+//! [`TableIndex::counting_pass_range`] counts such a row range with the
+//! full pass's walk: the root mask covers only the words the range
+//! spans, with the bits outside the range cleared, and every code's
+//! words are read through that window. A top-up of a few thousand rows
+//! thus touches a few dozen words per code instead of scanning its rows
+//! one by one.
 
 mod codec;
 
@@ -225,55 +232,54 @@ impl TableIndex {
         )
     }
 
-    /// This index with `delta`'s rows appended after its own: each
-    /// code's words are the base words followed by the delta's, shifted
-    /// to bit offset [`TableIndex::n_rows`]. The result equals
-    /// [`TableIndex::build`]`(concatenated, 1)` word for word, without
-    /// reading a column — how a live table's compaction folds its index.
-    /// The folded cube is the sum of the two cubes; a base too small for
-    /// a cube of its own (fewer rows than cells) has its counts walked
-    /// from its bitmaps instead.
+    /// This index, which covers the first [`TableIndex::n_rows`] rows of
+    /// `table`, extended to all of `table`'s rows: each code's words are
+    /// copied and the new rows coded into them, from the start of the
+    /// word the first new row lands in. The joint-count cube is kept and
+    /// the new rows counted into it, or counted from `table` once the
+    /// grid passes its gate, exactly as a build would. The result equals
+    /// [`TableIndex::build`]`(table, 1)` word for word and cube for cube
+    /// — how a live table indexes each appended batch and folds its
+    /// appended rows into the base's index.
     ///
     /// `None` when the index has more than one shard (shard boundaries
-    /// move with the row count, so the caller rebuilds) or `delta` was
-    /// built over other cardinalities.
-    pub fn appended(&self, delta: &DeltaBitmaps) -> Option<TableIndex> {
+    /// move with the row count, so the caller rebuilds), or `table` has
+    /// fewer rows, other cardinalities or a code outside its domain.
+    pub fn extended(&self, table: &Table) -> Option<TableIndex> {
         let [shard] = self.shards.as_slice() else {
             return None;
         };
-        if delta.cardinalities != self.cardinalities {
+        let n_rows = table.n_rows();
+        if n_rows < self.n_rows || !self.same_cardinalities(table) {
             return None;
         }
-        let n_rows = self.n_rows + delta.n_rows;
-        let (offset, shift) = (self.n_rows / 64, self.n_rows % 64);
+        let kept = self.n_rows / 64;
         let mut attrs = Vec::with_capacity(shard.attrs.len());
-        for (maps, tails) in shard.attrs.iter().zip(&delta.attrs) {
-            let mut codes = Vec::with_capacity(maps.len());
-            for (map, tail) in maps.iter().zip(tails) {
-                let mut words = Vec::with_capacity(words_for(n_rows));
-                words.extend_from_slice(map.words());
-                words.resize(words_for(n_rows), 0);
-                // A set delta bit is a row below `n_rows`, so both
-                // halves of a shifted word land inside `words`.
-                for (i, &w) in tail.iter().enumerate() {
-                    words[offset + i] |= w << shift;
-                    if shift > 0 && w >> (64 - shift) != 0 {
-                        words[offset + i + 1] |= w >> (64 - shift);
-                    }
-                }
-                codes.push(Bitmap::from_words(words, n_rows).ok()?);
-            }
-            attrs.push(codes);
+        for (maps, col) in shard.attrs.iter().zip(table.columns()) {
+            let mut codes: Vec<Vec<u64>> = (maps.iter())
+                .map(|map| {
+                    let mut words = Vec::with_capacity(words_for(n_rows));
+                    words.extend_from_slice(&map.words()[..kept]);
+                    words.resize(words_for(n_rows), 0);
+                    words
+                })
+                .collect();
+            let mut tails: Vec<&mut [u64]> = codes.iter_mut().map(|w| &mut w[kept..]).collect();
+            code_words(&col[kept * 64..], kept * 64, &mut tails).ok()?;
+            let maps = codes.into_iter().map(|w| Bitmap::from_words(w, n_rows));
+            attrs.push(maps.collect::<tabular::Result<Vec<Bitmap>>>().ok()?);
         }
-        // The delta keeps a cube whenever the grid is within the cap,
-        // so whenever the folded index has one.
-        let cube = cube_grid(&self.cardinalities, n_rows).zip(delta.cube.as_ref());
-        let cube = cube.map(|(grid, tail)| {
-            let mut cube = match &self.cube {
-                Some(cube) => cube.clone(),
-                None => self.walked_cube(&shard.attrs, grid),
+        let cube = cube_grid(&self.cardinalities, n_rows).map(|grid| {
+            let (mut cube, from) = match &self.cube {
+                Some(cube) => (cube.clone(), self.n_rows),
+                None => (vec![0u64; grid], 0),
             };
-            add_cells(&mut cube, tail);
+            count_cells(
+                table.columns(),
+                &self.cardinalities,
+                from..n_rows,
+                &mut cube,
+            );
             cube
         });
         Some(TableIndex {
@@ -283,17 +289,6 @@ impl TableIndex {
             shards: vec![ShardIndex { attrs }],
             cube,
         })
-    }
-
-    /// The `grid` joint counts of this index's rows, walked from the
-    /// bitmaps `cols`: a counting pass grouped by every attribute.
-    fn walked_cube(&self, cols: &[Vec<Bitmap>], grid: usize) -> Vec<u64> {
-        let all: Vec<AttrId> = (0..self.cardinalities.len() as u32).map(AttrId).collect();
-        let mut cube = vec![0u64; grid];
-        if let Some(plan) = Plan::new(&self.cardinalities, &all, &Context::empty()) {
-            plan.walk(cols, Root::All(self.n_rows as u64), &mut cube);
-        }
-        cube
     }
 
     /// This index with its joint-count cube counted from `table`, the
@@ -358,9 +353,11 @@ impl TableIndex {
     /// per-attribute cardinalities) — the compatibility gate an engine
     /// checks before installing a restored index.
     pub fn matches(&self, table: &Table) -> bool {
-        if self.n_rows != table.n_rows() {
-            return false;
-        }
+        self.n_rows == table.n_rows() && self.same_cardinalities(table)
+    }
+
+    /// Whether `table`'s attributes have this index's cardinalities.
+    fn same_cardinalities(&self, table: &Table) -> bool {
         let schema = table.schema();
         if self.cardinalities.len() != schema.len() {
             return false;
@@ -487,29 +484,25 @@ impl TableIndex {
         Counter::from_dense(table, attrs, counts).map(Some)
     }
 
-    /// [`TableIndex::counting_pass`] over the rows `rows` of the
-    /// indexed table followed by the rows `delta.1` of `delta.0`, when
-    /// given — the top-up of a live table's cached pass with the rows
-    /// past its watermark. The result is bit-identical to
-    /// [`Counter::build_range`] over the same rows of both tables,
-    /// merged.
+    /// [`TableIndex::counting_pass`] over the rows `rows` of the indexed
+    /// table only — the top-up of a live table's cached pass with the
+    /// rows past its watermark. The result is bit-identical to
+    /// [`Counter::build_range`] over the same rows.
     ///
-    /// Both halves run one range-restricted popcount walk: a root mask
-    /// over the words the range spans, edge bits cleared, ANDed with
-    /// the context's code words, then intersected down the grid exactly
-    /// like a full pass. Delta words past a code's lazily grown vector
-    /// read as zero.
+    /// The pass is one range-restricted popcount walk: a root mask over
+    /// the words the range spans, edge bits cleared, ANDed with the
+    /// context's code words, then intersected down the grid exactly like
+    /// a full pass.
     ///
     /// Returns `Ok(None)` (the caller scans) on everything
     /// [`TableIndex::counting_pass`] declines, when the index has more
-    /// than one shard, or when a range or the delta's cardinalities do
-    /// not fit. The cost gate prices the ranges' rows and words only, so
-    /// the routing is a pure function of the request.
+    /// than one shard, or when the range does not fit. The cost gate
+    /// prices the range's rows and words only, so the routing is a pure
+    /// function of the request.
     pub fn counting_pass_range(
         &self,
         table: &Table,
         rows: Range<usize>,
-        delta: Option<(&DeltaBitmaps, Range<usize>)>,
         attrs: &[AttrId],
         ctx: &Context,
     ) -> tabular::Result<Option<Counter>> {
@@ -519,29 +512,14 @@ impl TableIndex {
         if !self.matches(table) || rows.start > rows.end || rows.end > self.n_rows {
             return Ok(None);
         }
-        let delta_rows = match &delta {
-            None => 0..0,
-            Some((d, r)) if d.cardinalities == self.cardinalities && r.start <= r.end => {
-                if r.end > d.n_rows {
-                    return Ok(None);
-                }
-                r.clone()
-            }
-            Some(_) => return Ok(None),
-        };
         let Some(plan) = Plan::new(&self.cardinalities, attrs, ctx) else {
             return Ok(None);
         };
-        let n_rows = rows.len() + delta_rows.len();
-        let n_words = word_span(&rows).len() + word_span(&delta_rows).len();
-        if !plan.walk_is_cheaper(n_rows, n_words) {
+        if !plan.walk_is_cheaper(rows.len(), word_span(&rows).len()) {
             return Ok(None);
         }
         let mut counts = vec![0u64; plan.grid as usize];
         plan.walk_range(&shard.attrs, rows, &mut counts);
-        if let Some((delta, rows)) = delta {
-            plan.walk_range(&delta.attrs, rows, &mut counts);
-        }
         Counter::from_dense(table, attrs, counts).map(Some)
     }
 }
@@ -761,16 +739,6 @@ fn word_span(rows: &Range<usize>) -> Range<usize> {
     rows.start / 64..words_for(rows.end)
 }
 
-/// Words `span` of `words`, reading words past its end as zero.
-fn pad(words: &[u64], span: &Range<usize>) -> Vec<u64> {
-    let mut padded = vec![0u64; span.len()];
-    if let Some(stored) = words.get(span.start..) {
-        let n = stored.len().min(span.len());
-        padded[..n].copy_from_slice(&stored[..n]);
-    }
-    padded
-}
-
 /// Words per block of [`and_count_at_most`]: 512 bytes of each code,
 /// so a block of five codes and the running mask stay in L1.
 const BLOCK_WORDS: usize = 64;
@@ -950,39 +918,16 @@ impl Plan {
         counts
     }
 
-    /// Count `rows` of one run of code words (`attrs[a][c]`: the words
-    /// of code `c` of attribute `a`) into `counts`. The walk reads each
-    /// code through the window of words `rows` spans; a code whose
-    /// words end before the window does (a delta's lazily grown vector)
-    /// is read from a copy padded with zeros.
-    fn walk_range<W: AsRef<[u64]>>(
-        &self,
-        attrs: &[Vec<W>],
-        rows: Range<usize>,
-        counts: &mut [u64],
-    ) {
+    /// Count `rows` of one shard's bitmaps (`attrs[a][c]`: code `c` of
+    /// attribute `a`) into `counts`, reading each code through the
+    /// window of words `rows` spans.
+    fn walk_range(&self, attrs: &[Vec<Bitmap>], rows: Range<usize>, counts: &mut [u64]) {
         if rows.is_empty() {
             return;
         }
         let span = word_span(&rows);
-        let reads = |a: usize| self.attrs.contains(&a) || self.ctx.iter().any(|&(c, _)| c == a);
-        let padded: Vec<Vec<Option<Vec<u64>>>> = (attrs.iter().enumerate())
-            .map(|(a, codes)| match reads(a) {
-                false => Vec::new(),
-                true => (codes.iter().map(|w| w.as_ref()))
-                    .map(|w| (w.len() < span.end).then(|| pad(w, &span)))
-                    .collect(),
-            })
-            .collect();
-        let cols: Vec<Vec<&[u64]>> = (attrs.iter().zip(&padded))
-            .map(|(codes, pads)| {
-                (codes.iter().zip(pads))
-                    .map(|(w, pad)| match pad {
-                        Some(pad) => pad.as_slice(),
-                        None => &w.as_ref()[span.clone()],
-                    })
-                    .collect()
-            })
+        let cols: Vec<Vec<&[u64]>> = (attrs.iter())
+            .map(|codes| codes.iter().map(|b| &b.words()[span.clone()]).collect())
             .collect();
         // The root: every row of the range, edge bits cleared.
         let mut mask = vec![u64::MAX; span.len()];
@@ -1148,173 +1093,6 @@ impl<W: AsRef<[u64]>> Walk<'_, W> {
             let key = key_base + code as u64 * strides[depth];
             self.descend(sub, n, depth + 1, key, counts, rest);
         }
-    }
-}
-
-/// Append-only per-(attribute, code) bit vectors over a **delta** table
-/// — the write-side growth companion to [`TableIndex`].
-///
-/// A frozen [`TableIndex`] cannot grow (its bitmaps are sized and
-/// sharded at build time), so a live engine keeps its base index
-/// untouched and accumulates appended rows here: bit `i` of
-/// `(attr, code)` is set iff delta row `i` holds `code` in `attr`.
-/// Counts over the live table are then
-/// `base_index.count(ctx) + delta.count(ctx)` — two word-level
-/// AND+popcount walks summed base-then-delta, exactly the integer one
-/// scan over the concatenated table would count. A support probe caps
-/// the base at `min_support` and the delta at the remainder
-/// ([`DeltaBitmaps::count_at_most`]).
-///
-/// Cache top-ups walk a range of these rows through
-/// [`TableIndex::counting_pass_range`], and compaction appends them to
-/// the base index with [`TableIndex::appended`]. So that the folded
-/// index keeps its joint-count cube without a rescan, the delta counts
-/// its rows into a cube of its own, one cell bump per row, whenever the
-/// grid is within 65,536 cells.
-///
-/// Word vectors grow lazily: a code's vector only extends when one of
-/// its rows lands in a new word, and rows past a vector's end read as
-/// zero. [`DeltaBitmaps::count`] mirrors [`TableIndex::count`]'s
-/// contract — `None` defers out-of-schema attributes to the caller's
-/// scan path, out-of-domain codes count zero rows.
-#[derive(Debug, Clone)]
-pub struct DeltaBitmaps {
-    n_rows: usize,
-    cardinalities: Vec<u32>,
-    /// `attrs[a][c]`: packed words over delta rows (missing tail words
-    /// are all-zero).
-    attrs: Vec<Vec<Vec<u64>>>,
-    /// The delta rows' joint counts, laid out like [`TableIndex`]'s.
-    cube: Option<Vec<u64>>,
-}
-
-impl DeltaBitmaps {
-    /// An empty delta index over a schema described by its per-attribute
-    /// cardinalities (use `TableIndex::cardinalities()`'s layout).
-    pub fn new(cardinalities: Vec<u32>) -> DeltaBitmaps {
-        let attrs = cardinalities
-            .iter()
-            .map(|&card| vec![Vec::new(); card as usize])
-            .collect();
-        // No row bound: the cube is sized by the grid alone.
-        let cube = cube_grid(&cardinalities, usize::MAX).map(|grid| vec![0u64; grid]);
-        DeltaBitmaps {
-            n_rows: 0,
-            cardinalities,
-            attrs,
-            cube,
-        }
-    }
-
-    /// Index every row of `table` — the rebuild-from-a-delta-shard path
-    /// (restores, and engines overlaying a fresh batch).
-    pub fn from_table(table: &Table) -> tabular::Result<DeltaBitmaps> {
-        let schema = table.schema();
-        let mut cardinalities = Vec::with_capacity(schema.len());
-        for a in schema.attr_ids() {
-            cardinalities.push(schema.cardinality(a)? as u32);
-        }
-        let mut delta = DeltaBitmaps::new(cardinalities);
-        for (ai, a) in schema.attr_ids().enumerate() {
-            for (r, &code) in table.column(a)?.iter().enumerate() {
-                delta.set_bit(ai, code, r);
-            }
-        }
-        delta.n_rows = table.n_rows();
-        if let Some(cube) = &mut delta.cube {
-            count_cells(table.columns(), &delta.cardinalities, 0..delta.n_rows, cube);
-        }
-        Ok(delta)
-    }
-
-    /// Append one row (codes in schema order). The caller validates
-    /// codes against the schema first — the table the delta shard
-    /// mirrors rejects out-of-domain rows before they reach here.
-    pub fn append_row(&mut self, row: &[Value]) -> tabular::Result<()> {
-        if row.len() < self.cardinalities.len() {
-            return Err(tabular::TabularError::ArityMismatch {
-                expected: self.cardinalities.len(),
-                got: row.len(),
-            });
-        }
-        for (a, (&code, &card)) in row.iter().zip(&self.cardinalities).enumerate() {
-            if code >= card {
-                return Err(tabular::TabularError::ValueOutOfDomain {
-                    attr: a as u32,
-                    value: code,
-                    cardinality: card as usize,
-                });
-            }
-        }
-        let r = self.n_rows;
-        let mut key = 0usize;
-        for (a, &code) in row.iter().take(self.cardinalities.len()).enumerate() {
-            self.set_bit(a, code, r);
-            key = key * self.cardinalities[a] as usize + code as usize;
-        }
-        if let Some(cube) = &mut self.cube {
-            cube[key] += 1;
-        }
-        self.n_rows += 1;
-        Ok(())
-    }
-
-    fn set_bit(&mut self, attr: usize, code: Value, row: usize) {
-        let words = &mut self.attrs[attr][code as usize];
-        let w = row / 64;
-        if words.len() <= w {
-            words.resize(w + 1, 0);
-        }
-        words[w] |= 1u64 << (row % 64);
-    }
-
-    /// Delta rows indexed so far.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Count delta rows matching `ctx`: AND the context's code word
-    /// vectors and popcount. Equals a scan of the delta shard exactly.
-    /// `None` when `ctx` names an attribute outside the indexed schema
-    /// (the caller's scan path owns the error behavior); out-of-domain
-    /// codes match zero rows.
-    pub fn count(&self, ctx: &Context) -> Option<u64> {
-        self.count_at_most(ctx, u64::MAX)
-    }
-
-    /// [`DeltaBitmaps::count`] capped at `cap`: exactly
-    /// `min(count, cap)`, counted by the same blocked loop as
-    /// [`TableIndex::count_at_most`]. A vector's missing tail words are
-    /// zero, so the AND ends where the shortest vector does.
-    pub fn count_at_most(&self, ctx: &Context, cap: u64) -> Option<u64> {
-        if ctx
-            .iter()
-            .any(|(a, _)| a.index() >= self.cardinalities.len())
-        {
-            return None;
-        }
-        if ctx.is_empty() {
-            return Some((self.n_rows as u64).min(cap));
-        }
-        let mut codes = Vec::with_capacity(ctx.len());
-        for (a, v) in ctx.iter() {
-            match self.attrs[a.index()].get(v as usize) {
-                Some(words) => codes.push(words.as_slice()),
-                None => return Some(0), // out-of-domain code
-            }
-        }
-        Some(and_count_at_most(&codes, cap))
-    }
-
-    /// Heap bytes held by the packed words.
-    pub fn memory_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for maps in &self.attrs {
-            for words in maps {
-                total += (words.capacity() * 8) as u64;
-            }
-        }
-        total
     }
 }
 
@@ -1499,94 +1277,79 @@ mod tests {
         assert_eq!(pass.total(), 0);
     }
 
+    /// The first `n` rows of `t`.
+    fn prefix(t: &Table, n: usize) -> Table {
+        t.select(&(0..n).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// An index over `t` grown from an index over its first `start`
+    /// rows by [`TableIndex::extended`], one batch of `batches` at a
+    /// time, cycling through them until every row is in.
+    fn grown(t: &Table, start: usize, batches: &[usize]) -> TableIndex {
+        let mut index = TableIndex::build(&prefix(t, start), 1).unwrap();
+        for &batch in batches.iter().cycle() {
+            if index.n_rows() == t.n_rows() {
+                break;
+            }
+            let rows = t.n_rows().min(index.n_rows() + batch);
+            index = index.extended(&prefix(t, rows)).expect("one shard");
+        }
+        index
+    }
+
     #[test]
-    fn delta_counts_equal_scans_as_rows_append() {
+    fn extended_counts_equal_scans_as_batches_append() {
         let t = table(150);
-        let mut delta = DeltaBitmaps::new(vec![3, 2, 4]);
         let contexts = [
             Context::empty(),
             Context::of([(AttrId(0), 1)]),
             Context::of([(AttrId(0), 2), (AttrId(1), 0)]),
             Context::of([(AttrId(0), 0), (AttrId(1), 1), (AttrId(2), 3)]),
         ];
-        let mut grown = Table::new(t.schema().clone());
-        for r in 0..t.n_rows() {
-            let row = t.row(r).unwrap();
-            delta.append_row(&row).unwrap();
-            grown.push_row(&row).unwrap();
-            if r % 37 == 0 || r + 1 == t.n_rows() {
-                for ctx in &contexts {
-                    assert_eq!(
-                        delta.count(ctx),
-                        Some(grown.count(ctx) as u64),
-                        "after {} rows, {ctx:?}",
-                        r + 1
-                    );
-                }
+        let mut index = TableIndex::build(&table(0), 1).unwrap();
+        for (r, batch) in [1, 36, 1, 63, 1, 48].into_iter().enumerate() {
+            let grown = prefix(&t, index.n_rows() + batch);
+            index = index.extended(&grown).unwrap();
+            for ctx in &contexts {
+                let want = Some(grown.count(ctx) as u64);
+                assert_eq!(index.count(ctx), want, "batch #{r}, {ctx:?}");
             }
         }
-        assert_eq!(delta.n_rows(), 150);
+        assert_eq!(index.n_rows(), 150);
     }
 
     #[test]
-    fn delta_from_table_equals_incremental_appends() {
-        let t = table(101);
-        let built = DeltaBitmaps::from_table(&t).unwrap();
-        let mut appended = DeltaBitmaps::new(vec![3, 2, 4]);
-        for row in t.rows() {
-            appended.append_row(&row).unwrap();
-        }
-        let contexts = [
-            Context::empty(),
-            Context::of([(AttrId(1), 1)]),
-            Context::of([(AttrId(0), 2), (AttrId(2), 1)]),
-        ];
-        for ctx in &contexts {
-            assert_eq!(built.count(ctx), appended.count(ctx), "{ctx:?}");
-            assert_eq!(built.count(ctx), Some(t.count(ctx) as u64), "{ctx:?}");
-        }
-    }
-
-    #[test]
-    fn delta_mirrors_the_index_edge_contract() {
+    fn extended_indexes_keep_the_index_edge_contract() {
         let t = table(20);
-        let delta = DeltaBitmaps::from_table(&t).unwrap();
+        let index = grown(&t, 0, &[7]);
         // out-of-domain code: zero rows, exactly as a scan finds
-        assert_eq!(delta.count(&Context::of([(AttrId(1), 9)])), Some(0));
+        assert_eq!(index.count(&Context::of([(AttrId(1), 9)])), Some(0));
         assert_eq!(
-            delta.count(&Context::of([(AttrId(0), 1), (AttrId(1), 9)])),
+            index.count(&Context::of([(AttrId(0), 1), (AttrId(1), 9)])),
             Some(0)
         );
         // out-of-schema attribute: defer to the caller's scan path
-        assert_eq!(delta.count(&Context::of([(AttrId(7), 0)])), None);
-        // malformed appends are typed errors, not silent corruption
-        let mut d = DeltaBitmaps::new(vec![3, 2, 4]);
-        assert!(d.append_row(&[0, 1]).is_err());
-        assert!(d.append_row(&[0, 5, 0]).is_err());
-        assert_eq!(d.n_rows(), 0);
-        // empty deltas count zero everywhere and hold no words
-        assert_eq!(d.count(&Context::empty()), Some(0));
-        assert_eq!(d.memory_bytes(), 0);
-    }
-
-    /// Rows `rows` of `base` then rows `delta_rows` of `delta`, scanned.
-    fn scan_ranges(
-        base: &Table,
-        rows: Range<usize>,
-        delta: &Table,
-        delta_rows: Range<usize>,
-        attrs: &[AttrId],
-        ctx: &Context,
-    ) -> Counter {
-        let mut counter = Counter::build_range(base, attrs, ctx, rows).unwrap();
-        let tail = Counter::build_range(delta, attrs, ctx, delta_rows).unwrap();
-        counter.merge_from(&tail).unwrap();
-        counter
+        assert_eq!(index.count(&Context::of([(AttrId(7), 0)])), None);
+        // a table of fewer rows or other cardinalities is not an
+        // extension; a sharded index moves its boundaries: the caller
+        // rebuilds
+        assert_eq!(index.extended(&table(19)), None);
+        let mut s = Schema::new();
+        s.push("a", Domain::categorical(["0", "1", "2"]));
+        s.push("b", Domain::categorical(["0", "1"]));
+        assert_eq!(index.extended(&Table::new(s)), None);
+        let sharded = TableIndex::build(&t, 2).unwrap();
+        assert_eq!(sharded.extended(&table(30)), None);
+        // an empty index counts zero everywhere and holds no words
+        let empty = TableIndex::build(&table(0), 1).unwrap();
+        let empty = empty.extended(&table(0)).unwrap();
+        assert_eq!(empty.count(&Context::empty()), Some(0));
+        assert_eq!(empty.memory_bytes(), 0);
     }
 
     /// A table over `a` (3 codes), `b` (2) and `wide` (`wide` codes),
     /// whose rows hold codes from `0..max` of each attribute only, so
-    /// the codes above stay absent (their delta vectors never grow).
+    /// the codes above stay absent.
     fn random_table(rng: &mut StdRng, n: usize, wide: u32, max: [u32; 3]) -> Table {
         let mut s = Schema::new();
         s.push("a", Domain::categorical(["0", "1", "2"]));
@@ -1610,20 +1373,18 @@ mod tests {
     }
 
     #[test]
-    fn range_walks_cover_the_edges_of_words_and_delta_vectors() {
+    fn range_walks_cover_the_edges_of_words() {
         let mut rng = StdRng::seed_from_u64(7);
         let base = random_table(&mut rng, 200, 5, [3, 2, 5]);
-        // the delta holds a = 0 and wide ∈ {0, 1} only in its first
-        // rows, then never again: those vectors stop growing early, and
-        // wide ≥ 2 never grows at all
-        let mut delta = random_table(&mut rng, 10, 5, [3, 2, 2]);
+        // a = 0 and wide ∈ {0, 1} occur only in the first 10 rows, and
+        // wide ≥ 2 only after them: the ranges past row 10 walk codes
+        // whose words are all zero there
+        let mut skewed = random_table(&mut rng, 10, 5, [3, 2, 2]);
         for row in random_table(&mut rng, 190, 5, [3, 2, 5]).rows() {
-            delta
+            skewed
                 .push_row(&[row[0].max(1), row[1], row[2].max(2)])
                 .unwrap();
         }
-        let index = TableIndex::build(&base, 1).unwrap();
-        let bitmaps = DeltaBitmaps::from_table(&delta).unwrap();
         let ranges = [
             0..0,
             5..5,
@@ -1649,29 +1410,20 @@ mod tests {
             Context::of([(AttrId(2), 9)]), // out of domain: nothing
             Context::of([(AttrId(0), 1), (AttrId(1), 7)]),
         ];
-        for rows in &ranges {
-            for delta_rows in &ranges {
+        // a built index, and one grown batch by batch from row 10
+        for (t, index) in [
+            (&base, TableIndex::build(&base, 1).unwrap()),
+            (&skewed, grown(&skewed, 10, &[1, 63, 65])),
+        ] {
+            for rows in &ranges {
                 for attrs in groupings {
                     for ctx in &contexts {
-                        let what = format!("{rows:?} + {delta_rows:?}, {attrs:?}, {ctx:?}");
+                        let what = format!("{rows:?}, {attrs:?}, {ctx:?}");
                         let walked = index
-                            .counting_pass_range(
-                                &base,
-                                rows.clone(),
-                                Some((&bitmaps, delta_rows.clone())),
-                                attrs,
-                                ctx,
-                            )
+                            .counting_pass_range(t, rows.clone(), attrs, ctx)
                             .unwrap()
                             .expect("small grids walk");
-                        let want = scan_ranges(
-                            &base,
-                            rows.clone(),
-                            &delta,
-                            delta_rows.clone(),
-                            attrs,
-                            ctx,
-                        );
+                        let want = Counter::build_range(t, attrs, ctx, rows.clone()).unwrap();
                         assert_same(&walked, &want, &what);
                     }
                 }
@@ -1687,28 +1439,26 @@ mod tests {
         let wide = [AttrId(2), AttrId(0), AttrId(1)];
         let ctx = Context::empty();
         // 360 cells over a single row: the scan is cheaper
-        let one = index.counting_pass_range(&base, 100..101, None, &wide, &ctx);
+        let one = index.counting_pass_range(&base, 100..101, &wide, &ctx);
         assert!(one.unwrap().is_none());
         // the same grid over every row walks
         let all = index
-            .counting_pass_range(&base, 0..300, None, &wide, &ctx)
+            .counting_pass_range(&base, 0..300, &wide, &ctx)
             .unwrap();
         assert_same(
             &all.expect("walks"),
             &Counter::build(&base, &wide, &ctx).unwrap(),
             "all",
         );
-        // a sharded index, an out-of-range window and a foreign delta decline
+        // a sharded index, an out-of-range window and a foreign table decline
         let sharded = TableIndex::build(&base, 2).unwrap();
-        let pass = sharded.counting_pass_range(&base, 0..10, None, &[AttrId(0)], &ctx);
+        let pass = sharded.counting_pass_range(&base, 0..10, &[AttrId(0)], &ctx);
         assert!(pass.unwrap().is_none());
-        let pass = index.counting_pass_range(&base, 0..301, None, &[AttrId(0)], &ctx);
+        let pass = index.counting_pass_range(&base, 0..301, &[AttrId(0)], &ctx);
         assert!(pass.unwrap().is_none());
-        let foreign = DeltaBitmaps::new(vec![3, 2]);
-        let pass =
-            index.counting_pass_range(&base, 0..10, Some((&foreign, 0..0)), &[AttrId(0)], &ctx);
+        let pass = index.counting_pass_range(&table(300), 0..10, &[AttrId(0)], &ctx);
         assert!(pass.unwrap().is_none());
-        let pass = index.counting_pass_range(&base, 0..10, None, &[AttrId(7)], &ctx);
+        let pass = index.counting_pass_range(&base, 0..10, &[AttrId(7)], &ctx);
         assert!(
             pass.unwrap().is_none(),
             "an unknown attribute is the scan's error to report"
@@ -1718,29 +1468,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The range walk over a base index and a delta equals
-        /// `Counter::build_range` over the same rows, merged — or
-        /// declines, exactly when its cost gate says the scan is cheaper.
+        /// The range walk over an index grown batch by batch equals
+        /// `Counter::build_range` over the same rows — or declines,
+        /// exactly when its cost gate says the scan is cheaper.
         #[test]
         fn range_walks_equal_range_scans(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let wide = rng.gen_range(2..40u32);
             let n_base = rng.gen_range(0..260usize);
-            let n_delta = rng.gen_range(0..260usize);
-            let base = random_table(&mut rng, n_base, wide, [3, 2, wide]);
+            let n_rows = n_base + rng.gen_range(0..260usize);
+            let mut t = random_table(&mut rng, n_base, wide, [3, 2, wide]);
             let max = [rng.gen_range(1..=3), 2, rng.gen_range(1..=wide)];
-            let delta = random_table(&mut rng, n_delta, wide, max);
-            let index = TableIndex::build(&base, 1).unwrap();
-            let bitmaps = if seed % 2 == 0 {
-                DeltaBitmaps::from_table(&delta).unwrap()
-            } else {
-                let mut grown = DeltaBitmaps::new(index.cardinalities().to_vec());
-                delta.rows().for_each(|row| grown.append_row(&row).unwrap());
-                grown
-            };
-            let from = rng.gen_range(0..=n_base);
-            let delta_from = rng.gen_range(0..=n_delta);
-            let delta_to = if seed % 3 == 0 { rng.gen_range(delta_from..=n_delta) } else { n_delta };
+            for row in random_table(&mut rng, n_rows - n_base, wide, max).rows() {
+                t.push_row(&row).unwrap();
+            }
+            let batch = rng.gen_range(1..100usize);
+            let index = grown(&t, n_base, &[batch]);
+            let from = rng.gen_range(0..=n_rows);
+            let to = if seed % 3 == 0 { rng.gen_range(from..=n_rows) } else { n_rows };
             let mut attrs: Vec<AttrId> = (0..3).map(AttrId).filter(|_| rng.gen_bool(0.6)).collect();
             if rng.gen_bool(0.5) {
                 attrs.reverse();
@@ -1754,63 +1499,52 @@ mod tests {
                 }
             }
             let ctx = Context::of(pairs);
-            let walked = index
-                .counting_pass_range(&base, from..n_base, Some((&bitmaps, delta_from..delta_to)), &attrs, &ctx)
-                .unwrap();
+            let walked = index.counting_pass_range(&t, from..to, &attrs, &ctx).unwrap();
             let plan = Plan::new(index.cardinalities(), &attrs, &ctx).unwrap();
-            let rows = (n_base - from) + (delta_to - delta_from);
-            let words = word_span(&(from..n_base)).len() + word_span(&(delta_from..delta_to)).len();
-            prop_assert_eq!(walked.is_some(), plan.walk_is_cheaper(rows, words));
+            let words = word_span(&(from..to)).len();
+            prop_assert_eq!(walked.is_some(), plan.walk_is_cheaper(to - from, words));
             if let Some(walked) = walked {
-                let want = scan_ranges(&base, from..n_base, &delta, delta_from..delta_to, &attrs, &ctx);
+                let want = Counter::build_range(&t, &attrs, &ctx, from..to).unwrap();
                 prop_assert_eq!(walked.total(), want.total());
                 prop_assert_eq!(walked.nonzero_groups(), want.nonzero_groups());
             }
         }
-    }
 
-    #[test]
-    fn appended_indexes_equal_rebuilds_over_the_concatenated_table() {
-        let mut rng = StdRng::seed_from_u64(3);
-        // the joint grid has 3 × 2 × 5 = 30 cells: a base or a fold of
-        // fewer rows has no cube, and (20, 10) is the first fold with one
-        for (n_base, n_delta) in [
-            (0, 0),
-            (0, 70),
-            (1, 63),
-            (20, 9),
-            (20, 10),
-            (29, 1),
-            (63, 1),
-            (64, 64),
-            (65, 300),
-            (130, 0),
-        ] {
-            let base = random_table(&mut rng, n_base, 5, [3, 2, 5]);
-            let delta = random_table(&mut rng, n_delta, 5, [3, 1, 4]);
-            let mut full = base.clone();
-            delta.rows().for_each(|row| full.push_row(&row).unwrap());
-            let index = TableIndex::build(&base, 1).unwrap();
-            let rebuilt = TableIndex::build(&full, 1).unwrap();
-            let what = format!("{n_base} + {n_delta}");
-            assert_eq!(
-                rebuilt.cube_cells(),
-                if full.n_rows() >= 30 { 30 } else { 0 }
-            );
-            let mut grown = DeltaBitmaps::new(vec![3, 2, 5]);
-            delta.rows().for_each(|row| grown.append_row(&row).unwrap());
-            for bitmaps in [DeltaBitmaps::from_table(&delta).unwrap(), grown] {
-                assert_eq!(index.appended(&bitmaps).as_ref(), Some(&rebuilt), "{what}");
+        /// An index extended batch by batch equals a build over all the
+        /// rows, word for word and cube for cube: from bases at and
+        /// around word and 64-word-block edges, in batches that end on
+        /// and off a word, with a joint grid that the rows cross, reach
+        /// or never reach.
+        #[test]
+        fn extended_indexes_equal_builds_over_the_concatenated_table(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bases = [0usize, 1, 63, 64, 65, 4095, 4096, 4097];
+            let sizes = [1usize, 63, 64, 65, 256];
+            let n_base = bases[rng.gen_range(0..bases.len())];
+            let batches: Vec<usize> =
+                (0..rng.gen_range(1..=3)).map(|_| sizes[rng.gen_range(0..sizes.len())]).collect();
+            let n_rows = n_base + batches.iter().sum::<usize>();
+            // the grid is 6 × wide cells: past the last row count, at
+            // most the base's, or crossed by one of the batches
+            let (lo, hi) = (n_base / 6, n_rows / 6);
+            let wide = match seed % 3 {
+                0 => hi + 1 + rng.gen_range(0..8usize),
+                1 => lo.saturating_sub(rng.gen_range(0..8usize)).max(1),
+                _ if lo < hi => rng.gen_range(lo + 1..=hi),
+                _ => hi + 1,
+            } as u32;
+            let t = random_table(&mut rng, n_rows, wide, [3, 2, wide]);
+            let mut index = TableIndex::build(&prefix(&t, n_base), 1).unwrap();
+            let mut rows = n_base;
+            for &batch in &batches {
+                rows += batch;
+                let upto = prefix(&t, rows);
+                index = index.extended(&upto).unwrap();
+                let rebuilt = TableIndex::build(&upto, 1).unwrap();
+                prop_assert_eq!(index.cube_cells(), rebuilt.cube_cells());
+                prop_assert!(index == rebuilt, "{} + {:?} rows, {} codes", n_base, batches, wide);
             }
-            // a sharded index moves its boundaries: the caller rebuilds
-            let sharded = TableIndex::build(&base, 2).unwrap();
-            assert_eq!(
-                sharded.appended(&DeltaBitmaps::from_table(&delta).unwrap()),
-                None
-            );
         }
-        let index = TableIndex::build(&table(10), 1).unwrap();
-        assert_eq!(index.appended(&DeltaBitmaps::new(vec![3, 2])), None);
     }
 
     /// `rows` rows over attributes of cardinalities `cards`, each code
@@ -1992,7 +1726,7 @@ mod tests {
     }
 
     /// Five attributes; code 3 of `e` only occurs in the first 100
-    /// rows, so its delta vector stays short while others grow.
+    /// rows, so its words are zero past them while others fill.
     fn support_table(rng: &mut StdRng, n: usize) -> Table {
         let mut s = Schema::new();
         for (name, card) in [("a", 3), ("b", 2), ("c", 4), ("d", 2), ("e", 4)] {
@@ -2059,10 +1793,8 @@ mod tests {
             2 * block_rows + 65,
         ] {
             let t = support_table(&mut rng, n);
-            let mut delta = DeltaBitmaps::new(vec![3, 2, 4, 2, 4]);
-            for row in t.rows() {
-                delta.append_row(&row).unwrap();
-            }
+            // grown in batches: code 3 of `e` stops after row 100
+            let extended = grown(&t, 0, &[65, 1, 4096]);
             let indexes: Vec<TableIndex> = (1..=3)
                 .map(|shards| TableIndex::build(&t, shards).unwrap())
                 .collect();
@@ -2084,18 +1816,18 @@ mod tests {
                         assert_eq!(index.count_at_most(&ctx, cap), want, "{what}");
                     }
                     assert_eq!(
-                        delta.count_at_most(&ctx, cap),
+                        extended.count_at_most(&ctx, cap),
                         want,
-                        "delta: {n} rows, {ctx:?}, cap {cap}"
+                        "extended: {n} rows, {ctx:?}, cap {cap}"
                     );
                 }
                 assert_eq!(indexes[0].count(&ctx), Some(n_match));
-                assert_eq!(delta.count(&ctx), Some(n_match));
+                assert_eq!(extended.count(&ctx), Some(n_match));
             }
             // an attribute outside the schema is the caller's to scan
             let outside = Context::of([(AttrId(0), 0), (AttrId(5), 0)]);
             assert_eq!(indexes[2].count_at_most(&outside, 1), None);
-            assert_eq!(delta.count_at_most(&outside, 1), None);
+            assert_eq!(extended.count_at_most(&outside, 1), None);
         }
     }
 

@@ -391,13 +391,15 @@ impl Engine {
         self.est.n_total_rows()
     }
 
-    /// Heap bytes held by the bitmap index (0 without one).
+    /// Heap bytes held by the bitmap indexes: the base's and, on a live
+    /// table, the appended rows' (0 without an index).
     pub fn index_memory_bytes(&self) -> u64 {
-        self.est.index().map_or(0, |i| i.memory_bytes())
+        let indexes = self.est.parts().filter_map(|part| part.index.as_ref());
+        indexes.map(|i| i.memory_bytes()).sum()
     }
 
-    /// Cells of the index's joint-count cube (0 without an index or
-    /// when the grid is past the cube's gate).
+    /// Cells of the base index's joint-count cube (0 without an index
+    /// or when the grid is past the cube's gate).
     pub fn index_cube_cells(&self) -> usize {
         self.est.index().map_or(0, |i| i.cube_cells())
     }
@@ -558,9 +560,9 @@ impl Engine {
         // Overlay a live donor's delta shard before anything downstream
         // validates row counts: its passes may legitimately count more
         // rows than the base table alone holds. The overlay re-checks
-        // the schema pairing and rebuilds the delta bitmaps.
+        // the schema pairing and indexes the delta rows.
         if let Some(delta) = delta {
-            est = est.with_delta_overlay(delta)?;
+            est = est.with_delta_table(delta)?;
         }
         let schema = est.table().schema();
         if features.is_empty() {
@@ -659,29 +661,30 @@ impl Engine {
         })
     }
 
-    /// A new engine over the same base artifacts with `delta` overlaid
-    /// as the write-side shard — the live-table append path.
+    /// A new engine serving this engine's rows followed by `batch` — the
+    /// live-table append path. The rows are dictionary-coded in schema
+    /// order (prediction column included) and checked for arity and
+    /// domain; a bad row rejects the whole batch.
     ///
-    /// `delta` carries **all** rows appended since the base table froze
-    /// (a live table keeps one growing shard), so it extends this
-    /// engine's own delta: the rows past [`Engine::delta_rows`] are the
-    /// new batch. Each step costs work in proportion to the batch, not
-    /// the delta. Everything the returned engine answers is bit-identical
-    /// to a cold build over the concatenated table:
+    /// The engine keeps the appended rows after its frozen base, and the
+    /// batch extends them, so each step costs work in proportion to the
+    /// batch and the rows past the base, never the base. Everything the
+    /// returned engine answers is bit-identical to a cold build over the
+    /// concatenated table:
     ///
-    /// * counting passes and support probes merge the delta's partial
-    ///   counts after the base shards (integer addition, shard-index
-    ///   order — see [`crate::scores`]); the delta bitmaps are this
-    ///   engine's, copied, plus the new rows;
+    /// * counting passes and support probes run the same routine over
+    ///   the base and the appended rows and add their integers (see
+    ///   [`crate::scores`]); the appended rows' bitmap index is this
+    ///   engine's, extended over the batch;
     /// * value orders re-rank from per-value integer totals over every
     ///   row: this engine's totals plus one count of the new rows;
     /// * the new engine shares this one's caches if this one is its
     ///   table's newest generation, else (a fork) starts with empty
     ///   ones: a lookup tops a pass up with the rows past its watermark,
     ///   and a refit groups just those rows into the fit's patterns.
-    pub fn with_delta(&self, delta: Arc<Table>) -> Result<Engine> {
+    pub fn with_delta(&self, batch: &[Vec<Value>]) -> Result<Engine> {
         let from = self.est.n_total_rows();
-        let est = self.est.with_delta_overlay(delta)?;
+        let est = self.est.with_appended(batch)?;
         let mut order_stats = match &self.order_stats {
             Some(stats) => stats.clone(),
             None => self
@@ -722,24 +725,27 @@ impl Engine {
 
     /// Fold the delta shard into the base: a new engine over the
     /// concatenated table, the same value orders and their totals, and
-    /// the same shared caches. Its bitmap index is the base index with
-    /// the delta bitmaps appended, which equals a rebuild word for word;
-    /// an index of more than one shard is rebuilt. The concatenated
-    /// table holds exactly the rows this engine was already answering
-    /// over, in the same logical order, so every cached entry stays
-    /// exact and every watermark still marks the same rows; only the
-    /// physical layout changes. Compaction therefore never changes an
+    /// the same shared caches. Its bitmap index is the base index
+    /// extended over the concatenated table, coding only the delta rows
+    /// ([`lewis_index::TableIndex::extended`]), which equals a rebuild
+    /// word for word; an index of more than one shard is rebuilt. The
+    /// concatenated table holds exactly the rows this engine was already
+    /// answering over, in the same logical order, so every cached entry
+    /// stays exact and every watermark still marks the same rows; only
+    /// the physical layout changes. Compaction therefore never changes an
     /// answer (property-tested in `tests/live_parity.rs`). Without a
     /// delta this just re-materializes the engine over its existing
     /// base and index.
     pub fn compacted(&self) -> Result<Engine> {
-        let folded = match self.est.delta_table().filter(|d| d.n_rows() > 0) {
-            None => self.est.shared_table(),
+        let (folded, index) = match self.est.delta_table().filter(|d| d.n_rows() > 0) {
+            None => (self.est.shared_table(), self.est.index().cloned()),
             Some(delta) => {
                 let base = self.est.table();
                 let cols = base.columns().iter().zip(delta.columns());
                 let cols = cols.map(|(b, d)| [b.as_slice(), d].concat()).collect();
-                Arc::new(Table::from_columns(base.schema().clone(), cols)?)
+                let folded = Table::from_columns(base.schema().clone(), cols)?;
+                let index = self.est.index().and_then(|i| i.extended(&folded));
+                (Arc::new(folded), index.map(Arc::new))
             }
         };
         let mut est = ScoreEstimator::from_shared(
@@ -750,7 +756,7 @@ impl Engine {
             self.est.alpha(),
         )?
         .with_shards(self.est.shards());
-        match self.est.folded_index() {
+        match index {
             Some(index) => est.install_index(index),
             None => est = est.with_index(self.est.index().is_some())?,
         }
@@ -774,7 +780,7 @@ impl Engine {
             Some(delta) => {
                 let tail = delta.columns().iter().map(|col| col[skip..].to_vec());
                 let tail = Table::from_columns(delta.schema().clone(), tail.collect())?;
-                folded.est.with_delta_overlay(Arc::new(tail))?
+                folded.est.with_delta_table(Arc::new(tail))?
             }
         };
         Ok(self.over(est))
@@ -1765,6 +1771,11 @@ mod tests {
         (base, delta)
     }
 
+    /// The rows `range` of `t`, as an append batch.
+    fn rows(t: &Table, range: std::ops::Range<usize>) -> Vec<Vec<Value>> {
+        range.map(|r| t.row(r).unwrap()).collect()
+    }
+
     #[test]
     fn with_delta_answers_like_a_cold_build_over_the_concatenated_table() {
         let (full, pred) = setup(3000);
@@ -1784,7 +1795,7 @@ mod tests {
             };
             let cold = build(full.clone());
             let live = build(base.clone())
-                .with_delta(Arc::new(delta.clone()))
+                .with_delta(&rows(&delta, 0..500))
                 .unwrap();
             assert_eq!(live.total_rows(), cold.table().n_rows());
             assert_eq!(live.delta_rows(), delta.n_rows());
@@ -1842,9 +1853,10 @@ mod tests {
         // the delta grows in two steps; each generation extends the last
         for total in [1300, 1600] {
             let (served, _) = split(&full, total);
-            let (_, delta) = split(&served, 1000);
             let donor = live;
-            live = donor.with_delta(Arc::new(delta)).unwrap();
+            live = donor
+                .with_delta(&rows(&full, donor.total_rows()..total))
+                .unwrap();
             // the head's child shares its caches: nothing is dropped
             assert!(Arc::ptr_eq(&live.caches, &donor.caches));
             let (before, s_before) = (live.cache_stats(), live.surrogate_stats());
@@ -1867,7 +1879,7 @@ mod tests {
     #[test]
     fn recourse_verification_counts_through_the_pass_cache() {
         let (full, pred) = setup(1600);
-        let (base, delta) = split(&full, 1300);
+        let (base, _) = split(&full, 1300);
         let scm = world();
         let build = |t: Table| {
             Engine::builder(t)
@@ -1896,7 +1908,7 @@ mod tests {
         assert_eq!(warm.misses, cold.misses);
         assert!(warm.hits > cold.hits);
         // appended rows top the verification passes up
-        let live = engine.with_delta(Arc::new(delta)).unwrap();
+        let live = engine.with_delta(&rows(&full, 1300..1600)).unwrap();
         let before = live.cache_stats();
         assert_eq!(
             live.recourse(&row, &actionable, &opts).unwrap(),
@@ -1908,7 +1920,7 @@ mod tests {
     #[test]
     fn top_ups_walk_the_index_and_scan_rows_only_where_it_declines() {
         let (full, pred) = setup(1600);
-        let (base, delta) = split(&full, 1300);
+        let (base, _) = split(&full, 1300);
         let scm = world();
         let build = |t: Table, shards: usize| {
             Engine::builder(t)
@@ -1924,7 +1936,7 @@ mod tests {
         for shards in [1, 2] {
             let engine = build(base.clone(), shards);
             let _ = engine.global().unwrap();
-            let live = engine.with_delta(Arc::new(delta.clone())).unwrap();
+            let live = engine.with_delta(&rows(&full, 1300..1600)).unwrap();
             let before = live.cache_stats();
             answers.push(format!("{:?}", live.global().unwrap()));
             let after = live.cache_stats();
@@ -1932,10 +1944,10 @@ mod tests {
             assert!(topped > 0, "the warm passes are topped up");
             assert_eq!(after.misses, before.misses);
             let scanned = after.topup_rows_scanned - before.topup_rows_scanned;
-            // every pass grid is under the gate: a single-shard index
-            // walks the 300 new rows, a two-shard one scans them
-            let want = if shards == 1 { 0 } else { 300 * topped };
-            assert_eq!(scanned, want, "{shards} shards");
+            // every pass grid is under the gate, and the 300 new rows
+            // are the delta's: its own one-shard index walks them
+            // whatever the base's shard count
+            assert_eq!(scanned, 0, "{shards} shards");
         }
         assert_eq!(answers[0], answers[1]);
         assert_eq!(
@@ -1947,7 +1959,7 @@ mod tests {
     #[test]
     fn compaction_folds_the_delta_without_changing_answers() {
         let (full, pred) = setup(1500);
-        let (base, delta) = split(&full, 1200);
+        let (base, _) = split(&full, 1200);
         let scm = world();
         let live = Engine::builder(base)
             .graph(scm.graph())
@@ -1957,7 +1969,7 @@ mod tests {
             .index(true)
             .build()
             .unwrap()
-            .with_delta(Arc::new(delta))
+            .with_delta(&rows(&full, 1200..1500))
             .unwrap();
         let k = Context::of([(AttrId(0), 1)]);
         let g = live.global().unwrap();
@@ -2016,11 +2028,11 @@ mod tests {
     #[test]
     fn a_fit_finishing_on_a_replaced_generation_seeds_the_next_refit() {
         let (full, pred) = setup(1600);
-        let (base, rest) = split(&full, 1000);
+        let (base, _) = split(&full, 1000);
         let g = build_over(base, pred);
         // an append publishes g1 before the work already running on g
         // inserts its fit and its pass
-        let g1 = g.with_delta(Arc::new(split(&rest, 300).0)).unwrap();
+        let g1 = g.with_delta(&rows(&full, 1000..1300)).unwrap();
         let actionable = [AttrId(0), AttrId(1)];
         g.prepare_surrogate(&actionable).unwrap();
         let _ = g.global().unwrap();
@@ -2045,13 +2057,13 @@ mod tests {
     #[test]
     fn work_on_a_generation_published_mid_fold_survives_the_fold() {
         let (full, pred) = setup(1600);
-        let (base, rest) = split(&full, 1000);
+        let (base, _) = split(&full, 1000);
         let g0 = build_over(base, pred)
-            .with_delta(Arc::new(split(&rest, 300).0))
+            .with_delta(&rows(&full, 1000..1300))
             .unwrap();
         // the fold starts from g0 while an append publishes g1
         let folded = g0.compacted().unwrap();
-        let g1 = g0.with_delta(Arc::new(rest)).unwrap();
+        let g1 = g0.with_delta(&rows(&full, 1300..1600)).unwrap();
         let row = full.row(7).unwrap();
         let warm = answers(&g1, &row);
         // publishing the fold re-expresses g1 over the folded base
@@ -2085,8 +2097,8 @@ mod tests {
         let parent = build_over(base.clone(), pred);
         let row = full.row(7).unwrap();
         let _ = answers(&parent, &row);
-        let fork_a = parent.with_delta(Arc::new(a.clone())).unwrap();
-        let fork_b = parent.with_delta(Arc::new(b.clone())).unwrap();
+        let fork_a = parent.with_delta(&rows(&a, 0..300)).unwrap();
+        let fork_b = parent.with_delta(&rows(&b, 0..300)).unwrap();
         assert_eq!(fork_b.cache_stats().hits + fork_b.cache_stats().misses, 0);
         for (fork, delta) in [(fork_a, a), (fork_b, b)] {
             let mut table = base.clone();
@@ -2099,10 +2111,110 @@ mod tests {
         }
     }
 
+    /// The delta rows' bitmap index of a live engine.
+    fn delta_index(e: &Engine) -> Option<&TableIndex> {
+        e.est.parts().nth(1).and_then(|part| part.index.as_deref())
+    }
+
+    #[test]
+    fn a_live_engine_grown_batch_by_batch_counts_supports_and_orders_like_a_cold_build() {
+        let (full, pred) = setup(3000);
+        // contexts over every attribute subset of a spread of rows
+        let contexts: Vec<Context> = (0..13)
+            .flat_map(|i| {
+                let row = full.row(i * 229).unwrap();
+                (0..16u32).map(move |subset| {
+                    let attrs = (0..4u32).filter(|a| subset >> a & 1 == 1);
+                    Context::of(attrs.map(|a| (AttrId(a), row[a as usize])))
+                })
+            })
+            .collect();
+        for (shards, index) in [(1, true), (2, true), (1, false)] {
+            let build = |t: Table| {
+                Engine::builder(t)
+                    .graph(world().graph())
+                    .prediction(pred, 1)
+                    .features(&[AttrId(0), AttrId(1), AttrId(2)])
+                    .alpha(0.0)
+                    .shards(shards)
+                    .index(index)
+                    .build()
+                    .unwrap()
+            };
+            let mut live = build(split(&full, 2000).0);
+            for batch in [300, 1, 63, 65, 71, 500] {
+                let total = live.total_rows() + batch;
+                live = live
+                    .with_delta(&rows(&full, live.total_rows()..total))
+                    .unwrap();
+                let (served, _) = split(&full, total);
+                let what = format!("{total} rows, {shards} shards, index {index}");
+                for ctx in &contexts {
+                    let n = served.count(ctx);
+                    for min in [n.saturating_sub(1), n, n + 1] {
+                        let got = live.est.has_support(ctx, min);
+                        assert_eq!(got, n >= min, "{what}, {ctx:?}, min {min}");
+                    }
+                }
+                let (_, delta) = split(&served, 2000);
+                let want = index.then(|| TableIndex::build(&delta, 1).unwrap());
+                assert!(delta_index(&live) == want.as_ref(), "{what}");
+                let cold = build(served);
+                assert_eq!(live.order_stats, cold.order_stats, "{what}");
+                assert_eq!(live.orders, cold.orders, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_delta_crossing_its_cube_gate_answers_like_cold_builds_before_and_after_a_fold() {
+        // the joint grid has 3 × 2 × 2 × 2 = 24 cells: the delta keeps a
+        // cube from its 24th row on, the 200-row base from the start
+        let (full, pred) = setup(300);
+        let row = full.row(7).unwrap();
+        let mut live = build_over(split(&full, 200).0, pred);
+        let _ = answers(&live, &row);
+        for batch in [10, 10, 10, 70] {
+            let total = live.total_rows() + batch;
+            live = live
+                .with_delta(&rows(&full, live.total_rows()..total))
+                .unwrap();
+            let cells = delta_index(&live).map(TableIndex::cube_cells);
+            let want = if live.delta_rows() >= 24 { 24 } else { 0 };
+            assert_eq!(cells, Some(want), "{} delta rows", live.delta_rows());
+            let cold = build_over(split(&full, total).0, pred);
+            assert_eq!(answers(&live, &row), answers(&cold, &row), "{total} rows");
+        }
+        let folded = live.compacted().unwrap();
+        let rebuilt = TableIndex::build(&full, 1).unwrap();
+        assert_eq!(folded.estimator().index().map(|i| &**i), Some(&rebuilt));
+        assert_eq!(
+            answers(&folded, &row),
+            answers(&build_over(full, pred), &row)
+        );
+    }
+
+    #[test]
+    fn index_memory_counts_the_delta_index_and_a_fold_equals_a_rebuild() {
+        let (full, pred) = setup(1500);
+        let engine = build_over(split(&full, 1200).0, pred);
+        let base_bytes = engine.index_memory_bytes();
+        let live = engine.with_delta(&rows(&full, 1200..1500)).unwrap();
+        assert!(live.index_memory_bytes() > base_bytes);
+        assert_eq!(
+            live.index_memory_bytes(),
+            base_bytes + delta_index(&live).unwrap().memory_bytes()
+        );
+        let folded = live.compacted().unwrap();
+        let rebuilt = TableIndex::build(&full, 1).unwrap();
+        assert_eq!(folded.index_memory_bytes(), rebuilt.memory_bytes());
+        assert_eq!(folded.index_cube_cells(), rebuilt.cube_cells());
+    }
+
     #[test]
     fn snapshot_restore_round_trips_a_live_engine_mid_stream() {
         let (full, pred) = setup(1500);
-        let (base, delta) = split(&full, 1200);
+        let (base, _) = split(&full, 1200);
         let scm = world();
         let live = Engine::builder(base)
             .graph(scm.graph())
@@ -2112,7 +2224,7 @@ mod tests {
             .index(true)
             .build()
             .unwrap()
-            .with_delta(Arc::new(delta))
+            .with_delta(&rows(&full, 1200..1500))
             .unwrap();
         let k = Context::of([(AttrId(0), 1)]);
         let _ = live.global().unwrap();

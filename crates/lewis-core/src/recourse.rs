@@ -37,7 +37,6 @@ use ml::linear::{
     OrdinalFeature, Patterns,
 };
 use optim::{Group, IpError, Item, MckpSolver};
-use std::ops::Range;
 use std::sync::Arc;
 use tabular::{AttrId, Context, Table, Value};
 
@@ -272,10 +271,10 @@ pub fn surrogate_width(
 /// of [`LogisticRegression::fit_onehot_newton`]: one pass groups the
 /// rows into their distinct patterns, the iterations run over those.
 ///
-/// On a **live** estimator (a delta shard of appended rows overlaid on
-/// the frozen base), the base and delta columns are two borrowed
-/// segments of the same design. The fit depends only on the multiset of
-/// rows, so it is bit-identical to a cold fit over the concatenated
+/// On a **live** estimator (rows appended after the frozen base), the
+/// base and the appended rows are two borrowed segments of the same
+/// design, built by the same loop. The fit depends only on the multiset
+/// of rows, so it is bit-identical to a cold fit over the concatenated
 /// table — and to a fit over any shard layout or row order.
 ///
 /// `kept` carries the grouped patterns of an earlier fit over the first
@@ -292,30 +291,7 @@ pub(crate) fn fit_surrogate(
     let table = est.table();
     let pred = est.pred_attr();
     let plan = surrogate_plan(table, est.graph(), pred, actionable)?;
-    let labels = |t: &Table, rows: &Range<usize>| -> Result<Vec<u32>> {
-        Ok(t.column(pred)?[rows.clone()]
-            .iter()
-            .map(|&v| u32::from(v == est.positive()))
-            .collect())
-    };
     let from = kept.map_or(0, |(_, w)| w);
-    let base_rows = from.min(table.n_rows())..table.n_rows();
-    // a full fit reads the base labels off the prediction bitmap
-    let index_labels = (from == 0)
-        .then(|| est.index().and_then(|ix| ix.labels(pred, est.positive())))
-        .flatten();
-    let base_labels = match index_labels {
-        Some(labels) => labels,
-        None => labels(table, &base_rows)?,
-    };
-    let delta = est.delta_table().map(|d| {
-        let rows = from.saturating_sub(table.n_rows()).min(d.n_rows())..d.n_rows();
-        (d, rows)
-    });
-    let delta_labels = match &delta {
-        Some((d, rows)) => labels(d, rows)?,
-        None => Vec::new(),
-    };
     // design column order: one-hot blocks [actionable…], then the
     // ordinal context attributes
     let needed: Vec<AttrId> = actionable
@@ -323,21 +299,38 @@ pub(crate) fn fit_surrogate(
         .chain(plan.context_attrs.iter())
         .copied()
         .collect();
-    fn segment<'a>(
-        t: &'a Table,
-        attrs: &[AttrId],
-        rows: &Range<usize>,
-        labels: &'a [u32],
-    ) -> Result<DesignSegment<'a>> {
-        let mut columns = Vec::with_capacity(attrs.len());
-        for &a in attrs {
+    // Each part's rows past `from`, and their labels: off the prediction
+    // bitmap when the part is indexed and every row is in (a word walk),
+    // else a column compare.
+    let mut parts = Vec::new();
+    let mut start = 0;
+    for part in est.parts() {
+        let t = &*part.table;
+        let rows = from.saturating_sub(start).min(t.n_rows())..t.n_rows();
+        start += t.n_rows();
+        let indexed = (rows.start == 0)
+            .then(|| {
+                part.index
+                    .as_ref()
+                    .and_then(|ix| ix.labels(pred, est.positive()))
+            })
+            .flatten();
+        let labels = match indexed {
+            Some(labels) => labels,
+            None => t.column(pred)?[rows.clone()]
+                .iter()
+                .map(|&v| u32::from(v == est.positive()))
+                .collect(),
+        };
+        parts.push((t, rows, labels));
+    }
+    let mut segments = Vec::with_capacity(parts.len());
+    for (t, rows, labels) in &parts {
+        let mut columns = Vec::with_capacity(needed.len());
+        for &a in &needed {
             columns.push(&t.column(a)?[rows.clone()]);
         }
-        Ok(DesignSegment { columns, labels })
-    }
-    let mut segments = vec![segment(table, &needed, &base_rows, &base_labels)?];
-    if let Some((d, rows)) = &delta {
-        segments.push(segment(d, &needed, rows, &delta_labels)?);
+        segments.push(DesignSegment { columns, labels });
     }
     let mut blocks = Vec::with_capacity(actionable.len());
     for (i, &a) in actionable.iter().enumerate() {

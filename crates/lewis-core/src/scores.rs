@@ -25,38 +25,75 @@
 use crate::cache::CountingCache;
 use crate::{LewisError, Result};
 use causal::Dag;
-use lewis_index::{DeltaBitmaps, TableIndex};
+use lewis_index::TableIndex;
+use std::ops::Range;
 use std::sync::Arc;
 use tabular::{AttrId, Context, Counter, ShardedTable, Table, Value};
 
-/// A write-side delta shard overlaid on a frozen estimator: rows
-/// appended after the base table (and its shard layout, bitmap index,
-/// …) were built. Counting passes scan the base exactly as before and
-/// then merge the delta's partial counts **after** the base shards —
-/// shard-index order, so the merged integers equal a cold pass over the
-/// concatenated table, and every downstream float is bit-identical.
+/// One run of rows an estimator counts over, with its bitmap index when
+/// the estimator keeps one: the base table, and on a live table the rows
+/// appended after it. Every count runs one routine over each part, base
+/// first, and adds their integers, so it equals a count over the
+/// concatenated table exactly.
 #[derive(Clone)]
-pub(crate) struct DeltaOverlay {
-    /// The appended rows, dictionary-coded against the base schema.
-    table: Arc<Table>,
-    /// Append-only per-(attribute, code) bitmaps over the delta rows,
-    /// present iff the base estimator carries a [`TableIndex`] — support
-    /// probes and top-up passes then stay on the popcount path end to
-    /// end.
-    bitmaps: Option<Arc<DeltaBitmaps>>,
+pub(crate) struct Part {
+    /// The rows, dictionary-coded against the base schema.
+    pub(crate) table: Arc<Table>,
+    /// Per-(attribute, code) bitmaps over exactly these rows.
+    pub(crate) index: Option<Arc<TableIndex>>,
 }
 
-impl DeltaOverlay {
-    /// `min(|delta rows matching ctx|, cap)` — bitmaps when present,
-    /// else a scan of the (small) delta shard. Both count the same
-    /// integer.
+impl Part {
+    /// `min(|rows matching ctx|, cap)`: the index's capped count, else a
+    /// scan. Both count the same integer.
     fn count_at_most(&self, ctx: &Context, cap: u64) -> u64 {
-        if let Some(bitmaps) = &self.bitmaps {
-            if let Some(n) = bitmaps.count_at_most(ctx, cap) {
-                return n;
+        match self.index.as_ref().and_then(|i| i.count_at_most(ctx, cap)) {
+            Some(n) => n,
+            None => (self.table.count(ctx) as u64).min(cap),
+        }
+    }
+
+    /// A counting pass over these rows: the index's cube or walk, else a
+    /// scan (over `sharded` when given). Every path counts the same
+    /// integers.
+    fn counting_pass(
+        &self,
+        sharded: Option<&ShardedTable>,
+        attrs: &[AttrId],
+        k: &Context,
+    ) -> Result<Counter> {
+        // The bitmap index gets first refusal: when its cube or its cost
+        // model serves the pass it returns the bit-identical counter
+        // without touching the rows; otherwise it returns `None` and the
+        // pass falls through to the scan below.
+        if let Some(index) = &self.index {
+            if let Some(counter) = index.counting_pass(&self.table, attrs, k)? {
+                return Ok(counter);
             }
         }
-        (self.table.count(ctx) as u64).min(cap)
+        let counter = match sharded {
+            Some(sharded) => Counter::build_sharded(sharded, attrs, k)?,
+            None => Counter::build(&self.table, attrs, k)?,
+        };
+        Ok(counter)
+    }
+
+    /// A counting pass over the rows `rows` of this part: a range walk
+    /// of the index, else a range scan. Also returns how many rows it
+    /// scanned one by one.
+    fn counting_pass_range(
+        &self,
+        rows: Range<usize>,
+        attrs: &[AttrId],
+        k: &Context,
+    ) -> Result<(Counter, usize)> {
+        if let Some(index) = &self.index {
+            if let Some(counter) = index.counting_pass_range(&self.table, rows.clone(), attrs, k)? {
+                return Ok((counter, 0));
+            }
+        }
+        let scanned = rows.len();
+        Ok((Counter::build_range(&self.table, attrs, k, rows)?, scanned))
     }
 }
 
@@ -218,9 +255,21 @@ fn merge_sorted<K: Ord + Clone, V: Clone>(
 /// [`crate::Engine::estimator`] lends it out as the engine's uncached,
 /// read-only scoring view. It owns its inputs behind [`Arc`]s, so it is
 /// `Send + Sync` and has no borrowed lifetime.
+///
+/// On a live table the estimator counts over two parts, each a table
+/// with its bitmap index: the frozen base, and the rows appended after
+/// it. A full pass takes each part's cube, else its walk, else its scan;
+/// a top-up takes each part's range walk, else its range scan; a support
+/// probe caps each part's count at what is still missing. The parts'
+/// integers are added base first, so every count equals one over the
+/// concatenated table.
 #[derive(Clone)]
 pub struct ScoreEstimator {
-    table: Arc<Table>,
+    /// The base table and, when enabled, its per-(attribute, code)
+    /// bitmap index. Counting passes and support probes route through
+    /// the index whenever its cube or cost model serves them; every path
+    /// is bit-identical, so the routing never changes a result.
+    base: Part,
     graph: Option<Arc<Dag>>,
     pred: AttrId,
     positive: Value,
@@ -232,14 +281,10 @@ pub struct ScoreEstimator {
     /// estimator's lifetime, so they are computed once here instead of
     /// per counting pass (the hottest path in the system).
     sharded: Option<ShardedTable>,
-    /// Per-(attribute, code) bitmap index, when enabled. Counting
-    /// passes and support probes route through it whenever its cost
-    /// model says the popcount walk is cheaper than a scan; both paths
-    /// are bit-identical, so the routing never changes a result.
-    index: Option<Arc<TableIndex>>,
-    /// Rows appended after the base artifacts froze (live tables).
-    /// `None` for the ordinary cold-built estimator.
-    delta: Option<DeltaOverlay>,
+    /// Rows appended after the base table (live tables), indexed with
+    /// one shard when the base is indexed. `None` for the ordinary
+    /// cold-built estimator.
+    delta: Option<Part>,
 }
 
 impl ScoreEstimator {
@@ -288,14 +333,13 @@ impl ScoreEstimator {
             ));
         }
         Ok(ScoreEstimator {
-            table,
+            base: Part { table, index: None },
             graph,
             pred,
             positive,
             alpha,
             shards: 1,
             sharded: None,
-            index: None,
             delta: None,
         })
     }
@@ -310,7 +354,7 @@ impl ScoreEstimator {
     pub(crate) fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, tabular::MAX_SHARDS);
         self.sharded = (self.shards > 1)
-            .then(|| ShardedTable::from_shared(Arc::clone(&self.table), self.shards));
+            .then(|| ShardedTable::from_shared(Arc::clone(&self.base.table), self.shards));
         self
     }
 
@@ -326,9 +370,9 @@ impl ScoreEstimator {
     /// their scan equivalents (property-tested in
     /// `tests/index_parity.rs`); the index only changes wall-clock.
     pub(crate) fn with_index(mut self, enabled: bool) -> Result<Self> {
-        self.index = if enabled {
+        self.base.index = if enabled {
             Some(Arc::new(
-                TableIndex::build(&self.table, self.shards).map_err(LewisError::from)?,
+                TableIndex::build(&self.base.table, self.shards).map_err(LewisError::from)?,
             ))
         } else {
             None
@@ -339,82 +383,77 @@ impl ScoreEstimator {
     /// Install an already-built index (the snapshot-restore path).
     /// Callers must have validated `index.matches(table)` first.
     pub(crate) fn install_index(&mut self, index: Arc<TableIndex>) {
-        self.index = Some(index);
+        self.base.index = Some(index);
     }
 
-    /// The bitmap index, when one is enabled.
+    /// The base table's bitmap index, when one is enabled.
     pub fn index(&self) -> Option<&Arc<TableIndex>> {
-        self.index.as_ref()
+        self.base.index.as_ref()
     }
 
-    /// Overlay a delta shard of appended rows on this estimator. The
-    /// delta must be coded against the base schema (same attributes,
-    /// same domains) and must extend this estimator's own delta, if it
-    /// has one: its first rows are the ones already overlaid. When the
-    /// base carries a bitmap index, append-only delta bitmaps are kept
-    /// alongside so support probes stay on the popcount path: the
-    /// previous overlay's bitmaps are copied and only the new rows are
-    /// indexed. The base index keeps serving the base rows untouched (it
-    /// still `matches` the base table).
-    ///
-    /// Every count the returned estimator produces equals a cold count
-    /// over the concatenated table: base shards merge first, the delta's
-    /// partial counts merge last — shard-index order, integer addition.
-    pub(crate) fn with_delta_overlay(&self, delta: Arc<Table>) -> Result<ScoreEstimator> {
-        if delta.schema() != self.table.schema() {
+    /// This estimator with `batch` appended after every row it serves:
+    /// its appended rows grow by the batch, each row checked for arity
+    /// and domain (an error leaves nothing appended). When the base is
+    /// indexed, the appended rows' index is the previous one
+    /// [extended](TableIndex::extended) over them, so only the batch is
+    /// coded. The base part is shared untouched.
+    pub(crate) fn with_appended(&self, batch: &[Vec<Value>]) -> Result<ScoreEstimator> {
+        let mut grown = match &self.delta {
+            Some(delta) => (*delta.table).clone(),
+            None => Table::new(self.base.table.schema().clone()),
+        };
+        for row in batch {
+            grown.push_row(row)?;
+        }
+        let previous = self.delta.as_ref().and_then(|d| d.index.as_deref());
+        self.with_delta_part(Arc::new(grown), previous)
+    }
+
+    /// This estimator's base with `delta` as its appended rows, in place
+    /// of any it has — how a restored live table or a fold's remainder
+    /// resumes. `delta` must be coded against the base schema.
+    pub(crate) fn with_delta_table(&self, delta: Arc<Table>) -> Result<ScoreEstimator> {
+        if delta.schema() != self.base.table.schema() {
             return Err(LewisError::Invalid(
                 "delta shard schema differs from the base table's".into(),
             ));
         }
-        if delta.n_rows() < self.delta_rows() {
-            return Err(LewisError::Invalid(format!(
-                "a delta shard of {} rows cannot replace one of {}",
-                delta.n_rows(),
-                self.delta_rows()
-            )));
-        }
-        let bitmaps = match &self.index {
-            Some(_) => {
-                let previous = self.delta.as_ref().and_then(|d| d.bitmaps.as_deref());
-                let bitmaps = match previous {
-                    Some(previous) => {
-                        let mut bitmaps = previous.clone();
-                        for r in bitmaps.n_rows()..delta.n_rows() {
-                            bitmaps.append_row(&delta.row(r)?)?;
-                        }
-                        bitmaps
-                    }
-                    None => DeltaBitmaps::from_table(&delta)?,
-                };
-                Some(Arc::new(bitmaps))
-            }
+        self.with_delta_part(delta, None)
+    }
+
+    /// This estimator with `delta` as its appended rows, indexed when
+    /// the base is: `previous`, an index over the first rows of `delta`,
+    /// extended over the rest, or else a build.
+    fn with_delta_part(
+        &self,
+        delta: Arc<Table>,
+        previous: Option<&TableIndex>,
+    ) -> Result<ScoreEstimator> {
+        let index = match &self.base.index {
             None => None,
+            Some(_) => {
+                let index = match previous.and_then(|index| index.extended(&delta)) {
+                    Some(index) => index,
+                    None => TableIndex::build(&delta, 1)?,
+                };
+                Some(Arc::new(index))
+            }
         };
         let mut est = self.clone();
-        est.delta = Some(DeltaOverlay {
+        est.delta = Some(Part {
             table: delta,
-            bitmaps,
+            index,
         });
         Ok(est)
     }
 
-    /// The index of the table base rows then delta rows form, when it
-    /// can be had without reading a column: this index itself if no
-    /// delta row is overlaid, else this index with the delta bitmaps
-    /// appended ([`TableIndex::appended`], one shard only). `None` when
-    /// there is no index or it has more than one shard.
-    pub(crate) fn folded_index(&self) -> Option<Arc<TableIndex>> {
-        let index = self.index.as_ref()?;
-        match &self.delta {
-            Some(delta) if delta.table.n_rows() > 0 => {
-                let bitmaps = delta.bitmaps.as_deref()?;
-                index.appended(bitmaps).map(Arc::new)
-            }
-            _ => Some(Arc::clone(index)),
-        }
+    /// The rows this estimator counts over, in logical order: the base,
+    /// then the appended rows on a live table.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = &Part> {
+        std::iter::once(&self.base).chain(&self.delta)
     }
 
-    /// The overlaid delta shard, when this estimator serves a live table.
+    /// The appended rows, when this estimator serves a live table.
     pub(crate) fn delta_table(&self) -> Option<&Arc<Table>> {
         self.delta.as_ref().map(|d| &d.table)
     }
@@ -426,37 +465,41 @@ impl ScoreEstimator {
 
     /// Base rows plus delta rows — the logical size of the served table.
     pub fn n_total_rows(&self) -> usize {
-        self.table.n_rows() + self.delta_rows()
+        self.base.table.n_rows() + self.delta_rows()
     }
 
     /// Whether at least `min` rows match `ctx` — the support probe
-    /// under every local-context back-off step. The base rows are
-    /// counted up to `min` (bitmap index when one is present, a table
-    /// scan otherwise), then the delta shard's up to the remainder, so
-    /// a probe stops reading words once the answer is known. All paths
-    /// decide on the integer one scan of the concatenated table counts.
+    /// under every local-context back-off step. Each part's rows are
+    /// counted up to what is still missing (bitmap index when one is
+    /// present, a table scan otherwise), so a probe stops reading words
+    /// once the answer is known. All paths decide on the integer one
+    /// scan of the concatenated table counts.
     pub(crate) fn has_support(&self, ctx: &Context, min: usize) -> bool {
         let min = min as u64;
-        let base = match self.index.as_ref().and_then(|i| i.count_at_most(ctx, min)) {
-            Some(n) => n,
-            None => (self.table.count(ctx) as u64).min(min),
-        };
-        match &self.delta {
-            Some(delta) if base < min => base + delta.count_at_most(ctx, min - base) >= min,
-            _ => base >= min,
+        let mut found = 0;
+        for part in self.parts() {
+            found += part.count_at_most(ctx, min - found);
+            if found >= min {
+                return true;
+            }
         }
+        false
     }
 
-    /// One counting pass over `attrs` within `k`, honoring the
-    /// estimator's shard setting — the single chokepoint every
-    /// diagnostic and score in this crate counts through, so "fans over
-    /// shards" holds for all of them, not just the arm-table path. With
-    /// a delta overlay, the delta's partial counts merge in **after**
-    /// the base shards (shard-index order, integer addition), so the
-    /// result equals a cold pass over the concatenated table exactly.
+    /// One counting pass over `attrs` within `k` — the single chokepoint
+    /// every diagnostic and score in this crate counts through. Each
+    /// part is counted by its cube, walk or scan (the base's scan fans
+    /// over the estimator's shards) and the counts are added base first,
+    /// so the result equals a cold pass over the concatenated table
+    /// exactly.
     pub(crate) fn counting_pass(&self, attrs: &[AttrId], k: &Context) -> Result<Counter> {
-        let mut counter = self.base_counting_pass(attrs, k)?;
-        self.merge_delta_scan(&mut counter, attrs, k, 0)?;
+        let mut counter = self.base.counting_pass(self.sharded.as_ref(), attrs, k)?;
+        if let Some(delta) = &self.delta {
+            // Same attrs over the same domains: grid, strides and
+            // storage kind match the base counter by construction, so
+            // the merge cannot fail on shape.
+            counter.merge_from(&delta.counting_pass(None, attrs, k)?)?;
+        }
         Ok(counter)
     }
 
@@ -465,86 +508,31 @@ impl ScoreEstimator {
     /// cached aggregate counted over the first `from` rows. Returns the
     /// counter and how many rows it scanned one by one.
     ///
-    /// The bitmap index walks the range by popcount when the estimator
-    /// has one, over a single shard, and its cost gate admits the
-    /// request ([`TableIndex::counting_pass_range`]); then no row is
-    /// scanned. Otherwise the base and delta rows of the range are
-    /// scanned. Both give the same integers.
+    /// Each part's share of the range is walked by popcount when the
+    /// part is indexed over a single shard and the index's cost gate
+    /// admits the request ([`TableIndex::counting_pass_range`]), and
+    /// scanned otherwise. Both give the same integers.
     pub(crate) fn counting_pass_since(
         &self,
         attrs: &[AttrId],
         k: &Context,
         from: usize,
     ) -> Result<(Counter, usize)> {
-        if let Some(counter) = self.walk_since(attrs, k, from)? {
-            return Ok((counter, 0));
-        }
-        let base = self.table.n_rows();
-        let mut counter = Counter::build_range(&self.table, attrs, k, from.min(base)..base)?;
-        let scanned =
-            base.saturating_sub(from) + self.merge_delta_scan(&mut counter, attrs, k, from)?;
-        Ok((counter, scanned))
-    }
-
-    /// The popcount walk behind [`ScoreEstimator::counting_pass_since`]:
-    /// `None` where the index declines the range, or there is no index,
-    /// or a delta overlay has no bitmaps to walk.
-    fn walk_since(&self, attrs: &[AttrId], k: &Context, from: usize) -> Result<Option<Counter>> {
-        let Some(index) = &self.index else {
-            return Ok(None);
-        };
-        let base = self.table.n_rows();
-        let delta = match &self.delta {
-            None => None,
-            Some(DeltaOverlay {
-                bitmaps: Some(bitmaps),
-                ..
-            }) => Some((&**bitmaps, from.saturating_sub(base)..bitmaps.n_rows())),
-            Some(_) => return Ok(None),
-        };
-        let rows = from.min(base)..base;
-        Ok(index.counting_pass_range(&self.table, rows, delta, attrs, k)?)
-    }
-
-    /// Scan the delta rows at logical rows `from..` and merge their
-    /// counts into `counter`; returns how many rows that scanned.
-    fn merge_delta_scan(
-        &self,
-        counter: &mut Counter,
-        attrs: &[AttrId],
-        k: &Context,
-        from: usize,
-    ) -> Result<usize> {
+        let base = self.base.table.n_rows();
         let Some(delta) = &self.delta else {
-            return Ok(0);
+            return self
+                .base
+                .counting_pass_range(from.min(base)..base, attrs, k);
         };
         let n = delta.table.n_rows();
-        let rows = from.saturating_sub(self.table.n_rows()).min(n)..n;
-        if !rows.is_empty() {
-            // Same attrs over the same domains: grid, strides and
-            // storage kind all match the base counter by construction,
-            // so the merge cannot fail on shape.
-            counter.merge_from(&Counter::build_range(&delta.table, attrs, k, rows.clone())?)?;
+        let (more, more_scanned) =
+            delta.counting_pass_range(from.saturating_sub(base).min(n)..n, attrs, k)?;
+        if from >= base {
+            return Ok((more, more_scanned)); // every new row is the delta's
         }
-        Ok(rows.len())
-    }
-
-    /// The base-table half of [`ScoreEstimator::counting_pass`].
-    fn base_counting_pass(&self, attrs: &[AttrId], k: &Context) -> Result<Counter> {
-        // The bitmap index gets first refusal: when its cost model says
-        // the popcount walk is cheaper than a row scan it returns the
-        // bit-identical counter without touching the rows; otherwise it
-        // returns `None` and the pass falls through to the scan below.
-        if let Some(index) = &self.index {
-            if let Some(counter) = index.counting_pass(&self.table, attrs, k)? {
-                return Ok(counter);
-            }
-        }
-        let counter = match &self.sharded {
-            Some(sharded) => Counter::build_sharded(sharded, attrs, k)?,
-            None => Counter::build(&self.table, attrs, k)?,
-        };
-        Ok(counter)
+        let (mut counter, scanned) = self.base.counting_pass_range(from..base, attrs, k)?;
+        counter.merge_from(&more)?;
+        Ok((counter, scanned + more_scanned))
     }
 
     /// Infer the value order of `attr` (ascending positive rate, see
@@ -565,6 +553,7 @@ impl ScoreEstimator {
     /// integer addition, identical to re-counting every row.
     pub(crate) fn order_stats_since(&self, attr: AttrId, from: usize) -> Result<Vec<(u64, u64)>> {
         let card = self
+            .base
             .table
             .schema()
             .cardinality(attr)
@@ -586,12 +575,12 @@ impl ScoreEstimator {
 
     /// The labelled table.
     pub fn table(&self) -> &Table {
-        &self.table
+        &self.base.table
     }
 
     /// A shared handle to the labelled table (no data copy).
     pub fn shared_table(&self) -> Arc<Table> {
-        Arc::clone(&self.table)
+        Arc::clone(&self.base.table)
     }
 
     /// A shared handle to the causal diagram, if one was supplied.
@@ -1002,7 +991,7 @@ impl ScoreEstimator {
 
         let do_p = |x_val: Value, out: Value| -> Result<f64> {
             causal::adjustment::estimate_adjusted(
-                &self.table,
+                &self.base.table,
                 attr,
                 x_val,
                 self.pred,
@@ -1017,12 +1006,12 @@ impl ScoreEstimator {
         // same rows the adjusted terms above read, so the bound stays
         // internally consistent on a live estimator
         let base_support = |ctx: &Context| -> usize {
-            if let Some(index) = &self.index {
+            if let Some(index) = &self.base.index {
                 if let Some(n) = index.count(ctx) {
                     return n as usize;
                 }
             }
-            self.table.count(ctx)
+            self.base.table.count(ctx)
         };
         let n_k = base_support(k) as f64;
         if n_k == 0.0 {
@@ -1106,6 +1095,7 @@ impl ScoreEstimator {
                     .collect()
             }
             None => self
+                .base
                 .table
                 .schema()
                 .attr_ids()
@@ -1505,7 +1495,7 @@ mod tests {
                     .unwrap()
                     .with_index(indexed)
                     .unwrap();
-                let live = est.with_delta_overlay(Arc::clone(&delta)).unwrap();
+                let live = est.with_delta_table(Arc::clone(&delta)).unwrap();
                 for r in [0, 7, 2999] {
                     let row = t.row(r).unwrap();
                     for subset in 0u32..16 {

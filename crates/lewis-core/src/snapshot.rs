@@ -154,7 +154,7 @@ pub struct EngineSnapshot {
     /// The write-side delta shard, when the donor was serving a live
     /// table mid-stream: rows appended after `table` (and its index)
     /// froze, coded against the same schema. Restore overlays it
-    /// verbatim — delta bitmaps are rebuilt from these rows — so a
+    /// verbatim — the delta index is rebuilt from these rows — so a
     /// restored engine resumes the stream exactly where the donor
     /// stood, answering as a cold build over the concatenated table
     /// would. `None` for frozen engines and freshly compacted ones.

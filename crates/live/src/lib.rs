@@ -10,11 +10,12 @@
 //!   coded against the existing schema — a batch is validated in full
 //!   before any row lands, so a bad row rejects the whole batch and the
 //!   table never holds half an append;
-//! - counters are maintained **incrementally**: the engine merges delta
-//!   partial counts after base counts in shard-index order, so a query
-//!   against the live view answers byte-for-byte what a cold build over
-//!   the concatenated table would answer (property-tested in
-//!   `tests/live_parity.rs` at the workspace root);
+//! - counters are maintained **incrementally**: the delta rows carry a
+//!   bitmap index of their own, extended with each batch, and every
+//!   count runs the same routine over the base and the delta and adds
+//!   the two, so a query against the live view answers byte-for-byte
+//!   what a cold build over the concatenated table would answer
+//!   (property-tested in `tests/live_parity.rs` at the workspace root);
 //! - nothing cached is invalidated: every generation of a live table
 //!   shares **one** pass cache and one surrogate cache, whose entries
 //!   carry a **row watermark**, the logical row count they cover; the
@@ -81,21 +82,21 @@
 //! an [`Arc<Engine>`], then query entirely lock-free on an immutable
 //! engine generation. The expensive part of compaction —
 //! [`Engine::compacted`], which concatenates the folded table's columns
-//! and extends the base index with the delta bitmaps — runs *outside*
+//! and extends the base index over the delta rows — runs *outside*
 //! the lock; only publishing the current generation
 //! [rebased onto](Engine::rebased_onto) the fold re-takes it.
 
 use lewis_core::{Engine, Result};
 use std::sync::{Arc, Mutex, PoisonError};
-use tabular::{Table, Value};
+use tabular::Value;
 
 /// Delta rows that trigger [`LiveEngine::maybe_spawn_compaction`].
 ///
-/// An append still copies the delta table once (the previous engine
-/// generation keeps reading the old copy); everything else it does is
-/// in proportion to the batch. The threshold bounds that copy, the
-/// overlay's memory and the delta words a cache top-up walks; it is
-/// deliberately small next to the bases it shields.
+/// An append still copies the delta table and its index's words once
+/// (the previous engine generation keeps reading the old copies);
+/// everything else it does is in proportion to the batch. The threshold
+/// bounds those copies and the delta's memory; it is deliberately small
+/// next to the bases it shields.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 8192;
 
 /// Writer-side state, guarded by the one mutex in [`LiveEngine`].
@@ -211,16 +212,10 @@ impl LiveEngine {
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<AppendReceipt> {
         let mut st = recover(self.state.lock());
         if !rows.is_empty() {
-            // Grow a copy first: push_row validates arity and domain, and
-            // an error leaves the published state untouched (atomicity).
-            let mut grown = match st.engine.delta_table() {
-                Some(delta) => (**delta).clone(),
-                None => Table::new(st.engine.table().schema().clone()),
-            };
-            for row in rows {
-                grown.push_row(row)?;
-            }
-            st.engine = Arc::new(st.engine.with_delta(Arc::new(grown))?);
+            // The next generation validates arity and domain as it grows
+            // its rows, and an error leaves the published state
+            // untouched (atomicity).
+            st.engine = Arc::new(st.engine.with_delta(rows)?);
         }
         let total = st.engine.total_rows();
         Ok(AppendReceipt {

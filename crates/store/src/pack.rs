@@ -1570,12 +1570,8 @@ mod tests {
 
     /// `tiny_engine` with three rows appended as a live delta shard.
     fn live_engine() -> Engine {
-        let engine = tiny_engine();
-        let mut delta = Table::new(engine.table().schema().clone());
-        for row in [[1, 1], [0, 0], [1, 0]] {
-            delta.push_row(&row).unwrap();
-        }
-        engine.with_delta(Arc::new(delta)).unwrap()
+        let batch = [vec![1, 1], vec![0, 0], vec![1, 0]];
+        tiny_engine().with_delta(&batch).unwrap()
     }
 
     #[test]
