@@ -44,8 +44,9 @@
 //! For a categorical schema, one dense count over the full joint grid
 //! of the table's attributes — the *cube* — is a sufficient statistic
 //! for every grouped count. A [`TableIndex`] keeps one when that grid
-//! has at most `min(65,536, n_rows)` cells, so it never
-//! exceeds 512 KiB and counting it never costs more than one scan.
+//! has at most `min(`[`MAX_DENSE_GRID`]`, n_rows)` cells (65,536, the
+//! grid a [`Counter`] stores densely), so it never exceeds 512 KiB and
+//! counting it never costs more than one scan.
 //! [`TableIndex::counting_pass`] then marginalises the cube: it keeps
 //! the slice the context fixes, sums out the attributes the pass does
 //! not group by, and places what is left into the pass's dense cells —
@@ -167,14 +168,9 @@ use std::sync::{Mutex, PoisonError};
 use tabular::bitmap::{and_assign, and_count, and_count_multi, and_into, count_ones};
 use tabular::fanout::{available_workers, fan_out, ITEM_ROWS};
 use tabular::shard::shard_boundaries;
-use tabular::{code_words, words_for, AttrId, Bitmap, Context, Counter, Table, Value};
-
-/// Group grids larger than this always fall back to the scan path:
-/// past it the intersection walk visits more cells than a scan visits
-/// rows in any realistic table, and the dense count vector would start
-/// to rival the index itself in size. The joint-count cube obeys the
-/// same cap (512 KiB of `u64` cells at most).
-const MAX_INDEX_GRID: u64 = 1 << 16;
+use tabular::{
+    code_words, words_for, AttrId, Bitmap, Context, Counter, Table, Value, MAX_DENSE_GRID,
+};
 
 /// The indexed walk is admitted when its estimated word operations stay
 /// within this factor of the scan's cell reads — biased toward the
@@ -413,31 +409,6 @@ impl TableIndex {
         Some(total)
     }
 
-    /// Materialize 0/1 labels for `attr == code` over every row,
-    /// assembled from the per-shard code bitmaps in shard-index order —
-    /// `labels[r] == 1` iff row `r` holds `code` in `attr`, exactly the
-    /// vector a column scan comparing against `code` would produce.
-    /// This is how the recourse surrogate sources its training labels
-    /// when an index is installed: one word-walk of the prediction
-    /// attribute's bitmap instead of a full-column compare.
-    ///
-    /// Returns `None` when `attr` is outside the indexed schema (the
-    /// caller's scan path owns that case); a code outside the
-    /// attribute's domain labels every row 0, as a scan would.
-    pub fn labels(&self, attr: AttrId, code: tabular::Value) -> Option<Vec<u32>> {
-        if attr.index() >= self.cardinalities.len() {
-            return None;
-        }
-        let mut labels = vec![0u32; self.n_rows];
-        for (si, shard) in self.shards.iter().enumerate() {
-            let base = self.boundaries[si];
-            if let Some(bits) = shard.attrs[attr.index()].get(code as usize) {
-                bits.for_each_set(|i| labels[base + i] = 1);
-            }
-        }
-        Some(labels)
-    }
-
     /// A grouped counting pass through the index: group the rows
     /// matching `ctx` by `attrs`, producing a [`Counter`] bit-identical
     /// to [`Counter::build`]`(table, attrs, ctx)` (dense cells are the
@@ -450,7 +421,7 @@ impl TableIndex {
     /// calling thread.
     ///
     /// Returns `Ok(None)` when the request is better served by a scan —
-    /// the group grid exceeds the built-in grid cap, there is no cube
+    /// the group grid exceeds [`MAX_DENSE_GRID`], there is no cube
     /// and the deterministic cost estimate says intersections would
     /// visit more words than the scan visits cells, or an attribute is
     /// outside the indexed schema. The decision is a pure function of
@@ -620,12 +591,12 @@ fn row_ranges(n_rows: usize) -> impl Iterator<Item = Range<usize>> {
 }
 
 /// Cells of the joint grid over `cardinalities` when an index of
-/// `n_rows` rows keeps a cube of them: at most [`MAX_INDEX_GRID`], so
+/// `n_rows` rows keeps a cube of them: at most [`MAX_DENSE_GRID`], so
 /// a cube never exceeds 512 KiB, and at most `n_rows`, so counting it
 /// costs no more than one scan and it never outweighs the table.
 fn cube_grid(cardinalities: &[u32], n_rows: usize) -> Option<usize> {
     let grid = (cardinalities.iter()).try_fold(1u64, |g, &c| g.checked_mul(u64::from(c)))?;
-    (1..=MAX_INDEX_GRID.min(n_rows as u64))
+    (1..=MAX_DENSE_GRID.min(n_rows as u64))
         .contains(&grid)
         .then_some(grid as usize)
 }
@@ -812,7 +783,7 @@ struct Plan {
 
 impl Plan {
     /// `None` when an attribute is outside the indexed schema, or the
-    /// grid overflows or exceeds [`MAX_INDEX_GRID`]: the scan serves
+    /// grid overflows or exceeds [`MAX_DENSE_GRID`]: the scan serves
     /// (or reports) those.
     fn new(cardinalities: &[u32], attrs: &[AttrId], ctx: &Context) -> Option<Plan> {
         let radix = |a: AttrId| cardinalities.get(a.index()).map(|&c| u64::from(c));
@@ -826,7 +797,7 @@ impl Plan {
             strides[i] = grid;
             grid = grid.checked_mul(radices[i])?;
         }
-        if grid > MAX_INDEX_GRID {
+        if grid > MAX_DENSE_GRID {
             return None;
         }
         let mut pairs = Vec::new();
@@ -1158,32 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_match_a_column_scan_for_any_shard_count() {
-        let t = table(101);
-        for n_shards in [1usize, 2, 4, 7] {
-            let idx = TableIndex::build(&t, n_shards).unwrap();
-            for attr in [AttrId(0), AttrId(2)] {
-                for code in 0..4u32 {
-                    let scanned: Vec<u32> = t
-                        .column(attr)
-                        .unwrap()
-                        .iter()
-                        .map(|&v| u32::from(v == code))
-                        .collect();
-                    assert_eq!(
-                        idx.labels(attr, code),
-                        Some(scanned),
-                        "{attr:?}={code} over {n_shards} shards"
-                    );
-                }
-            }
-            // out-of-domain code labels nothing; unknown attr defers
-            assert_eq!(idx.labels(AttrId(1), 9), Some(vec![0u32; 101]));
-            assert_eq!(idx.labels(AttrId(7), 0), None);
-        }
-    }
-
-    #[test]
     fn counting_passes_are_bit_identical_to_scans() {
         let t = table(97);
         let groupings: &[&[AttrId]] = &[
@@ -1230,7 +1175,7 @@ mod tests {
             t.push_row(&[i % 300, (i * 3) % 300]).unwrap();
         }
         let idx = TableIndex::build(&t, 2).unwrap();
-        // 300 × 300 = 90 000 cells > MAX_INDEX_GRID: the index declines
+        // 300 × 300 = 90 000 cells > MAX_DENSE_GRID: the index declines
         let pass = idx
             .counting_pass(&t, &[AttrId(0), AttrId(1)], &Context::empty())
             .unwrap();

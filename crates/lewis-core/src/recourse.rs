@@ -33,8 +33,8 @@ use crate::{Engine, LewisError, Result};
 use causal::Dag;
 use ml::linalg::dot;
 use ml::linear::{
-    logit, sigmoid, DesignSegment, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign,
-    OrdinalFeature, Patterns,
+    logit, sigmoid, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign, OrdinalFeature,
+    Patterns,
 };
 use optim::{Group, IpError, Item, MckpSolver};
 use std::sync::Arc;
@@ -175,7 +175,9 @@ pub(crate) struct SurrogatePlan {
 /// Check the actionable set and derive the surrogate feature layout:
 /// one-hot slots for each actionable attribute, then one ordinal slot
 /// per context attribute (`K` = the non-descendants of `A` per §4.2;
-/// with no graph, every non-prediction non-actionable attribute).
+/// with no graph, every non-prediction non-actionable attribute). The
+/// fit counts `n(a, k, o)` under one `u64` key, so a layout whose grid
+/// over `A ∪ K ∪ {pred}` overflows it is `Invalid`.
 pub(crate) fn surrogate_plan(
     table: &Table,
     graph: Option<&Dag>,
@@ -234,6 +236,19 @@ pub(crate) fn surrogate_plan(
             .filter(|&a| a != pred && !actionable.contains(&a))
             .collect(),
     };
+    let mut cells = Some(1u64);
+    for &a in actionable.iter().chain(&context_attrs).chain([&pred]) {
+        let card = table.schema().cardinality(a)? as u64;
+        cells = cells.and_then(|c| c.checked_mul(card));
+    }
+    if cells.is_none() {
+        return Err(LewisError::Invalid(format!(
+            "the surrogate's grid over {} actionable, {} context and the prediction \
+             attribute overflows u64",
+            actionable.len(),
+            context_attrs.len()
+        )));
+    }
     let mut offsets = Vec::with_capacity(actionable.len());
     let mut width = 0usize;
     for &a in actionable {
@@ -264,25 +279,22 @@ pub fn surrogate_width(
 }
 
 /// Fit the logit-linear surrogate `Pr(o | a, k)` (eq. 28) for one
-/// actionable set: a sparse one-hot + ordinal design borrowed straight
-/// from the table's columns (no dense matrix), labels taken from the
-/// prediction attribute's bitmap when an index is installed (a word
-/// walk instead of a column compare), and the grouped Newton/IRLS fit
-/// of [`LogisticRegression::fit_onehot_newton`]: one pass groups the
-/// rows into their distinct patterns, the iterations run over those.
+/// actionable set. Its sufficient statistic is the count `n(a, k, o)`,
+/// so the rows come grouped from one counting pass of the estimator over
+/// `actionable ++ context ++ [pred]` (the index's cube, walk or scan,
+/// over the base and any appended rows), read into
+/// [`Patterns::from_counter`]; the grouped Newton/IRLS fit of
+/// [`LogisticRegression::fit_patterns`] runs over those. The patterns
+/// depend only on the multiset of rows, so the fit is bit-identical to
+/// a cold fit over the concatenated table, under any shard layout or
+/// row order.
 ///
-/// On a **live** estimator (rows appended after the frozen base), the
-/// base and the appended rows are two borrowed segments of the same
-/// design, built by the same loop. The fit depends only on the multiset
-/// of rows, so it is bit-identical to a cold fit over the concatenated
-/// table — and to a fit over any shard layout or row order.
-///
-/// `kept` carries the grouped patterns of an earlier fit over the first
-/// `w` logical rows: the design then holds only rows `w..` (the base
-/// and delta segments sliced at `w`), and their patterns are merged into
-/// the kept ones before Newton runs — the same patterns, and so the same
-/// coefficients, as grouping every row. Returns the fit and the patterns
-/// of every row, to keep for the next refit.
+/// `kept` carries the patterns of an earlier fit over the first `w`
+/// logical rows: the pass then counts only rows `w..`
+/// ([`ScoreEstimator::counting_pass_since`]), and its patterns are
+/// merged into the kept ones before Newton runs — the same patterns,
+/// and so the same coefficients, as counting every row. Returns the fit
+/// and the patterns of every row, to keep for the next refit.
 pub(crate) fn fit_surrogate(
     est: &ScoreEstimator,
     actionable: &[AttrId],
@@ -291,47 +303,22 @@ pub(crate) fn fit_surrogate(
     let table = est.table();
     let pred = est.pred_attr();
     let plan = surrogate_plan(table, est.graph(), pred, actionable)?;
-    let from = kept.map_or(0, |(_, w)| w);
-    // design column order: one-hot blocks [actionable…], then the
-    // ordinal context attributes
-    let needed: Vec<AttrId> = actionable
+    // pattern key order: one-hot blocks [actionable…], then the ordinal
+    // context attributes; the label last
+    let attrs: Vec<AttrId> = actionable
         .iter()
-        .chain(plan.context_attrs.iter())
+        .chain(&plan.context_attrs)
+        .chain([&pred])
         .copied()
         .collect();
-    // Each part's rows past `from`, and their labels: off the prediction
-    // bitmap when the part is indexed and every row is in (a word walk),
-    // else a column compare.
-    let mut parts = Vec::new();
-    let mut start = 0;
-    for part in est.parts() {
-        let t = &*part.table;
-        let rows = from.saturating_sub(start).min(t.n_rows())..t.n_rows();
-        start += t.n_rows();
-        let indexed = (rows.start == 0)
-            .then(|| {
-                part.index
-                    .as_ref()
-                    .and_then(|ix| ix.labels(pred, est.positive()))
-            })
-            .flatten();
-        let labels = match indexed {
-            Some(labels) => labels,
-            None => t.column(pred)?[rows.clone()]
-                .iter()
-                .map(|&v| u32::from(v == est.positive()))
-                .collect(),
-        };
-        parts.push((t, rows, labels));
-    }
-    let mut segments = Vec::with_capacity(parts.len());
-    for (t, rows, labels) in &parts {
-        let mut columns = Vec::with_capacity(needed.len());
-        for &a in &needed {
-            columns.push(&t.column(a)?[rows.clone()]);
+    let all = Context::empty();
+    let patterns = match kept {
+        Some((kept, w)) => {
+            let (more, _) = est.counting_pass_since(&attrs, &all, w)?;
+            kept.merge(&Patterns::from_counter(&more, est.positive())?)?
         }
-        segments.push(DesignSegment { columns, labels });
-    }
+        None => Patterns::from_counter(&est.counting_pass(&attrs, &all)?, est.positive())?,
+    };
     let mut blocks = Vec::with_capacity(actionable.len());
     for (i, &a) in actionable.iter().enumerate() {
         blocks.push(OneHotBlock {
@@ -350,11 +337,6 @@ pub(crate) fn fit_surrogate(
         width: plan.width,
         blocks,
         ordinals,
-        segments,
-    };
-    let patterns = match kept {
-        Some((kept, _)) => kept.merge(&design.patterns()?)?,
-        None => design.patterns()?,
     };
     let model = LogisticRegression::fit_patterns(&design, &patterns, &NewtonOptions::default())?;
     let mut orders = Vec::with_capacity(actionable.len());
@@ -737,8 +719,10 @@ mod tests {
     use crate::blackbox::label_table;
     use causal::scm::{Mechanism, ScmBuilder};
     use causal::Scm;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
     use tabular::{Domain, Schema, Table};
 
     /// age (non-actionable root), savings (actionable, 3 levels),
@@ -960,6 +944,121 @@ mod tests {
             match engine.recourse(&row, &[AttrId(1)], &opts) {
                 Err(LewisError::Invalid(m)) => assert!(m.contains("outside its domain"), "{m}"),
                 other => panic!("{row:?}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn layouts_whose_count_key_overflows_are_invalid_before_any_count() {
+        // 70 binary features and the prediction: with no graph every
+        // other feature is context, so each surrogate's grid is 2^71
+        let n_features = 70;
+        let mut schema = Schema::new();
+        for i in 0..n_features {
+            schema.push(format!("f{i}"), Domain::boolean());
+        }
+        let pred = schema.push("pred", Domain::boolean());
+        let mut t = Table::new(schema);
+        for r in 0..40u32 {
+            let row: Vec<Value> = (0..=n_features).map(|i| (r >> (i % 5)) & 1).collect();
+            t.push_row(&row).unwrap();
+        }
+        let width = surrogate_width(&t, None, pred, &[AttrId(0)]);
+        assert!(matches!(width, Err(LewisError::Invalid(_))), "{width:?}");
+        let features: Vec<AttrId> = (0..n_features).map(AttrId).collect();
+        let engine = Engine::builder(t)
+            .prediction(pred, 1)
+            .features(&features)
+            .build()
+            .unwrap();
+        let row = vec![0; n_features as usize + 1];
+        match engine.recourse(&row, &[AttrId(0)], &RecourseOptions::default()) {
+            Err(LewisError::Invalid(m)) => assert!(m.contains("overflows u64"), "{m}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert!(matches!(
+            engine.prepare_surrogate(&[AttrId(1), AttrId(2)]),
+            Err(LewisError::Invalid(_))
+        ));
+        // refused before any count: the recourse never reached the
+        // surrogate cache, and the pre-fit cached nothing
+        let stats = engine.surrogate_stats();
+        assert_eq!((stats.misses, stats.entries), (1, 0), "{stats:?}");
+    }
+
+    /// The concatenated table's rows grouped one by one, in key order:
+    /// `(values of key_attrs, rows, rows with the positive prediction)`.
+    fn rowwise_patterns(
+        rows: &[Vec<Value>],
+        key_attrs: &[AttrId],
+        pred: AttrId,
+    ) -> Vec<(Vec<Value>, u64, u64)> {
+        let mut groups: BTreeMap<Vec<Value>, (u64, u64)> = BTreeMap::new();
+        for row in rows {
+            let key = key_attrs.iter().map(|a| row[a.index()]).collect();
+            let cell = groups.entry(key).or_default();
+            cell.0 += 1;
+            cell.1 += u64::from(row[pred.index()] == 1);
+        }
+        groups.into_iter().map(|(k, (n, p))| (k, n, p)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// An engine grown batch by batch — indexed or not, over 1 or 2
+        /// shards, with or without the graph, its appended rows crossing
+        /// their index's 24-cell cube gate — fits every surrogate from
+        /// the patterns of the concatenated table: after each batch, a
+        /// full fit and a refit from the previous fit's patterns both
+        /// hold exactly the row-wise grouping, and equal coefficients.
+        #[test]
+        fn fits_hold_the_patterns_of_the_concatenated_table(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scm = world();
+            let n_base = rng.gen_range(1..60usize);
+            let mut all = scm.generate(n_base + rng.gen_range(30..90usize), &mut rng);
+            let pred = label_table(&mut all, &approve, "pred").unwrap();
+            let rows: Vec<Vec<Value>> = all.rows().collect();
+            let base: Vec<usize> = (0..n_base).collect();
+            let mut builder = Engine::builder(all.select(&base).unwrap())
+                .prediction(pred, 1)
+                .features(&[AttrId(0), AttrId(1), AttrId(2)])
+                .alpha(1.0)
+                .shards(rng.gen_range(1..=2usize))
+                .index(rng.gen_bool(0.5));
+            if rng.gen_bool(0.5) {
+                builder = builder.graph(scm.graph());
+            }
+            let mut engine = builder.build().unwrap();
+            let sets = [vec![AttrId(1)], vec![AttrId(1), AttrId(2)], vec![AttrId(2), AttrId(0)]];
+            let mut kept: Vec<Option<(Patterns, usize)>> = vec![None; sets.len()];
+            let mut served = n_base;
+            loop {
+                let est = engine.estimator();
+                for (actionable, kept) in sets.iter().zip(&mut kept) {
+                    let plan = surrogate_plan(est.table(), est.graph(), pred, actionable).unwrap();
+                    let key_attrs: Vec<AttrId> =
+                        actionable.iter().chain(&plan.context_attrs).copied().collect();
+                    let want = rowwise_patterns(&rows[..served], &key_attrs, pred);
+                    let (fit, full) = fit_surrogate(est, actionable, None).unwrap();
+                    let got: Vec<(Vec<Value>, u64, u64)> =
+                        full.iter().map(|(k, n, p)| (k.to_vec(), n, p)).collect();
+                    prop_assert_eq!(&got, &want, "full fit of {:?} over {} rows", actionable, served);
+                    if let Some((patterns, w)) = kept.as_ref() {
+                        let (refit, merged) =
+                            fit_surrogate(est, actionable, Some((patterns, *w))).unwrap();
+                        prop_assert_eq!(&merged, &full, "refit of {:?} from row {}", actionable, w);
+                        prop_assert_eq!(&refit, &fit);
+                    }
+                    *kept = Some((full, served));
+                }
+                if served == rows.len() {
+                    break;
+                }
+                let next = (served + rng.gen_range(1..20usize)).min(rows.len());
+                engine = engine.with_delta(&rows[served..next]).unwrap();
+                served = next;
             }
         }
     }

@@ -2,12 +2,13 @@
 //!
 //! Every recourse query over the same actionable set needs the same
 //! logit-linear surrogate (eq. 28) — the one genuinely expensive part
-//! of answering recourse: a pass over every row to group the table into
-//! its distinct patterns, then a Newton fit over those. Real traffic repeats
-//! actionable sets constantly (a product exposes a handful of "what can
-//! the user change" configurations), so the [`crate::Engine`] keeps the
-//! fitted coefficients here and rebuilds the per-row generator from
-//! warm coefficients in microseconds.
+//! of answering recourse: one counting pass over the actionable, context
+//! and prediction attributes (the estimator's cube, walk or scan), read
+//! as the table's distinct patterns, then a Newton fit over those. Real
+//! traffic repeats actionable sets constantly (a product exposes a
+//! handful of "what can the user change" configurations), so the
+//! [`crate::Engine`] keeps the fitted coefficients here and rebuilds the
+//! per-row generator from warm coefficients in microseconds.
 //!
 //! The cache is the same bounded, thread-safe LRU as [`crate::cache`]'s
 //! counting cache (a fit runs outside its lock), shared the same way by
@@ -20,14 +21,15 @@
 //! * **refit from a row watermark** — each entry keeps the grouped
 //!   [`Patterns`] its fit came from and the logical row count (base +
 //!   delta) they cover. Once a live engine has grown past it, the next
-//!   lookup is a miss that groups only the appended rows, merges them
-//!   into the kept patterns and reruns Newton over the merge — the same
-//!   coefficients a cold fit over every row gives;
+//!   lookup is a miss that counts only the appended rows (the counting
+//!   pass since the watermark, as a cached pass's top-up does), merges
+//!   them into the kept patterns and reruns Newton over the merge — the
+//!   same coefficients a cold fit over every row gives;
 //! * **exportable** — fits round-trip through engine snapshots and
 //!   `.lewis` packs (format v6; fits from older packs are dropped and
 //!   refit lazily), so a restored server answers recourse from warm
 //!   coefficients without refitting. Patterns are not persisted: a
-//!   restored fit's first refit regroups every row once.
+//!   restored fit's first refit counts every row once.
 
 use crate::cache::Lru;
 use crate::recourse::SurrogateFit;
@@ -37,7 +39,7 @@ use std::sync::Arc;
 use tabular::AttrId;
 
 /// A resident fit and the grouped rows it came from; the patterns are
-/// `None` for a fit restored from a snapshot, whose next refit regroups
+/// `None` for a fit restored from a snapshot, whose next refit counts
 /// from row 0.
 pub(crate) type Fitted = (Arc<SurrogateFit>, Option<Arc<Patterns>>);
 
@@ -51,7 +53,7 @@ impl SurrogateCache {
     /// resident fit over exactly `rows` rows is a hit. Otherwise it is a
     /// miss and `fit` runs outside the lock: with `Some((patterns, w))`
     /// when the resident entry kept the patterns of its first `w < rows`
-    /// rows (group rows `w..rows` and merge: a top-up), with `None`
+    /// rows (count rows `w..rows` and merge: a top-up), with `None`
     /// for a full fit. The result replaces the entry (the fit is a pure
     /// function of the live rows, so a concurrent refit inserts the
     /// identical coefficients — harmless). Errors are returned without
@@ -84,25 +86,20 @@ impl SurrogateCache {
 mod tests {
     use super::*;
     use crate::LewisError;
+    use tabular::{Context, Counter, Domain, Schema, Table};
 
     /// A fit with every coefficient `v`, and the (empty) patterns it
     /// claims to come from.
     fn fit_of(v: f64) -> Result<(SurrogateFit, Patterns)> {
-        let design = ml::OneHotDesign {
-            width: 3,
-            blocks: vec![ml::OneHotBlock {
-                offset: 0,
-                cardinality: 3,
-            }],
-            ordinals: Vec::new(),
-            segments: Vec::new(),
-        };
+        let mut schema = Schema::new();
+        let label = schema.push("label", Domain::boolean());
+        let count = Counter::build(&Table::new(schema), &[label], &Context::empty())?;
         let fit = SurrogateFit {
             intercept: v,
             coefficients: vec![v; 3],
             orders: vec![vec![0, 1, 2]],
         };
-        Ok((fit, design.patterns().expect("a valid layout")))
+        Ok((fit, Patterns::from_counter(&count, 1)?))
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub use forest::{RandomForestClassifier, RandomForestRegressor};
 pub use gbdt::GradientBoostedTrees;
 pub use linalg::Matrix;
 pub use linear::{
-    DesignSegment, LinearRegression, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign,
-    OrdinalFeature, Patterns,
+    LinearRegression, LogisticRegression, NewtonOptions, OneHotBlock, OneHotDesign, OrdinalFeature,
+    Patterns,
 };
 pub use nn::NeuralNetwork;
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor};

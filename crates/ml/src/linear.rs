@@ -8,7 +8,7 @@
 
 use crate::linalg::{dot, Matrix};
 use crate::{Classifier, MlError, Regressor, Result};
-use tabular::FxHashMap;
+use tabular::Counter;
 
 /// Canonical accumulation chunk for the gradient-descent fit: each
 /// epoch's gradient is summed as per-chunk partials (left-to-right
@@ -191,36 +191,26 @@ impl LogisticRegression {
         })
     }
 
-    /// Newton/IRLS fit over a sparse [`OneHotDesign`] — the recourse
-    /// surrogate's fit. One pass over the rows groups them into their
-    /// distinct patterns (one-hot codes and ordinal values), each with
-    /// its row count `n_k` and positive count `m_k`, in lexicographic
-    /// pattern order. Every iteration then accumulates the gradient
-    /// `Σ_k (n_k·p_k − m_k)·x_k` and Hessian `Σ_k n_k·p_k(1−p_k)·x_k x_kᵀ`
-    /// over those K patterns (only the few active slots of each touch
-    /// either) and takes one damped Newton step via the deterministic
-    /// SPD solver.
+    /// Newton/IRLS fit of the recourse surrogate over grouped rows:
+    /// `patterns` holds the distinct rows of a sparse [`OneHotDesign`]
+    /// (one-hot codes and ordinal values), each with its row count `n_k`
+    /// and positive count `m_k`, in lexicographic pattern order (see
+    /// [`Patterns::from_counter`]). Every iteration accumulates the
+    /// gradient `Σ_k (n_k·p_k − m_k)·x_k` and Hessian
+    /// `Σ_k n_k·p_k(1−p_k)·x_k x_kᵀ` over those K patterns (only the few
+    /// active slots of each touch either) and takes one damped Newton
+    /// step via the deterministic SPD solver. `design` supplies only the
+    /// layout: width, blocks and ordinals.
     ///
     /// The sums run over integer counts in a canonical order, so the
     /// coefficients — and the iteration count — depend only on the
-    /// multiset of rows: they are bit-identical under any row order and
-    /// any split of the rows into [`DesignSegment`]s. A dictionary-coded
-    /// table has few patterns (hundreds against hundreds of thousands of
-    /// rows), so each iteration costs O(K), not O(rows).
-    pub fn fit_onehot_newton(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> Result<Self> {
-        Self::fit_patterns(design, &design.patterns()?, opts)
-    }
-
-    /// The Newton/IRLS iterations of
-    /// [`LogisticRegression::fit_onehot_newton`] over rows that are
-    /// already grouped — for example the patterns of earlier rows
-    /// merged with those of the rows appended since
-    /// ([`Patterns::merge`]). `design` supplies only the layout (width,
-    /// blocks, ordinals); its segments are not read. Grouped patterns
-    /// depend only on the multiset of rows, so this fit is bit-identical
-    /// to grouping every row at once.
+    /// multiset of rows: they are bit-identical under any row order, and
+    /// for patterns merged from any split of the rows
+    /// ([`Patterns::merge`]). A dictionary-coded table has few patterns
+    /// (hundreds against hundreds of thousands of rows), so each
+    /// iteration costs O(K), not O(rows).
     pub fn fit_patterns(
-        design: &OneHotDesign<'_>,
+        design: &OneHotDesign,
         patterns: &Patterns,
         opts: &NewtonOptions,
     ) -> Result<Self> {
@@ -230,7 +220,7 @@ impl LogisticRegression {
     /// [`LogisticRegression::fit_patterns`] plus the number of Newton
     /// steps it took.
     fn newton_iterations(
-        design: &OneHotDesign<'_>,
+        design: &OneHotDesign,
         patterns: &Patterns,
         opts: &NewtonOptions,
     ) -> Result<(Self, usize)> {
@@ -380,45 +370,24 @@ pub struct OrdinalFeature {
     pub cardinality: usize,
 }
 
-/// A contiguous run of design rows, borrowed straight from column
-/// storage.
-#[derive(Debug, Clone)]
-pub struct DesignSegment<'a> {
-    /// One column per one-hot block, then one per ordinal feature, in
-    /// design order; each as long as `labels`.
-    pub columns: Vec<&'a [u32]>,
-    /// Per-row label in `{0, 1}`.
-    pub labels: &'a [u32],
-}
-
-/// A sparse design matrix over dictionary-coded columns: a few one-hot
-/// blocks plus a few ordinal columns, borrowed straight from table
-/// storage as one or more row segments — no dense row materialization
-/// and no concatenation. Each row activates exactly
+/// A sparse design over dictionary-coded columns: a few one-hot blocks
+/// plus a few ordinal columns. Each row activates exactly
 /// `blocks.len() + ordinals.len()` of the `width` feature slots, which
-/// is what makes Hessian accumulation affordable.
+/// is what makes Hessian accumulation affordable. The rows themselves
+/// arrive grouped, as [`Patterns`].
 #[derive(Debug, Clone)]
-pub struct OneHotDesign<'a> {
+pub struct OneHotDesign {
     /// Total feature width (one-hot slots + ordinal slots).
     pub width: usize,
     /// One-hot blocks, in ascending slot order.
     pub blocks: Vec<OneHotBlock>,
     /// Ordinal features, in ascending slot order after the blocks.
     pub ordinals: Vec<OrdinalFeature>,
-    /// The rows, segment after segment (for example a frozen base table
-    /// and the rows appended to it).
-    pub segments: Vec<DesignSegment<'a>>,
 }
 
-impl OneHotDesign<'_> {
-    /// Total rows over all segments.
-    pub fn n_rows(&self) -> usize {
-        self.segments.iter().map(|s| s.labels.len()).sum()
-    }
-
-    /// Structural checks: slot bounds, cardinalities, column counts and
-    /// lengths. Codes, values and labels are range-checked by the fit's
-    /// single pass over the rows.
+impl OneHotDesign {
+    /// Structural checks: slot bounds and cardinalities. Pattern keys
+    /// are range-checked against the cardinalities by the fit.
     pub fn validate(&self) -> Result<()> {
         for blk in &self.blocks {
             let end = blk.offset.checked_add(blk.cardinality);
@@ -437,22 +406,6 @@ impl OneHotDesign<'_> {
                 )));
             }
         }
-        let arity = self.blocks.len() + self.ordinals.len();
-        for seg in &self.segments {
-            if seg.columns.len() != arity {
-                return Err(MlError::InvalidTrainingData(format!(
-                    "segment has {} columns, design has {arity}",
-                    seg.columns.len()
-                )));
-            }
-            if let Some(col) = seg.columns.iter().find(|c| c.len() != seg.labels.len()) {
-                return Err(MlError::InvalidTrainingData(format!(
-                    "design column has {} rows, its segment has {} labels",
-                    col.len(),
-                    seg.labels.len()
-                )));
-            }
-        }
         Ok(())
     }
 
@@ -465,101 +418,13 @@ impl OneHotDesign<'_> {
             .chain(self.ordinals.iter().map(|o| o.cardinality))
             .collect()
     }
-
-    /// Dense feature vector of row `r`, counting across segments
-    /// (test/debug helper; the fit itself never materializes rows).
-    pub fn dense_row(&self, mut r: usize) -> Vec<f64> {
-        let mut segments = self.segments.iter();
-        let seg = loop {
-            let seg = segments.next().expect("row within the design");
-            if r < seg.labels.len() {
-                break seg;
-            }
-            r -= seg.labels.len();
-        };
-        let mut x = vec![0.0f64; self.width];
-        for (blk, col) in self.blocks.iter().zip(&seg.columns) {
-            x[blk.offset + col[r] as usize] = 1.0;
-        }
-        for (ord, col) in self.ordinals.iter().zip(&seg.columns[self.blocks.len()..]) {
-            x[ord.slot] = f64::from(col[r]);
-        }
-        x
-    }
-
-    /// The design's distinct patterns, grouped column by column over
-    /// all segments in row order: each row carries the id of its pattern
-    /// prefix over the columns seen so far, and a small map from
-    /// `(prefix id, value)` to the next id refines it. Every pass reads
-    /// the columns sequentially, and the ids never pack the key into an
-    /// integer, so any cardinality product works. A last pass counts
-    /// rows and positives per pattern, which are then put in
-    /// lexicographic key order — so the result depends only on the
-    /// multiset of rows, not on their order or segment split.
-    pub fn patterns(&self) -> Result<Patterns> {
-        self.validate()?;
-        let cards = self.cardinalities();
-        let mut prefix = vec![0usize; self.n_rows()];
-        // `(segment, row)` of the first row of each prefix group; with
-        // no columns at all the one group's (empty) key is never read
-        let mut first: Vec<(usize, usize)> = if prefix.is_empty() {
-            Vec::new()
-        } else {
-            vec![(0, 0)]
-        };
-        let mut ids: FxHashMap<(usize, u32), usize> = FxHashMap::default();
-        for (j, &card) in cards.iter().enumerate() {
-            ids.clear();
-            let mut next_first = Vec::with_capacity(first.len());
-            let mut start = 0;
-            for (s, seg) in self.segments.iter().enumerate() {
-                let col = seg.columns[j];
-                if let Some(&v) = col.iter().find(|&&v| v as usize >= card) {
-                    return Err(MlError::InvalidTrainingData(format!(
-                        "design column {j} holds {v}, at or above its cardinality {card}"
-                    )));
-                }
-                let here = &mut prefix[start..start + col.len()];
-                start += col.len();
-                for (r, (id, &v)) in here.iter_mut().zip(col).enumerate() {
-                    *id = *ids.entry((*id, v)).or_insert_with(|| {
-                        next_first.push((s, r));
-                        next_first.len() - 1
-                    });
-                }
-            }
-            first = next_first;
-        }
-        let mut rows = vec![0u64; first.len()];
-        let mut positives = vec![0u64; first.len()];
-        let labels = self.segments.iter().flat_map(|seg| seg.labels);
-        for (&id, &y) in prefix.iter().zip(labels) {
-            if y > 1 {
-                return Err(MlError::InvalidTrainingData("labels must be 0/1".into()));
-            }
-            rows[id] += 1;
-            positives[id] += u64::from(y);
-        }
-        let key = |id: usize| {
-            let (s, r) = first[id];
-            self.segments[s].columns.iter().map(move |c| c[r])
-        };
-        let mut by_key: Vec<usize> = (0..first.len()).collect();
-        by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        Ok(Patterns {
-            arity: cards.len(),
-            keys: by_key.iter().flat_map(|&id| key(id)).collect(),
-            rows: by_key.iter().map(|&id| rows[id]).collect(),
-            positives: by_key.iter().map(|&id| positives[id]).collect(),
-        })
-    }
 }
 
 /// Distinct rows of a design — keys of `arity` values (one-hot codes,
 /// then ordinal values) — in strictly ascending lexicographic key order,
 /// each with its row count and positive-label count: the sufficient
 /// statistics of [`LogisticRegression::fit_patterns`]. Built by
-/// [`OneHotDesign::patterns`] and combined by [`Patterns::merge`].
+/// [`Patterns::from_counter`] and combined by [`Patterns::merge`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patterns {
     arity: usize,
@@ -578,10 +443,48 @@ impl Patterns {
         &self.keys[k * self.arity..(k + 1) * self.arity]
     }
 
+    /// Each pattern's key, row count and positive count, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64, u64)> + '_ {
+        (0..self.len()).map(|k| (self.key(k), self.rows[k], self.positives[k]))
+    }
+
     fn push(&mut self, key: &[u32], rows: u64, positives: u64) {
         self.keys.extend_from_slice(key);
         self.rows.push(rows);
         self.positives.push(positives);
+    }
+
+    /// The patterns of a counting pass over the design's columns
+    /// followed by one label attribute: the cells that differ only in
+    /// the label become one pattern, whose `rows` is their sum and whose
+    /// positives are the cell labelled `positive`. Counter keys are
+    /// row-major with the label last, so visiting them in key order
+    /// yields each pattern's cells together and the patterns in
+    /// lexicographic order; cells with no rows are skipped.
+    pub fn from_counter(counter: &Counter, positive: u32) -> Result<Patterns> {
+        let Some(arity) = counter.attrs().len().checked_sub(1) else {
+            return Err(MlError::InvalidTrainingData(
+                "a pattern count needs a label attribute".into(),
+            ));
+        };
+        let mut out = Patterns {
+            arity,
+            keys: Vec::new(),
+            rows: Vec::new(),
+            positives: Vec::new(),
+        };
+        counter.for_each_nonzero_in_key_order(|values, n| {
+            let (key, label) = values.split_at(arity);
+            let positives = if label[0] == positive { n } else { 0 };
+            match out.len().checked_sub(1) {
+                Some(last) if out.key(last) == key => {
+                    out.rows[last] += n;
+                    out.positives[last] += positives;
+                }
+                _ => out.push(key, n, positives),
+            }
+        });
+        Ok(out)
     }
 
     /// The patterns of two sets of rows together: a sorted merge that
@@ -634,7 +537,7 @@ impl Patterns {
     }
 }
 
-/// Options for [`LogisticRegression::fit_onehot_newton`].
+/// Options for [`LogisticRegression::fit_patterns`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NewtonOptions {
     /// Iteration cap; IRLS typically converges in well under ten.
@@ -672,6 +575,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::ops::Range;
+    use tabular::{AttrId, Context, Domain, Schema, Table};
 
     #[test]
     fn linear_recovers_exact_line() {
@@ -805,7 +710,8 @@ mod tests {
         (cols, ys)
     }
 
-    fn world_design<'a>(cols: &'a [Vec<u32>], ys: &'a [u32]) -> OneHotDesign<'a> {
+    /// The layout of [`onehot_world`]'s columns.
+    fn world_design() -> OneHotDesign {
         OneHotDesign {
             width: 6,
             blocks: vec![
@@ -822,19 +728,48 @@ mod tests {
                 slot: 5,
                 cardinality: 5,
             }],
-            segments: vec![DesignSegment {
-                columns: cols.iter().map(Vec::as_slice).collect(),
-                labels: ys,
-            }],
         }
+    }
+
+    /// A table of the design columns `cols`, of cardinalities `cards`,
+    /// with the 0/1 labels `ys` as its last attribute.
+    fn labelled_table(cards: &[usize], cols: &[Vec<u32>], ys: &[u32]) -> Table {
+        let mut schema = Schema::new();
+        for (j, &card) in cards.iter().enumerate() {
+            schema.push(
+                format!("c{j}"),
+                Domain::categorical((0..card).map(|v| v.to_string())),
+            );
+        }
+        schema.push("y", Domain::boolean());
+        let columns = cols.iter().cloned().chain([ys.to_vec()]).collect();
+        Table::from_columns(schema, columns).unwrap()
+    }
+
+    /// The patterns of rows `rows` of a labelled table, positive label 1,
+    /// from one counting pass over every attribute.
+    fn patterns_of(t: &Table, rows: Range<usize>) -> Patterns {
+        let attrs: Vec<AttrId> = t.schema().attr_ids().collect();
+        let counter = Counter::build_range(t, &attrs, &Context::empty(), rows).unwrap();
+        Patterns::from_counter(&counter, 1).unwrap()
+    }
+
+    /// Dense feature vector of row `r` of the design's columns.
+    fn dense_features(design: &OneHotDesign, cols: &[Vec<u32>], r: usize) -> Vec<f64> {
+        let mut x = vec![0.0f64; design.width];
+        for (blk, col) in design.blocks.iter().zip(cols) {
+            x[blk.offset + col[r] as usize] = 1.0;
+        }
+        for (ord, col) in design.ordinals.iter().zip(&cols[design.blocks.len()..]) {
+            x[ord.slot] = f64::from(col[r]);
+        }
+        x
     }
 
     /// A random design: 1–3 one-hot blocks and 0–2 ordinal features of
     /// random cardinality, rows labelled by a random logit-linear rule.
     struct RandomDesign {
-        blocks: Vec<OneHotBlock>,
-        ordinals: Vec<OrdinalFeature>,
-        width: usize,
+        layout: OneHotDesign,
         cols: Vec<Vec<u32>>,
         ys: Vec<u32>,
     }
@@ -860,11 +795,12 @@ mod tests {
                 });
                 width += 1;
             }
-            let cards: Vec<usize> = blocks
-                .iter()
-                .map(|b| b.cardinality)
-                .chain(ordinals.iter().map(|o| o.cardinality))
-                .collect();
+            let layout = OneHotDesign {
+                width,
+                blocks,
+                ordinals,
+            };
+            let cards = layout.cardinalities();
             let weights: Vec<f64> = cards.iter().map(|_| rng.gen_range(-0.6..0.6)).collect();
             let n = rng.gen_range(200..2_000usize);
             let mut cols: Vec<Vec<u32>> = cards.iter().map(|_| Vec::with_capacity(n)).collect();
@@ -878,55 +814,41 @@ mod tests {
                 }
                 ys.push(u32::from(sigmoid(z) > rng.gen_range(0.0..1.0)));
             }
-            RandomDesign {
-                blocks,
-                ordinals,
-                width,
-                cols,
-                ys,
-            }
+            RandomDesign { layout, cols, ys }
         }
 
-        /// The design over rows `order` (a permutation of the row ids),
-        /// cut into two segments at `split`.
-        fn design<'a>(
-            &self,
-            store: &'a mut Vec<Vec<u32>>,
-            order: &[usize],
-            split: usize,
-        ) -> OneHotDesign<'a> {
-            store.clear();
-            for col in self.cols.iter().chain([&self.ys]) {
-                store.push(order.iter().map(|&r| col[r]).collect());
+        /// The labelled table over rows `order` (a permutation of the
+        /// row ids).
+        fn table(&self, order: &[usize]) -> Table {
+            let pick = |col: &Vec<u32>| order.iter().map(|&r| col[r]).collect::<Vec<u32>>();
+            let cols: Vec<Vec<u32>> = self.cols.iter().map(pick).collect();
+            labelled_table(&self.layout.cardinalities(), &cols, &pick(&self.ys))
+        }
+
+        fn shuffled(&self, seed: u64) -> Vec<usize> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut order: Vec<usize> = (0..self.ys.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
             }
-            let (labels, columns) = store.split_last().expect("label column");
-            let segment = |lo: usize, hi: usize| DesignSegment {
-                columns: columns.iter().map(|c| &c[lo..hi]).collect(),
-                labels: &labels[lo..hi],
-            };
-            OneHotDesign {
-                width: self.width,
-                blocks: self.blocks.clone(),
-                ordinals: self.ordinals.clone(),
-                segments: vec![segment(0, split), segment(split, order.len())],
-            }
+            order
         }
     }
 
     /// Row-wise dense IRLS with the same scaling, L2, ridge fallback and
     /// stopping rule as the grouped fit: `([coefficients.., intercept],
     /// iterations)`.
-    fn dense_irls(design: &OneHotDesign<'_>, opts: &NewtonOptions) -> (Vec<f64>, usize) {
+    fn dense_irls(
+        design: &OneHotDesign,
+        cols: &[Vec<u32>],
+        labels: &[u32],
+        opts: &NewtonOptions,
+    ) -> (Vec<f64>, usize) {
         let width = design.width;
         let p1 = width + 1;
-        let labels: Vec<u32> = design
-            .segments
-            .iter()
-            .flat_map(|s| s.labels.iter().copied())
-            .collect();
         let xs: Vec<Vec<f64>> = (0..labels.len())
             .map(|r| {
-                let mut x = design.dense_row(r);
+                let mut x = dense_features(design, cols, r);
                 x.push(1.0);
                 x
             })
@@ -936,7 +858,7 @@ mod tests {
         for iteration in 1..=opts.max_iters {
             let mut g = vec![0.0f64; p1];
             let mut hess = Matrix::zeros(p1, p1);
-            for (x, &y) in xs.iter().zip(&labels) {
+            for (x, &y) in xs.iter().zip(labels) {
                 let p = sigmoid(dot(&beta, x));
                 for i in 0..p1 {
                     g[i] += (p - f64::from(y)) * x[i];
@@ -991,8 +913,10 @@ mod tests {
         // left-to-right pass — pin the exact historical coefficients
         // by re-running the pre-chunking loop inline
         let (cols, ys) = onehot_world(500);
-        let design = world_design(&cols, &ys);
-        let xs: Vec<Vec<f64>> = (0..design.n_rows()).map(|r| design.dense_row(r)).collect();
+        let design = world_design();
+        let xs: Vec<Vec<f64>> = (0..ys.len())
+            .map(|r| dense_features(&design, &cols, r))
+            .collect();
         let opts = LogisticOptions::default();
         let m = LogisticRegression::fit(&xs, &ys, &opts).unwrap();
         let (mut w, mut b) = (vec![0.0f64; 6], 0.0f64);
@@ -1024,12 +948,11 @@ mod tests {
         for seed in 0..12 {
             let world = RandomDesign::new(seed);
             let order: Vec<usize> = (0..world.ys.len()).collect();
-            let mut store = Vec::new();
-            let design = world.design(&mut store, &order, order.len() / 3);
+            let table = world.table(&order);
+            let patterns = patterns_of(&table, 0..table.n_rows());
             let (model, iterations) =
-                LogisticRegression::newton_iterations(&design, &design.patterns().unwrap(), &opts)
-                    .unwrap();
-            let (want, want_iterations) = dense_irls(&design, &opts);
+                LogisticRegression::newton_iterations(&world.layout, &patterns, &opts).unwrap();
+            let (want, want_iterations) = dense_irls(&world.layout, &world.cols, &world.ys, &opts);
             assert_eq!(iterations, want_iterations, "seed {seed}");
             let got: Vec<f64> = model
                 .coefficients
@@ -1047,37 +970,17 @@ mod tests {
     }
 
     #[test]
-    fn grouped_newton_is_bitwise_invariant_under_row_order_and_segment_splits() {
+    fn grouped_newton_is_bitwise_invariant_under_row_order() {
         let opts = NewtonOptions::default();
         for seed in 0..8 {
             let world = RandomDesign::new(100 + seed);
-            let n = world.ys.len();
-            let identity: Vec<usize> = (0..n).collect();
-            let mut store = Vec::new();
-            let want = bits(
-                &LogisticRegression::fit_onehot_newton(
-                    &world.design(&mut store, &identity, n),
-                    &opts,
-                )
-                .unwrap(),
-            );
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut shuffled = identity.clone();
-            for i in (1..n).rev() {
-                shuffled.swap(i, rng.gen_range(0..=i));
-            }
-            for (order, split) in [
-                (&identity, 0),
-                (&identity, 1),
-                (&identity, n / 2),
-                (&identity, n - 1),
-                (&shuffled, n),
-                (&shuffled, n / 3),
-            ] {
-                let design = world.design(&mut store, order, split);
-                let got = bits(&LogisticRegression::fit_onehot_newton(&design, &opts).unwrap());
-                assert_eq!(want, got, "seed {seed}, split at {split}");
-            }
+            let identity: Vec<usize> = (0..world.ys.len()).collect();
+            let fit = |order: &[usize]| {
+                let table = world.table(order);
+                let patterns = patterns_of(&table, 0..table.n_rows());
+                bits(&LogisticRegression::fit_patterns(&world.layout, &patterns, &opts).unwrap())
+            };
+            assert_eq!(fit(&identity), fit(&world.shuffled(seed)), "seed {seed}");
         }
     }
 
@@ -1087,117 +990,109 @@ mod tests {
         for seed in 0..8 {
             let world = RandomDesign::new(200 + seed);
             let n = world.ys.len();
-            let mut order: Vec<usize> = (0..n).collect();
+            let whole = world.table(&world.shuffled(seed));
+            let want = patterns_of(&whole, 0..n);
+            let cold =
+                bits(&LogisticRegression::fit_patterns(&world.layout, &want, &opts).unwrap());
             let mut rng = StdRng::seed_from_u64(seed);
-            for i in (1..n).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            let mut store = Vec::new();
-            let whole = world.design(&mut store, &order, n);
-            let want = whole.patterns().unwrap();
-            let cold = bits(&LogisticRegression::fit_onehot_newton(&whole, &opts).unwrap());
             for split in [0, 1, rng.gen_range(0..n), n / 2, n - 1, n] {
-                let (mut head_store, mut tail_store) = (Vec::new(), Vec::new());
-                let head = world.design(&mut head_store, &order[..split], split);
-                let tail = world.design(&mut tail_store, &order[split..], 0);
-                let merged = head
-                    .patterns()
-                    .unwrap()
-                    .merge(&tail.patterns().unwrap())
-                    .unwrap();
+                let head = patterns_of(&whole, 0..split);
+                let tail = patterns_of(&whole, split..n);
+                let merged = head.merge(&tail).unwrap();
                 assert_eq!(merged, want, "seed {seed}, split at {split}");
                 // merging is symmetric: the tail's patterns first, too
-                let swapped = tail
-                    .patterns()
-                    .unwrap()
-                    .merge(&head.patterns().unwrap())
-                    .unwrap();
-                assert_eq!(swapped, want, "seed {seed}, split at {split}");
-                let fit = LogisticRegression::fit_patterns(&head, &merged, &opts).unwrap();
+                assert_eq!(tail.merge(&head).unwrap(), want, "seed {seed}");
+                let fit = LogisticRegression::fit_patterns(&world.layout, &merged, &opts).unwrap();
                 assert_eq!(bits(&fit), cold, "seed {seed}, split at {split}");
             }
         }
     }
 
     #[test]
-    fn foreign_patterns_are_typed_errors() {
-        let (cols, ys) = onehot_world(50);
-        let design = world_design(&cols, &ys);
-        let patterns = design.patterns().unwrap();
-        // a design with one column fewer cannot take these patterns
-        let mut narrow = design.clone();
-        narrow.ordinals.clear();
-        for seg in &mut narrow.segments {
-            seg.columns.pop();
+    fn patterns_from_dense_and_sparse_counters_equal_a_rowwise_grouping() {
+        // 2 × 3 codes is a dense grid; 300 × 300 × 2 cells is past
+        // MAX_DENSE_GRID, so that counter is sparse and sorts its keys
+        let mut rng = StdRng::seed_from_u64(9);
+        for cards in [[2usize, 3], [300, 300]] {
+            let n = 500;
+            let cols: Vec<Vec<u32>> = cards
+                .iter()
+                .map(|&c| (0..n).map(|_| rng.gen_range(0..c as u32)).collect())
+                .collect();
+            let ys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2u32)).collect();
+            let mut want: std::collections::BTreeMap<Vec<u32>, (u64, u64)> = Default::default();
+            for r in 0..n {
+                let cell = want.entry(vec![cols[0][r], cols[1][r]]).or_default();
+                cell.0 += 1;
+                cell.1 += u64::from(ys[r]);
+            }
+            let got = patterns_of(&labelled_table(&cards, &cols, &ys), 0..n);
+            assert_eq!(got.arity, 2);
+            let got: Vec<(Vec<u32>, (u64, u64))> = got
+                .iter()
+                .map(|(key, rows, positives)| (key.to_vec(), (rows, positives)))
+                .collect();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "{cards:?}");
         }
-        let opts = NewtonOptions::default();
-        assert!(LogisticRegression::fit_patterns(&narrow, &patterns, &opts).is_err());
-        assert!(narrow.patterns().unwrap().merge(&patterns).is_err());
-        // nor a design whose cardinalities its keys exceed
-        let mut small = design.clone();
-        small.ordinals[0].cardinality = 2;
-        assert!(LogisticRegression::fit_patterns(&small, &patterns, &opts).is_err());
-        // an empty set of patterns has no rows to fit
-        let mut empty = design.clone();
-        empty.segments[0].labels = &ys[..0];
-        for col in &mut empty.segments[0].columns {
-            *col = &col[..0];
-        }
-        let no_rows = empty.patterns().unwrap();
-        assert!(LogisticRegression::fit_patterns(&design, &no_rows, &opts).is_err());
+        // a count with no attribute has no label to group by
+        let t = labelled_table(&[2], &[vec![0, 1]], &[0, 1]);
+        let none = Counter::build(&t, &[], &Context::empty()).unwrap();
+        assert!(Patterns::from_counter(&none, 1).is_err());
     }
 
     #[test]
-    fn grouping_never_packs_a_key_that_could_overflow() {
-        // 70 binary blocks: the cardinality product 2^70 exceeds u64::MAX
-        let (n_blocks, n) = (70usize, 400usize);
-        let mut rng = StdRng::seed_from_u64(5);
-        let cols: Vec<Vec<u32>> = (0..n_blocks)
-            .map(|_| (0..n).map(|_| rng.gen_range(0..2u32)).collect())
-            .collect();
-        let ys: Vec<u32> = cols[0]
-            .iter()
-            .map(|&v| u32::from(rng.gen_range(0.0..1.0) < 0.3 + 0.4 * f64::from(v)))
-            .collect();
-        let design = OneHotDesign {
-            width: 2 * n_blocks,
-            blocks: (0..n_blocks)
-                .map(|b| OneHotBlock {
-                    offset: 2 * b,
-                    cardinality: 2,
-                })
-                .collect(),
-            ordinals: Vec::new(),
-            segments: vec![DesignSegment {
-                columns: cols.iter().map(Vec::as_slice).collect(),
-                labels: &ys,
-            }],
-        };
-        let m = LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default()).unwrap();
-        assert!(m.intercept.is_finite());
-        assert!(m.coefficients.iter().all(|c| c.is_finite()));
-        // block 0 drives the label
-        assert!(m.coefficients[1] > m.coefficients[0]);
+    fn foreign_patterns_are_typed_errors() {
+        let (cols, ys) = onehot_world(50);
+        let design = world_design();
+        let table = labelled_table(&design.cardinalities(), &cols, &ys);
+        let patterns = patterns_of(&table, 0..50);
+        // a design with one column fewer cannot take these patterns
+        let mut narrow = design.clone();
+        narrow.ordinals.clear();
+        let opts = NewtonOptions::default();
+        assert!(LogisticRegression::fit_patterns(&narrow, &patterns, &opts).is_err());
+        let narrow_table = labelled_table(&[3, 2], &cols[..2], &ys);
+        let narrow_patterns = patterns_of(&narrow_table, 0..50);
+        assert!(narrow_patterns.merge(&patterns).is_err());
+        // nor a design whose cardinalities its keys exceed
+        let mut small = design.clone();
+        small.ordinals[0].cardinality = 2;
+        assert!(matches!(
+            LogisticRegression::fit_patterns(&small, &patterns, &opts),
+            Err(MlError::InvalidTrainingData(_))
+        ));
+        small = design.clone();
+        small.blocks[0].cardinality = 2;
+        small.blocks[1].offset = 2;
+        assert!(matches!(
+            LogisticRegression::fit_patterns(&small, &patterns, &opts),
+            Err(MlError::InvalidTrainingData(_))
+        ));
+        // an empty set of patterns has no rows to fit
+        let no_rows = patterns_of(&table, 0..0);
+        assert!(LogisticRegression::fit_patterns(&design, &no_rows, &opts).is_err());
     }
 
     #[test]
     fn newton_fit_matches_the_model_and_beats_gd_at_equal_budget() {
         let (cols, ys) = onehot_world(4_000);
-        let design = world_design(&cols, &ys);
-        let m = LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default()).unwrap();
+        let design = world_design();
+        let patterns = patterns_of(&labelled_table(&[3, 2, 5], &cols, &ys), 0..ys.len());
+        let m = LogisticRegression::fit_patterns(&design, &patterns, &NewtonOptions::default())
+            .unwrap();
         // the learned coefficients order the first block correctly
         // (gain rises with the code) and point the right way elsewhere
         assert!(m.coefficients[2] > m.coefficients[1]);
         assert!(m.coefficients[1] > m.coefficients[0]);
         assert!(m.coefficients[4] < m.coefficients[3]);
         assert!(m.coefficients[5] > 0.0);
-        let acc = (0..design.n_rows())
+        let acc = (0..ys.len())
             .filter(|&r| {
-                let p = m.predict_proba_one(&design.dense_row(r));
+                let p = m.predict_proba_one(&dense_features(&design, &cols, r));
                 u32::from(p > 0.5) == ys[r]
             })
             .count() as f64
-            / design.n_rows() as f64;
+            / ys.len() as f64;
         assert!(acc > 0.7, "newton surrogate accuracy {acc}");
     }
 
@@ -1206,10 +1101,14 @@ mod tests {
         // predictions from the sparse fit match a well-converged dense
         // GD fit closely on every row
         let (cols, ys) = onehot_world(2_000);
-        let design = world_design(&cols, &ys);
-        let xs: Vec<Vec<f64>> = (0..design.n_rows()).map(|r| design.dense_row(r)).collect();
+        let design = world_design();
+        let xs: Vec<Vec<f64>> = (0..ys.len())
+            .map(|r| dense_features(&design, &cols, r))
+            .collect();
+        let patterns = patterns_of(&labelled_table(&[3, 2, 5], &cols, &ys), 0..ys.len());
         let newton =
-            LogisticRegression::fit_onehot_newton(&design, &NewtonOptions::default()).unwrap();
+            LogisticRegression::fit_patterns(&design, &patterns, &NewtonOptions::default())
+                .unwrap();
         let gd = LogisticRegression::fit(
             &xs,
             &ys,
@@ -1229,9 +1128,6 @@ mod tests {
 
     #[test]
     fn onehot_design_validation() {
-        let codes = vec![0u32, 1, 2];
-        let short = vec![0u32];
-        let ys = [0u32, 1, 0];
         let ok = OneHotDesign {
             width: 4,
             blocks: vec![OneHotBlock {
@@ -1242,80 +1138,24 @@ mod tests {
                 slot: 3,
                 cardinality: 3,
             }],
-            segments: vec![DesignSegment {
-                columns: vec![&codes, &codes],
-                labels: &ys,
-            }],
         };
         assert!(ok.validate().is_ok());
         let mut wide = ok.clone();
         wide.blocks[0].cardinality = 5;
         assert!(wide.validate().is_err(), "block past width");
-        let mut ragged = ok.clone();
-        ragged.segments[0].columns[0] = &short;
-        assert!(ragged.validate().is_err(), "short column");
-        let mut missing = ok.clone();
-        missing.segments[0].columns.pop();
-        assert!(missing.validate().is_err(), "column count");
         let mut slot = ok.clone();
         slot.ordinals[0].slot = 9;
         assert!(slot.validate().is_err(), "ordinal slot past width");
-        let opts = NewtonOptions::default();
-        assert!(LogisticRegression::fit_onehot_newton(&ok, &opts).is_ok());
-        let mut short_labels = ok.clone();
-        short_labels.segments[0].labels = &ys[..2];
-        assert!(
-            LogisticRegression::fit_onehot_newton(&short_labels, &opts).is_err(),
-            "label length mismatch"
+        let codes = vec![0u32, 1, 2];
+        let patterns = patterns_of(
+            &labelled_table(&[3, 3], &[codes.clone(), codes], &[0, 1, 0]),
+            0..3,
         );
-        let mut empty = ok.clone();
-        empty.segments.clear();
-        assert!(
-            LogisticRegression::fit_onehot_newton(&empty, &opts).is_err(),
-            "no rows"
-        );
-    }
-
-    #[test]
-    fn out_of_range_codes_values_and_labels_are_typed_errors() {
-        fn design<'a>(columns: Vec<&'a [u32]>, labels: &'a [u32]) -> OneHotDesign<'a> {
-            OneHotDesign {
-                width: 4,
-                blocks: vec![OneHotBlock {
-                    offset: 0,
-                    cardinality: 3,
-                }],
-                ordinals: vec![OrdinalFeature {
-                    slot: 3,
-                    cardinality: 3,
-                }],
-                segments: vec![DesignSegment { columns, labels }],
-            }
-        }
-        let ok = [0u32, 1, 2];
-        let ys = [0u32, 1, 0];
-        let (bad_code, bad_value, bad_labels) = ([0u32, 3, 1], [0u32, 1, 3], [0u32, 2, 0]);
         let opts = NewtonOptions::default();
-        let cases = [
-            (
-                "one-hot code at its cardinality",
-                design(vec![&bad_code, &ok], &ys),
-            ),
-            (
-                "ordinal value at its cardinality",
-                design(vec![&ok, &bad_value], &ys),
-            ),
-            ("label above 1", design(vec![&ok, &ok], &bad_labels)),
-        ];
-        assert!(LogisticRegression::fit_onehot_newton(&design(vec![&ok, &ok], &ys), &opts).is_ok());
-        for (what, d) in &cases {
-            assert!(
-                matches!(
-                    LogisticRegression::fit_onehot_newton(d, &opts),
-                    Err(MlError::InvalidTrainingData(_))
-                ),
-                "{what}"
-            );
-        }
+        assert!(LogisticRegression::fit_patterns(&ok, &patterns, &opts).is_ok());
+        assert!(
+            LogisticRegression::fit_patterns(&wide, &patterns, &opts).is_err(),
+            "an invalid layout is refused before any pattern is read"
+        );
     }
 }

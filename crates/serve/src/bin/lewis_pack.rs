@@ -290,12 +290,18 @@ fn inspect(path: &str) {
         s.surrogates.misses,
         s.surrogate_capacity,
     );
-    match &s.index {
+    // the restored engine's indexes, as `/metrics` counts them: the
+    // base index with its cube, plus a live table's appended rows' index
+    let engine = match pack.restore_engine() {
+        Ok((engine, _)) => engine,
+        Err(e) => fail(&e.to_string()),
+    };
+    match engine.estimator().index() {
         Some(index) => println!(
             "index:  enabled, {} bitmaps over {} rows ({} bytes resident)",
             index.cardinalities().iter().map(|&c| c as u64).sum::<u64>(),
             index.n_rows(),
-            index.memory_bytes(),
+            engine.index_memory_bytes(),
         ),
         None => println!("index:  none"),
     }

@@ -7,8 +7,10 @@
 //! context values and rows from the engine's *own table*, so warmed
 //! contexts are guaranteed to be populated (a warm-up that mostly hits
 //! `Unsupported` warms nothing). Recourse is deliberately absent: it
-//! exercises the surrogate fitter, not the counting cache, and fits are
-//! not cached across processes.
+//! exercises the surrogate cache, not the counting cache, and that
+//! cache is warmed on its own terms — `lewis-pack --warm-recourse` fits
+//! one surrogate per feature, and the pack (format v6) carries the fits
+//! to the restored server.
 
 use lewis_core::{Engine, ExplainRequest};
 use tabular::Context;

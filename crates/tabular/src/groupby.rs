@@ -6,9 +6,10 @@
 //! those counts in one table scan and answers marginal queries by summing
 //! over unspecified attributes.
 //!
-//! Storage is adaptive: when the joint grid `∏ |Dom(Xᵢ)|` is small the
-//! counts live in a dense vector (fast, enumerable); otherwise they fall
-//! back to a hash map keyed by mixed-radix packed codes.
+//! Storage is adaptive: when the joint grid `∏ |Dom(Xᵢ)|` has at most
+//! [`MAX_DENSE_GRID`] cells the counts live in a dense vector (fast,
+//! enumerable); otherwise they fall back to a hash map keyed by
+//! mixed-radix packed codes.
 
 use crate::context::Context;
 use crate::domain::{AttrId, Value};
@@ -22,8 +23,11 @@ use std::ops::Range;
 /// Mixed-radix packed group key.
 pub type GroupKey = u64;
 
-/// Above this grid size counts are kept sparse.
-const DENSE_LIMIT: u64 = 1 << 22; // 4M cells * 8B = 32 MiB
+/// The largest grid kept as one dense `u64` per cell (512 KiB): a
+/// [`Counter`] past it stores its counts sparse, and a bitmap index
+/// neither groups nor keeps a joint-count cube past it. Visiting every
+/// cell of a denser grid would cost more than the rows of most tables.
+pub const MAX_DENSE_GRID: u64 = 1 << 16;
 
 #[derive(Debug, Clone)]
 enum Storage {
@@ -78,7 +82,7 @@ impl Counter {
                 TabularError::InvalidArgument("group-by grid overflows u64".into())
             })?;
         }
-        let storage = if grid <= DENSE_LIMIT {
+        let storage = if grid <= MAX_DENSE_GRID {
             Storage::Dense(vec![0u64; grid as usize])
         } else {
             Storage::Sparse(FxHashMap::default())
@@ -145,9 +149,9 @@ impl Counter {
                 TabularError::InvalidArgument("group-by grid overflows u64".into())
             })?;
         }
-        if grid > DENSE_LIMIT {
+        if grid > MAX_DENSE_GRID {
             return Err(TabularError::InvalidArgument(format!(
-                "grid of {grid} cells exceeds the dense storage limit {DENSE_LIMIT}"
+                "grid of {grid} cells exceeds the dense storage limit {MAX_DENSE_GRID}"
             )));
         }
         if counts.len() as u64 != grid {
@@ -339,6 +343,23 @@ impl Counter {
         }
     }
 
+    /// [`Counter::for_each_nonzero`] in ascending key order, which is
+    /// the lexicographic order of the value tuples (row-major keys, last
+    /// attribute fastest). A sparse counter sorts its keys first.
+    pub fn for_each_nonzero_in_key_order<F: FnMut(&[Value], u64)>(&self, mut f: F) {
+        let Storage::Sparse(m) = &self.storage else {
+            return self.for_each_nonzero(f);
+        };
+        // lint:allow(ordered-iteration): sorted by key on the next line.
+        let mut cells: Vec<(GroupKey, u64)> = m.iter().map(|(&key, &n)| (key, n)).collect();
+        cells.sort_unstable();
+        let mut values = vec![0 as Value; self.attrs.len()];
+        for (key, n) in cells {
+            self.unpack_into(key, &mut values);
+            f(&values, n);
+        }
+    }
+
     #[inline]
     fn unpack_into(&self, mut key: GroupKey, out: &mut [Value]) {
         for (cell, &stride) in out.iter_mut().zip(&self.strides) {
@@ -351,8 +372,7 @@ impl Counter {
     /// determinism).
     pub fn nonzero_groups(&self) -> Vec<(Vec<Value>, u64)> {
         let mut out = Vec::new();
-        self.for_each_nonzero(|values, n| out.push((values.to_vec(), n)));
-        out.sort();
+        self.for_each_nonzero_in_key_order(|values, n| out.push((values.to_vec(), n)));
         out
     }
 
@@ -484,6 +504,28 @@ mod tests {
         let mut sorted = groups.clone();
         sorted.sort();
         assert_eq!(groups, sorted);
+    }
+
+    #[test]
+    fn key_order_visits_sort_sparse_counters_too() {
+        // 300 × 300 cells is past MAX_DENSE_GRID: the counts are sparse
+        let wide = || Domain::categorical((0..300).map(|i| i.to_string()));
+        let mut s = Schema::new();
+        s.push("a", wide());
+        s.push("b", wide());
+        let mut t = Table::new(s);
+        for i in 0..500u32 {
+            t.push_row(&[(i * 7919) % 300, (i * 31) % 300]).unwrap();
+        }
+        let c = Counter::build(&t, &[AttrId(0), AttrId(1)], &Context::empty()).unwrap();
+        assert!(c.grid_size() > MAX_DENSE_GRID);
+        let mut visited = Vec::new();
+        c.for_each_nonzero_in_key_order(|values, n| visited.push((values.to_vec(), n)));
+        let mut want = Vec::new();
+        c.for_each_nonzero(|values, n| want.push((values.to_vec(), n)));
+        want.sort();
+        assert_eq!(visited, want);
+        assert_eq!(c.nonzero_groups(), want);
     }
 
     #[test]

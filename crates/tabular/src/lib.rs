@@ -55,7 +55,7 @@ pub use context::Context;
 pub use csv::{read_csv_file, read_csv_str, write_csv_file, write_csv_string};
 pub use domain::{AttrId, Domain, Value};
 pub use error::TabularError;
-pub use groupby::{Counter, GroupKey};
+pub use groupby::{Counter, GroupKey, MAX_DENSE_GRID};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use sample::{bootstrap_indices, train_test_split};
 pub use schema::{Attribute, Schema};
